@@ -279,20 +279,6 @@ def solve(m: Matrix, b: Vector):
     return tuple(x), kernel(m)
 
 
-def in_span(vectors, v: Vector, field: FieldDescriptor) -> bool:
-    """True iff v lies in the row span of vectors."""
-    rows = [list(u) for u in vectors]
-    if not rows:
-        return all(e.is_zero() for e in v)
-    pivots = _rref(rows, field)
-    w = list(v)
-    for r, pc in enumerate(pivots):
-        if not w[pc].is_zero():
-            f = w[pc]
-            w = [a - f * b for a, b in zip(w, rows[r])]
-    return all(e.is_zero() for e in w)
-
-
 # ---------------------------------------------------------------------------
 # 3-space cross product
 

@@ -18,7 +18,7 @@ from discarr import (
     rank_of_rows,
     solve,
 )
-from discarr.linalg import DimensionMismatch, NotSquare, in_span
+from discarr.linalg import DimensionMismatch, NotSquare
 
 
 def _mat(rows, field=None):
@@ -158,18 +158,6 @@ def test_solve_random_systems():
             for v in null:
                 shifted = tuple(a + c for a, c in zip(x, v))
                 assert m.apply(shifted) == b
-
-
-def test_in_span():
-    q = Rational()
-    u = (q.from_int(1), q.from_int(0), q.from_int(1))
-    v = (q.from_int(0), q.from_int(1), q.from_int(1))
-    w = tuple(a + a for a in u)
-    assert in_span([u, v], w, q)
-    assert in_span([u, v], tuple(a + b for a, b in zip(u, v)), q)
-    assert not in_span([u, v], (q.one(), q.one(), q.zero()), q)
-    assert in_span([], (q.zero(), q.zero()), q)
-    assert not in_span([], (q.one(), q.zero()), q)
 
 
 def test_cross3_properties():
