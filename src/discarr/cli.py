@@ -203,7 +203,7 @@ def _detect_k2(args, a: Arrangement):
         results["quint_count"] = len(quints)
         results["quints"] = [{"center": q.center, "ta": list(q.ta),
                               "tb": list(q.tb)} for q in quints]
-        consistency["quint_closure_violations"] = quint_closure_checks(a)
+        consistency["quint_closure_violations"] = quint_closure_checks(quints)
     report = _report("detect", args.input, a, results, consistency)
     lines = [f"detect {args.input}: n={a.n} k=2 field={field_label(a.field)}",
              f"quadral points: {len(quads)}"]

@@ -13,7 +13,7 @@ All detectors are pure and return canonical, deduplicated families.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .arrangement import (
     Arrangement,
@@ -146,15 +146,16 @@ def crossratio_form(a: Arrangement, fourset: FourSet) -> FieldElement:
     return r1 * r2 * r3
 
 
-def _pair_dets(a: Arrangement, subset) -> dict:
-    d = {}
-    for x, y in combinations(subset, 2):
-        d[(x, y)] = det2(a.normal(x), a.normal(y))
-    return d
-
-
-def _dd(dets, x, y):
-    return dets[(x, y)] if x < y else -dets[(y, x)]
+def _det_table(a: Arrangement) -> dict:
+    """det2 payload of every ordered pair of distinct indices; the
+    reversed pair holds the negation."""
+    neg = a.field._neg
+    table = {}
+    for x, y in combinations(a.indices, 2):
+        d = det2(a.normal(x), a.normal(y)).payload
+        table[x, y] = d
+        table[y, x] = neg(d)
+    return table
 
 
 def quadral_points(a: Arrangement) -> list[FourSet]:
@@ -165,13 +166,14 @@ def quadral_points(a: Arrangement) -> list[FourSet]:
     _check_k2(a)
     if not is_generic(a):
         raise NotGeneric("parallel or repeated lines")
+    mul = a.field._mul
+    dets = _det_table(a)
     found = []
     for subset in combinations(a.indices, 6):
-        dets = _pair_dets(a, subset)
         for pairs in perfect_matchings(subset):
             (a1, b1), (a2, b2), (a3, b3) = pairs
-            lhs = _dd(dets, a1, b2) * _dd(dets, a2, b3) * _dd(dets, a3, b1)
-            rhs = _dd(dets, a1, b3) * _dd(dets, a2, b1) * _dd(dets, a3, b2)
+            lhs = mul(mul(dets[a1, b2], dets[a2, b3]), dets[a3, b1])
+            rhs = mul(mul(dets[a1, b3], dets[a2, b1]), dets[a3, b2])
             if lhs == rhs:
                 found.append(FourSet(((a1, a2, a3), (a1, b2, b3),
                                       (b1, a2, b3), (b1, b2, a3))))
@@ -262,51 +264,54 @@ def quint_value(a: Arrangement, q: QuintFamily):
             cross_ratio(v0, vb[0], vb[1], vb[2]))
 
 
-def _quint_condition(dets, center, ta, tb) -> bool:
-    """Division-free cross-ratio equality; degenerate input counts false."""
-    n1 = _dd(dets, center, ta[1]) * _dd(dets, ta[0], ta[2])
-    d1 = _dd(dets, ta[0], ta[1]) * _dd(dets, center, ta[2])
-    n2 = _dd(dets, center, tb[1]) * _dd(dets, tb[0], tb[2])
-    d2 = _dd(dets, tb[0], tb[1]) * _dd(dets, center, tb[2])
-    if d1.is_zero() or d2.is_zero():
-        return False
-    return n1 * d2 == n2 * d1
-
-
 def quintuple_points(a: Arrangement) -> list[QuintFamily]:
-    """All canonical quint families holding on some 7-subset."""
+    """All canonical quint families: a center c and disjoint triples
+    ta, tb with equal cross ratios [c; ta] = [c; tb].
+
+    The cross ratio [c; t0, t1, t2] = |c t1||t0 t2| / |t0 t1||c t2| is
+    the product of two entries of ratio[x, y, z] = |x z| / |x y|, so
+    each det2 is computed and inverted once.  Payloads are canonical,
+    so the ordered triples around each center are grouped by value;
+    O(n^4) products in all."""
     _check_k2(a)
     if a.n < 7:
         raise TooFewHyperplanes(f"quint families need 7 hyperplanes, have {a.n}")
     if not is_generic(a):
         raise NotGeneric("parallel or repeated lines")
+    fd = a.field
+    mul = fd._mul
+    dets = _det_table(a)
+    inverses = {}
+    for x, y in combinations(a.indices, 2):
+        inverses[x, y] = fd._inv(dets[x, y])
+        inverses[y, x] = fd._neg(inverses[x, y])
+    triples = list(permutations(a.indices, 3))
+    ratio = {(x, y, z): mul(dets[x, z], inverses[x, y]) for x, y, z in triples}
     found = []
-    for subset in combinations(a.indices, 7):
-        dets = _pair_dets(a, subset)
-        for center in subset:
-            rim = [p for p in subset if p != center]
-            for pairs in perfect_matchings(rim):
-                (x1, y1), (x2, y2), (x3, y3) = pairs
-                for c2, d2 in ((x2, y2), (y2, x2)):
-                    for c3, d3 in ((x3, y3), (y3, x3)):
-                        ta, tb = (x1, c2, c3), (y1, d2, d3)
-                        if _quint_condition(dets, center, ta, tb):
-                            found.append(QuintFamily(center, ta, tb))
-    return sorted(set(found))
+    for c in a.indices:
+        groups: dict = {}
+        for t in triples:
+            if c not in t:
+                value = mul(ratio[c, t[2], t[1]], ratio[t])
+                groups.setdefault(value, []).append(t)
+        # a sorted ta and a tb whose smallest index comes after ta's is
+        # the canonical form, so each family is built exactly once
+        for members in groups.values():
+            for ta in members:
+                if ta[0] < ta[1] < ta[2]:
+                    found += [QuintFamily(c, ta, tb) for tb in members
+                              if min(tb) > ta[0] and not set(ta) & set(tb)]
+    return sorted(found)
 
 
-def quint_closure_checks(a: Arrangement) -> list[str]:
-    """Composition laws among detected quint families.
+def quint_closure_checks(families: list[QuintFamily]) -> list[str]:
+    """Composition laws among the families quintuple_points detected on
+    one arrangement.
 
     Same center and same unordered triple pair: two detected pairings
     differing by a 3-cycle force the third power.  Same center and same
     rim pairing: three detected splits force the fourth.  Returns the
     violations found (expected none)."""
-    try:
-        families = quintuple_points(a)
-    except TooFewHyperplanes:
-        return []
-    detected = set(families)
     violations = []
 
     by_triples: dict = {}

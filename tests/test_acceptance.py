@@ -250,6 +250,12 @@ def test_criterion_8a(k2_detections, fixed_gallery, polygon_data):
                 assert fs.complement() in found
 
 
+def _subset_normals(a):
+    """Discriminantal normal of every (k+1)-subset, computed once."""
+    return {s: discriminantal_normal(a, s)
+            for s in combinations(a.indices, a.k + 1)}
+
+
 def test_criterion_8b(k2_detections, k3_detections, fixed_gallery,
                       polygon_data, witnesses):
     with checked("8b", "detector results coincide with normal-span ranks"):
@@ -263,8 +269,9 @@ def test_criterion_8b(k2_detections, k3_detections, fixed_gallery,
                       for n in (6, 7)]
         for a, quads in quad_runs:
             found = set(quads)
+            normals = _subset_normals(a)
             for fs in fourset_candidates(a.indices):
-                rows = [discriminantal_normal(a, s) for s in fs.sets]
+                rows = [normals[s] for s in fs.sets]
                 rank = rank_of_rows(rows, a.field)
                 assert (fs in found) == (rank == 3)
                 assert rank in (3, 4)
@@ -278,8 +285,9 @@ def test_criterion_8b(k2_detections, k3_detections, fixed_gallery,
                            polygon_data[7]["quint"]))
         for a, quints in quint_runs:
             found = set(quints)
+            normals = _subset_normals(a)
             for q in quint_candidates(a.indices):
-                rows = [discriminantal_normal(a, s) for s in q.sets]
+                rows = [normals[s] for s in q.sets]
                 rank = rank_of_rows(rows, a.field)
                 assert (q in found) == (rank == 4)
         rng = random.Random("rank-spot-checks")
@@ -290,8 +298,9 @@ def test_criterion_8b(k2_detections, k3_detections, fixed_gallery,
             undetected = [q for q in quint_candidates(range(1, 8))
                           if q not in found]
             sample += rng.sample(undetected, 20)
+            normals = _subset_normals(a)
             for q in sample:
-                rows = [discriminantal_normal(a, s) for s in q.sets]
+                rows = [normals[s] for s in q.sets]
                 assert (q in found) == (rank_of_rows(rows, a.field) == 4)
 
         # pairings: the three pair-union normals have rank 2
@@ -301,11 +310,12 @@ def test_criterion_8b(k2_detections, k3_detections, fixed_gallery,
         good_runs += [(a, good6_points(a)) for _, a in witnesses.values()]
         for a, goods in good_runs:
             found = {g.matching for g in goods}
+            normals = _subset_normals(a)
             for m in perfect_matchings(range(1, 7)):
                 pairs = [frozenset(p) for p in m]
                 subsets = [tuple(sorted(pairs[i] | pairs[j]))
                            for i, j in ((0, 1), (0, 2), (1, 2))]
-                rows = [discriminantal_normal(a, s) for s in subsets]
+                rows = [normals[s] for s in subsets]
                 rank = rank_of_rows(rows, a.field)
                 assert (m in found) == (rank == 2)
                 assert rank in (2, 3)
@@ -314,11 +324,11 @@ def test_criterion_8b(k2_detections, k3_detections, fixed_gallery,
 def test_criterion_8c(k2_detections, k3_detections, fixed_gallery,
                       polygon_data, witnesses):
     with checked("8c", "triangle and quint closure laws: zero violations"):
-        for _, a, _, _ in k2_detections:
+        for _, a, _, quints in k2_detections:
             if a.n >= 7:
-                assert quint_closure_checks(a) == []
+                assert quint_closure_checks(quints) == []
         for n in range(7, 11):
-            assert quint_closure_checks(polygon_data[n]["arrangement"]) == []
+            assert quint_closure_checks(polygon_data[n]["quint"]) == []
         k3_runs = [a for _, a, _ in k3_detections]
         k3_runs += [fixed_gallery["dodecahedral"], fixed_gallery["f4"]]
         k3_runs += [a for _, a in witnesses.values()]

@@ -178,7 +178,7 @@ def test_quint_witness():
     assert v1 == v2 == Q.from_int(4) / Q.from_int(3)
     found = quintuple_points(a)
     assert target in found
-    assert quint_closure_checks(a) == []
+    assert quint_closure_checks(found) == []
     # the five normals drop to rank 4 exactly for detected families
     rows = [discriminantal_normal(a, L) for L in target.sets]
     assert rank_of_rows(rows, Q) == 4
