@@ -20,7 +20,7 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import Matrix, Vector, det, det2, kernel
+from .linalg import Matrix, Vector, _det_payloads, det, det2, inverse, kernel
 
 
 class NotGeneric(ValueError):
@@ -37,7 +37,7 @@ class NoGenericWitness(RuntimeError):
 
 def _as_element(field: FieldDescriptor, value) -> FieldElement:
     if isinstance(value, FieldElement):
-        if value.fd != field:
+        if value.fd is not field and value.fd != field:
             raise ValueError("normal entry from a different field")
         return value
     if isinstance(value, int):
@@ -93,14 +93,14 @@ class Arrangement:
 
 def is_generic(a: Arrangement) -> bool:
     """True iff every k-subset of normals is linearly independent."""
-    if a.k == 2:
-        # common case: all pairwise 2x2 determinants nonzero
-        for u, v in combinations(a.normals, 2):
-            if det2(u, v).is_zero():
-                return False
-        return True
+    fd = a.field
+    if a.k <= 3:
+        # payload cofactor determinants, no inversions
+        rows = [[e.payload for e in v] for v in a.normals]
+        return not any(fd._is_zero(_det_payloads(fd, sub))
+                       for sub in combinations(rows, a.k))
     for rows in combinations(a.normals, a.k):
-        if det(Matrix.from_rows(list(rows), a.field)).is_zero():
+        if det(Matrix.from_rows(list(rows), fd)).is_zero():
             return False
     return True
 
@@ -174,16 +174,7 @@ class ProjectiveMap:
         if m.rows == 2:
             a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
             return ProjectiveMap(Matrix.from_rows([[d, -b], [-c, a]], f))
-        # generic size: solve M X = I column by column
-        from .linalg import solve
-
-        cols = []
-        for j in range(m.rows):
-            e = tuple(f.one() if i == j else f.zero() for i in range(m.rows))
-            part, _ = solve(m, e)
-            cols.append(part)
-        rows = [[cols[j][i] for j in range(m.rows)] for i in range(m.rows)]
-        return ProjectiveMap(Matrix.from_rows(rows, f))
+        return ProjectiveMap(inverse(m))
 
     def proj_eq(self, other: "ProjectiveMap") -> bool:
         u = self.matrix.entries
@@ -316,17 +307,10 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
 
     # extra-incidence functionals: for each L and q outside L, the map
     # t -> alpha_q . x_L(t) - t_q where x_L(t) is the common point
-    from .linalg import solve
-
     functionals = []
     for L in family:
         head = L[: k]
-        m = Matrix.from_rows([list(a.normal(p)) for p in head], f)
-        minv_cols = []
-        for j in range(k):
-            e = tuple(f.one() if i == j else f.zero() for i in range(k))
-            part, _ = solve(m, e)
-            minv_cols.append(part)
+        minv = inverse(Matrix.from_rows([list(a.normal(p)) for p in head], f))
         for q in a.indices:
             if q in L:
                 continue
@@ -335,7 +319,7 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
             for j, p in enumerate(head):
                 coef = f.zero()
                 for i in range(k):
-                    coef = coef + aq[i] * minv_cols[j][i]
+                    coef = coef + aq[i] * minv[i, j]
                 lam[p - 1] = coef
             lam[q - 1] = lam[q - 1] - f.one()
             functionals.append(tuple(lam))

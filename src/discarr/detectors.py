@@ -24,7 +24,7 @@ from .arrangement import (
     projective_map_through,
 )
 from .exactfield import FieldElement
-from .linalg import Matrix, Vector, cross3, det, det2
+from .linalg import Matrix, Vector, _det_payloads, cross3, det, det2
 
 
 class BadFourSet(ValueError):
@@ -148,11 +148,16 @@ def crossratio_form(a: Arrangement, fourset: FourSet) -> FieldElement:
 
 def _det_table(a: Arrangement) -> dict:
     """det2 payload of every ordered pair of distinct indices; the
-    reversed pair holds the negation."""
-    neg = a.field._neg
+    reversed pair holds the negation.  Raises NotGeneric when one
+    vanishes."""
+    fd = a.field
+    neg = fd._neg
+    rows = {p: [e.payload for e in a.normal(p)] for p in a.indices}
     table = {}
     for x, y in combinations(a.indices, 2):
-        d = det2(a.normal(x), a.normal(y)).payload
+        d = _det_payloads(fd, [rows[x], rows[y]])
+        if fd._is_zero(d):
+            raise NotGeneric("parallel or repeated lines")
         table[x, y] = d
         table[y, x] = neg(d)
     return table
@@ -164,8 +169,6 @@ def quadral_points(a: Arrangement) -> list[FourSet]:
     Each satisfying matching contributes its complementary pair of
     4-sets, so the count is even."""
     _check_k2(a)
-    if not is_generic(a):
-        raise NotGeneric("parallel or repeated lines")
     mul = a.field._mul
     dets = _det_table(a)
     found = []
@@ -276,8 +279,6 @@ def quintuple_points(a: Arrangement) -> list[QuintFamily]:
     _check_k2(a)
     if a.n < 7:
         raise TooFewHyperplanes(f"quint families need 7 hyperplanes, have {a.n}")
-    if not is_generic(a):
-        raise NotGeneric("parallel or repeated lines")
     fd = a.field
     mul = fd._mul
     dets = _det_table(a)
@@ -403,17 +404,33 @@ def good6_condition(a: Arrangement, g: Good6Partition) -> FieldElement:
 
 
 def good6_points(a: Arrangement) -> list[Good6Partition]:
-    """All good partitions over every 6-subset of indices, k=3."""
+    """All good partitions over every 6-subset of indices, k=3.
+
+    The cross product of every pair of normals is computed once, as
+    payloads.  Genericity is read off the same table (the triple x<y<z
+    is dependent iff cross(x, y) . z vanishes), and each matching's
+    good6_condition is one payload 3x3 determinant of three table rows;
+    no inversions."""
     if a.k != 3:
         raise NotDimension3(f"cross-product condition needs k=3, got k={a.k}")
-    if not is_generic(a):
-        raise NotGeneric("dependent normal triple")
+    fd = a.field
+    mul, add, neg, is_zero = fd._mul, fd._add, fd._neg, fd._is_zero
+    normals = {p: [e.payload for e in a.normal(p)] for p in a.indices}
+    cross = {}
+    for x, y in combinations(a.indices, 2):
+        (u0, u1, u2), (v0, v1, v2) = normals[x], normals[y]
+        cross[x, y] = (add(mul(u1, v2), neg(mul(u2, v1))),
+                       add(mul(u2, v0), neg(mul(u0, v2))),
+                       add(mul(u0, v1), neg(mul(u1, v0))))
+    for x, y, z in combinations(a.indices, 3):
+        (c0, c1, c2), (w0, w1, w2) = cross[x, y], normals[z]
+        if is_zero(add(add(mul(c0, w0), mul(c1, w1)), mul(c2, w2))):
+            raise NotGeneric("dependent normal triple")
     found = []
     for subset in combinations(a.indices, 6):
         for pairs in perfect_matchings(subset):
-            g = Good6Partition(pairs)
-            if good6_condition(a, g).is_zero():
-                found.append(g)
+            if is_zero(_det_payloads(fd, [cross[p] for p in pairs])):
+                found.append(Good6Partition(pairs))
     return sorted(found)
 
 

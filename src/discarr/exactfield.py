@@ -62,18 +62,24 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def _prime_factors(m: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def _totient(m: int) -> int:
     result = m
-    n = m
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            while n % f == 0:
-                n //= f
-            result -= result // f
-        f += 1
-    if n > 1:
-        result -= result // n
+    for f in _prime_factors(m):
+        result -= result // f
     return result
 
 
@@ -91,23 +97,6 @@ def _divisors(m: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (coefficient lists, low degree first)
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul_int(a: Iterable[int], b: Iterable[int]) -> list[int]:
-    a = list(a)
-    b = list(b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # den is monic; division must leave no remainder
@@ -333,8 +322,23 @@ class Prime(FieldDescriptor):
         return f"prime(p={self.p})"
 
 
+# Fields with at most this many elements multiply and invert through
+# exp/log tables over a primitive element; larger ones multiply as
+# polynomials and invert as a^(q-2).
+_GALOIS_TABLE_LIMIT = 1 << 12
+
+
 class Galois(FieldDescriptor):
-    """F_{p^m} as F_p[x]/(modulus); payload is a coefficient tuple."""
+    """F_{p^m} as F_p[x]/(modulus); payload is a coefficient tuple.
+
+    Payloads stay canonical coefficient tuples (constant term first).
+    For fields of at most _GALOIS_TABLE_LIMIT elements the constructor
+    finds a primitive element g (the order test on the prime factors of
+    q - 1) and tabulates g^i and its inverse map, so a product is one
+    addition of logarithms and an inverse one negation.  Larger fields
+    multiply polynomials modulo the modulus and invert as a^(q-2) by
+    square-and-multiply.
+    """
 
     kind = "galois"
 
@@ -353,6 +357,11 @@ class Galois(FieldDescriptor):
         self.deg = len(mod) - 1
         if not self._irreducible():
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
+        self.q = p ** self.deg
+        self._zero = (0,) * self.deg
+        self._exp = self._log = None
+        if self.q <= _GALOIS_TABLE_LIMIT:
+            self._build_tables()
 
     def _irreducible(self) -> bool:
         # brute force: trial-divide by every monic polynomial of degree
@@ -382,6 +391,40 @@ class Galois(FieldDescriptor):
         coeffs = coeffs + [0] * (self.deg - len(coeffs))
         return tuple(c % self.p for c in coeffs[: self.deg])
 
+    def _poly_mul(self, a, b) -> tuple[int, ...]:
+        prod = [0] * (2 * self.deg - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        return self._pad(self._poly_mod(prod, list(self.modulus)))
+
+    def _poly_pow(self, a, e: int) -> tuple[int, ...]:
+        result = self._pad([1])
+        while e:
+            if e & 1:
+                result = self._poly_mul(result, a)
+            a = self._poly_mul(a, a)
+            e >>= 1
+        return result
+
+    def _build_tables(self) -> None:
+        # g is primitive iff g^((q-1)/r) != 1 for every prime r | q-1
+        from itertools import product
+
+        n = self.q - 1
+        one = self._pad([1])
+        cofactors = [n // r for r in _prime_factors(n)]
+        for g in product(range(self.p), repeat=self.deg):
+            if g != self._zero and all(self._poly_pow(g, c) != one for c in cofactors):
+                break
+        exp = [one]
+        for _ in range(n - 1):
+            exp.append(self._poly_mul(exp[-1], g))
+        self._log = {x: i for i, x in enumerate(exp)}
+        # doubled so a sum of two logarithms needs no reduction
+        self._exp = tuple(exp + exp)
+
     def _key(self):
         return (self.p, self.modulus)
 
@@ -395,44 +438,20 @@ class Galois(FieldDescriptor):
         return tuple((-x) % self.p for x in a)
 
     def _mul(self, a, b):
-        prod = [0] * (2 * self.deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        return self._pad(self._poly_mod(prod, list(self.modulus)))
-
-    def _fp_divmod(self, num: list[int], den: list[int]):
-        p = self.p
-        rem = [c % p for c in num]
-        dd = len(den) - 1
-        if len(rem) - 1 < dd:
-            return [], _poly_trim(rem)
-        quot = [0] * (len(rem) - dd)
-        lead_inv = pow(den[-1], p - 2, p)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] * lead_inv % p
-            quot[i - dd] = c
-            if c:
-                for j in range(dd + 1):
-                    rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
-        return quot, _poly_trim(rem[:dd])
+        log = self._log
+        if log is None:
+            return self._poly_mul(a, b)
+        zero = self._zero
+        if a == zero or b == zero:
+            return zero
+        return self._exp[log[a] + log[b]]
 
     def _inv(self, a):
         if self._is_zero(a):
             raise DivisionByZero(f"1/0 in F_{self.p}^{self.deg}")
-        # extended Euclid in F_p[x]
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim([c % p for c in a])
-        s0, s1 = [0], [1]
-        while r1:
-            q, rem = self._fp_divmod(r0, r1)
-            new_s = _poly_sub_int(s0, _poly_mul_int(q, s1) if q and s1 else [], p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_trim(new_s)
-        # r0 is the gcd, a nonzero constant
-        c_inv = pow(r0[0], p - 2, p)
-        return self._pad([x * c_inv % p for x in s0])
+        if self._log is None:
+            return self._poly_pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def _is_zero(self, a):
         return all(c == 0 for c in a)
@@ -454,13 +473,6 @@ class Galois(FieldDescriptor):
 
     def __repr__(self):
         return f"galois(p={self.p}, modulus={list(self.modulus)})"
-
-
-def _poly_sub_int(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
 
 
 class Cyclotomic(FieldDescriptor):
@@ -644,7 +656,7 @@ class FieldElement:
 
     def _lift(self, other):
         if isinstance(other, FieldElement):
-            if other.fd != self.fd:
+            if other.fd is not self.fd and other.fd != self.fd:
                 raise FieldMismatch(f"{self.fd!r} vs {other.fd!r}")
             return other
         if isinstance(other, int):
@@ -717,7 +729,7 @@ class FieldElement:
             other = self.fd.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if other.fd != self.fd:
+        if other.fd is not self.fd and other.fd != self.fd:
             raise FieldMismatch(f"{self.fd!r} vs {other.fd!r}")
         return self.payload == other.payload
 

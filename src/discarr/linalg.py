@@ -1,9 +1,10 @@
 """Exact dense linear algebra over any field descriptor.
 
-Determinants use fraction-free (Bareiss) elimination over the rationals
-and plain exact-division Gaussian elimination everywhere else.  Pivots are
-the first nonzero entry in a column; exact arithmetic needs no magnitude
-heuristics.
+Determinants of size at most 3 are cofactor expansions on raw payloads,
+with no inversions.  Larger ones use fraction-free (Bareiss) elimination
+over the rationals and plain exact-division Gaussian elimination
+everywhere else.  Pivots are the first nonzero entry in a column; exact
+arithmetic needs no magnitude heuristics.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ class DimensionMismatch(ValueError):
     pass
 
 
+class SingularMatrix(ZeroDivisionError):
+    """A square matrix with no inverse."""
+
+
 Vector = tuple[FieldElement, ...]
 
 
@@ -36,7 +41,7 @@ class Matrix:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         for e in entries:
-            if e.fd != field:
+            if e.fd is not field and e.fd != field:
                 raise FieldMismatch(f"entry field {e.fd!r} differs from {field!r}")
         self.field = field
         self.rows = rows
@@ -81,7 +86,7 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("matrix product across fields")
         out = []
         for i in range(self.rows):
@@ -127,13 +132,34 @@ def _dot(u, v, field) -> FieldElement:
 # determinant
 
 def det(m: Matrix) -> FieldElement:
+    """Determinant: cofactor expansion on payloads up to 3x3, then
+    Bareiss over Q and Gaussian elimination over other fields."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
     if m.rows == 0:
         return m.field.one()
+    if m.rows <= 3:
+        rows = [[e.payload for e in m.row(i)] for i in range(m.rows)]
+        return FieldElement(m.field, _det_payloads(m.field, rows))
     if isinstance(m.field, Rational):
         return _det_bareiss_rational(m)
     return _det_gauss(m)
+
+
+def _det_payloads(fd: FieldDescriptor, rows):
+    """Payload of the determinant of a 1x1, 2x2 or 3x3 matrix of
+    payloads, by cofactor expansion through the descriptor hooks (at
+    most nine products, no inversions)."""
+    mul, add, neg = fd._mul, fd._add, fd._neg
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return add(mul(a, d), neg(mul(b, c)))
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return add(add(mul(a, add(mul(e, i), neg(mul(f, h)))),
+                   mul(b, add(mul(f, g), neg(mul(d, i))))),
+               mul(c, add(mul(d, h), neg(mul(e, g)))))
 
 
 def _det_bareiss_rational(m: Matrix) -> FieldElement:
@@ -261,6 +287,23 @@ def kernel(m: Matrix) -> list[Vector]:
             v[pc] = -rows[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def inverse(m: Matrix) -> Matrix:
+    """M^-1 from one reduction of [M | I]; raises SingularMatrix when M
+    has no inverse."""
+    if m.rows != m.cols:
+        raise NotSquare(f"{m.rows}x{m.cols}")
+    n = m.rows
+    field = m.field
+    zero, one = field.zero(), field.one()
+    aug = [list(m.row(i)) + [one if i == j else zero for j in range(n)]
+           for i in range(n)]
+    pivots = _rref(aug, field)
+    # [M | I] always has rank n; M is invertible iff no pivot lies in I
+    if pivots and pivots[-1] >= n:
+        raise SingularMatrix(f"singular {n}x{n} matrix")
+    return Matrix.from_rows([row[n:] for row in aug], field)
 
 
 def solve(m: Matrix, b: Vector):

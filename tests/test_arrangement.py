@@ -100,6 +100,9 @@ def test_projective_map_operations():
     f = ProjectiveMap.from_rows([[1, 2], [3, 4]], Q)
     g = ProjectiveMap.from_rows([[0, 1], [1, 0]], Q)
     assert f.compose(f.inverse()).is_identity()
+    h = ProjectiveMap.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]], Q)
+    assert h.compose(h.inverse()).is_identity()
+    assert h.inverse().compose(h).is_identity()
     assert ProjectiveMap.from_rows([[5, 0], [0, 5]], Q).is_identity()
     assert f.compose(g).proj_eq(ProjectiveMap.from_rows([[2, 1], [4, 3]], Q))
     scaled = ProjectiveMap.from_rows([[3, 6], [9, 12]], Q)

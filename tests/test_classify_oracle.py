@@ -1,0 +1,304 @@
+"""The classifier's fast arithmetic against the slow exact paths it replaced.
+
+The oracles below are the original routines: GF(p^m) products as
+polynomial products reduced modulo the modulus, inverses by the extended
+Euclidean algorithm in F_p[x], determinants by Gaussian elimination on
+field elements, and good 6-partitions by one cross-product determinant
+per matching.  The library multiplies and inverts through exp/log tables
+(small fields) or square-and-multiply (large fields), expands
+determinants up to 3x3 by cofactors on payloads, and reads good6_points
+off one cross-product table; all must agree exactly.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+
+from discarr import (
+    Arrangement,
+    Galois,
+    Good6Partition,
+    Matrix,
+    NotGeneric,
+    Prime,
+    Quadratic,
+    Rational,
+    cross3,
+    det,
+    good6_condition,
+    good6_points,
+    is_generic,
+    perfect_matchings,
+)
+from discarr.exactfield import _GALOIS_TABLE_LIMIT
+from discarr.gallery import f4_arrangement, is_parameter_generic, parametrized
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+def _poly_mod(p, num, den):
+    dd = len(den) - 1
+    num = [c % p for c in num]
+    lead_inv = pow(den[-1], p - 2, p)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] * lead_inv % p
+        if c:
+            for j in range(dd + 1):
+                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
+    return num[:dd]
+
+
+def _pad(fd, coeffs):
+    coeffs = coeffs + [0] * (fd.deg - len(coeffs))
+    return tuple(c % fd.p for c in coeffs[: fd.deg])
+
+
+def _trim(poly):
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def oracle_mul(fd, a, b):
+    prod = [0] * (2 * fd.deg - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _pad(fd, _poly_mod(fd.p, prod, list(fd.modulus)))
+
+
+def _fp_divmod(p, num, den):
+    rem = [c % p for c in num]
+    dd = len(den) - 1
+    if len(rem) - 1 < dd:
+        return [], _trim(rem)
+    quot = [0] * (len(rem) - dd)
+    lead_inv = pow(den[-1], p - 2, p)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] * lead_inv % p
+        quot[i - dd] = c
+        if c:
+            for j in range(dd + 1):
+                rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
+    return quot, _trim(rem[:dd])
+
+
+def oracle_inv(fd, a):
+    """Extended Euclid in F_p[x]: s with s * a = 1 modulo the modulus."""
+    p = fd.p
+    r0, r1 = list(fd.modulus), _trim([c % p for c in a])
+    s0, s1 = [0], [1]
+    while r1:
+        q, rem = _fp_divmod(p, r0, r1)
+        qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                qs[i + j] += qi * sj
+        n = max(len(s0), len(qs))
+        new_s = [((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p
+                 for i in range(n)]
+        r0, r1 = r1, rem
+        s0, s1 = s1, _trim(new_s)
+    c_inv = pow(r0[0], p - 2, p)
+    return _pad(fd, [x * c_inv % p for x in s0])
+
+
+def oracle_det(m):
+    """Gaussian elimination on field elements, one inversion per pivot."""
+    n = m.rows
+    a = m.row_list()
+    field = m.field
+    result = field.one()
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        if pivot_row is None:
+            return field.zero()
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            result = -result
+        pivot = a[k][k]
+        result = result * pivot
+        inv = pivot.inv()
+        for i in range(k + 1, n):
+            factor = a[i][k] * inv
+            for j in range(k + 1, n):
+                a[i][j] = a[i][j] - factor * a[k][j]
+    return result
+
+
+def oracle_is_generic(a):
+    return all(not oracle_det(Matrix.from_rows(list(rows), a.field)).is_zero()
+               for rows in combinations(a.normals, a.k))
+
+
+def oracle_good6(a):
+    """One cross-product determinant per matching of every 6-subset."""
+    if not oracle_is_generic(a):
+        raise NotGeneric("dependent normal triple")
+    found = []
+    for subset in combinations(a.indices, 6):
+        for pairs in perfect_matchings(subset):
+            rows = [cross3(a.normal(p), a.normal(q)) for p, q in pairs]
+            if oracle_det(Matrix.from_rows(rows, a.field)).is_zero():
+                found.append(Good6Partition(pairs))
+    return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# GF(p^m) arithmetic
+
+# x is primitive for GF(8) and GF(27) but not for GF(9), GF(16) or GF(25),
+# so the primitive-element search is exercised both ways
+SMALL_GALOIS = {
+    "GF4": (2, (1, 1, 1)),
+    "GF8": (2, (1, 1, 0, 1)),
+    "GF9": (3, (1, 0, 1)),
+    "GF16": (2, (1, 1, 1, 1, 1)),
+    "GF25": (5, (2, 0, 1)),
+    "GF27": (3, (1, 2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GALOIS))
+def test_galois_tables_match_polynomial_oracle(name):
+    fd = Galois(*SMALL_GALOIS[name])
+    elements = [x.payload for x in fd.iter_elements()]
+    for a, b in product(elements, repeat=2):
+        assert fd._mul(a, b) == oracle_mul(fd, a, b)
+    for a in elements:
+        if any(a):
+            assert fd._inv(a) == oracle_inv(fd, a)
+
+
+def test_galois_above_table_limit_matches_oracle():
+    # x^13 + x^4 + x^3 + x + 1 over F_2
+    fd = Galois(2, (1, 1, 0, 1, 1) + (0,) * 8 + (1,))
+    assert fd.q > _GALOIS_TABLE_LIMIT
+    rng = random.Random("classify-oracle-gf8192")
+    for _ in range(60):
+        a = tuple(rng.randrange(2) for _ in range(13))
+        b = tuple(rng.randrange(2) for _ in range(13))
+        assert fd._mul(a, b) == oracle_mul(fd, a, b)
+        if any(a):
+            assert fd._inv(a) == oracle_inv(fd, a)
+
+
+# ---------------------------------------------------------------------------
+# determinants, genericity and good 6-partitions
+
+FIELDS = {
+    "Q": Rational(),
+    "F7": Prime(7),
+    "F11": Prime(11),
+    "F13": Prime(13),
+    "GF4": Galois(2, (1, 1, 1)),
+    "GF8": Galois(2, (1, 1, 0, 1)),
+    "GF9": Galois(3, (1, 0, 1)),
+    "sqrt5": Quadratic(5),
+}
+
+
+def _sampler(fd):
+    if isinstance(fd, Rational):
+        return lambda rng: fd.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    if isinstance(fd, Quadratic):
+        return lambda rng: fd.element((Fraction(rng.randint(-1, 1)),
+                                       Fraction(rng.randint(-1, 1))))
+    elements = list(fd.iter_elements())
+    return lambda rng: rng.choice(elements)
+
+
+def seeded_planes(fd, seed):
+    """Six or seven planes: the parametrized family (generic, often with
+    good partitions) plus random extra normals, random normals (often
+    dependent), and a family with a forced dependent triple."""
+    rng = random.Random(f"classify-oracle-{fd!r}-{seed}")
+    draw = _sampler(fd)
+    out = []
+    for _ in range(3):
+        for _ in range(200):
+            params = [draw(rng) for _ in range(4)]
+            if is_parameter_generic(fd, *params):
+                out.append(parametrized(fd, *params))
+                break
+    for base in out[:2]:
+        extra = tuple(draw(rng) for _ in range(3))
+        out.append(Arrangement(fd, 3, base.normals + (extra,)))
+    for n in (6, 7):
+        out.append(Arrangement(fd, 3, [tuple(draw(rng) for _ in range(3))
+                                       for _ in range(n)]))
+    u, v = out[0].normal(4), out[0].normal(5)
+    dependent = tuple(x + y for x, y in zip(u, v))
+    out.append(Arrangement(fd, 3, out[0].normals[:5] + (dependent,)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_det_matches_gaussian_oracle(name):
+    fd = FIELDS[name]
+    rng = random.Random(f"classify-oracle-det-{name}")
+    draw = _sampler(fd)
+    zeros = 0
+    for n in (1, 2, 3, 3, 3, 4):
+        for _ in range(12):
+            m = Matrix.from_rows([[draw(rng) for _ in range(n)] for _ in range(n)], fd)
+            d = det(m)
+            assert d == oracle_det(m)
+            zeros += d.is_zero()
+    assert zeros  # singular inputs are covered too
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_good6_points_match_matching_oracle(name):
+    fd = FIELDS[name]
+    outcomes = Counter()
+    for seed in range(2):
+        for a in seeded_planes(fd, seed):
+            generic = oracle_is_generic(a)
+            assert is_generic(a) == generic
+            if not generic:
+                with pytest.raises(NotGeneric, match="dependent normal triple"):
+                    good6_points(a)
+                outcomes["not generic"] += 1
+                continue
+            found = good6_points(a)
+            assert found == oracle_good6(a)
+            outcomes["with partitions" if found else "without"] += 1
+            for subset in combinations(a.indices, 6):
+                for pairs in perfect_matchings(subset):
+                    rows = [cross3(a.normal(p), a.normal(q)) for p, q in pairs]
+                    assert good6_condition(a, pairs) == oracle_det(Matrix.from_rows(rows, fd))
+    assert outcomes["not generic"] and outcomes["with partitions"] + outcomes["without"]
+
+
+def test_good6_oracle_cases_find_partitions():
+    # the comparison means little if every partition list is empty
+    for name in ("F7", "GF4", "GF8", "GF9"):
+        fd = FIELDS[name]
+        assert any(good6_points(a) for a in seeded_planes(fd, 0) if is_generic(a))
+
+
+def test_good6_points_needs_no_inversions(monkeypatch):
+    # 15 pair cross products x 6, 20 genericity dots x 3 and 15 matching
+    # determinants x 9 products on six planes; the per-matching
+    # Gaussian path does 551 products and 87 inversions on f4.
+    a = f4_arrangement()
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(Galois, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return fn(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(Galois, "_mul", counting("_mul"))
+    monkeypatch.setattr(Galois, "_inv", counting("_inv"))
+    assert good6_points(a)
+    assert calls["_inv"] == 0
+    assert calls["_mul"] <= 15 * 6 + 20 * 3 + 15 * 9

@@ -18,7 +18,7 @@ from discarr import (
     rank_of_rows,
     solve,
 )
-from discarr.linalg import DimensionMismatch, NotSquare
+from discarr.linalg import DimensionMismatch, NotSquare, SingularMatrix, inverse
 
 
 def _mat(rows, field=None):
@@ -158,6 +158,25 @@ def test_solve_random_systems():
             for v in null:
                 shifted = tuple(a + c for a, c in zip(x, v))
                 assert m.apply(shifted) == b
+
+
+def test_inverse_random_matrices():
+    rng = random.Random("inverse")
+    singular = 0
+    for field in (Rational(), Prime(7)):
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                m = _mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], field)
+                if det(m).is_zero():
+                    singular += 1
+                    with pytest.raises(SingularMatrix):
+                        inverse(m)
+                else:
+                    assert m * inverse(m) == Matrix.identity(field, n)
+                    assert inverse(m) * m == Matrix.identity(field, n)
+    assert singular
+    with pytest.raises(NotSquare):
+        inverse(_mat([[1, 2]]))
 
 
 def test_cross3_properties():
