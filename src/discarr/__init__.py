@@ -44,9 +44,9 @@ from .discriminantal import (
     build_discriminantal,
     discriminantal_normal,
     intersection_lattice,
+    is_very_generic,
     nvg_flats,
     ordered_normal,
-    reference_very_generic,
 )
 from .detectors import (
     FourSet,
@@ -71,14 +71,11 @@ from .permtype import (
     TYPE_ORDER,
     TypeReport,
     VertexPartition,
-    all_matchings,
     all_partitions_of_6,
     arrangement_type,
     edge_label,
     induced_edges,
-    m_of_type,
     matching_to_edge,
-    o_map,
     partition_from_edges,
     phi,
     upper_bound_check,
@@ -87,7 +84,6 @@ from .gallery import (
     DODECAHEDRAL_DEPENDENCIES,
     WitnessSpec,
     build_gallery,
-    classification_witness,
     crapo,
     dependency_residual,
     dodecahedral,

@@ -6,7 +6,7 @@ with non-very-generic flags), table (render and verify the built-in
 tables), gallery (list built-in arrangement names).
 
 Arrangements come from JSON files or gallery:<name> URIs.  Reports are
-deterministic for fixed input and seed; --json emits schema report.v1,
+deterministic for a fixed input; --json emits schema report.v2 (SCHEMA),
 text mode adds a timing line that --quiet suppresses.
 
 Exit codes: 0 all checks pass, 2 unusable input, 3 non-generic
@@ -40,7 +40,6 @@ from .discriminantal import (
     build_discriminantal,
     intersection_lattice,
     nvg_flats,
-    reference_very_generic,
 )
 from .exactfield import (
     Cyclotomic,
@@ -70,6 +69,8 @@ EXIT_USAGE = 2
 EXIT_NOT_GENERIC = 3
 EXIT_CLOSURE = 4
 EXIT_TABLE = 5
+
+SCHEMA = "report.v2"
 
 # expected table values, frozen independently of the computing code
 _M_EXPECTED = (0, 1, 3, 2, 6, 4, 3, 10, 7, 6, 15)
@@ -124,7 +125,7 @@ def _report(command: str, source: str, a: Arrangement | None,
     if a is not None:
         inp.update(digest=_digest(a), n=a.n, k=a.k,
                    field=descriptor_to_json(a.field))
-    return {"schema": "report.v1", "command": command, "input": inp,
+    return {"schema": SCHEMA, "command": command, "input": inp,
             "results": results, "consistency": consistency}
 
 
@@ -279,18 +280,10 @@ def cmd_lattice(args) -> int:
     a = load_arrangement(args.input)
     d = build_discriminantal(a)
     lat = intersection_lattice(d, max_rank=args.max_rank)
-    nvg = []
-    have_reference = a.k in (2, 3) and a.k < a.n <= 9
-    if have_reference:
-        ref = reference_very_generic(a.n, a.k, args.seed)
-        ref_lat = intersection_lattice(build_discriminantal(ref),
-                                       max_rank=lat.max_rank())
-        nvg = nvg_flats(d, ref_lat, lattice=lat)
+    nvg = nvg_flats(lat)
     results = lat.report(nvg=nvg)
     results["nvg_count"] = len(nvg)
-    results["reference_seed"] = args.seed if have_reference else None
-    consistency = {"reference_available": have_reference}
-    report = _report("lattice", args.input, a, results, consistency)
+    report = _report("lattice", args.input, a, results, {})
     lines = [f"lattice {args.input}: n={a.n} k={a.k} "
              f"{len(d)} hyperplanes, top rank {lat.max_rank()}"]
     for level in results["ranks"]:
@@ -315,7 +308,7 @@ def cmd_table(args) -> int:
                "dependencies": _table_dependencies}[args.name]
     rows, lines = builder()
     all_match = all(r["ok"] for r in rows)
-    report = {"schema": "report.v1", "command": "table",
+    report = {"schema": SCHEMA, "command": "table",
               "input": {"source": f"table:{args.name}"},
               "results": {"rows": rows},
               "consistency": {"all_match": all_match}}
@@ -374,7 +367,7 @@ def _table_dependencies():
 def cmd_gallery(args) -> int:
     started = time.perf_counter()
     names = gallery_names()
-    report = {"schema": "report.v1", "command": "gallery",
+    report = {"schema": SCHEMA, "command": "gallery",
               "input": {"source": "gallery"},
               "results": {"names": names}, "consistency": {}}
     _emit(args, report, list(names), started)
@@ -392,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--json", action="store_true",
-                        help="emit a report.v1 JSON document")
+                        help=f"emit a {SCHEMA} JSON document")
         sp.add_argument("--quiet", action="store_true",
                         help="omit per-item listings and timing")
 
@@ -412,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="arrangement JSON path or gallery:<name>")
     sp.add_argument("--max-rank", type=int, default=None,
                     help="stop the lattice at this rank")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the very generic reference")
     common(sp)
     sp.set_defaults(func=cmd_lattice)
 

@@ -7,14 +7,13 @@ normal is supported on L with signed k x k minors of the base normals
 as coordinates.  The whole family is central of rank n - k.
 
 Lattice flats are stored by closed support: the set of ALL subsets L
-whose normal lies in the flat's normal span.  Comparison against a
-randomized reference arrangement flags the flats whose (support, rank)
-pair a very generic arrangement cannot produce.
+whose normal lies in the flat's normal span.  The Bayer-Brandt
+description of the very generic lattice flags the flats whose
+(support, rank) pair a very generic arrangement cannot produce.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
@@ -30,14 +29,6 @@ class BadSubsetSize(ValueError):
 
 class TooLarge(ValueError):
     """The arrangement exceeds the supported lattice-computation size."""
-
-
-class ExhaustedRetries(RuntimeError):
-    """No random arrangement passed the genericity filters."""
-
-
-class ShapeMismatch(ValueError):
-    """Two objects with different (n, k) cannot be compared."""
 
 
 def _as_subset(a: Arrangement, L) -> tuple[int, ...]:
@@ -370,50 +361,48 @@ def intersection_lattice(d: DiscriminantalArrangement,
     return lat
 
 
-def reference_very_generic(n: int, k: int, seed: int = 0) -> Arrangement:
-    """Random integer arrangement over the rationals passing every
-    coincidence detector; deterministic in (n, k, seed)."""
-    from . import detectors
+def is_very_generic(flat: Flat, k: int) -> bool:
+    """Whether a flat's (support, rank) pair occurs in the lattice of a
+    very generic B(n,k): the Bayer-Brandt description, proved by
+    Athanasiadis.
 
-    if k not in (2, 3):
-        raise ValueError(f"reference construction supports k in {{2, 3}}, got {k}")
-    if not k < n <= 9:
-        raise ValueError(f"need k < n <= 9, got n={n}")
-    rng = random.Random(f"reference-{n}-{k}-{seed}")
-    field = Rational()
-    for _ in range(64):
-        normals = [tuple(field.from_int(rng.randint(-99, 99)) for _ in range(k))
-                   for _ in range(n)]
-        try:
-            a = Arrangement(field, k, normals)
-        except ValueError:
+    Those flats are the collections {S_1..S_m} of index sets with
+    |S_i| > k and |U_I S_i| > k + sum_I (|S_i| - k) for every
+    subcollection I of two or more sets; the support is every
+    (k+1)-subset of some S_i and the rank is sum (|S_i| - k).
+
+    Each support member not yet covered is grown into a maximal index
+    set whose (k+1)-subsets all lie in the support, so the blocks'
+    (k+1)-subsets are exactly the support and only the rank and the
+    inequality are left to check.  For a very generic flat the blocks
+    are the S_i: by the inequality for two sets the S_i share fewer than
+    k indices, so the (k+1)-subsets of a maximal set, linked through
+    shared k-subsets, all lie in one S_i.
+    """
+    have = set(flat.support)
+    indices = sorted({p for L in have for p in L})
+    blocks: list[frozenset] = []
+    for L in flat.support:
+        if any(block.issuperset(L) for block in blocks):
             continue
-        if not is_generic(a):
-            continue
-        if k == 2:
-            if detectors.quadral_points(a):
-                continue
-            if n >= 7 and detectors.quintuple_points(a):
-                continue
-        else:
-            if n >= 6 and detectors.good6_points(a):
-                continue
-        return a
-    raise ExhaustedRetries(f"no very generic candidate in 64 draws for (n={n}, k={k})")
+        block = list(L)
+        for x in indices:
+            if x not in block and all(tuple(sorted(K + (x,))) in have
+                                      for K in combinations(block, k)):
+                block.append(x)
+        blocks.append(frozenset(block))
+    # checked first: a passing rank bounds the blocks, and so the
+    # subcollections below
+    if flat.rank != sum(len(b) - k for b in blocks):
+        return False
+    return all(len(frozenset().union(*sub)) > k + sum(len(b) - k for b in sub)
+               for m in range(2, len(blocks) + 1)
+               for sub in combinations(blocks, m))
 
 
-def nvg_flats(d: DiscriminantalArrangement, reference: Lattice,
-              lattice: Lattice | None = None) -> list[Flat]:
-    """Flats of d's lattice whose (support, rank) pair the reference
-    lattice does not contain.  Supports are compared under the identity
-    indexing of (k+1)-subsets."""
-    if (d.n, d.k) != (reference.n, reference.k):
-        raise ShapeMismatch(
-            f"arrangement is (n={d.n}, k={d.k}), reference is "
-            f"(n={reference.n}, k={reference.k})")
-    if lattice is None:
-        lattice = intersection_lattice(d, max_rank=reference.max_rank())
-    ref_keys = {f.key() for f in reference.flats()}
-    out = [f for f in lattice.flats() if f.key() not in ref_keys]
+def nvg_flats(lattice: Lattice) -> list[Flat]:
+    """Flats of the lattice that a very generic arrangement of the same
+    (n, k) does not have, by rank and then support."""
+    out = [f for f in lattice.flats() if not is_very_generic(f, lattice.k)]
     out.sort(key=lambda f: (f.rank, f.support))
     return out

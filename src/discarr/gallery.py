@@ -189,13 +189,6 @@ def witness_spec(nu) -> WitnessSpec | None:
     return WitnessSpec(nu=nu, field=field, parameters=params)
 
 
-def classification_witness(nu) -> tuple[Arrangement, FieldDescriptor] | None:
-    spec = witness_spec(nu)
-    if spec is None:
-        return None
-    return spec.arrangement(), spec.field
-
-
 def starred_types() -> tuple[PartitionType, ...]:
     """The types with no witness in characteristic 0."""
     return tuple(nu for nu in TYPE_ORDER if nu.label() not in _WITNESS_SOURCES)

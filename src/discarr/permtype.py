@@ -114,22 +114,6 @@ def matching_from_perm(p: Perm) -> Matching:
     return frozenset(orbs)
 
 
-def all_matchings() -> list[Matching]:
-    """The 15 perfect matchings of {1,...,6}, canonically ordered."""
-    out = []
-    for b1 in range(2, 7):
-        rest = [x for x in range(2, 7) if x != b1]
-        a2 = rest[0]
-        for b2 in rest[1:]:
-            a3, b3 = [x for x in rest[1:] if x != b2]
-            out.append(frozenset({frozenset({1, b1}), frozenset({a2, b2}), frozenset({a3, b3})}))
-    return sorted(out, key=matching_sort_key)
-
-
-def matching_sort_key(m: Matching):
-    return tuple(sorted(tuple(sorted(p)) for p in m))
-
-
 _GENERATORS: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {
     (1, 2): ((1, 5), (2, 6), (3, 4)),
     (2, 3): ((1, 2), (3, 5), (4, 6)),
@@ -196,11 +180,6 @@ def matching_to_edge(m: Matching) -> tuple[int, int]:
     if key not in table:
         raise NotAMatchingLabel(f"{sorted(map(sorted, m))} labels no edge")
     return table[key]
-
-
-def o_map(p: Perm) -> frozenset[frozenset[int]]:
-    """Orbit partition of [6] under the cyclic group generated by p."""
-    return p.orbits()
 
 
 class VertexPartition:
@@ -288,10 +267,6 @@ TYPE_ORDER: tuple[PartitionType, ...] = tuple(
         "2^3", "1^1 5^1", "2^1 4^1", "3^2", "6^1",
     )
 )
-
-
-def m_of_type(nu: PartitionType) -> int:
-    return nu.m()
 
 
 def induced_edges(v: VertexPartition) -> frozenset[tuple[int, int]]:

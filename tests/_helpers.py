@@ -1,6 +1,8 @@
 """Shared constructors for the test suite: seeded random arrangements,
-candidate-family enumeration, and small number-theory checks."""
+the random very generic reference, candidate-family enumeration, and
+small number-theory checks."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +12,7 @@ from discarr import (
     Good6Partition,
     QuintFamily,
     Rational,
+    detectors,
     is_generic,
     perfect_matchings,
 )
@@ -72,6 +75,38 @@ def imposed_k3(rng, tries=400):
         if is_parameter_generic(q, w, x, y, z):
             return parametrized(q, w, x, y, z)
     raise RuntimeError("no imposed k=3 sample found")
+
+
+def reference_very_generic(n: int, k: int, seed: int = 0) -> Arrangement:
+    """Random integer arrangement over the rationals passing every
+    coincidence detector; deterministic in (n, k, seed).  The library
+    decides very generic flats combinatorially; this arrangement is the
+    differential oracle for that decision."""
+    if k not in (2, 3):
+        raise ValueError(f"reference construction supports k in {{2, 3}}, got {k}")
+    if not k < n <= 9:
+        raise ValueError(f"need k < n <= 9, got n={n}")
+    rng = random.Random(f"reference-{n}-{k}-{seed}")
+    field = Rational()
+    for _ in range(64):
+        normals = [tuple(field.from_int(rng.randint(-99, 99)) for _ in range(k))
+                   for _ in range(n)]
+        try:
+            a = Arrangement(field, k, normals)
+        except ValueError:
+            continue
+        if not is_generic(a):
+            continue
+        if k == 2:
+            if detectors.quadral_points(a):
+                continue
+            if n >= 7 and detectors.quintuple_points(a):
+                continue
+        else:
+            if n >= 6 and detectors.good6_points(a):
+                continue
+        return a
+    raise RuntimeError(f"no very generic candidate in 64 draws for (n={n}, k={k})")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from discarr import (
     intersection_lattice,
     quadral_points,
     quintuple_points,
-    reference_very_generic,
 )
 from discarr.gallery import (
     crapo,
@@ -26,7 +25,13 @@ from discarr.gallery import (
 )
 from discarr.permtype import TYPE_ORDER
 
-from _helpers import imposed_k2, imposed_k3, random_k2, random_k3
+from _helpers import (
+    imposed_k2,
+    imposed_k3,
+    random_k2,
+    random_k3,
+    reference_very_generic,
+)
 
 
 @pytest.fixture(scope="session")

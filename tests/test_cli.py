@@ -13,6 +13,7 @@ from discarr.cli import (
     EXIT_OK,
     EXIT_TABLE,
     EXIT_USAGE,
+    SCHEMA,
     field_label,
     main,
 )
@@ -49,7 +50,8 @@ def test_detect_quiet_suppresses_listing_and_timing(capsys):
 def test_detect_octahedral_json(capsys):
     code, rep, _ = run_json(capsys, ["detect", "gallery:octahedral"])
     assert code == EXIT_OK
-    assert rep["schema"] == "report.v1"
+    assert SCHEMA == "report.v2"
+    assert rep["schema"] == SCHEMA
     assert rep["command"] == "detect"
     inp = rep["input"]
     assert inp["source"] == "gallery:octahedral"
@@ -185,8 +187,8 @@ def test_lattice_crapo(capsys):
     assert code == EXIT_OK
     res = rep["results"]
     assert res["nvg_count"] == 2
-    assert res["reference_seed"] == 0
-    assert rep["consistency"]["reference_available"] is True
+    assert "reference_seed" not in res
+    assert rep["consistency"] == {}
     counts = {level["rank"]: level["count"] for level in res["ranks"]}
     assert counts[0] == 1 and counts[1] == 20
     nvg_flats = [f for level in res["ranks"] for f in level["flats"] if f["nvg"]]
@@ -201,16 +203,16 @@ def test_lattice_max_rank(capsys):
 
 
 def test_lattice_without_reference(tmp_path, capsys):
-    # k = 1 braid input: lattice works, no reference family exists
+    # k = 1 braid input: every flat of the braid arrangement is very generic
     q = Rational()
     a = Arrangement(q, 1, [(1,)] * 4)
     p = tmp_path / "braid.json"
     p.write_text(json.dumps(arrangement_to_json(a)), encoding="utf-8")
     code, rep, _ = run_json(capsys, ["lattice", str(p)])
     assert code == EXIT_OK
-    assert rep["results"]["reference_seed"] is None
     assert rep["results"]["nvg_count"] == 0
-    assert rep["consistency"]["reference_available"] is False
+    assert [level["count"] for level in rep["results"]["ranks"]] == [1, 6, 7, 1]
+    assert rep["consistency"] == {}
 
 
 def test_lattice_too_large(capsys):

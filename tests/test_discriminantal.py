@@ -1,4 +1,5 @@
-"""Discriminantal normals, the intersection lattice, and references."""
+"""Discriminantal normals, the intersection lattice, and the very
+generic criterion."""
 
 import random
 from collections import Counter
@@ -8,26 +9,23 @@ import pytest
 
 from discarr import (
     Arrangement,
+    Flat,
     Matrix,
     NotGeneric,
     Rational,
     build_discriminantal,
     discriminantal_normal,
     intersection_lattice,
+    is_very_generic,
     nvg_flats,
     ordered_normal,
     quadral_points,
-    reference_very_generic,
     solve,
 )
-from discarr.discriminantal import (
-    BadSubsetSize,
-    ShapeMismatch,
-    TooLarge,
-)
+from discarr.discriminantal import BadSubsetSize, TooLarge
 from discarr.gallery import crapo, dodecahedral
 
-from _helpers import random_k2
+from _helpers import random_k2, reference_very_generic
 
 Q = Rational()
 
@@ -153,20 +151,38 @@ def test_reference_validation():
         reference_very_generic(2, 2)
 
 
-def test_nvg_flats_crapo(reference_lattices):
-    d = build_discriminantal(crapo())
-    nvg = nvg_flats(d, reference_lattices[2])
+def test_nvg_flats_crapo():
+    lat = intersection_lattice(build_discriminantal(crapo()))
+    nvg = nvg_flats(lat)
     expected = {(frozenset(f.sets), 3) for f in quadral_points(crapo())}
     assert {f.key() for f in nvg} == expected
     assert len(nvg) == 2
 
 
 def test_nvg_flats_reference_self(reference_lattices):
-    d = build_discriminantal(reference_very_generic(6, 2, seed=0))
-    assert nvg_flats(d, reference_lattices[2]) == []
+    for k in (2, 3):
+        assert nvg_flats(reference_lattices[k]) == []
 
 
-def test_nvg_shape_mismatch(reference_lattices):
-    d = build_discriminantal(dodecahedral())
-    with pytest.raises(ShapeMismatch):
-        nvg_flats(d, reference_lattices[2])
+# Hand-built flats with k = 2.  {123, 124} spans blocks 123 and 124,
+# which share k = 2 indices: |1234| = 4 is not > 2 + 1 + 1.  All four
+# triples of [4] form the one block 1234 of rank 4 - 2 = 2.  The 4-set
+# {123, 145, 246, 356} of B(6,2) passes every pair and triple of its
+# blocks but not all four: |123456| = 6 is not > 2 + 4.
+@pytest.mark.parametrize("support, rank, very_generic", [
+    (((1, 2, 3), (1, 2, 4)), 2, False),
+    (tuple(combinations(range(1, 5), 3)), 2, True),
+    (tuple(combinations(range(1, 5), 3)), 3, False),
+    ((), 0, True),
+    (((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)), 4, False),
+], ids=["two-triples-rank2", "all-triples-rank2", "all-triples-rank3", "empty",
+        "four-set-rank4"])
+def test_is_very_generic_hand_built(support, rank, very_generic):
+    assert is_very_generic(Flat(support=support, rank=rank), 2) is very_generic
+
+
+def test_braid_flats_are_very_generic():
+    lat = intersection_lattice(build_discriminantal(
+        Arrangement(Q, 1, [(1,)] * 4)))
+    assert all(is_very_generic(f, 1) for f in lat.flats())
+    assert nvg_flats(lat) == []

@@ -37,7 +37,6 @@ from discarr.gallery import (
     blocked_core_dets,
     build_gallery,
     classification_rows,
-    classification_witness,
     crapo,
     dodecahedral,
     f4_arrangement,
@@ -278,7 +277,6 @@ def test_starred_types_have_no_witness():
     assert [nu.label() for nu in starred] == ["2^3", "2^1 4^1", "6^1"]
     for nu in starred:
         assert witness_spec(nu) is None
-        assert classification_witness(nu) is None
 
 
 def test_classification_rows_table():

@@ -16,7 +16,6 @@ from discarr import (
     Rational,
     build_discriminantal,
     intersection_lattice,
-    reference_very_generic,
 )
 from discarr import discriminantal
 from discarr.gallery import (
@@ -26,6 +25,8 @@ from discarr.gallery import (
     f5_arrangement,
     regular_polygon,
 )
+
+from _helpers import reference_very_generic
 
 
 class _OracleSpan:

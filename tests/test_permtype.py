@@ -11,20 +11,19 @@ from discarr import (
     TYPE_ORDER,
     TypeReport,
     VertexPartition,
-    all_matchings,
     all_partitions_of_6,
     arrangement_type,
     edge_label,
     induced_edges,
-    m_of_type,
     matching_to_edge,
-    o_map,
     partition_from_edges,
+    perfect_matchings,
     phi,
-    reference_very_generic,
     upper_bound_check,
 )
 from discarr.permtype import NotAMatchingLabel, matching_from_perm
+
+from _helpers import reference_very_generic
 
 
 def _cyc(*cycles):
@@ -91,15 +90,16 @@ def test_phi_is_bijective_and_outer():
 
 def test_edge_matching_bijection():
     edges = list(combinations(range(1, 7), 2))
-    matchings = [o_map(edge_label(i, j)) for i, j in edges]
+    matchings = [edge_label(i, j).orbits() for i, j in edges]
     assert len(set(matchings)) == 15
-    assert set(matchings) == set(all_matchings())
+    assert set(matchings) == {frozenset(frozenset(p) for p in m)
+                              for m in perfect_matchings(range(1, 7))}
     for (i, j), m in zip(edges, matchings):
         assert matching_to_edge(m) == (i, j)
     # a specific pair, worked by hand
     m56 = frozenset({frozenset({1, 5}), frozenset({2, 3}), frozenset({4, 6})})
     assert matching_to_edge(m56) == (5, 6)
-    assert o_map(edge_label(1, 2)) == frozenset(
+    assert edge_label(1, 2).orbits() == frozenset(
         {frozenset({1, 5}), frozenset({2, 6}), frozenset({3, 4})})
 
 
@@ -127,7 +127,7 @@ def test_vertex_star_is_one_factorization():
     # the five edges at vertex 1 partition the 15 pairs of [6]
     seen = set()
     for j in range(2, 7):
-        m = o_map(edge_label(1, j))
+        m = edge_label(1, j).orbits()
         pairs = {tuple(sorted(p)) for p in m}
         assert not (pairs & seen)
         seen |= pairs
@@ -195,7 +195,7 @@ def test_m_formula_exhaustive_over_all_partitions():
     assert len(parts) == 203
     assert len({p.blocks for p in parts}) == 203
     for v in parts:
-        assert len(induced_edges(v)) == m_of_type(v.type())
+        assert len(induced_edges(v)) == v.type().m()
         assert v.type() in TYPE_ORDER
 
 

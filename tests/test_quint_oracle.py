@@ -23,10 +23,11 @@ from discarr import (
     QuintFamily,
     perfect_matchings,
     quintuple_points,
-    reference_very_generic,
 )
 from discarr.gallery import regular_polygon
 from discarr.linalg import det2
+
+from _helpers import reference_very_generic
 
 
 def _pair_dets(a, subset):
