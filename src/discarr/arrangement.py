@@ -20,7 +20,8 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import Matrix, Vector, _det_payloads, det, det2, inverse, kernel
+from .linalg import Matrix, Vector, _det_payloads, det, det2, inverse
+from .linalg import _inverse_payloads, _kernel_payloads
 
 
 class NotGeneric(ValueError):
@@ -94,15 +95,9 @@ class Arrangement:
 def is_generic(a: Arrangement) -> bool:
     """True iff every k-subset of normals is linearly independent."""
     fd = a.field
-    if a.k <= 3:
-        # payload cofactor determinants, no inversions
-        rows = [[e.payload for e in v] for v in a.normals]
-        return not any(fd._is_zero(_det_payloads(fd, sub))
-                       for sub in combinations(rows, a.k))
-    for rows in combinations(a.normals, a.k):
-        if det(Matrix.from_rows(list(rows), fd)).is_zero():
-            return False
-    return True
+    rows = [[e.payload for e in v] for v in a.normals]
+    return not any(fd._is_zero(_det_payloads(fd, sub))
+                   for sub in combinations(rows, a.k))
 
 
 def projectively_equal(u: Vector, v: Vector) -> bool:
@@ -267,13 +262,6 @@ class IndexFamily:
         return f"IndexFamily({body})"
 
 
-def _lin_functional_dot(lam: Vector, t: Vector) -> FieldElement:
-    acc = lam[0] * t[0]
-    for i in range(1, len(lam)):
-        acc = acc + lam[i] * t[i]
-    return acc
-
-
 def translate_solver(a: Arrangement, family) -> Vector | None:
     """Find a translation t making each family set concurrent, no extras.
 
@@ -281,7 +269,8 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
     {alpha_p . x = t_p : p in L} share a point and no hyperplane outside
     L passes through that point.  Returns None when no such t exists.
     Raises NoGenericWitness when the field has too few elements to avoid
-    the finitely many forbidden subspaces.
+    the finitely many forbidden subspaces.  The search runs on raw
+    payloads; only the returned t is wrapped.
     """
     if not isinstance(family, IndexFamily):
         family = IndexFamily(family)
@@ -294,71 +283,73 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
             raise ValueError(f"family set {L} smaller than k+1 = {k + 1}")
         if any(not 1 <= p <= n for p in L):
             raise ValueError(f"family set {L} has out-of-range indices")
+    add, mul, neg, is_zero = f._add, f._mul, f._neg, f._is_zero
+    zero, one = f._coerce_int(0), f._coerce_int(1)
+    normals = [None] + [[e.payload for e in v] for v in a.normals]
 
-    from .discriminantal import discriminantal_normal
+    from .discriminantal import _normal_payloads
 
-    rows = []
-    for L in family:
-        for sub in combinations(L, k + 1):
-            rows.append(list(discriminantal_normal(a, sub)))
-    basis = kernel(Matrix.from_rows(rows, f))
+    rows = [_normal_payloads(f, normals, sub, n)
+            for L in family for sub in combinations(L, k + 1)]
+    basis = _kernel_payloads(f, rows, n)
     if not basis:
         return None
 
     # extra-incidence functionals: for each L and q outside L, the map
-    # t -> alpha_q . x_L(t) - t_q where x_L(t) is the common point
-    functionals = []
+    # t -> alpha_q . x_L(t) - t_q where x_L(t) is the common point, kept
+    # as (index, coefficient) terms over L's head and q and evaluated on
+    # the kernel basis
+    evaluated = []
     for L in family:
         head = L[: k]
-        minv = inverse(Matrix.from_rows([list(a.normal(p)) for p in head], f))
+        minv = _inverse_payloads(f, [normals[p] for p in head])
         for q in a.indices:
             if q in L:
                 continue
-            lam = [f.zero()] * n
-            aq = a.normal(q)
+            aq = normals[q]
+            terms = [(q - 1, neg(one))]
             for j, p in enumerate(head):
-                coef = f.zero()
+                coef = zero
                 for i in range(k):
-                    coef = coef + aq[i] * minv[i, j]
-                lam[p - 1] = coef
-            lam[q - 1] = lam[q - 1] - f.one()
-            functionals.append(tuple(lam))
-
-    evaluated = []
-    for lam in functionals:
-        vals = tuple(_lin_functional_dot(lam, b) for b in basis)
-        if all(v.is_zero() for v in vals):
-            return None  # the extra incidence holds on the whole kernel
-        evaluated.append(vals)
+                    coef = add(coef, mul(aq[i], minv[i][j]))
+                terms.append((p - 1, coef))
+            vals = []
+            for b in basis:
+                acc = zero
+                for i, c in terms:
+                    acc = add(acc, mul(c, b[i]))
+                vals.append(acc)
+            if all(is_zero(v) for v in vals):
+                return None  # the extra incidence holds on the whole kernel
+            evaluated.append(vals)
 
     def admissible(coeffs) -> Vector | None:
         # coeffs combine the kernel basis; check every functional
         for vals in evaluated:
-            acc = f.zero()
+            acc = zero
             for c, v in zip(coeffs, vals):
                 if c is not None:
-                    acc = acc + c * v
-            if acc.is_zero():
+                    acc = add(acc, mul(c, v))
+            if is_zero(acc):
                 return None
-        t = [f.zero()] * n
+        t = [zero] * n
         for c, b in zip(coeffs, basis):
             if c is None:
                 continue
             for i in range(n):
-                t[i] = t[i] + c * b[i]
-        return tuple(t)
+                t[i] = add(t[i], mul(c, b[i]))
+        return tuple(FieldElement(f, x) for x in t)
 
     dim = len(basis)
     char = f.characteristic()
     if char == 0:
-        one = f.one()
         for i in range(dim):
             coeffs = [None] * dim
             coeffs[i] = one
             t = admissible(coeffs)
             if t is not None:
                 return t
-        scalars = [f.from_int(c) for c in range(-8, 9)]
+        scalars = [f._coerce_int(c) for c in range(-8, 9)]
         for i, j in combinations(range(dim), 2):
             for ci, cj in product(scalars, repeat=2):
                 coeffs = [None] * dim
@@ -370,13 +361,13 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
 
     # finite field: enumerate the kernel outright
     try:
-        elems = list(f.iter_elements())
+        elems = [e.payload for e in f.iter_elements()]
     except Exception as exc:  # pragma: no cover - descriptor without enumeration
         raise NoGenericWitness("cannot enumerate this field") from exc
     if len(elems) ** dim > 10 ** 6:
         raise NoGenericWitness("kernel too large to enumerate")
     for coeffs in product(elems, repeat=dim):
-        if all(c.is_zero() for c in coeffs):
+        if all(is_zero(c) for c in coeffs):
             continue
         t = admissible(list(coeffs))
         if t is not None:

@@ -18,13 +18,11 @@ from itertools import combinations, permutations
 from .arrangement import (
     Arrangement,
     NotGeneric,
-    ProjectiveMap,
     cross_ratio,
-    is_generic,
     projective_map_through,
 )
 from .exactfield import FieldElement
-from .linalg import Matrix, Vector, _det_payloads, cross3, det, det2
+from .linalg import Matrix, _det_payloads, cross3, det, det2
 
 
 class BadFourSet(ValueError):
@@ -189,17 +187,25 @@ def find_involutions(a: Arrangement):
     """For each pairing of six lines, the projective involution
     swapping the normals along it, when one exists.
 
-    Returns (matching, map) pairs; the map sends each normal to its
-    partner in both directions and squares to the identity."""
+    Pairs (x,x'), (y,y'), (z,z') of points of P^1 are swapped by one
+    projective involution iff [x y'][y z'][z x'] = [x z'][y x'][z y'],
+    the equality quadral_points tests; it is checked on one det2 table
+    and a map is built only for the matchings that pass.  Returns
+    (matching, map) pairs; the map sends each normal to its partner in
+    both directions and squares to the identity."""
     _check_k2(a)
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
-    if not is_generic(a):
-        raise NotGeneric("parallel or repeated lines")
+    mul = a.field._mul
+    dets = _det_table(a)
     out = []
     for pairs in perfect_matchings(a.indices):
-        src = tuple(a.normal(x) for x, _ in pairs)
-        dst = tuple(a.normal(y) for _, y in pairs)
+        (x, x2), (y, y2), (z, z2) = pairs
+        if (mul(mul(dets[x, y2], dets[y, z2]), dets[z, x2])
+                != mul(mul(dets[x, z2], dets[y, x2]), dets[z, y2])):
+            continue
+        src = tuple(a.normal(p) for p, _ in pairs)
+        dst = tuple(a.normal(q) for _, q in pairs)
         f = projective_map_through(src, dst)
         if all(f.maps_to(dst[i], src[i]) for i in range(3)):
             assert f.compose(f).is_identity()

@@ -19,8 +19,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .arrangement import Arrangement, NotGeneric, is_generic
-from .exactfield import FieldDescriptor, Rational, descriptor_to_json
-from .linalg import Matrix, Vector, det
+from .exactfield import FieldDescriptor, FieldElement, Rational, descriptor_to_json
+from .linalg import Vector, _det_payloads
 
 
 class BadSubsetSize(ValueError):
@@ -45,16 +45,20 @@ def discriminantal_normal(a: Arrangement, L) -> Vector:
     of the base normals with column p_j deleted; all other coordinates
     are zero."""
     key = _as_subset(a, L)
-    cols = [a.normal(p) for p in key]
-    zero = a.field.zero()
-    coords = [zero] * a.n
+    normals = {p: [e.payload for e in a.normal(p)] for p in key}
+    row = _normal_payloads(a.field, normals, key, a.n)
+    return tuple(FieldElement(a.field, x) for x in row)
+
+
+def _normal_payloads(fd: FieldDescriptor, normals, key, n: int) -> list:
+    """Payload row of discriminantal_normal for the sorted subset key;
+    normals[p] is the payload row of base normal p."""
+    row = [fd._coerce_int(0)] * n
     for j, p in enumerate(key):
-        rest = [cols[i] for i in range(len(cols)) if i != j]
-        minor = Matrix.from_rows(
-            [tuple(c[r] for c in rest) for r in range(a.k)], a.field)
-        d = det(minor)
-        coords[p - 1] = d if j % 2 == 0 else -d
-    return tuple(coords)
+        # the minor's transpose: the same determinant
+        d = _det_payloads(fd, [normals[q] for q in key if q != p])
+        row[p - 1] = d if j % 2 == 0 else fd._neg(d)
+    return row
 
 
 def ordered_normal(a: Arrangement, seq) -> Vector:

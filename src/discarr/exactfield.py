@@ -322,9 +322,9 @@ class Prime(FieldDescriptor):
         return f"prime(p={self.p})"
 
 
-# Fields with at most this many elements multiply and invert through
-# exp/log tables over a primitive element; larger ones multiply as
-# polynomials and invert as a^(q-2).
+# Fields with at most this many elements add, multiply and invert
+# through exp/log/Zech tables over a primitive element; larger ones add
+# and multiply as polynomials and invert as a^(q-2).
 _GALOIS_TABLE_LIMIT = 1 << 12
 
 
@@ -334,10 +334,12 @@ class Galois(FieldDescriptor):
     Payloads stay canonical coefficient tuples (constant term first).
     For fields of at most _GALOIS_TABLE_LIMIT elements the constructor
     finds a primitive element g (the order test on the prime factors of
-    q - 1) and tabulates g^i and its inverse map, so a product is one
-    addition of logarithms and an inverse one negation.  Larger fields
-    multiply polynomials modulo the modulus and invert as a^(q-2) by
-    square-and-multiply.
+    q - 1) and tabulates g^i, its inverse map and the Zech logarithms
+    zech[d] = log(1 + g^d) (None where 1 + g^d = 0), so a product is one
+    addition of logarithms, an inverse or a negation one subtraction or
+    shift of a logarithm, and a sum g^i + g^j = g^(i + zech[j - i]) one
+    lookup.  Larger fields add coefficientwise, multiply polynomials
+    modulo the modulus and invert as a^(q-2) by square-and-multiply.
     """
 
     kind = "galois"
@@ -359,7 +361,7 @@ class Galois(FieldDescriptor):
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
         self.q = p ** self.deg
         self._zero = (0,) * self.deg
-        self._exp = self._log = None
+        self._exp = self._log = self._zech = None
         if self.q <= _GALOIS_TABLE_LIMIT:
             self._build_tables()
 
@@ -424,6 +426,8 @@ class Galois(FieldDescriptor):
         self._log = {x: i for i, x in enumerate(exp)}
         # doubled so a sum of two logarithms needs no reduction
         self._exp = tuple(exp + exp)
+        sums = (self._poly_add(one, x) for x in exp)
+        self._zech = tuple(None if s == self._zero else self._log[s] for s in sums)
 
     def _key(self):
         return (self.p, self.modulus)
@@ -431,11 +435,29 @@ class Galois(FieldDescriptor):
     def characteristic(self):
         return self.p
 
-    def _add(self, a, b):
+    def _poly_add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    def _add(self, a, b):
+        zech = self._zech
+        if zech is None:
+            return self._poly_add(a, b)
+        zero = self._zero
+        if a == zero:
+            return b
+        if b == zero:
+            return a
+        la, lb = self._log[a], self._log[b]
+        z = zech[lb - la]  # a negative index wraps modulo q - 1
+        return zero if z is None else self._exp[la + z]
+
     def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        if self.p == 2:
+            return a
+        if self._log is None or a == self._zero:
+            return tuple((-x) % self.p for x in a)
+        # -1 = g^((q-1)/2)
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def _mul(self, a, b):
         log = self._log
@@ -454,7 +476,8 @@ class Galois(FieldDescriptor):
         return self._exp[self.q - 1 - self._log[a]]
 
     def _is_zero(self, a):
-        return all(c == 0 for c in a)
+        # payloads are canonical padded tuples
+        return a == self._zero
 
     def _fmt(self, a):
         return _fmt_terms([(Fraction(c), i) for i, c in enumerate(a)])

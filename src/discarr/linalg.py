@@ -3,7 +3,10 @@
 Determinants of size at most 3 are cofactor expansions on raw payloads,
 with no inversions.  Larger ones use fraction-free (Bareiss) elimination
 over the rationals and plain exact-division Gaussian elimination
-everywhere else.  Pivots are the first nonzero entry in a column; exact
+everywhere else.  Rank, kernel, solve and inverse share one reduced
+row echelon routine that works on raw payloads through the descriptor
+hooks; the public functions unwrap their field elements once and wrap
+the result once.  Pivots are the first nonzero entry in a column; exact
 arithmetic needs no magnitude heuristics.
 """
 
@@ -147,13 +150,16 @@ def det(m: Matrix) -> FieldElement:
 
 
 def _det_payloads(fd: FieldDescriptor, rows):
-    """Payload of the determinant of a 1x1, 2x2 or 3x3 matrix of
-    payloads, by cofactor expansion through the descriptor hooks (at
-    most nine products, no inversions)."""
+    """Payload of the determinant of a square matrix of payloads.  Up to
+    3x3 it is a cofactor expansion through the descriptor hooks (at most
+    nine products, no inversions); larger matrices go through det."""
     mul, add, neg = fd._mul, fd._add, fd._neg
-    if len(rows) == 1:
+    n = len(rows)
+    if n > 3:
+        return det(Matrix(fd, n, n, [FieldElement(fd, x) for r in rows for x in r])).payload
+    if n == 1:
         return rows[0][0]
-    if len(rows) == 2:
+    if n == 2:
         (a, b), (c, d) = rows
         return add(mul(a, d), neg(mul(b, c)))
     (a, b, c), (d, e, f), (g, h, i) = rows
@@ -228,29 +234,36 @@ def det2(u: Vector, v: Vector) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# echelon form, rank, kernel, solve
+# echelon form, rank, kernel, solve, inverse
 
-def _rref(rows: list[list[FieldElement]], field: FieldDescriptor):
-    """In-place reduced row echelon form; returns pivot column list."""
+def _rref(rows: list[list], fd: FieldDescriptor) -> list[int]:
+    """In-place reduced row echelon form of payload rows, through the
+    descriptor hooks; returns the pivot column list."""
+    add, mul, neg, inv, is_zero = fd._add, fd._mul, fd._neg, fd._inv, fd._is_zero
+    zero, one = fd._coerce_int(0), fd._coerce_int(1)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [e * inv for e in rows[r]]
+        # rows r and below vanish left of column c, so only the tail changes
+        lead = rows[r][c]
+        tail = rows[r][c + 1:]
+        if lead != one:
+            s = inv(lead)
+            tail = [x if is_zero(x) else mul(x, s) for x in tail]
+            rows[r] = rows[r][:c] + [one] + tail
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and not is_zero(f):
+                nf = neg(f)
+                rows[i] = rows[i][:c] + [zero] + [
+                    x if is_zero(y) else add(x, mul(nf, y))
+                    for x, y in zip(rows[i][c + 1:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -258,35 +271,57 @@ def _rref(rows: list[list[FieldElement]], field: FieldDescriptor):
     return pivots
 
 
+def _payload_rows(vectors) -> list[list]:
+    return [[e.payload for e in v] for v in vectors]
+
+
+def _wrap(fd: FieldDescriptor, v) -> Vector:
+    return tuple(FieldElement(fd, x) for x in v)
+
+
+def _kernel_payloads(fd: FieldDescriptor, rows: list[list], ncols: int) -> list[list]:
+    """Payload basis of {v : M v = 0} for M given as payload rows with
+    ncols columns, which are reduced in place."""
+    pivots = _rref(rows, fd)
+    zero, one, neg = fd._coerce_int(0), fd._coerce_int(1), fd._neg
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = neg(rows[r][fc])
+        basis.append(v)
+    return basis
+
+
+def _inverse_payloads(fd: FieldDescriptor, rows) -> list[list]:
+    """Payload rows of M^-1 from one reduction of [M | I]; raises
+    SingularMatrix when M has no inverse."""
+    n = len(rows)
+    zero, one = fd._coerce_int(0), fd._coerce_int(1)
+    aug = [list(row) + [one if i == j else zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    pivots = _rref(aug, fd)
+    # [M | I] always has rank n; M is invertible iff no pivot lies in I
+    if pivots and pivots[-1] >= n:
+        raise SingularMatrix(f"singular {n}x{n} matrix")
+    return [row[n:] for row in aug]
+
+
 def rank(m: Matrix) -> int:
-    rows = m.row_list()
-    if not rows:
-        return 0
-    return len(_rref(rows, m.field))
+    return len(_rref(_payload_rows(m.row_list()), m.field))
 
 
 def rank_of_rows(vectors, field: FieldDescriptor) -> int:
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    return len(_rref(rows, field))
+    return len(_rref(_payload_rows(vectors), field))
 
 
 def kernel(m: Matrix) -> list[Vector]:
     """Basis of the right null space {v : M v = 0}."""
-    field = m.field
-    rows = m.row_list()
-    pivots = _rref(rows, field) if rows else []
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    zero, one = field.zero(), field.one()
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
+    rows = _payload_rows(m.row_list())
+    return [_wrap(m.field, v) for v in _kernel_payloads(m.field, rows, m.cols)]
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -294,32 +329,24 @@ def inverse(m: Matrix) -> Matrix:
     has no inverse."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    n = m.rows
-    field = m.field
-    zero, one = field.zero(), field.one()
-    aug = [list(m.row(i)) + [one if i == j else zero for j in range(n)]
-           for i in range(n)]
-    pivots = _rref(aug, field)
-    # [M | I] always has rank n; M is invertible iff no pivot lies in I
-    if pivots and pivots[-1] >= n:
-        raise SingularMatrix(f"singular {n}x{n} matrix")
-    return Matrix.from_rows([row[n:] for row in aug], field)
+    fd = m.field
+    inv_rows = _inverse_payloads(fd, _payload_rows(m.row_list()))
+    return Matrix(fd, m.rows, m.cols, [FieldElement(fd, x) for row in inv_rows for x in row])
 
 
 def solve(m: Matrix, b: Vector):
     """Solve M x = b; returns (particular solution or None, kernel basis)."""
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs length {len(b)} vs {m.rows} rows")
-    field = m.field
-    aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-    pivots = _rref(aug, field)
+    fd = m.field
+    aug = _payload_rows(m.row(i) + (b[i],) for i in range(m.rows))
+    pivots = _rref(aug, fd)
     if m.cols in pivots:
         return None, kernel(m)
-    zero = field.zero()
-    x = [zero] * m.cols
+    x = [fd._coerce_int(0)] * m.cols
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][m.cols]
-    return tuple(x), kernel(m)
+    return _wrap(fd, x), kernel(m)
 
 
 # ---------------------------------------------------------------------------

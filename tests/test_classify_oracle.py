@@ -1,13 +1,15 @@
 """The classifier's fast arithmetic against the slow exact paths it replaced.
 
-The oracles below are the original routines: GF(p^m) products as
-polynomial products reduced modulo the modulus, inverses by the extended
-Euclidean algorithm in F_p[x], determinants by Gaussian elimination on
-field elements, and good 6-partitions by one cross-product determinant
-per matching.  The library multiplies and inverts through exp/log tables
-(small fields) or square-and-multiply (large fields), expands
-determinants up to 3x3 by cofactors on payloads, and reads good6_points
-off one cross-product table; all must agree exactly.
+The oracles below are the original routines: GF(p^m) sums and negations
+coefficientwise modulo p, products as polynomial products reduced modulo
+the modulus, inverses by the extended Euclidean algorithm in F_p[x],
+determinants by Gaussian elimination on field elements, and good
+6-partitions by one cross-product determinant per matching.  The library
+adds through Zech logarithms, negates by a shift of the logarithm,
+multiplies and inverts through exp/log tables (small fields) or
+square-and-multiply (large fields), expands determinants up to 3x3 by
+cofactors on payloads, and reads good6_points off one cross-product
+table; all must agree exactly.
 """
 
 import random
@@ -61,6 +63,10 @@ def _trim(poly):
     while poly and poly[-1] == 0:
         poly.pop()
     return poly
+
+
+def oracle_add(fd, a, b):
+    return tuple((x + y) % fd.p for x, y in zip(a, b))
 
 
 def oracle_mul(fd, a, b):
@@ -185,6 +191,30 @@ def test_galois_above_table_limit_matches_oracle():
         assert fd._mul(a, b) == oracle_mul(fd, a, b)
         if any(a):
             assert fd._inv(a) == oracle_inv(fd, a)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GALOIS))
+def test_galois_zech_addition_and_negation_match_oracle(name):
+    fd = Galois(*SMALL_GALOIS[name])
+    elements = [x.payload for x in fd.iter_elements()]
+    for a, b in product(elements, repeat=2):
+        assert fd._add(a, b) == oracle_add(fd, a, b)
+        assert fd._add(a, fd._neg(a)) == fd._zero
+    for a in elements:
+        assert fd._neg(a) == tuple((-x) % fd.p for x in a)
+        assert fd._is_zero(a) == (not any(a))
+
+
+def test_galois_addition_above_table_limit_matches_oracle():
+    fd = Galois(2, (1, 1, 0, 1, 1) + (0,) * 8 + (1,))
+    assert fd._zech is None
+    rng = random.Random("classify-oracle-gf8192-add")
+    for _ in range(200):
+        a = tuple(rng.randrange(2) for _ in range(13))
+        b = tuple(rng.randrange(2) for _ in range(13))
+        assert fd._add(a, b) == oracle_add(fd, a, b)
+        assert fd._is_zero(fd._add(a, b)) == (a == b)
+        assert fd._add(a, fd._neg(a)) == fd._zero
 
 
 # ---------------------------------------------------------------------------

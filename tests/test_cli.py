@@ -118,6 +118,16 @@ def test_detect_non_generic_file(tmp_path, capsys):
     assert "not generic" in capsys.readouterr().err
 
 
+def test_classify_non_generic_file(tmp_path, capsys):
+    # the involution search reports it from its det2 table
+    q = Rational()
+    a = Arrangement(q, 2, ((1, 0), (1, 0), (1, 1), (2, 1), (3, 1), (5, 1)))
+    p = tmp_path / "parallel.json"
+    p.write_text(json.dumps(arrangement_to_json(a)), encoding="utf-8")
+    assert main(["classify", str(p)]) == EXIT_NOT_GENERIC
+    assert "parallel or repeated lines" in capsys.readouterr().err
+
+
 def test_detect_unknown_gallery(capsys):
     assert main(["detect", "gallery:nonagonal"]) == EXIT_USAGE
     assert "unknown gallery name" in capsys.readouterr().err
