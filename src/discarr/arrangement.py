@@ -20,8 +20,7 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import Matrix, Vector, _det_payloads, det, det2, inverse
-from .linalg import _inverse_payloads, _kernel_payloads
+from .linalg import Matrix, Vector, _det_payloads, _inverse_payloads, _Span, det, det2, inverse
 
 
 class NotGeneric(ValueError):
@@ -291,7 +290,7 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
 
     rows = [_normal_payloads(f, normals, sub, n)
             for L in family for sub in combinations(L, k + 1)]
-    basis = _kernel_payloads(f, rows, n)
+    basis = _Span.over(f, rows).kernel(n)
     if not basis:
         return None
 

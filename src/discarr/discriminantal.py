@@ -7,20 +7,21 @@ normal is supported on L with signed k x k minors of the base normals
 as coordinates.  The whole family is central of rank n - k.
 
 Lattice flats are stored by closed support: the set of ALL subsets L
-whose normal lies in the flat's normal span.  The Bayer-Brandt
-description of the very generic lattice flags the flats whose
-(support, rank) pair a very generic arrangement cannot produce.
+whose normal lies in the flat's normal span.  Each level is built from
+the one before by reducing the hyperplanes modulo every flat's span,
+the payload echelon of linalg.  The Bayer-Brandt description of the
+very generic lattice flags the flats whose (support, rank) pair a very
+generic arrangement cannot produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, lcm
 
 from .arrangement import Arrangement, NotGeneric, is_generic
-from .exactfield import FieldDescriptor, FieldElement, Rational, descriptor_to_json
-from .linalg import Vector, _det_payloads
+from .exactfield import FieldDescriptor, FieldElement, descriptor_to_json
+from .linalg import Vector, _det_payloads, _Span
 
 
 class BadSubsetSize(ValueError):
@@ -72,132 +73,6 @@ def ordered_normal(a: Arrangement, seq) -> Vector:
     return tuple(-x for x in base)
 
 
-class _Span:
-    """Row echelon of a subspace of K^n, on raw field payloads.
-
-    Rows are kept as (pivot, pivot entry, other nonzero entries) with the
-    pivot the row's first nonzero coordinate; every row vanishes at the
-    pivots of the rows before it.  reduced_key(v) reduces v modulo the
-    echelon to the one vector of v + span that vanishes at every pivot,
-    and returns its canonical projective class: two vectors span the same
-    subspace together with self iff their keys are equal.  A key is a
-    valid next row.  This class works through the descriptor's payload
-    hooks and keys by the vector scaled to a leading one; over Q use
-    _IntegerSpan (_Span.over picks).  Spans made by extended() share one
-    memo of inverted leading entries, which repeat across a lattice.
-    """
-
-    __slots__ = ("field", "rows", "zero", "one", "inverses")
-
-    def __init__(self, field: FieldDescriptor, rows=(), inverses=None):
-        self.field = field
-        self.rows = list(rows)
-        self.zero = field._coerce_int(0)
-        self.one = field._coerce_int(1)
-        self.inverses = {} if inverses is None else inverses
-
-    @staticmethod
-    def over(field: FieldDescriptor) -> "_Span":
-        return _IntegerSpan(field) if isinstance(field, Rational) else _Span(field)
-
-    def row(self, v: Vector) -> list:
-        """The raw row of a vector of field elements."""
-        return [x.payload for x in v]
-
-    def _reduce(self, w: list) -> list:
-        fd = self.field
-        add, mul, neg, is_zero = fd._add, fd._mul, fd._neg, fd._is_zero
-        for piv, _, rest in self.rows:
-            c = w[piv]
-            if not is_zero(c):
-                nc = neg(c)
-                for i, x in rest:
-                    w[i] = add(w[i], mul(nc, x))
-                w[piv] = self.zero
-        return w
-
-    def _scaled(self, w: list, j: int, lead) -> tuple:
-        if lead == self.one:
-            return tuple(w)
-        inv = self.inverses.get(lead)
-        if inv is None:
-            inv = self.inverses[lead] = self.field._inv(lead)
-        mul, is_zero = self.field._mul, self.field._is_zero
-        w = [x if is_zero(x) else mul(x, inv) for x in w]
-        w[j] = self.one
-        return tuple(w)
-
-    def reduced_key(self, row) -> tuple | None:
-        """Canonical class of row reduced modulo the echelon; None when
-        row lies in the span."""
-        w = self._reduce(list(row))
-        is_zero = self.field._is_zero
-        for j, lead in enumerate(w):
-            if not is_zero(lead):
-                return self._scaled(w, j, lead)
-        return None
-
-    def contains(self, row) -> bool:
-        is_zero = self.field._is_zero
-        return all(is_zero(x) for x in self._reduce(list(row)))
-
-    def _push(self, key) -> None:
-        is_zero = self.field._is_zero
-        nonzero = [(i, x) for i, x in enumerate(key) if not is_zero(x)]
-        piv, lead = nonzero[0]
-        self.rows.append((piv, lead, tuple(nonzero[1:])))
-
-    def extended(self, key) -> "_Span":
-        """A new span with the key of a vector outside this one added."""
-        out = type(self)(self.field, self.rows, self.inverses)
-        out._push(key)
-        return out
-
-    def insert(self, row) -> bool:
-        """Add row to the span; False when it was already inside."""
-        key = self.reduced_key(row)
-        if key is None:
-            return False
-        self._push(key)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-class _IntegerSpan(_Span):
-    """_Span over Q on fraction-free integer rows: every row is primitive,
-    a reduction step scales the vector instead of dividing, and the key
-    is the primitive vector with a positive leading entry."""
-
-    __slots__ = ()
-
-    def row(self, v: Vector) -> list:
-        fracs = [x.payload for x in v]
-        den = lcm(*(q.denominator for q in fracs))
-        return [q.numerator * (den // q.denominator) for q in fracs]
-
-    def _reduce(self, w: list) -> list:
-        for piv, a, rest in self.rows:
-            c = w[piv]
-            if c:
-                g = gcd(a, c)
-                a, c = a // g, c // g
-                if a != 1:
-                    w = [a * x for x in w]
-                for i, x in rest:
-                    w[i] -= c * x
-                w[piv] = 0
-        return w
-
-    def _scaled(self, w: list, j: int, lead: int) -> tuple:
-        g = gcd(*w)
-        if lead < 0:
-            g = -g
-        return tuple(x // g for x in w) if g != 1 else tuple(w)
-
-
 class DiscriminantalArrangement:
     """All C(n, k+1) hyperplanes D_L of B(n,k,A), keyed by sorted subset."""
 
@@ -235,12 +110,14 @@ class DiscriminantalArrangement:
 def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
     if not is_generic(a):
         raise NotGeneric("base arrangement has a dependent k-subset of normals")
+    fd = a.field
+    normals = [None] + [[e.payload for e in v] for v in a.normals]
     hyperplanes = {}
-    span = _Span.over(a.field)
+    span = _Span.over(fd)
     for L in combinations(a.indices, a.k + 1):
-        v = discriminantal_normal(a, L)
-        hyperplanes[L] = v
-        span.insert(span.row(v))
+        row = _normal_payloads(fd, normals, L, a.n)
+        hyperplanes[L] = tuple(FieldElement(fd, x) for x in row)
+        span.insert(span.row(row))
     if span.rank != a.n - a.k:
         raise NotGeneric(
             f"normal family has rank {span.rank}, expected {a.n - a.k}")
@@ -262,25 +139,15 @@ class Flat:
 
 
 class Lattice:
-    """Flats of B(n,k,A) grouped by rank, with the span-closure operator."""
+    """Flats of B(n,k,A) grouped by rank."""
 
-    __slots__ = ("n", "k", "field", "normals", "rows", "flats_by_rank")
+    __slots__ = ("n", "k", "field", "flats_by_rank")
 
     def __init__(self, d: DiscriminantalArrangement, flats_by_rank: dict):
         self.n = d.n
         self.k = d.k
         self.field = d.field
-        self.normals = dict(d.hyperplanes)
-        empty = _Span.over(self.field)
-        self.rows = {L: empty.row(v) for L, v in sorted(self.normals.items())}
         self.flats_by_rank = flats_by_rank
-
-    def closure(self, supports) -> Flat:
-        span = _Span.over(self.field)
-        for L in supports:
-            span.insert(self.rows[tuple(sorted(L))])
-        members = tuple(L for L, row in self.rows.items() if span.contains(row))
-        return Flat(support=members, rank=span.rank)
 
     def flats(self, rank: int | None = None):
         if rank is not None:
@@ -311,12 +178,12 @@ def intersection_lattice(d: DiscriminantalArrangement,
                          max_rank: int | None = None) -> Lattice:
     """All flats of rank <= max_rank (default n-k), level by level.
 
-    Level 1 closes each hyperplane.  The covers of a rank-r flat F come
-    from one reduction of every hyperplane outside F modulo F's echelon:
-    two of them span the same cover iff their reductions are
-    proportional, so each projective class is one rank-(r+1) flat with
-    support F plus the class, and its echelon is F's plus the class key.
-    The top level is the single central flat.
+    The covers of a rank-r flat F come from one reduction of every
+    hyperplane outside F modulo F's echelon: two of them span the same
+    cover iff their reductions are proportional, so each projective class
+    is one rank-(r+1) flat with support F plus the class, and its echelon
+    is F's plus the class key.  Level 1 is the covers of the rank-0 flat,
+    whose echelon is empty.  The top level is the single central flat.
     """
     if len(d.hyperplanes) > 64:
         raise TooLarge(f"{len(d.hyperplanes)} hyperplanes exceeds the 64 cap")
@@ -325,25 +192,12 @@ def intersection_lattice(d: DiscriminantalArrangement,
         max_rank = top
     max_rank = max(0, min(max_rank, top))
     keys = sorted(d.hyperplanes)
+    empty = _Span.over(d.field)
+    rows = {L: empty.row([x.payload for x in d.hyperplanes[L]]) for L in keys}
 
-    lat = Lattice(d, {})
-    rows = lat.rows
     levels: dict[int, tuple[Flat, ...]] = {0: (Flat(support=(), rank=0),)}
-    spans: dict[tuple, _Span] = {}
-    if max_rank >= 1:
-        assigned: set[tuple[int, ...]] = set()
-        singles = []
-        for L in keys:
-            if L in assigned:
-                continue
-            flat = lat.closure([L])
-            assigned.update(flat.support)
-            singles.append(flat)
-        levels[1] = tuple(singles)
-        empty = _Span.over(d.field)
-        spans = {f.support: empty.extended(empty.reduced_key(rows[f.support[0]]))
-                 for f in singles}
-    for r in range(2, max_rank + 1):
+    spans: dict[tuple, _Span] = {(): empty}
+    for r in range(1, max_rank + 1):
         if r == top:
             levels[r] = (Flat(support=tuple(keys), rank=top),)
             break
@@ -361,8 +215,7 @@ def intersection_lattice(d: DiscriminantalArrangement,
                     found[support] = span.extended(key)
         levels[r] = tuple(Flat(support=s, rank=r) for s in sorted(found))
         spans = found
-    lat.flats_by_rank = levels
-    return lat
+    return Lattice(d, levels)
 
 
 def is_very_generic(flat: Flat, k: int) -> bool:

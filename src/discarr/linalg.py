@@ -3,17 +3,22 @@
 Determinants of size at most 3 are cofactor expansions on raw payloads,
 with no inversions.  Larger ones use fraction-free (Bareiss) elimination
 over the rationals and plain exact-division Gaussian elimination
-everywhere else.  Rank, kernel, solve and inverse share one reduced
-row echelon routine that works on raw payloads through the descriptor
-hooks; the public functions unwrap their field elements once and wrap
-the result once.  Pivots are the first nonzero entry in a column; exact
-arithmetic needs no magnitude heuristics.
+everywhere else.  The library's one echelon is the span (_Span, and
+_IntegerSpan on fraction-free integer rows over Q): an incremental row
+echelon of raw payload rows.  The intersection lattice, the
+discriminantal rank check and the translate solver build on it, and so
+do rank, rank_of_rows, kernel, solve and inverse: the rank is the
+span's, and a kernel basis, a solution of M x = b and M^-1 are null
+vectors read off it by back-substitution.  The public functions unwrap
+their field elements once and wrap the result once.  Pivots are the
+first nonzero entry of a row; exact arithmetic needs no magnitude
+heuristics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exactfield import FieldDescriptor, FieldElement, FieldMismatch, Rational
 
@@ -43,9 +48,7 @@ class Matrix:
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            if e.fd is not field and e.fd != field:
-                raise FieldMismatch(f"entry field {e.fd!r} differs from {field!r}")
+        _check_field(entries, field)
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -122,6 +125,12 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))
         return f"Matrix[{body}]"
+
+
+def _check_field(elements, field: FieldDescriptor) -> None:
+    for e in elements:
+        if e.fd is not field and e.fd != field:
+            raise FieldMismatch(f"entry field {e.fd!r} differs from {field!r}")
 
 
 def _dot(u, v, field) -> FieldElement:
@@ -234,119 +243,243 @@ def det2(u: Vector, v: Vector) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# echelon form, rank, kernel, solve, inverse
+# the span: echelon, rank, kernel, solve, inverse
 
-def _rref(rows: list[list], fd: FieldDescriptor) -> list[int]:
-    """In-place reduced row echelon form of payload rows, through the
-    descriptor hooks; returns the pivot column list."""
-    add, mul, neg, inv, is_zero = fd._add, fd._mul, fd._neg, fd._inv, fd._is_zero
-    zero, one = fd._coerce_int(0), fd._coerce_int(1)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        # rows r and below vanish left of column c, so only the tail changes
-        lead = rows[r][c]
-        tail = rows[r][c + 1:]
-        if lead != one:
-            s = inv(lead)
-            tail = [x if is_zero(x) else mul(x, s) for x in tail]
-            rows[r] = rows[r][:c] + [one] + tail
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and not is_zero(f):
-                nf = neg(f)
-                rows[i] = rows[i][:c] + [zero] + [
-                    x if is_zero(y) else add(x, mul(nf, y))
-                    for x, y in zip(rows[i][c + 1:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+class _Span:
+    """Row echelon of a subspace of K^n, on raw field payloads.
+
+    Rows are kept as (pivot, pivot entry, other nonzero entries) with the
+    pivot the row's first nonzero coordinate; every row vanishes at the
+    pivots of the rows before it, so the pivots are the leading positions
+    of the row space.  reduced_key(v) reduces v modulo the echelon to the
+    one vector of v + span that vanishes at every pivot, and returns its
+    canonical projective class: two vectors span the same subspace
+    together with self iff their keys are equal.  A key is a valid next
+    row.  This class works through the descriptor's payload hooks and
+    keys by the vector scaled to a leading one; over Q use _IntegerSpan
+    (_Span.over picks).  Spans made by extended() share one memo of
+    inverted leading entries, which repeat across a lattice.
+    """
+
+    __slots__ = ("field", "rows", "zero", "one", "inverses")
+
+    def __init__(self, field: FieldDescriptor, rows=(), inverses=None):
+        self.field = field
+        self.rows = list(rows)
+        self.zero = field._coerce_int(0)
+        self.one = field._coerce_int(1)
+        self.inverses = {} if inverses is None else inverses
+
+    @staticmethod
+    def over(field: FieldDescriptor, rows=()) -> "_Span":
+        """The span of the given payload rows."""
+        span = _IntegerSpan(field) if isinstance(field, Rational) else _Span(field)
+        for row in rows:
+            span.insert(span.row(row))
+        return span
+
+    def row(self, payloads) -> list:
+        """The raw row of a payload vector."""
+        return list(payloads)
+
+    def _reduce(self, w: list) -> list:
+        fd = self.field
+        add, mul, neg, is_zero = fd._add, fd._mul, fd._neg, fd._is_zero
+        for piv, _, rest in self.rows:
+            c = w[piv]
+            if not is_zero(c):
+                nc = neg(c)
+                for i, x in rest:
+                    w[i] = add(w[i], mul(nc, x))
+                w[piv] = self.zero
+        return w
+
+    def _scaled(self, w: list, j: int, lead) -> tuple:
+        if lead == self.one:
+            return tuple(w)
+        inv = self.inverses.get(lead)
+        if inv is None:
+            inv = self.inverses[lead] = self.field._inv(lead)
+        mul, is_zero = self.field._mul, self.field._is_zero
+        w = [x if is_zero(x) else mul(x, inv) for x in w]
+        w[j] = self.one
+        return tuple(w)
+
+    def reduced_key(self, row) -> tuple | None:
+        """Canonical class of row reduced modulo the echelon; None when
+        row lies in the span."""
+        w = self._reduce(list(row))
+        is_zero = self.field._is_zero
+        for j, lead in enumerate(w):
+            if not is_zero(lead):
+                return self._scaled(w, j, lead)
+        return None
+
+    def _push(self, key) -> None:
+        is_zero = self.field._is_zero
+        nonzero = [(i, x) for i, x in enumerate(key) if not is_zero(x)]
+        piv, lead = nonzero[0]
+        self.rows.append((piv, lead, tuple(nonzero[1:])))
+
+    def extended(self, key) -> "_Span":
+        """A new span with the key of a vector outside this one added."""
+        out = type(self)(self.field, self.rows, self.inverses)
+        out._push(key)
+        return out
+
+    def insert(self, row) -> None:
+        """Add row to the span; a row already inside changes nothing."""
+        key = self.reduced_key(row)
+        if key is not None:
+            self._push(key)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def pivots(self) -> set[int]:
+        return {piv for piv, _, _ in self.rows}
+
+    def null_vector(self, ncols: int, col: int) -> list:
+        """The payload vector v with v[col] = 1, zero at every other
+        non-pivot column, on which every row vanishes: back-substitution
+        in reverse insertion order, each row fixing its pivot from the
+        later pivots and the free columns.  v is kept as a dict of its
+        nonzero entries, so products with zero entries are never formed."""
+        fd = self.field
+        add, mul, neg, is_zero = fd._add, fd._mul, fd._neg, fd._is_zero
+        one = self.one
+        v = {col: one}
+        for piv, _, rest in reversed(self.rows):  # keys lead with one
+            acc = None
+            for i, x in rest:
+                y = v.get(i)
+                if y is not None:
+                    t = x if y == one else mul(x, y)
+                    acc = t if acc is None else add(acc, t)
+            if acc is not None and not is_zero(acc):
+                v[piv] = neg(acc)
+        return self._dense(v, ncols)
+
+    def _dense(self, v: dict, ncols: int) -> list:
+        out = [self.zero] * ncols
+        for i, y in v.items():
+            out[i] = y
+        return out
+
+    def kernel(self, ncols: int) -> list[list]:
+        """Payload basis of the vectors on which every row vanishes, one
+        per non-pivot column, as reduced row echelon form gives it."""
+        pivots = self.pivots()
+        return [self.null_vector(ncols, c) for c in range(ncols) if c not in pivots]
 
 
-def _payload_rows(vectors) -> list[list]:
-    return [[e.payload for e in v] for v in vectors]
+class _IntegerSpan(_Span):
+    """_Span over Q on fraction-free integer rows: every row is primitive,
+    a reduction step scales the vector instead of dividing, and the key
+    is the primitive vector with a positive leading entry.  Null vectors
+    come back as Fractions."""
+
+    __slots__ = ()
+
+    def row(self, payloads) -> list:
+        den = lcm(*(q.denominator for q in payloads))
+        return [q.numerator * (den // q.denominator) for q in payloads]
+
+    def _reduce(self, w: list) -> list:
+        for piv, a, rest in self.rows:
+            c = w[piv]
+            if c:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                if a != 1:
+                    w = [a * x for x in w]
+                for i, x in rest:
+                    w[i] -= c * x
+                w[piv] = 0
+        return w
+
+    def _scaled(self, w: list, j: int, lead: int) -> tuple:
+        g = gcd(*w)
+        if lead < 0:
+            g = -g
+        return tuple(x // g for x in w) if g != 1 else tuple(w)
+
+    def null_vector(self, ncols: int, col: int) -> list:
+        v = {col: self.one}
+        for piv, lead, rest in reversed(self.rows):
+            acc = sum(x * v[i] for i, x in rest if i in v)
+            if acc:
+                v[piv] = -acc / lead
+        return self._dense(v, ncols)
 
 
 def _wrap(fd: FieldDescriptor, v) -> Vector:
     return tuple(FieldElement(fd, x) for x in v)
 
 
-def _kernel_payloads(fd: FieldDescriptor, rows: list[list], ncols: int) -> list[list]:
-    """Payload basis of {v : M v = 0} for M given as payload rows with
-    ncols columns, which are reduced in place."""
-    pivots = _rref(rows, fd)
-    zero, one, neg = fd._coerce_int(0), fd._coerce_int(1), fd._neg
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = neg(rows[r][fc])
-        basis.append(v)
-    return basis
+def _matrix_rows(m: Matrix) -> list[list]:
+    return [[e.payload for e in m.row(i)] for i in range(m.rows)]
 
 
 def _inverse_payloads(fd: FieldDescriptor, rows) -> list[list]:
-    """Payload rows of M^-1 from one reduction of [M | I]; raises
+    """Payload rows of M^-1, read off the kernel of [M | -I]; raises
     SingularMatrix when M has no inverse."""
     n = len(rows)
-    zero, one = fd._coerce_int(0), fd._coerce_int(1)
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(rows)]
-    pivots = _rref(aug, fd)
-    # [M | I] always has rank n; M is invertible iff no pivot lies in I
-    if pivots and pivots[-1] >= n:
+    span = _Span.over(fd)
+    for i, row in enumerate(rows):
+        minus_i = [span.zero] * n
+        minus_i[i] = fd._neg(span.one)
+        span.insert(span.row(list(row) + minus_i))
+    # [M | -I] always has rank n; M is invertible iff no pivot lies in -I
+    if any(piv >= n for piv in span.pivots()):
         raise SingularMatrix(f"singular {n}x{n} matrix")
-    return [row[n:] for row in aug]
+    # column j of M^-1 is u in the null vector (u, e_j) of column n + j
+    cols = [span.null_vector(2 * n, n + j) for j in range(n)]
+    return [[col[i] for col in cols] for i in range(n)]
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(_payload_rows(m.row_list()), m.field))
+    return _Span.over(m.field, _matrix_rows(m)).rank
 
 
 def rank_of_rows(vectors, field: FieldDescriptor) -> int:
-    return len(_rref(_payload_rows(vectors), field))
+    span = _Span.over(field)
+    for v in vectors:
+        _check_field(v, field)
+        span.insert(span.row([e.payload for e in v]))
+    return span.rank
 
 
 def kernel(m: Matrix) -> list[Vector]:
     """Basis of the right null space {v : M v = 0}."""
-    rows = _payload_rows(m.row_list())
-    return [_wrap(m.field, v) for v in _kernel_payloads(m.field, rows, m.cols)]
+    span = _Span.over(m.field, _matrix_rows(m))
+    return [_wrap(m.field, v) for v in span.kernel(m.cols)]
 
 
 def inverse(m: Matrix) -> Matrix:
-    """M^-1 from one reduction of [M | I]; raises SingularMatrix when M
+    """M^-1, read off the kernel of [M | -I]; raises SingularMatrix when M
     has no inverse."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
     fd = m.field
-    inv_rows = _inverse_payloads(fd, _payload_rows(m.row_list()))
+    inv_rows = _inverse_payloads(fd, _matrix_rows(m))
     return Matrix(fd, m.rows, m.cols, [FieldElement(fd, x) for row in inv_rows for x in row])
 
 
 def solve(m: Matrix, b: Vector):
-    """Solve M x = b; returns (particular solution or None, kernel basis)."""
+    """Solve M x = b; returns (particular solution or None, kernel basis).
+    The solution is the null vector (x, 1) of [M | -b], which exists iff
+    the last column is not a pivot."""
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs length {len(b)} vs {m.rows} rows")
     fd = m.field
-    aug = _payload_rows(m.row(i) + (b[i],) for i in range(m.rows))
-    pivots = _rref(aug, fd)
-    if m.cols in pivots:
-        return None, kernel(m)
-    x = [fd._coerce_int(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][m.cols]
-    return _wrap(fd, x), kernel(m)
+    rows = _matrix_rows(m)
+    span = _Span.over(fd, (row + [fd._neg(e.payload)] for row, e in zip(rows, b)))
+    null = kernel(m)
+    if m.cols in span.pivots():
+        return None, null
+    return _wrap(fd, span.null_vector(m.cols + 1, m.cols)[:m.cols]), null
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared constructors for the test suite: seeded random arrangements,
-the random very generic reference, candidate-family enumeration, and
-small number-theory checks."""
+the random very generic reference, the lattice closure oracle,
+candidate-family enumeration, and small number-theory checks."""
 
 import random
 from fractions import Fraction
@@ -107,6 +107,48 @@ def reference_very_generic(n: int, k: int, seed: int = 0) -> Arrangement:
                 continue
         return a
     raise RuntimeError(f"no very generic candidate in 64 draws for (n={n}, k={k})")
+
+
+# ---------------------------------------------------------------------------
+# the lattice closure oracle
+
+class _OracleSpan:
+    """Incremental row echelon over FieldElement rows."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def _reduce(self, v):
+        w = list(v)
+        for row, piv in zip(self.rows, self.pivots):
+            c = w[piv]
+            if not c.is_zero():
+                for i in range(piv, len(w)):
+                    w[i] = w[i] - c * row[i]
+        return w
+
+    def contains(self, v):
+        return all(x.is_zero() for x in self._reduce(v))
+
+    def insert(self, v):
+        w = self._reduce(v)
+        for i, x in enumerate(w):
+            if not x.is_zero():
+                inv = x.inv()
+                self.rows.append([y * inv for y in w])
+                self.pivots.append(i)
+                return
+
+
+def oracle_closure(normals, supports):
+    """(closed support, rank) of the span of the given hyperplanes, by an
+    echelon of FieldElement rows; the oracle for lattice flats."""
+    span = _OracleSpan()
+    for L in supports:
+        span.insert(normals[L])
+    members = tuple(L for L in sorted(normals) if span.contains(normals[L]))
+    return members, len(span.rows)
 
 
 # ---------------------------------------------------------------------------

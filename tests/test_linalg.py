@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from discarr import (
+    FieldMismatch,
+    Galois,
     Matrix,
     Prime,
     Quadratic,
@@ -109,6 +111,17 @@ def test_rank_of_rows_matches_matrix_rank():
         rows = [tuple(q.from_int(rng.randint(-3, 3)) for _ in range(4))
                 for _ in range(rng.randint(1, 5))]
         assert rank_of_rows(rows, q) == rank(Matrix.from_rows([list(r) for r in rows], q))
+
+
+def test_rank_of_rows_rejects_foreign_elements():
+    # rational rows read under another field: (1,2),(4,1) would read as
+    # rank 1 over F_7, and 1/2 has no payload in F_7 or GF(4)
+    q = Rational()
+    whole = [(q.from_int(1), q.from_int(2)), (q.from_int(4), q.from_int(1))]
+    half = [(q.from_fraction(Fraction(1, 2)), q.one()), (q.one(), q.one())]
+    for rows, fd in ((whole, Prime(7)), (half, Prime(7)), (half, Galois(2, (1, 1, 1)))):
+        with pytest.raises(FieldMismatch):
+            rank_of_rows(rows, fd)
 
 
 def test_kernel_annihilates():

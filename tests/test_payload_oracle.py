@@ -12,6 +12,7 @@ payloads, and searches translations on payloads; all must agree exactly.
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -294,12 +295,63 @@ def test_one_map_per_involution(monkeypatch):
 # ---------------------------------------------------------------------------
 # echelon: rank, kernel, solve, inverse
 
+def _sparse_matrices(fd, draw, rng):
+    """A zero row, a zero matrix, rows with a single nonzero entry, and
+    the discriminantal rows translate_solver reduces for the first
+    detected good partition of the seeded planes over fd."""
+    zero = fd.zero()
+    x = draw(rng)
+    while x.is_zero():
+        x = draw(rng)
+    out = [[[draw(rng) for _ in range(4)], [zero] * 4, [draw(rng) for _ in range(4)]],
+           [[zero] * 3, [zero] * 3],
+           [[zero, zero, x, zero]],
+           [[zero, x, zero], [x, zero, zero], [x, x, zero]]]
+    a = next(a for a in seeded_planes(fd, 0) if is_generic(a) and good6_points(a))
+    family = good6_points(a)[0].sets
+    out.append([list(discriminantal_normal(a, sub))
+                for L in family for sub in combinations(L, a.k + 1)])
+    return out
+
+
+def _payload_types(fd, results):
+    """Payload types of vectors and matrices returned over Q."""
+    types = set()
+    for r in results:
+        if r is not None and not isinstance(r, type):
+            types.update(type(e.payload) for e in getattr(r, "entries", r))
+    return types
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_echelon_matches_fieldelement_oracle(name):
     fd = FIELDS[name]
     draw = _sampler(fd)
     rng = random.Random(f"payload-oracle-echelon-{name}")
     singular = 0
+    returned = []
+
+    def check(m, b):
+        nonlocal singular
+        rows = m.rows
+        assert rank(m) == oracle_rank(m)
+        assert rank_of_rows([m.row(i) for i in range(rows)], fd) == oracle_rank(m)
+        null = kernel(m)
+        assert [_fmt(v) for v in null] == [_fmt(v) for v in oracle_kernel(m)]
+        x, null = solve(m, b)
+        ox, onull = oracle_solve(m, b)
+        assert _fmt(x) == _fmt(ox)
+        assert [_fmt(v) for v in null] == [_fmt(v) for v in onull]
+        returned.extend([x, *null])
+        if rows == m.cols:
+            got, want = _outcome(inverse, m), _outcome(oracle_inverse, m)
+            if want is SingularMatrix:
+                assert got is SingularMatrix
+                singular += 1
+            else:
+                assert _fmt(got.entries) == _fmt(want.entries)
+            returned.append(got)
+
     for rows, cols in ((1, 1), (2, 2), (3, 3), (3, 3), (4, 4), (4, 4), (5, 5),
                        (2, 4), (3, 5), (4, 2), (5, 3), (4, 6)):
         for trial in range(4):
@@ -307,22 +359,14 @@ def test_echelon_matches_fieldelement_oracle(name):
             if trial == 0 and rows > 1:
                 entries[-1] = entries[0]  # a repeated row
             m = Matrix.from_rows(entries, fd)
-            assert rank(m) == oracle_rank(m)
-            assert rank_of_rows([m.row(i) for i in range(rows)], fd) == oracle_rank(m)
-            assert [_fmt(v) for v in kernel(m)] == [_fmt(v) for v in oracle_kernel(m)]
-            b = tuple(draw(rng) for _ in range(rows))
-            x, null = solve(m, b)
-            ox, onull = oracle_solve(m, b)
-            assert _fmt(x) == _fmt(ox)
-            assert [_fmt(v) for v in null] == [_fmt(v) for v in onull]
-            if rows == cols:
-                got, want = _outcome(inverse, m), _outcome(oracle_inverse, m)
-                if want is SingularMatrix:
-                    assert got is SingularMatrix
-                    singular += 1
-                else:
-                    assert _fmt(got.entries) == _fmt(want.entries)
+            check(m, tuple(draw(rng) for _ in range(rows)))
     assert singular  # singular inputs are covered too
+    for entries in _sparse_matrices(fd, draw, rng):
+        m = Matrix.from_rows(entries, fd)
+        check(m, tuple(draw(rng) for _ in range(m.rows)))
+        check(m, tuple(fd.zero() for _ in range(m.rows)))
+    if name == "Q":
+        assert _payload_types(fd, returned) == {Fraction}
 
 
 # ---------------------------------------------------------------------------
