@@ -20,7 +20,7 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import Matrix, Vector, _det_payloads, _inverse_payloads, _Span, det, det2, inverse
+from .linalg import Matrix, Vector, _det_payloads, _Span, det, det2, inverse
 
 
 class NotGeneric(ValueError):
@@ -282,41 +282,35 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
             raise ValueError(f"family set {L} smaller than k+1 = {k + 1}")
         if any(not 1 <= p <= n for p in L):
             raise ValueError(f"family set {L} has out-of-range indices")
-    add, mul, neg, is_zero = f._add, f._mul, f._neg, f._is_zero
+    add, mul, is_zero = f._add, f._mul, f._is_zero
     zero, one = f._coerce_int(0), f._coerce_int(1)
     normals = [None] + [[e.payload for e in v] for v in a.normals]
 
     from .discriminantal import _normal_payloads
 
-    rows = [_normal_payloads(f, normals, sub, n)
+    minors = {}  # each k x k minor once, for the kernel rows and the incidences
+    rows = [_normal_payloads(f, normals, sub, n, minors)
             for L in family for sub in combinations(L, k + 1)]
     basis = _Span.over(f, rows).kernel(n)
     if not basis:
         return None
 
-    # extra-incidence functionals: for each L and q outside L, the map
-    # t -> alpha_q . x_L(t) - t_q where x_L(t) is the common point, kept
-    # as (index, coefficient) terms over L's head and q and evaluated on
-    # the kernel basis
+    # extra incidences: hyperplane q outside L passes through L's common
+    # point iff L's head and q are concurrent, i.e. t lies on D_{head + q};
+    # each such normal is evaluated on the kernel basis
     evaluated = []
     for L in family:
-        head = L[: k]
-        minv = _inverse_payloads(f, [normals[p] for p in head])
+        head = L[:k]
         for q in a.indices:
             if q in L:
                 continue
-            aq = normals[q]
-            terms = [(q - 1, neg(one))]
-            for j, p in enumerate(head):
-                coef = zero
-                for i in range(k):
-                    coef = add(coef, mul(aq[i], minv[i][j]))
-                terms.append((p - 1, coef))
+            key = sorted(head + (q,))
+            d = _normal_payloads(f, normals, key, n, minors)
             vals = []
             for b in basis:
                 acc = zero
-                for i, c in terms:
-                    acc = add(acc, mul(c, b[i]))
+                for p in key:
+                    acc = add(acc, mul(d[p - 1], b[p - 1]))
                 vals.append(acc)
             if all(is_zero(v) for v in vals):
                 return None  # the extra incidence holds on the whole kernel
@@ -393,7 +387,8 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     if not isinstance(k, int):
         raise ValueError("k must be an integer")
     normals = obj["normals"]
-    if not isinstance(normals, list) or not all(isinstance(r, list) for r in normals):
+    if not isinstance(normals, list) or not all(
+            isinstance(r, list) and all(isinstance(s, str) for s in r) for r in normals):
         raise ValueError("normals must be a list of lists of element strings")
     rows = [[parse_element(s, fd) for s in r] for r in normals]
     return Arrangement(fd, k, rows)

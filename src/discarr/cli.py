@@ -37,6 +37,7 @@ from .detectors import (
     quintuple_points,
 )
 from .discriminantal import (
+    TooLarge,
     build_discriminantal,
     intersection_lattice,
     nvg_flats,
@@ -45,7 +46,6 @@ from .exactfield import (
     Cyclotomic,
     FieldDescriptor,
     Galois,
-    ParseError,
     Prime,
     Quadratic,
     Rational,
@@ -54,7 +54,6 @@ from .exactfield import (
 )
 from .gallery import (
     DODECAHEDRAL_DEPENDENCIES,
-    UnknownGalleryName,
     build_gallery,
     classification_rows,
     dependency_residual,
@@ -101,16 +100,22 @@ def field_label(fd: FieldDescriptor | None) -> str:
 
 
 def load_arrangement(source: str) -> Arrangement:
-    if source.startswith("gallery:"):
-        return build_gallery(source[len("gallery:"):])
+    """The arrangement named by source.  A non-generic one raises
+    NotGeneric; any other fault in the input is a CliError(EXIT_USAGE)."""
     try:
+        if source.startswith("gallery:"):
+            return build_gallery(source[len("gallery:"):])
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        return arrangement_from_json(obj)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {source!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_USAGE, f"bad JSON in {source!r}: {exc}") from exc
-    return arrangement_from_json(obj)
+    except NotGeneric:
+        raise
+    except ValueError as exc:  # ParseError, UnknownGalleryName and shape errors
+        raise CliError(EXIT_USAGE, str(exc)) from exc
 
 
 def _digest(a: Arrangement) -> str:
@@ -249,6 +254,8 @@ def cmd_classify(args) -> int:
     a = load_arrangement(args.input)
     if a.n != 6:
         raise CliError(EXIT_USAGE, f"classification needs n=6, got n={a.n}")
+    if a.k not in (2, 3):
+        raise CliError(EXIT_USAGE, f"no classifier for k={a.k}")
     rep = arrangement_type(a)
     results = {
         "type": rep.type.label(),
@@ -434,6 +441,6 @@ def main(argv=None) -> int:
     except ClosureViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLOSURE
-    except (ParseError, UnknownGalleryName, ValueError) as exc:
+    except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,17 +47,21 @@ def discriminantal_normal(a: Arrangement, L) -> Vector:
     are zero."""
     key = _as_subset(a, L)
     normals = {p: [e.payload for e in a.normal(p)] for p in key}
-    row = _normal_payloads(a.field, normals, key, a.n)
+    row = _normal_payloads(a.field, normals, key, a.n, {})
     return tuple(FieldElement(a.field, x) for x in row)
 
 
-def _normal_payloads(fd: FieldDescriptor, normals, key, n: int) -> list:
+def _normal_payloads(fd: FieldDescriptor, normals, key, n: int, minors: dict) -> list:
     """Payload row of discriminantal_normal for the sorted subset key;
-    normals[p] is the payload row of base normal p."""
+    normals[p] is the payload row of base normal p, and minors keeps each
+    k x k minor by its index tuple for the calls that share the dict."""
     row = [fd._coerce_int(0)] * n
     for j, p in enumerate(key):
-        # the minor's transpose: the same determinant
-        d = _det_payloads(fd, [normals[q] for q in key if q != p])
+        sub = tuple(q for q in key if q != p)
+        d = minors.get(sub)
+        if d is None:
+            # the minor's transpose: the same determinant
+            d = minors[sub] = _det_payloads(fd, [normals[q] for q in sub])
         row[p - 1] = d if j % 2 == 0 else fd._neg(d)
     return row
 
@@ -112,10 +116,10 @@ def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
         raise NotGeneric("base arrangement has a dependent k-subset of normals")
     fd = a.field
     normals = [None] + [[e.payload for e in v] for v in a.normals]
-    hyperplanes = {}
+    hyperplanes, minors = {}, {}
     span = _Span.over(fd)
     for L in combinations(a.indices, a.k + 1):
-        row = _normal_payloads(fd, normals, L, a.n)
+        row = _normal_payloads(fd, normals, L, a.n, minors)
         hyperplanes[L] = tuple(FieldElement(fd, x) for x in row)
         span.insert(span.row(row))
     if span.rank != a.n - a.k:

@@ -504,7 +504,10 @@ class Cyclotomic(FieldDescriptor):
     Coefficients represent a polynomial in the generator reduced mod the
     m-th cyclotomic polynomial, so the tuple has length phi(m).  Keeping a
     single shared denominator keeps sweeps over integral elements in pure
-    integer arithmetic.
+    integer arithmetic.  A product reduces its high terms through a table
+    of the powers x^e in the power basis; an inverse is the product of
+    the other conjugates of a divided by the rational norm N(a), with each
+    conjugate zeta -> zeta^j read off the same table.
     """
 
     kind = "cyclotomic"
@@ -515,19 +518,14 @@ class Cyclotomic(FieldDescriptor):
         self.m = m
         self.phi = _totient(m)
         self.poly = cyclotomic_polynomial(m)
-        # reduction rows: x^(phi+i) expressed in the power basis
-        rows = []
-        prev = [-c for c in self.poly[:-1]]  # x^phi
-        rows.append(tuple(prev))
-        for _ in range(self.phi - 2):
-            nxt = [0] + prev[:-1]
-            top = prev[-1]
-            if top:
-                for j in range(self.phi):
-                    nxt[j] += top * rows[0][j]
-            prev = nxt
-            rows.append(tuple(prev))
-        self._red = tuple(rows)
+        # power table: x^e in the power basis for every e < max(m, 2phi-1);
+        # rows phi..2phi-2 reduce a product, rows i*j mod m conjugate
+        powers = [tuple(int(i == e) for i in range(self.phi)) for e in range(self.phi)]
+        top = [-c for c in self.poly[:-1]]  # x^phi
+        while len(powers) < max(m, 2 * self.phi - 1):
+            prev = powers[-1]  # times x: shift up and fold x^phi back in
+            powers.append(tuple(lo + prev[-1] * t for lo, t in zip((0,) + prev[:-1], top)))
+        self._powers = tuple(powers)
 
     def _key(self):
         return (self.m,)
@@ -571,24 +569,29 @@ class Cyclotomic(FieldDescriptor):
         for i in range(n, 2 * n - 1):
             c = conv[i]
             if c:
-                row = self._red[i - n]
+                row = self._powers[i]
                 for j in range(n):
                     out[j] += c * row[j]
         return self._norm(out, da * db)
 
     def _inv(self, a):
+        # a^-1 = P / N(a) with P the product of the conjugates sigma_j(a),
+        # zeta -> zeta^j for 1 < j < m coprime to m; a * P = N(a) is rational
         if self._is_zero(a):
             raise DivisionByZero("1/0 in cyclotomic field")
         va, da = a
-        f = [Fraction(v) for v in va]
-        g = [Fraction(c) for c in self.poly]
-        u = _fq_invert_mod(f, g)
-        den_lcm = 1
-        for c in u:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        vec = [int(c * den_lcm) for c in u]
-        vec += [0] * (self.phi - len(vec))
-        return self._norm([v * da for v in vec], den_lcm)
+        m, powers = self.m, self._powers
+        prod = self._coerce_int(1)
+        for j in range(2, m):
+            if gcd(j, m) == 1:
+                conj = [0] * self.phi
+                for i, v in enumerate(va):
+                    if v:
+                        for t, r in enumerate(powers[i * j % m]):
+                            conj[t] += v * r
+                prod = self._mul(prod, (tuple(conj), 1))
+        norm = self._mul((va, 1), prod)[0][0]
+        return self._norm([da * v for v in prod[0]], norm)
 
     def _is_zero(self, a):
         return all(v == 0 for v in a[0])
@@ -618,53 +621,6 @@ class Cyclotomic(FieldDescriptor):
 
     def __repr__(self):
         return f"cyclotomic(m={self.m})"
-
-
-def _fq_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fq_divmod(num: list[Fraction], den: list[Fraction]):
-    """Polynomial long division over Q; returns (quotient, remainder)."""
-    rem = list(num)
-    dd = len(den) - 1
-    if len(rem) - 1 < dd:
-        return [], _fq_trim(rem)
-    quot = [Fraction(0)] * (len(rem) - dd)
-    lead = den[-1]
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i] / lead
-        quot[i - dd] = c
-        if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] -= c * den[j]
-    return quot, _fq_trim(rem[:dd])
-
-
-def _fq_invert_mod(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Inverse of f modulo g over Q (g irreducible, f nonzero mod g)."""
-    r0, r1 = list(g), _fq_trim(list(f))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, rem = _fq_divmod(r0, r1)
-        new_s = list(s0)
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        n = max(len(new_s), len(prod))
-        new_s += [Fraction(0)] * (n - len(new_s))
-        for i, pi in enumerate(prod):
-            new_s[i] -= pi
-        r0, r1 = r1, rem
-        s0, s1 = s1, _fq_trim(new_s)
-    if len(r0) != 1:
-        raise ArithmeticError("modulus not coprime to operand")
-    c = r0[0]
-    return [x / c for x in s0]
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +704,8 @@ class FieldElement:
         return self.fd._is_zero(self.payload)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.fd.from_int(other)
+        # an element equals only elements: equality with a bare int would
+        # need that int's hash too; compare with fd.from_int(n)
         if not isinstance(other, FieldElement):
             return NotImplemented
         if other.fd is not self.fd and other.fd != self.fd:

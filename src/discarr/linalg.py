@@ -9,7 +9,9 @@ echelon of raw payload rows.  The intersection lattice, the
 discriminantal rank check and the translate solver build on it, and so
 do rank, rank_of_rows, kernel, solve and inverse: the rank is the
 span's, and a kernel basis, a solution of M x = b and M^-1 are null
-vectors read off it by back-substitution.  The public functions unwrap
+vectors read off it by back-substitution.  inverse is the library's one
+matrix inverse; the translate solver needs none, since its incidence
+tests are discriminantal normals too.  The public functions unwrap
 their field elements once and wrap the result once.  Pivots are the
 first nonzero entry of a row; exact arithmetic needs no magnitude
 heuristics.
@@ -422,23 +424,6 @@ def _matrix_rows(m: Matrix) -> list[list]:
     return [[e.payload for e in m.row(i)] for i in range(m.rows)]
 
 
-def _inverse_payloads(fd: FieldDescriptor, rows) -> list[list]:
-    """Payload rows of M^-1, read off the kernel of [M | -I]; raises
-    SingularMatrix when M has no inverse."""
-    n = len(rows)
-    span = _Span.over(fd)
-    for i, row in enumerate(rows):
-        minus_i = [span.zero] * n
-        minus_i[i] = fd._neg(span.one)
-        span.insert(span.row(list(row) + minus_i))
-    # [M | -I] always has rank n; M is invertible iff no pivot lies in -I
-    if any(piv >= n for piv in span.pivots()):
-        raise SingularMatrix(f"singular {n}x{n} matrix")
-    # column j of M^-1 is u in the null vector (u, e_j) of column n + j
-    cols = [span.null_vector(2 * n, n + j) for j in range(n)]
-    return [[col[i] for col in cols] for i in range(n)]
-
-
 def rank(m: Matrix) -> int:
     return _Span.over(m.field, _matrix_rows(m)).rank
 
@@ -462,9 +447,16 @@ def inverse(m: Matrix) -> Matrix:
     has no inverse."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    fd = m.field
-    inv_rows = _inverse_payloads(fd, _matrix_rows(m))
-    return Matrix(fd, m.rows, m.cols, [FieldElement(fd, x) for row in inv_rows for x in row])
+    fd, n = m.field, m.rows
+    zero, minus_one = fd._coerce_int(0), fd._coerce_int(-1)
+    span = _Span.over(fd, (row + [minus_one if j == i else zero for j in range(n)]
+                           for i, row in enumerate(_matrix_rows(m))))
+    # [M | -I] always has rank n; M is invertible iff no pivot lies in -I
+    if any(piv >= n for piv in span.pivots()):
+        raise SingularMatrix(f"singular {n}x{n} matrix")
+    # column j of M^-1 is u in the null vector (u, e_j) of column n + j
+    cols = [span.null_vector(2 * n, n + j) for j in range(n)]
+    return Matrix(fd, n, n, [FieldElement(fd, col[i]) for i in range(n) for col in cols])
 
 
 def solve(m: Matrix, b: Vector):

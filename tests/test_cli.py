@@ -1,11 +1,13 @@
 """Command line front end, exercised in process through main()."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import discarr
 from discarr import arrangement_to_json, Rational, Arrangement
 from discarr.cli import (
     EXIT_CLOSURE,
@@ -107,6 +109,11 @@ def test_detect_wrong_schema_file(tmp_path, capsys):
     p = tmp_path / "odd.json"
     p.write_text(json.dumps({"field": "nope"}), encoding="utf-8")
     assert main(["detect", str(p)]) == EXIT_USAGE
+    # entries must be element strings, not JSON numbers
+    numbers = {"field": {"kind": "rational"}, "k": 2, "normals": [[1, 0], [0, 1], [1, 1]]}
+    p.write_text(json.dumps(numbers), encoding="utf-8")
+    assert main(["detect", str(p)]) == EXIT_USAGE
+    assert "element strings" in capsys.readouterr().err
 
 
 def test_detect_non_generic_file(tmp_path, capsys):
@@ -131,6 +138,8 @@ def test_classify_non_generic_file(tmp_path, capsys):
 def test_detect_unknown_gallery(capsys):
     assert main(["detect", "gallery:nonagonal"]) == EXIT_USAGE
     assert "unknown gallery name" in capsys.readouterr().err
+    assert main(["detect", "gallery:polygon-2"]) == EXIT_USAGE
+    assert "n >= 3" in capsys.readouterr().err
 
 
 def test_detect_file_round_trip(tmp_path, capsys):
@@ -175,9 +184,15 @@ def test_classify_witness_by_uri(capsys):
     assert rep["input"]["field"]["kind"] == "quadratic"
 
 
-def test_classify_needs_six(capsys):
+def test_classify_needs_six(tmp_path, capsys):
     assert main(["classify", "gallery:polygon-7"]) == EXIT_USAGE
     assert "n=6" in capsys.readouterr().err
+    # six points on a line: n = 6, but no classifier for k = 1
+    a = Arrangement(Rational(), 1, [(n,) for n in range(1, 7)])
+    p = tmp_path / "points.json"
+    p.write_text(json.dumps(arrangement_to_json(a)), encoding="utf-8")
+    assert main(["classify", str(p)]) == EXIT_USAGE
+    assert "k=1" in capsys.readouterr().err
 
 
 def test_classify_closure_violation_exit(monkeypatch, capsys):
@@ -187,6 +202,17 @@ def test_classify_closure_violation_exit(monkeypatch, capsys):
     monkeypatch.setattr("discarr.cli.arrangement_type", boom)
     assert main(["classify", "gallery:crapo"]) == EXIT_CLOSURE
     assert "synthetic closure failure" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_usage(monkeypatch):
+    # a ValueError from inside a detector is a bug, not unusable input:
+    # it propagates instead of exiting 2
+    def boom(a):
+        raise ValueError("synthetic internal failure")
+
+    monkeypatch.setattr("discarr.cli.quadral_points", boom)
+    with pytest.raises(ValueError, match="synthetic internal failure"):
+        main(["detect", "gallery:crapo"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +325,11 @@ def test_field_labels():
 
 
 def test_module_entry_point():
+    # the child imports the same discarr as this process, wherever it lives
+    src = os.path.dirname(os.path.dirname(discarr.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "discarr", "table", "mformula", "--quiet"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == EXIT_OK
     assert "table: ok" in proc.stdout

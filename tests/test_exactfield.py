@@ -228,6 +228,24 @@ def test_field_mismatch_raises():
         Prime(5).one() * Prime(7).one()
 
 
+def test_equal_elements_hash_equally():
+    # an element equals only elements of its field, so == and hash agree:
+    # a bare int is never equal to an element, even one of the same value
+    for make in (Rational, lambda: Quadratic(5), lambda: Prime(7),
+                 lambda: Galois(2, (1, 1, 1)), lambda: Cyclotomic(12)):
+        fd, twin = make(), make()  # equal descriptors, distinct objects
+        values = [fd.from_int(n) for n in range(-3, 10)]
+        values += [twin.from_int(n) for n in range(-3, 10)]
+        for x in values:
+            for y in values:
+                if x == y:
+                    assert hash(x) == hash(y)
+        one = fd.one()
+        assert one != 1 and 1 != one
+        assert len({one, twin.one(), fd.from_int(1)}) == 1
+        assert one + 1 == fd.from_int(2)  # arithmetic with ints still lifts
+
+
 def test_embed_into_each_field():
     third = Fraction(1, 3)
     assert embed(third, Rational()) == Rational().from_fraction(third)

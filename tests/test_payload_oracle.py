@@ -5,9 +5,13 @@ The oracles below are the original routines: find_involutions building
 one projective map per matching of the six lines and keeping those that
 swap every pair, reduced row echelon form on FieldElement rows (with
 rank, kernel, solve and inverse built on it), and translate_solver on
-FieldElement discriminantal rows, kernel and head inverses.  The library
-tests the det2 pairing condition before building any map, reduces raw
-payloads, and searches translations on payloads; all must agree exactly.
+FieldElement discriminantal rows, kernel and head inverses, which tests
+an extra incidence of q with a family set L through the common point
+x_L(t) = head^-1 t.  The library tests the det2 pairing condition before
+building any map, reduces raw payloads, and searches translations on
+payloads, testing the same incidence as t on the discriminantal normal
+of L's head and q, so its kernel is its only span; all must agree
+exactly.
 """
 
 import random
@@ -37,7 +41,7 @@ from discarr import (
     solve,
     translate_solver,
 )
-from discarr import detectors
+from discarr import detectors, linalg
 from discarr.arrangement import NoGenericWitness
 from discarr.exactfield import FieldElement
 from discarr.linalg import SingularMatrix, inverse
@@ -128,7 +132,10 @@ def oracle_find_involutions(a):
 
 def oracle_translate_solver(a, family):
     """translate_solver on FieldElements, with the oracle kernel and
-    inverse; the same search order as the library."""
+    inverse; the same search order as the library.  Each extra incidence
+    is alpha_q . x_L(t) - t_q with x_L(t) = head^-1 t, which the library
+    tests, up to a nonzero scalar, as the discriminantal normal of L's
+    head and q."""
     family = IndexFamily(family)
     f = a.field
     k, n = a.k, a.n
@@ -438,3 +445,26 @@ def test_translate_solver_makes_no_element_arithmetic(monkeypatch):
         monkeypatch.setattr(FieldElement, op, counting(op))
     assert translate_solver(a, family) is not None
     assert sum(calls.values()) == 0
+
+
+def test_translate_solver_builds_one_span(monkeypatch):
+    # the kernel is the only span: each extra incidence is tested on a
+    # discriminantal normal, so no family set needs a head inverse
+    spans = Counter()
+    init = linalg._Span.__init__
+
+    def counting(self, *args, **kwargs):
+        spans["built"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg._Span, "__init__", counting)
+    planes = gallery_witnesses() + [a for name in sorted(FIELDS)
+                                    for a in seeded_planes(FIELDS[name], 0) if is_generic(a)]
+    calls = 0
+    for a in planes:
+        for fam in [g.sets for g in good6_points(a)] + [[(1, 2, 3, 4)]]:
+            spans.clear()
+            _outcome(translate_solver, a, fam)
+            assert spans["built"] == 1
+            calls += 1
+    assert calls > len(planes)
