@@ -384,7 +384,7 @@ def arrangement_from_json(obj: dict) -> Arrangement:
             raise ValueError(f"arrangement JSON is missing {key!r}")
     fd = descriptor_from_json(obj["field"])
     k = obj["k"]
-    if not isinstance(k, int):
+    if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError("k must be an integer")
     normals = obj["normals"]
     if not isinstance(normals, list) or not all(

@@ -3,7 +3,10 @@
 Supported fields: the rationals, quadratic extensions Q(sqrt(d)), prime
 fields F_p, small Galois fields F_{p^m}, and cyclotomic fields Q(zeta_m).
 Every element carries its field descriptor; equality and zero tests are
-exact (no epsilon anywhere).
+exact (no epsilon anywhere).  Q(sqrt(d)) and Q(zeta_m) are one
+arithmetic, _PowerBasis, on Q[x]/(f) for f monic over the integers; they
+differ only in f and in their conjugates.  _poly_divmod is the one
+polynomial long division, for the cyclotomic polynomials and F_{p^m}.
 """
 
 from __future__ import annotations
@@ -76,13 +79,6 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-def _totient(m: int) -> int:
-    result = m
-    for f in _prime_factors(m):
-        result -= result // f
-    return result
-
-
 def _divisors(m: int) -> list[int]:
     small, large = [], []
     f = 1
@@ -98,20 +94,18 @@ def _divisors(m: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (coefficient lists, low degree first)
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; division must leave no remainder
-    num = list(num)
+def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by a monic den, over the integers."""
+    rem = list(num)
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
         if c:
+            quot[i - dd] = c
             for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+                rem[i - dd + j] -= c * dj
+    return quot, rem[:dd]
 
 
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
@@ -130,7 +124,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num = [-1] + [0] * (m - 1) + [1]
     for d in _divisors(m):
         if d < m:
-            num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     result = tuple(num)
     _CYCLO_CACHE[m] = result
     return result
@@ -232,8 +228,124 @@ class Rational(FieldDescriptor):
         return self.element(Fraction(q))
 
 
-class Quadratic(FieldDescriptor):
-    """Q(g) with g*g = d, d a squarefree integer other than 0 and 1."""
+class _PowerBasis(FieldDescriptor):
+    """Q[x]/(f) for a monic irreducible integer f of degree phi: payload is
+    (integer coefficient tuple, positive denominator).
+
+    Coefficients represent a polynomial in the generator reduced mod f, so
+    the tuple has length phi.  Keeping a single shared denominator keeps
+    sweeps over integral elements in pure integer arithmetic.  A product
+    reduces its high terms through a table of the powers x^e in the power
+    basis; an inverse is the product of the other conjugates of a divided
+    by the rational norm N(a) (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 4.2).  A subclass passes f and how many
+    powers it reads, then sets _conjugates: for each other conjugate, the
+    images of x^0..x^(phi-1) in the power basis.
+    """
+
+    def __init__(self, poly, npowers: int = 0):
+        self.poly = tuple(poly)
+        self.phi = len(self.poly) - 1
+        # power table: x^e in the power basis for every e < npowers, and
+        # at least through 2phi-2, the rows that reduce a product
+        powers = [tuple(int(i == e) for i in range(self.phi)) for e in range(self.phi)]
+        top = [-c for c in self.poly[:-1]]  # x^phi
+        while len(powers) < max(npowers, 2 * self.phi - 1):
+            prev = powers[-1]  # times x: shift up and fold x^phi back in
+            powers.append(tuple(lo + prev[-1] * t for lo, t in zip((0,) + prev[:-1], top)))
+        self._powers = tuple(powers)
+
+    def _norm(self, vec: list[int], den: int):
+        if den < 0:
+            vec = [-v for v in vec]
+            den = -den
+        g = den
+        for v in vec:
+            g = gcd(g, v)
+            if g == 1:
+                break
+        if g > 1:
+            vec = [v // g for v in vec]
+            den //= g
+        if all(v == 0 for v in vec):
+            return ((0,) * self.phi, 1)
+        return (tuple(vec), den)
+
+    def _add(self, a, b):
+        (va, da), (vb, db) = a, b
+        if da == db:
+            return self._norm([x + y for x, y in zip(va, vb)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return self._norm([x * ma + y * mb for x, y in zip(va, vb)], da * ma)
+
+    def _neg(self, a):
+        return (tuple(-v for v in a[0]), a[1])
+
+    def _mul(self, a, b):
+        (va, da), (vb, db) = a, b
+        n = self.phi
+        conv = [0] * (2 * n - 1)
+        for i, ai in enumerate(va):
+            if ai:
+                for j, bj in enumerate(vb):
+                    conv[i + j] += ai * bj
+        out = conv[:n]
+        for i in range(n, 2 * n - 1):
+            c = conv[i]
+            if c:
+                row = self._powers[i]
+                for j in range(n):
+                    out[j] += c * row[j]
+        return self._norm(out, da * db)
+
+    def _inv(self, a):
+        # a^-1 = P / N(a) with P the product of the other conjugates of a;
+        # a * P = N(a) is rational
+        if self._is_zero(a):
+            raise DivisionByZero(f"1/0 in {self.kind} field")
+        va, da = a
+        prod = self._coerce_int(1)
+        for images in self._conjugates:
+            conj = [0] * self.phi
+            for i, v in enumerate(va):
+                if v:
+                    for t, r in enumerate(images[i]):
+                        conj[t] += v * r
+            prod = self._mul(prod, (tuple(conj), 1))
+        norm = self._mul((va, 1), prod)[0][0]
+        return self._norm([da * v for v in prod[0]], norm)
+
+    def _is_zero(self, a):
+        return all(v == 0 for v in a[0])
+
+    def _fmt(self, a):
+        va, da = a
+        return _fmt_terms([(Fraction(v, da), i) for i, v in enumerate(va)])
+
+    def _coerce_int(self, n):
+        vec = [0] * self.phi
+        vec[0] = n
+        return self._norm(vec, 1)
+
+    def from_fraction(self, q: Fraction) -> "FieldElement":
+        vec = [0] * self.phi
+        vec[0] = q.numerator
+        return self.element(self._norm(vec, q.denominator))
+
+    def generator(self):
+        vec = [0] * self.phi
+        vec[1] = 1
+        return self.element((tuple(vec), 1))
+
+    def coefficients(self, x: "FieldElement") -> tuple[Fraction, ...]:
+        va, da = x.payload
+        return tuple(Fraction(v, da) for v in va)
+
+
+class Quadratic(_PowerBasis):
+    """Q(g) with g*g = d, d a squarefree integer other than 0 and 1: the
+    power basis over x^2 - d, with the one other conjugate g -> -g."""
 
     kind = "quadratic"
 
@@ -241,37 +353,11 @@ class Quadratic(FieldDescriptor):
         if d in (0, 1) or not _is_squarefree(d):
             raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
         self.d = d
+        super().__init__((-d, 0, 1))
+        self._conjugates = (((1, 0), (0, -1)),)
 
     def _key(self):
         return (self.d,)
-
-    def _add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    def _neg(self, a):
-        return (-a[0], -a[1])
-
-    def _mul(self, a, b):
-        return (a[0] * b[0] + self.d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-    def _inv(self, a):
-        # norm a0^2 - d*a1^2 vanishes only at zero because d is not a square
-        norm = a[0] * a[0] - self.d * a[1] * a[1]
-        if norm == 0:
-            raise DivisionByZero("1/0 in quadratic field")
-        return (a[0] / norm, -a[1] / norm)
-
-    def _is_zero(self, a):
-        return a[0] == 0 and a[1] == 0
-
-    def _fmt(self, a):
-        return _fmt_terms([(a[0], 0), (a[1], 1)])
-
-    def _coerce_int(self, n):
-        return (Fraction(n), Fraction(0))
-
-    def generator(self):
-        return self.element((Fraction(0), Fraction(1)))
 
     def __repr__(self):
         return f"quadratic(d={self.d})"
@@ -373,21 +459,9 @@ class Galois(FieldDescriptor):
         for d in range(1, self.deg // 2 + 1):
             for tail in product(range(self.p), repeat=d):
                 trial = list(tail) + [1]
-                if not any(self._poly_mod(list(self.modulus), trial)):
+                if not any(c % self.p for c in _poly_divmod(self.modulus, trial)[1]):
                     return False
         return True
-
-    def _poly_mod(self, num: list[int], den: list[int]) -> list[int]:
-        p = self.p
-        dd = len(den) - 1
-        num = [c % p for c in num]
-        lead_inv = pow(den[-1], p - 2, p)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i] * lead_inv % p
-            if c:
-                for j in range(dd + 1):
-                    num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-        return num[:dd]
 
     def _pad(self, coeffs: list[int]) -> tuple[int, ...]:
         coeffs = coeffs + [0] * (self.deg - len(coeffs))
@@ -399,7 +473,7 @@ class Galois(FieldDescriptor):
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
-        return self._pad(self._poly_mod(prod, list(self.modulus)))
+        return self._pad(_poly_divmod(prod, self.modulus)[1])
 
     def _poly_pow(self, a, e: int) -> tuple[int, ...]:
         result = self._pad([1])
@@ -498,17 +572,10 @@ class Galois(FieldDescriptor):
         return f"galois(p={self.p}, modulus={list(self.modulus)})"
 
 
-class Cyclotomic(FieldDescriptor):
-    """Q(zeta_m): payload is (integer coefficient tuple, positive denominator).
-
-    Coefficients represent a polynomial in the generator reduced mod the
-    m-th cyclotomic polynomial, so the tuple has length phi(m).  Keeping a
-    single shared denominator keeps sweeps over integral elements in pure
-    integer arithmetic.  A product reduces its high terms through a table
-    of the powers x^e in the power basis; an inverse is the product of
-    the other conjugates of a divided by the rational norm N(a), with each
-    conjugate zeta -> zeta^j read off the same table.
-    """
+class Cyclotomic(_PowerBasis):
+    """Q(zeta_m): the power basis over the m-th cyclotomic polynomial, of
+    degree phi(m), with the conjugates zeta -> zeta^j for 1 < j < m coprime
+    to m, x^i -> x^(i*j mod m) read off the power table."""
 
     kind = "cyclotomic"
 
@@ -516,108 +583,12 @@ class Cyclotomic(FieldDescriptor):
         if m < 3:
             raise ValueError(f"m must be >= 3, got {m}")
         self.m = m
-        self.phi = _totient(m)
-        self.poly = cyclotomic_polynomial(m)
-        # power table: x^e in the power basis for every e < max(m, 2phi-1);
-        # rows phi..2phi-2 reduce a product, rows i*j mod m conjugate
-        powers = [tuple(int(i == e) for i in range(self.phi)) for e in range(self.phi)]
-        top = [-c for c in self.poly[:-1]]  # x^phi
-        while len(powers) < max(m, 2 * self.phi - 1):
-            prev = powers[-1]  # times x: shift up and fold x^phi back in
-            powers.append(tuple(lo + prev[-1] * t for lo, t in zip((0,) + prev[:-1], top)))
-        self._powers = tuple(powers)
+        super().__init__(cyclotomic_polynomial(m), m)
+        self._conjugates = tuple(tuple(self._powers[i * j % m] for i in range(self.phi))
+                                 for j in range(2, m) if gcd(j, m) == 1)
 
     def _key(self):
         return (self.m,)
-
-    def _norm(self, vec: list[int], den: int):
-        if den < 0:
-            vec = [-v for v in vec]
-            den = -den
-        g = den
-        for v in vec:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            vec = [v // g for v in vec]
-            den //= g
-        if all(v == 0 for v in vec):
-            return ((0,) * self.phi, 1)
-        return (tuple(vec), den)
-
-    def _add(self, a, b):
-        (va, da), (vb, db) = a, b
-        if da == db:
-            return self._norm([x + y for x, y in zip(va, vb)], da)
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        return self._norm([x * ma + y * mb for x, y in zip(va, vb)], da * ma)
-
-    def _neg(self, a):
-        return (tuple(-v for v in a[0]), a[1])
-
-    def _mul(self, a, b):
-        (va, da), (vb, db) = a, b
-        n = self.phi
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(va):
-            if ai:
-                for j, bj in enumerate(vb):
-                    conv[i + j] += ai * bj
-        out = conv[:n]
-        for i in range(n, 2 * n - 1):
-            c = conv[i]
-            if c:
-                row = self._powers[i]
-                for j in range(n):
-                    out[j] += c * row[j]
-        return self._norm(out, da * db)
-
-    def _inv(self, a):
-        # a^-1 = P / N(a) with P the product of the conjugates sigma_j(a),
-        # zeta -> zeta^j for 1 < j < m coprime to m; a * P = N(a) is rational
-        if self._is_zero(a):
-            raise DivisionByZero("1/0 in cyclotomic field")
-        va, da = a
-        m, powers = self.m, self._powers
-        prod = self._coerce_int(1)
-        for j in range(2, m):
-            if gcd(j, m) == 1:
-                conj = [0] * self.phi
-                for i, v in enumerate(va):
-                    if v:
-                        for t, r in enumerate(powers[i * j % m]):
-                            conj[t] += v * r
-                prod = self._mul(prod, (tuple(conj), 1))
-        norm = self._mul((va, 1), prod)[0][0]
-        return self._norm([da * v for v in prod[0]], norm)
-
-    def _is_zero(self, a):
-        return all(v == 0 for v in a[0])
-
-    def _fmt(self, a):
-        va, da = a
-        return _fmt_terms([(Fraction(v, da), i) for i, v in enumerate(va)])
-
-    def _coerce_int(self, n):
-        vec = [0] * self.phi
-        vec[0] = n
-        return self._norm(vec, 1)
-
-    def from_fraction(self, q: Fraction) -> "FieldElement":
-        vec = [0] * self.phi
-        vec[0] = q.numerator
-        return self.element(self._norm(vec, q.denominator))
-
-    def generator(self):
-        vec = [0] * self.phi
-        vec[1] = 1
-        return self.element((tuple(vec), 1))
-
-    def coefficients(self, x: "FieldElement") -> tuple[Fraction, ...]:
-        va, da = x.payload
-        return tuple(Fraction(v, da) for v in va)
 
     def __repr__(self):
         return f"cyclotomic(m={self.m})"
@@ -740,9 +711,7 @@ def embed(value, fd: FieldDescriptor) -> FieldElement:
         raise FieldMismatch(f"cannot embed {type(value).__name__} into {fd!r}")
     if fd.characteristic() != 0:
         raise FieldMismatch("rational embedding requires characteristic 0")
-    if isinstance(fd, (Rational, Cyclotomic)):
-        return fd.from_fraction(value)
-    return fd.from_int(value.numerator) / fd.from_int(value.denominator)
+    return fd.from_fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -896,19 +865,26 @@ def descriptor_to_json(fd: FieldDescriptor) -> dict:
     raise ValueError(f"unknown descriptor {fd!r}")
 
 
+def _json_int(value) -> int:
+    # int() would truncate 5.9 and parse "7"; bool is an int subclass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def descriptor_from_json(obj: dict) -> FieldDescriptor:
     try:
         kind = obj["kind"]
         if kind == "rational":
             return Rational()
         if kind == "quadratic":
-            return Quadratic(int(obj["d"]))
+            return Quadratic(_json_int(obj["d"]))
         if kind == "prime":
-            return Prime(int(obj["p"]))
+            return Prime(_json_int(obj["p"]))
         if kind == "galois":
-            return Galois(int(obj["p"]), [int(c) for c in obj["modulus"]])
+            return Galois(_json_int(obj["p"]), [_json_int(c) for c in obj["modulus"]])
         if kind == "cyclotomic":
-            return Cyclotomic(int(obj["m"]))
+            return Cyclotomic(_json_int(obj["m"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad field descriptor: {exc}", 0) from exc
     raise ParseError(f"unknown field kind {kind!r}", 0)

@@ -1,25 +1,23 @@
 """Exact dense linear algebra over any field descriptor.
 
-Determinants of size at most 3 are cofactor expansions on raw payloads,
-with no inversions.  Larger ones use fraction-free (Bareiss) elimination
-over the rationals and plain exact-division Gaussian elimination
-everywhere else.  The library's one echelon is the span (_Span, and
-_IntegerSpan on fraction-free integer rows over Q): an incremental row
-echelon of raw payload rows.  The intersection lattice, the
-discriminantal rank check and the translate solver build on it, and so
-do rank, rank_of_rows, kernel, solve and inverse: the rank is the
-span's, and a kernel basis, a solution of M x = b and M^-1 are null
-vectors read off it by back-substitution.  inverse is the library's one
-matrix inverse; the translate solver needs none, since its incidence
-tests are discriminantal normals too.  The public functions unwrap
-their field elements once and wrap the result once.  Pivots are the
-first nonzero entry of a row; exact arithmetic needs no magnitude
-heuristics.
+The one determinant, _det_payloads, works on raw payloads through the
+descriptor hooks: a cofactor expansion up to 3x3, with no inversions,
+and Gaussian elimination above that; det wraps it.  The library's one
+echelon is the span (_Span, and _IntegerSpan on fraction-free integer
+rows over Q): an incremental row echelon of raw payload rows.  The
+intersection lattice, the discriminantal rank check and the translate
+solver build on it, and so do rank, rank_of_rows, kernel, solve and
+inverse: the rank is the span's, and a kernel basis, a solution of
+M x = b and M^-1 are null vectors read off it by back-substitution.
+inverse is the library's one matrix inverse; the translate solver needs
+none, since its incidence tests are discriminantal normals too.  The
+public functions unwrap their field elements once and wrap the result
+once.  Pivots are the first nonzero entry of a row; exact arithmetic
+needs no magnitude heuristics.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .exactfield import FieldDescriptor, FieldElement, FieldMismatch, Rational
@@ -146,94 +144,49 @@ def _dot(u, v, field) -> FieldElement:
 # determinant
 
 def det(m: Matrix) -> FieldElement:
-    """Determinant: cofactor expansion on payloads up to 3x3, then
-    Bareiss over Q and Gaussian elimination over other fields."""
+    """Determinant; see _det_payloads."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    if m.rows == 0:
-        return m.field.one()
-    if m.rows <= 3:
-        rows = [[e.payload for e in m.row(i)] for i in range(m.rows)]
-        return FieldElement(m.field, _det_payloads(m.field, rows))
-    if isinstance(m.field, Rational):
-        return _det_bareiss_rational(m)
-    return _det_gauss(m)
+    return FieldElement(m.field, _det_payloads(m.field, _matrix_rows(m)))
 
 
 def _det_payloads(fd: FieldDescriptor, rows):
     """Payload of the determinant of a square matrix of payloads.  Up to
     3x3 it is a cofactor expansion through the descriptor hooks (at most
-    nine products, no inversions); larger matrices go through det."""
+    nine products, no inversions); larger matrices take Gaussian
+    elimination through the same hooks, the product of the pivots with a
+    sign per row swap."""
     mul, add, neg = fd._mul, fd._add, fd._neg
     n = len(rows)
-    if n > 3:
-        return det(Matrix(fd, n, n, [FieldElement(fd, x) for r in rows for x in r])).payload
-    if n == 1:
-        return rows[0][0]
     if n == 2:
         (a, b), (c, d) = rows
         return add(mul(a, d), neg(mul(b, c)))
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return add(add(mul(a, add(mul(e, i), neg(mul(f, h)))),
-                   mul(b, add(mul(f, g), neg(mul(d, i))))),
-               mul(c, add(mul(d, h), neg(mul(e, g)))))
-
-
-def _det_bareiss_rational(m: Matrix) -> FieldElement:
-    # clear denominators row by row, then run integer Bareiss
-    n = m.rows
-    scale = Fraction(1)
-    a: list[list[int]] = []
-    for i in range(n):
-        fracs = [e.payload for e in m.row(i)]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        scale *= mult
-        a.append([int(f * mult) for f in fracs])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return m.field.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return m.field.from_fraction(Fraction(sign * a[n - 1][n - 1]) / scale)
-
-
-def _det_gauss(m: Matrix) -> FieldElement:
-    n = m.rows
-    a = m.row_list()
-    field = m.field
-    result = field.one()
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return add(add(mul(a, add(mul(e, i), neg(mul(f, h)))),
+                       mul(b, add(mul(f, g), neg(mul(d, i))))),
+                   mul(c, add(mul(d, h), neg(mul(e, g)))))
+    if n < 2:
+        return rows[0][0] if n else fd._coerce_int(1)
+    is_zero = fd._is_zero
+    a = [list(r) for r in rows]
+    result = fd._coerce_int(1)
     for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if not a[i][k].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return field.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            result = -result
-        pivot = a[k][k]
-        result = result * pivot
-        inv = pivot.inv()
+        piv = k
+        while is_zero(a[piv][k]):
+            piv += 1
+            if piv == n:
+                return fd._coerce_int(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            result = neg(result)
+        result = mul(result, a[k][k])
+        inv = fd._inv(a[k][k])
         for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor.is_zero():
-                continue
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - factor * a[k][j]
-            a[i][k] = field.zero()
+            if not is_zero(a[i][k]):
+                factor = neg(mul(a[i][k], inv))
+                for j in range(k + 1, n):
+                    a[i][j] = add(a[i][j], mul(factor, a[k][j]))
     return result
 
 

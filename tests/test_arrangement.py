@@ -183,3 +183,10 @@ def test_json_roundtrip_over_each_field():
 def test_json_rejects_garbage():
     with pytest.raises((KeyError, ValueError, TypeError)):
         arrangement_from_json({"k": 2})
+
+
+def test_json_rejects_bool_k():
+    obj = arrangement_to_json(crapo())
+    obj["k"] = True
+    with pytest.raises(ValueError, match="k must be an integer"):
+        arrangement_from_json(obj)

@@ -236,8 +236,9 @@ def _sampler(fd):
     if isinstance(fd, Rational):
         return lambda rng: fd.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
     if isinstance(fd, Quadratic):
-        return lambda rng: fd.element((Fraction(rng.randint(-1, 1)),
-                                       Fraction(rng.randint(-1, 1))))
+        g = fd.generator()
+        return lambda rng: (fd.from_int(rng.randint(-1, 1))
+                            + fd.from_int(rng.randint(-1, 1)) * g)
     elements = list(fd.iter_elements())
     return lambda rng: rng.choice(elements)
 

@@ -116,6 +116,29 @@ def test_detect_wrong_schema_file(tmp_path, capsys):
     assert "element strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, slopes", [
+    ({"kind": "quadratic", "d": 5.9}, ["g", "g+1"]),
+    ({"kind": "prime", "p": "7"}, ["2", "3"]),
+    ({"kind": "galois", "p": 2, "modulus": [1, 1.5, 1]}, ["g", "g+1"]),
+])
+def test_detect_non_integer_field_file(tmp_path, capsys, field, slopes):
+    # int() read these as Q(sqrt 5), F_7 and F_4, where the five lines are generic
+    normals = [["1", "0"], ["0", "1"], ["1", "1"]] + [[s, "1"] for s in slopes]
+    p = tmp_path / "field.json"
+    p.write_text(json.dumps({"field": field, "k": 2, "normals": normals}), encoding="utf-8")
+    assert main(["detect", str(p), "--json"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_detect_bool_k_file(tmp_path, capsys):
+    obj = arrangement_to_json(discarr.build_gallery("crapo"))
+    obj["k"] = True
+    p = tmp_path / "bool_k.json"
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["detect", str(p)]) == EXIT_USAGE
+    assert "k must be an integer" in capsys.readouterr().err
+
+
 def test_detect_non_generic_file(tmp_path, capsys):
     q = Rational()
     a = Arrangement(q, 2, ((1, 0), (1, 0), (1, 1), (2, 1), (3, 1), (5, 1)))

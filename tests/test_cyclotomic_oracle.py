@@ -1,12 +1,14 @@
-"""Q(zeta_m) products and inverses against Fraction polynomial arithmetic.
+"""Q(zeta_m) and Q(sqrt d) products and inverses against Fraction
+polynomial arithmetic.
 
 The oracle is the extended Euclid over Q that Cyclotomic._inv used to
-run: an inverse of f modulo the m-th cyclotomic polynomial, by long
-division of Fraction coefficient lists.  The library multiplies through
-a table of powers of the generator and inverts by the norm (the product
-of the other conjugates over the rational norm); payloads must agree
-exactly, for dense elements of every listed m (prime m, where
-2 phi - 1 > m, included) and for every det2 of the polygon galleries.
+run: an inverse of f modulo the field's polynomial (the m-th cyclotomic
+polynomial, or x^2 - d), by long division of Fraction coefficient lists.
+The library multiplies through a table of powers of the generator and
+inverts by the norm (the product of the other conjugates over the
+rational norm); payloads must agree exactly, for dense elements of every
+listed m (prime m, where 2 phi - 1 > m, included) and d, and for every
+det2 of the polygon galleries.
 """
 
 import random
@@ -15,11 +17,12 @@ from itertools import combinations
 
 import pytest
 
-from discarr import Cyclotomic, build_gallery
+from discarr import Cyclotomic, Quadratic, build_gallery
 from discarr.exactfield import DivisionByZero, FieldElement
 from discarr.linalg import _det_payloads
 
 MODULI = (3, 5, 7, 8, 9, 12, 15, 28, 40, 56)
+QUADRATIC_DS = (-7, -3, -1, 2, 3, 5, 13)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +128,15 @@ def test_power_table_matches_oracle(m):
 
 @pytest.mark.parametrize("m", MODULI)
 def test_mul_and_inv_match_oracle_on_dense_elements(m):
-    fd = Cyclotomic(m)
-    rng = random.Random(f"cyclotomic-oracle-{m}")
+    _check_dense_products(Cyclotomic(m), random.Random(f"cyclotomic-oracle-{m}"))
+
+
+@pytest.mark.parametrize("d", QUADRATIC_DS)
+def test_quadratic_mul_and_inv_match_oracle(d):
+    _check_dense_products(Quadratic(d), random.Random(f"quadratic-euclid-oracle-{d}"))
+
+
+def _check_dense_products(fd, rng):
     checked = 0
     for _ in range(6):
         a, b = _dense(fd, rng), _dense(fd, rng)

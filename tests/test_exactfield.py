@@ -263,6 +263,23 @@ def test_descriptor_json_roundtrip():
         assert descriptor_from_json(descriptor_to_json(fd)) == fd
 
 
+@pytest.mark.parametrize("obj", [
+    {"kind": "quadratic", "d": 5.9},
+    {"kind": "quadratic", "d": 5.0},
+    {"kind": "quadratic", "d": True},
+    {"kind": "prime", "p": "7"},
+    {"kind": "prime", "p": 7.0},
+    {"kind": "galois", "p": 2, "modulus": [1, 1.5, 1]},
+    {"kind": "galois", "p": 3, "modulus": [1, False, 1]},
+    {"kind": "galois", "p": 2, "modulus": "111"},
+    {"kind": "cyclotomic", "m": "12"},
+])
+def test_descriptor_json_takes_only_integers(obj):
+    # int() used to truncate 5.9 to 5 and parse "7"
+    with pytest.raises(ParseError):
+        descriptor_from_json(obj)
+
+
 def test_parse_format_roundtrip():
     cases = [
         (Rational(), ["0", "-3", "7/2"]),

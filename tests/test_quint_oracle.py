@@ -9,7 +9,6 @@ center over one det2 table instead; both must find the same families.
 
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -84,9 +83,9 @@ def seeded_sqrt5_lines(n, seed):
     the small grid makes equal cross ratios common."""
     field = Quadratic(5)
     rng = random.Random(f"quint-oracle-sqrt5-{n}-{seed}")
-    grid = [(Fraction(x), Fraction(y)) for x in (-1, 0, 1) for y in (-1, 0, 1)]
-    return Arrangement(field, 2, [(field.element(s), field.one())
-                                  for s in rng.sample(grid, n)])
+    g = field.generator()
+    grid = [field.from_int(x) + field.from_int(y) * g for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    return Arrangement(field, 2, [(s, field.one()) for s in rng.sample(grid, n)])
 
 
 CASES = {

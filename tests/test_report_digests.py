@@ -1,0 +1,48 @@
+"""Report bytes pinned by digest.
+
+Each case runs cli.main in process with --json and compares the sha256 of
+stdout, and the exit code, with values recorded before the Q(sqrt d)
+arithmetic moved onto the shared power basis.  A refactor that changes
+any report byte (a key, an element string, an order) fails here; a
+deliberate change to the report must update the digests and bump SCHEMA.
+"""
+
+import hashlib
+
+import pytest
+
+from discarr.cli import main
+
+DIGESTS = {
+    "detect gallery:octahedral":
+        "b59a520a274174bd42085c519867db6651c4112a219214614f43f9b5004e51af",
+    "classify gallery:octahedral":
+        "241c00f81da9a310b805c7be71feac1a6e6485ff29d11a60b562282642ffc724",
+    "lattice gallery:octahedral":
+        "752324bb87fd2d8a694a72889e1099ea6bca92b1f7aa688146b6ce79cb325570",
+    "detect gallery:dodecahedral":
+        "dbffabff3ae71f0009c6ef0cb2d7786145e8871af9d59e7bf0ed0b87da3b4795",
+    "classify gallery:dodecahedral":
+        "2e5b1183e53214f311851581c3a55b5fb646c3ec17d0cf517a97059fc491b65b",
+    "lattice gallery:dodecahedral":
+        "6a77c4325adcb3d502db662364dae04b26f163b9c3bac704506242bbde9c1a9b",
+    "classify gallery:witness-1^1,5^1":
+        "a6d3963f1b39a05dd08e7295fc03cca4055b1110c7e1732fa42c2bad75dd38a7",
+    "classify gallery:witness-3^2":
+        "51e63367677a6cd5dac355305df0848f65f2f262bfbd85f27e80ea3d3d4eceed",
+    "detect gallery:polygon-7":
+        "79a5dd540c49359d156daacb4b0641e4059134abbdad63d821b68114376f586f",
+    "lattice gallery:polygon-6 --max-rank 2":
+        "f801e3641256e2db1d8cdd6ebbe5a07035cbeb746cbbc28385901a0ece53682f",
+    "table classification":
+        "542f3724c734c584f7133a2979c28a6fa2771a2836c9b79d95fa9cbddee93e62",
+    "table dependencies":
+        "2ea992dbda5ec41ec13c9d6d6c576cc625f4e6c08e4790eebbe984f172c92025",
+}
+
+
+@pytest.mark.parametrize("command", DIGESTS)
+def test_report_bytes_match_recorded_digest(command, capsys):
+    assert main(command.split() + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]

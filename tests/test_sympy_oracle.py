@@ -1,0 +1,74 @@
+"""det and rank against sympy's DomainMatrix, an independent exact oracle.
+
+sympy is optional: without it the module is skipped.  Matrices are
+seeded over Q, Q(sqrt 5) and Q(sqrt -3): dense ones for det at sizes 1-5
+(so both the cofactor and the elimination paths run), and products
+B * C with a short inner dimension, singular ones for det and mostly
+rank deficient ones for rank.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from discarr import Matrix, Quadratic, Rational, det, rank
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+FIELDS = {"Q": Rational(), "sqrt5": Quadratic(5), "sqrt-3": Quadratic(-3)}
+
+
+def _domain(fd):
+    if isinstance(fd, Rational):
+        return sympy.QQ
+    return sympy.QQ.algebraic_field(sympy.sqrt(fd.d))
+
+
+def _to_oracle(K, x):
+    """x in K; the generator g of Q(sqrt d) goes to K.ext, a root of x^2 - d."""
+    if isinstance(x.fd, Rational):
+        return K(x.payload.numerator, x.payload.denominator)
+    c0, c1 = (sympy.QQ(c.numerator, c.denominator) for c in x.fd.coefficients(x))
+    return K.new([c1, c0])
+
+
+def _oracle_matrix(m):
+    K = _domain(m.field)
+    rows = [[_to_oracle(K, m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return K, DomainMatrix(rows, (m.rows, m.cols), K)
+
+
+def _draw(fd, rng):
+    x = fd.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    if isinstance(fd, Quadratic) and rng.random() < 0.7:
+        x = x + fd.from_int(rng.randint(-3, 3)) * fd.generator()
+    return x
+
+
+def _random_matrix(fd, rng, rows, cols):
+    return Matrix(fd, rows, cols, [_draw(fd, rng) for _ in range(rows * cols)])
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_det_matches_sympy(name):
+    fd = FIELDS[name]
+    rng = random.Random(f"sympy-det-{name}")
+    for n in range(1, 6):
+        cases = [_random_matrix(fd, rng, n, n) for _ in range(4)]
+        if n > 1:  # singular: the elimination runs out of pivots
+            cases.append(_random_matrix(fd, rng, n, n - 1) * _random_matrix(fd, rng, n - 1, n))
+        for m in cases:
+            K, oracle = _oracle_matrix(m)
+            assert _to_oracle(K, det(m)) == oracle.det()
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_rank_matches_sympy(name):
+    fd = FIELDS[name]
+    rng = random.Random(f"sympy-rank-{name}")
+    for _ in range(12):
+        rows, cols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        m = _random_matrix(fd, rng, rows, inner) * _random_matrix(fd, rng, inner, cols)
+        assert rank(m) == _oracle_matrix(m)[1].rank()
