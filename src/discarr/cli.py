@@ -9,8 +9,15 @@ Arrangements come from JSON files or gallery:<name> URIs.  Reports are
 deterministic for a fixed input; --json emits schema report.v2 (SCHEMA),
 text mode adds a timing line that --quiet suppresses.
 
-Exit codes: 0 all checks pass, 2 unusable input, 3 non-generic
-arrangement, 4 detected pattern set not closed, 5 table mismatch.
+detect and lattice decide their zero tests over Q(sqrt d) and Q(zeta_m)
+in one certified large prime (modular.modular_image); the report keeps
+the arrangement's own field and digest.  classify and the involution
+maps stay in the arrangement's field, since they print field values.
+
+Exit codes: 0 all checks pass, 1 stdout closed before the report was
+written (a pipe reader such as head exited), 2 unusable input, 3
+non-generic arrangement, 4 detected pattern set not closed, 5 table
+mismatch.
 """
 
 from __future__ import annotations
@@ -18,8 +25,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+from math import comb
 
 from .arrangement import (
     Arrangement,
@@ -37,6 +46,7 @@ from .detectors import (
     quintuple_points,
 )
 from .discriminantal import (
+    MAX_HYPERPLANES,
     TooLarge,
     build_discriminantal,
     intersection_lattice,
@@ -61,9 +71,11 @@ from .gallery import (
     gallery_names,
     witness_spec,
 )
+from .modular import modular_image
 from .permtype import TYPE_ORDER, ClosureViolation, arrangement_type
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_NOT_GENERIC = 3
 EXIT_CLOSURE = 4
@@ -182,7 +194,8 @@ def cmd_detect(args) -> int:
 
 
 def _detect_k2(args, a: Arrangement):
-    quads = quadral_points(a)
+    image = modular_image(a)
+    quads = quadral_points(image)
     quad_set = set(quads)
     results: dict = {
         "quadral_count": len(quads),
@@ -205,7 +218,7 @@ def _detect_k2(args, a: Arrangement):
             {frozenset(frozenset(p) for p in f.matching()) for f in quads}
             == {m for m, _ in invs})
     if a.n >= 7:
-        quints = quintuple_points(a)
+        quints = quintuple_points(image)
         results["quint_count"] = len(quints)
         results["quints"] = [{"center": q.center, "ta": list(q.ta),
                               "tb": list(q.tb)} for q in quints]
@@ -229,13 +242,14 @@ def _detect_k2(args, a: Arrangement):
 
 
 def _detect_k3(args, a: Arrangement):
-    found = good6_points(a)
+    image = modular_image(a)
+    found = good6_points(image)
     results = {
         "good6_count": len(found),
         "good6": [_matching_json(g.matching) for g in found],
         "m_a": len(found),
     }
-    consistency = {"pappus_closure_violations": pappus_closure_check(a)}
+    consistency = {"pappus_closure_violations": pappus_closure_check(image)}
     report = _report("detect", args.input, a, results, consistency)
     lines = [f"detect {args.input}: n={a.n} k=3 field={field_label(a.field)}",
              f"good 6-partitions: {len(found)}"]
@@ -285,10 +299,16 @@ def cmd_classify(args) -> int:
 def cmd_lattice(args) -> int:
     started = time.perf_counter()
     a = load_arrangement(args.input)
-    d = build_discriminantal(a)
+    if comb(a.n, a.k + 1) > MAX_HYPERPLANES:
+        # intersection_lattice refuses it once build_discriminantal has
+        # checked genericity, which needs no certified prime
+        d = build_discriminantal(a)
+    else:
+        d = build_discriminantal(modular_image(a, lattice=True))
     lat = intersection_lattice(d, max_rank=args.max_rank)
     nvg = nvg_flats(lat)
     results = lat.report(nvg=nvg)
+    results["field"] = descriptor_to_json(a.field)
     results["nvg_count"] = len(nvg)
     report = _report("lattice", args.input, a, results, {})
     lines = [f"lattice {args.input}: n={a.n} k={a.k} "
@@ -431,7 +451,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at exit cannot fail again (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -13,6 +13,7 @@ All detectors are pure and return canonical, deduplicated families.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 
 from .arrangement import (
@@ -40,17 +41,29 @@ class TooFewHyperplanes(ValueError):
 def perfect_matchings(items):
     """All ways to split an even index set into unordered pairs.
 
-    Pairs come out as (small, large), sorted by first element."""
+    Pairs come out as (small, large), sorted by first element: the
+    matchings of positions 0..n-1 relabelled by the sorted items."""
     items = sorted(items)
-    if not items:
-        return [()]
-    out = []
-    first, rest = items[0], items[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for tail in perfect_matchings(remaining):
-            out.append(((first, partner),) + tail)
-    return out
+    return [tuple((items[i], items[j]) for i, j in m)
+            for m in _matching_pattern(len(items))]
+
+
+@cache
+def _matching_pattern(n: int) -> tuple:
+    """The perfect matchings of positions 0..n-1 (none for odd n), each
+    pairing 0 first, with the matchings of the positions left after each
+    partner in turn."""
+    if n % 2:
+        return ()
+    pattern = ((),)
+    for size in range(2, n + 1, 2):
+        grown = []
+        for partner in range(1, size):
+            rest = [x for x in range(1, size) if x != partner]
+            grown += [((0, partner),) + tuple((rest[i], rest[j]) for i, j in m)
+                      for m in pattern]
+        pattern = tuple(grown)
+    return pattern
 
 
 class FourSet:
@@ -254,9 +267,12 @@ class QuintFamily:
     def __hash__(self):
         return hash((self.center, self.ta, self.tb))
 
+    def _sort_key(self) -> tuple:
+        """The order of __lt__: support, then center, ta and tb."""
+        return (self.support, self.center, self.ta, self.tb)
+
     def __lt__(self, other: "QuintFamily"):
-        return ((self.support, self.center, self.ta, self.tb)
-                < (other.support, other.center, other.ta, other.tb))
+        return self._sort_key() < other._sort_key()
 
     def __repr__(self):
         return f"QuintFamily(center={self.center}, {self.ta} | {self.tb})"
@@ -308,7 +324,7 @@ def quintuple_points(a: Arrangement) -> list[QuintFamily]:
                 if ta[0] < ta[1] < ta[2]:
                     found += [QuintFamily(c, ta, tb) for tb in members
                               if min(tb) > ta[0] and not set(ta) & set(tb)]
-    return sorted(found)
+    return sorted(found, key=QuintFamily._sort_key)
 
 
 def quint_closure_checks(families: list[QuintFamily]) -> list[str]:

@@ -32,6 +32,11 @@ class TooLarge(ValueError):
     """The arrangement exceeds the supported lattice-computation size."""
 
 
+# intersection_lattice refuses a discriminantal arrangement with more
+# hyperplanes than this
+MAX_HYPERPLANES = 64
+
+
 def _as_subset(a: Arrangement, L) -> tuple[int, ...]:
     key = tuple(sorted(L))
     if len(key) != a.k + 1 or len(set(key)) != len(key):
@@ -189,8 +194,8 @@ def intersection_lattice(d: DiscriminantalArrangement,
     is F's plus the class key.  Level 1 is the covers of the rank-0 flat,
     whose echelon is empty.  The top level is the single central flat.
     """
-    if len(d.hyperplanes) > 64:
-        raise TooLarge(f"{len(d.hyperplanes)} hyperplanes exceeds the 64 cap")
+    if len(d.hyperplanes) > MAX_HYPERPLANES:
+        raise TooLarge(f"{len(d.hyperplanes)} hyperplanes exceeds the {MAX_HYPERPLANES} cap")
     top = d.n - d.k
     if max_rank is None:
         max_rank = top

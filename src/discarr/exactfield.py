@@ -36,19 +36,43 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # small integer helpers
 
+# Miller-Rabin on the first 13 prime bases is deterministic below this
+# bound (J. Sorenson and J. Webster, Math. Comp. 86 (2017)); Prime and
+# Galois refuse larger p
+_PRIME_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Primality of 0 <= n < _PRIME_LIMIT, decided by strong probable-prime
+    tests to the bases _MR_BASES."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _check_prime(p: int) -> None:
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"p must be below {_PRIME_LIMIT}, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _is_squarefree(n: int) -> bool:
@@ -267,7 +291,7 @@ class _PowerBasis(FieldDescriptor):
         if g > 1:
             vec = [v // g for v in vec]
             den //= g
-        if all(v == 0 for v in vec):
+        if not any(vec):
             return ((0,) * self.phi, 1)
         return (tuple(vec), den)
 
@@ -305,19 +329,19 @@ class _PowerBasis(FieldDescriptor):
         if self._is_zero(a):
             raise DivisionByZero(f"1/0 in {self.kind} field")
         va, da = a
-        prod = self._coerce_int(1)
+        prod = None
         for images in self._conjugates:
             conj = [0] * self.phi
             for i, v in enumerate(va):
                 if v:
                     for t, r in enumerate(images[i]):
                         conj[t] += v * r
-            prod = self._mul(prod, (tuple(conj), 1))
+            prod = (tuple(conj), 1) if prod is None else self._mul(prod, (tuple(conj), 1))
         norm = self._mul((va, 1), prod)[0][0]
         return self._norm([da * v for v in prod[0]], norm)
 
     def _is_zero(self, a):
-        return all(v == 0 for v in a[0])
+        return not any(a[0])
 
     def _fmt(self, a):
         va, da = a
@@ -343,13 +367,20 @@ class _PowerBasis(FieldDescriptor):
         return tuple(Fraction(v, da) for v in va)
 
 
+# |d| below this keeps the squarefree test to 2^16 trial divisors
+_QUADRATIC_LIMIT = 1 << 32
+
+
 class Quadratic(_PowerBasis):
-    """Q(g) with g*g = d, d a squarefree integer other than 0 and 1: the
-    power basis over x^2 - d, with the one other conjugate g -> -g."""
+    """Q(g) with g*g = d, d a squarefree integer other than 0 and 1 with
+    |d| < 2^32: the power basis over x^2 - d, with the one other conjugate
+    g -> -g."""
 
     kind = "quadratic"
 
     def __init__(self, d: int):
+        if abs(d) >= _QUADRATIC_LIMIT:
+            raise ValueError(f"|d| must be below {_QUADRATIC_LIMIT}, got {d}")
         if d in (0, 1) or not _is_squarefree(d):
             raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
         self.d = d
@@ -364,12 +395,23 @@ class Quadratic(_PowerBasis):
 
 
 class Prime(FieldDescriptor):
+    """F_p for a prime p below _PRIME_LIMIT; _certified builds a larger
+    one that the caller has proven prime."""
+
     kind = "prime"
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        _check_prime(p)
         self.p = p
+
+    @classmethod
+    def _certified(cls, p: int) -> "Prime":
+        """F_p for p of any size proven prime by the caller; only the
+        modular image's Lucas-certified prime takes this route, and no
+        field JSON reaches it."""
+        fd = cls.__new__(cls)
+        fd.p = p
+        return fd
 
     def _key(self):
         return (self.p,)
@@ -389,7 +431,7 @@ class Prime(FieldDescriptor):
     def _inv(self, a):
         if a == 0:
             raise DivisionByZero(f"1/0 in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def _is_zero(self, a):
         return a == 0
@@ -431,8 +473,7 @@ class Galois(FieldDescriptor):
     kind = "galois"
 
     def __init__(self, p: int, modulus: Iterable[int]):
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        _check_prime(p)
         mod = [c % p for c in modulus]
         while mod and mod[-1] == 0:
             mod.pop()
@@ -572,16 +613,22 @@ class Galois(FieldDescriptor):
         return f"galois(p={self.p}, modulus={list(self.modulus)})"
 
 
+# the power table has m rows of phi(m) entries and the conjugates phi(m)
+# rows each: at m = 509, a prime, construction takes about 0.12 s
+_CYCLOTOMIC_LIMIT = 512
+
+
 class Cyclotomic(_PowerBasis):
-    """Q(zeta_m): the power basis over the m-th cyclotomic polynomial, of
-    degree phi(m), with the conjugates zeta -> zeta^j for 1 < j < m coprime
-    to m, x^i -> x^(i*j mod m) read off the power table."""
+    """Q(zeta_m) for 3 <= m <= 512: the power basis over the m-th
+    cyclotomic polynomial, of degree phi(m), with the conjugates
+    zeta -> zeta^j for 1 < j < m coprime to m, x^i -> x^(i*j mod m) read
+    off the power table."""
 
     kind = "cyclotomic"
 
     def __init__(self, m: int):
-        if m < 3:
-            raise ValueError(f"m must be >= 3, got {m}")
+        if not 3 <= m <= _CYCLOTOMIC_LIMIT:
+            raise ValueError(f"m must be in 3..{_CYCLOTOMIC_LIMIT}, got {m}")
         self.m = m
         super().__init__(cyclotomic_polynomial(m), m)
         self._conjugates = tuple(tuple(self._powers[i * j % m] for i in range(self.phi))

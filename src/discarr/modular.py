@@ -1,0 +1,141 @@
+"""Zero tests over Q(sqrt d) and Q(zeta_m) decided in one certified prime.
+
+Every answer of the detectors and of the lattice is the vanishing
+pattern of integer polynomials in the normals' entries: det2 products,
+cross-ratio equalities, determinants of cross products and the minors
+of the discriminantal normals.  After each normal is scaled to integral
+coefficients (every test is homogeneous in each normal), such a value
+alpha lies in Z[x]/(f).  Reducing x to a root r of f modulo a prime p
+sends Z[x]/(f) onto F_p with a kernel P of index p; a nonzero alpha in
+P has p dividing |N(alpha)|, since alpha Z[x]/(f) lies in P.  So when p
+exceeds a bound on |N(alpha)| for every alpha tested, each test answers
+the same in F_p as in K: this is the "big prime" modular method (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5).
+
+The bound: every embedding sends x to a root of modulus at most R (1 for
+zeta_m, sqrt|d| for sqrt d), so |sigma(alpha)| is at most the l1 norm of
+alpha's coefficients weighted by R^i, and |N(alpha)| is at most the
+phi-th power of a bound on that.  The prime is p = 1 + c*m*2^a with p - 1
+fully factored, proven prime by the Lucas n - 1 test (Crandall and
+Pomerance, Prime Numbers, 4.1.1), whose primitive root g gives
+zeta -> g^((p-1)/m); over Q(sqrt d), p has (d/p) = 1 and sqrt d mod p is
+taken by Tonelli-Shanks.
+"""
+
+from __future__ import annotations
+
+from math import gcd, isqrt, lcm, prod
+
+from .arrangement import Arrangement
+from .exactfield import Cyclotomic, Prime, Quadratic, _PowerBasis, _prime_factors
+
+# bases tried for the primitive root; the least one is small for every
+# prime, and a candidate none of them certifies is skipped
+_LUCAS_TRIES = 1000
+
+
+def modular_image(a: Arrangement, lattice: bool = False) -> Arrangement:
+    """An arrangement over a certified prime field on which the detectors
+    for a.k (lattice=False) or the discriminantal lattice (lattice=True)
+    give the same answers as on a.  Over Q and the finite fields, a itself.
+
+    The bound covers, for k = 2, the quint equality
+    |c t1||t0 t2||c s2||s0 s1| - |c s1||s0 s2||c t2||t0 t1| (degree 4 in
+    det2, so also the quadral products and the det2 values); for k = 3,
+    the determinant of three cross products (so also the cross products
+    against a third normal); for the lattice, Hadamard's bound on every
+    minor of size at most n - k of the discriminantal normals, whose
+    entries are the k x k minors of the base normals (so also the
+    genericity minors and the rank check).
+    """
+    fd = a.field
+    if not isinstance(fd, _PowerBasis):
+        return a
+    rows = [_integral(v) for v in a.normals]
+    r = isqrt(abs(fd.d) - 1) + 1 if isinstance(fd, Quadratic) else 1
+    b = max(sum(abs(c) * r ** i for i, c in enumerate(vec)) for row in rows for vec in row)
+    k = a.k
+    if lattice:
+        s = a.n - k
+        bound = (isqrt((k + 1) ** s * k ** (k * s)) + 1) * b ** (k * s)
+    elif k == 2:
+        bound = 2 * (2 * b * b) ** 4
+    else:
+        bound = 6 * (2 * b * b) ** 3
+    p, root = _certified_prime(fd, bound ** fd.phi)
+    powers = [pow(root, i, p) for i in range(fd.phi)]
+    image = Prime._certified(p)
+    return Arrangement(image, k, [[sum(c * w for c, w in zip(vec, powers)) for vec in row]
+                                  for row in rows])
+
+
+def _integral(v) -> list[tuple[int, ...]]:
+    """The coefficient vectors of the normal v scaled by the common
+    denominator of its entries."""
+    den = lcm(*(e.payload[1] for e in v))
+    return [tuple(c * (den // e.payload[1]) for c in e.payload[0]) for e in v]
+
+
+def _certified_prime(fd: _PowerBasis, bound: int) -> tuple[int, int]:
+    """The least prime p = 1 + c*m*2^a above bound, for the least a that
+    allows c = 1, that the Lucas test proves prime and that has a root of
+    fd's polynomial; returns p and that root."""
+    m = fd.m if isinstance(fd, Cyclotomic) else 1
+    a = max(bound.bit_length() - m.bit_length() + 1, 1)
+    step = m << a
+    base = [2] + [q for q in _prime_factors(m) if q != 2]
+    # a candidate sharing a factor with the odd primes below 3000 is
+    # skipped before any modular power is spent on it
+    sieve = bytearray([1]) * 3000
+    for q in range(3, 55, 2):
+        sieve[q * q::2 * q] = bytes(len(range(q * q, 3000, 2 * q)))
+    small = prod(q for q in range(3, 3000, 2) if sieve[q])
+    c = 0
+    while True:
+        c += 1
+        p = 1 + c * step
+        if gcd(p, small) != 1:
+            continue
+        if isinstance(fd, Quadratic) and pow(fd.d % p, (p - 1) // 2, p) != 1:
+            continue
+        factors = base + [q for q in _prime_factors(c) if q not in base]
+        g = _lucas_root(p, factors)
+        if g is None:
+            continue
+        if isinstance(fd, Quadratic):
+            return p, _sqrt_mod(fd.d % p, p, g)
+        return p, pow(g, (p - 1) // m, p)
+
+
+def _lucas_root(n: int, factors) -> int | None:
+    """A primitive root modulo n, given every prime factor of n - 1: a g
+    with g^(n-1) = 1 and g^((n-1)/q) != 1 for each of them has order n - 1,
+    which proves n prime.  None when a Fermat witness shows n composite,
+    or when no base below _LUCAS_TRIES passes."""
+    for g in range(2, min(n, 2 + _LUCAS_TRIES)):
+        if pow(g, n - 1, n) != 1:
+            return None
+        if all(pow(g, (n - 1) // q, n) != 1 for q in factors):
+            return g
+    return None
+
+
+def _sqrt_mod(d: int, p: int, g: int) -> int:
+    """A square root of the quadratic residue d modulo the odd prime p, by
+    Tonelli-Shanks; the primitive root g is the non-residue it needs."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = pow(g, q, p)
+    x, t = pow(d, (q + 1) // 2, p), pow(d, q, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then fold z^(2^(s-i-1)) into x
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        w = pow(z, 1 << (s - i - 1), p)
+        x, z = x * w % p, w * w % p
+        t, s = t * z % p, i
+    return x

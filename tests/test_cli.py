@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import discarr
 from discarr import arrangement_to_json, Rational, Arrangement
 from discarr.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CLOSURE,
     EXIT_NOT_GENERIC,
     EXIT_OK,
@@ -128,6 +130,18 @@ def test_detect_non_integer_field_file(tmp_path, capsys, field, slopes):
     p.write_text(json.dumps({"field": field, "k": 2, "normals": normals}), encoding="utf-8")
     assert main(["detect", str(p), "--json"]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def test_detect_prime_above_limit_exits_at_once(tmp_path, capsys):
+    # trial division would have run for years on this p
+    normals = [["1", "0"], ["0", "1"], ["1", "1"], ["2", "1"], ["3", "1"], ["5", "1"]]
+    p = tmp_path / "big_prime.json"
+    p.write_text(json.dumps({"field": {"kind": "prime", "p": 10 ** 30 + 57}, "k": 2,
+                             "normals": normals}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["detect", str(p), "--json"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1
+    assert "p must be below" in capsys.readouterr().err
 
 
 def test_detect_bool_k_file(tmp_path, capsys):
@@ -356,3 +370,19 @@ def test_module_entry_point():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == EXIT_OK
     assert "table: ok" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["classify", "gallery:f4", "--json"],
+                                  ["lattice", "gallery:crapo", "--json"]])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # as `discarr ... | head`: the reader is gone before the report is written
+    src = os.path.dirname(os.path.dirname(discarr.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "discarr"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 1
+    assert err == b""

@@ -29,7 +29,7 @@ from discarr import (
     rank_of_rows,
 )
 from discarr.detectors import BadFourSet, NotDimension3, TooFewHyperplanes
-from discarr.gallery import crapo, dodecahedral, parametrized
+from discarr.gallery import crapo, dodecahedral, parametrized, regular_polygon
 
 from _helpers import matching_foursets, random_k2
 
@@ -49,6 +49,35 @@ def test_perfect_matchings_counts():
     for pairs in perfect_matchings((3, 1, 4, 2)):
         assert pairs[0][0] == 1
         assert all(a < b for a, b in pairs)
+
+
+def _perfect_matchings_oracle(items):
+    # the recursive enumerator perfect_matchings replaced
+    items = sorted(items)
+    if not items:
+        return [()]
+    out = []
+    first, rest = items[0], items[1:]
+    for i, partner in enumerate(rest):
+        for tail in _perfect_matchings_oracle(rest[:i] + rest[i + 1:]):
+            out.append(((first, partner),) + tail)
+    return out
+
+
+def test_perfect_matchings_match_recursive_oracle():
+    rng = random.Random(11)
+    for n in range(11):
+        items = rng.sample(range(100), n)
+        assert perfect_matchings(items) == _perfect_matchings_oracle(items)
+        assert perfect_matchings(range(1, n + 1)) == _perfect_matchings_oracle(range(1, n + 1))
+
+
+def test_quint_families_come_in_lt_order():
+    fams = quintuple_points(regular_polygon(8))
+    assert len(fams) == 104
+    shuffled = fams[:]
+    random.Random(8).shuffle(shuffled)
+    assert sorted(shuffled) == fams
 
 
 def test_fourset_structure():

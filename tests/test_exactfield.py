@@ -1,6 +1,7 @@
 """Field arithmetic: axioms, parsing, serialization, and known values."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from discarr import (
     format_element,
     parse_element,
 )
-from discarr.exactfield import cyclotomic_polynomial
+from discarr.exactfield import _PRIME_LIMIT, _is_prime, cyclotomic_polynomial
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -118,6 +119,69 @@ def test_prime_rejects_composite():
     for p in (1, 4, 6, 9):
         with pytest.raises(ValueError):
             Prime(p)
+
+
+@pytest.mark.parametrize("p", [7, 13, 2 ** 127 - 1])
+def test_prime_inverse_matches_fermat_oracle(p):
+    # 2^127 - 1 is above the limit Prime checks; it is a known prime
+    f = Prime(p) if p < _PRIME_LIMIT else Prime._certified(p)
+    rng = random.Random(p)
+    for a in list(range(1, min(p, 50))) + [rng.randrange(1, p) for _ in range(50)]:
+        assert f._inv(a) == pow(a, p - 2, p)
+    with pytest.raises(DivisionByZero):
+        f._inv(0)
+
+
+def _is_prime_oracle(n):
+    return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(20000) if _is_prime_oracle(n)]
+    for n in (2 ** 31 - 1, 10 ** 9 + 7, 2 ** 61 - 1, 3317044064679887385961813):
+        assert _is_prime(n)
+
+
+# Carmichael numbers; strong pseudoprimes to the bases 2, 3, 5, 7 and to
+# the primes through 23; and psi_12, a strong pseudoprime to the first
+# 12 prime bases that the 13th base exposes
+PSEUDOPRIMES = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                3215031751, 3825123056546413051, 318665857834031151167461)
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError):
+        Prime(n)
+
+
+def test_fields_refuse_sizes_past_their_limits():
+    for p in (_PRIME_LIMIT, 10 ** 30 + 57, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="below"):
+            Prime(p)
+        with pytest.raises(ValueError, match="below"):
+            Galois(p, (1, 0, 1))
+    for d in (2 ** 32 + 15, -(2 ** 32 + 15), 10 ** 30 + 57):
+        with pytest.raises(ValueError, match="below"):
+            Quadratic(d)
+    for m in (513, 10 ** 6):
+        with pytest.raises(ValueError, match="3..512"):
+            Cyclotomic(m)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Prime(3317044064679887385961813),
+    lambda: Quadratic(4294967291),
+    lambda: Quadratic(-4294967291),
+    lambda: Cyclotomic(509),
+    lambda: Cyclotomic(512),
+], ids=["prime", "quadratic+", "quadratic-", "cyclotomic509", "cyclotomic512"])
+def test_field_construction_at_the_limit_is_quick(build):
+    start = time.perf_counter()
+    build()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_prime_inverses_all_nonzero():

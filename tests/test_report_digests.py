@@ -34,6 +34,18 @@ DIGESTS = {
         "79a5dd540c49359d156daacb4b0641e4059134abbdad63d821b68114376f586f",
     "lattice gallery:polygon-6 --max-rank 2":
         "f801e3641256e2db1d8cdd6ebbe5a07035cbeb746cbbc28385901a0ece53682f",
+    "detect gallery:polygon-8":
+        "c8fb440b8d23a24a40bd3940cd9d3b975fc0c72a7bd3a0e41fda44a027c3d1c0",
+    "detect gallery:polygon-9":
+        "9dd2be6fcd559ebfe565023568e95b3c1c049f81696b139f9ecb8253a0e96727",
+    "detect gallery:polygon-10":
+        "7a067e16562c86834e4fdac8ddf01f3cfee50e11088a823b49785920567e2cdd",
+    "lattice gallery:polygon-6":
+        "136edc0f888abd20ce2375399e45de983a48d85e61b8dc2e1ce670a270884df0",
+    "lattice gallery:polygon-7 --max-rank 2":
+        "92df3d74856b96178949011c451a3b67430ff7d1e4668ea13530b4910f9b38c4",
+    "detect gallery:witness-1^1,5^1":
+        "187e02d8d8c22b33762c99b1f255ea38607eadb0d0aa3d36e27de693fa6f81ba",
     "table classification":
         "542f3724c734c584f7133a2979c28a6fa2771a2836c9b79d95fa9cbddee93e62",
     "table dependencies":
