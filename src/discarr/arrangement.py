@@ -3,7 +3,9 @@
 An arrangement is a list of n normal vectors in K^k with n > k >= 1.
 Hyperplane p is { x : alpha_p . x = t_p }; the library keeps only the
 normals (offsets live in separate translation vectors t in K^n).
-Indices are 1-based throughout the public interface.
+Indices are 1-based throughout the public interface.  Genericity, the
+line detectors' det2 table, the discriminantal normals and the
+translate solver all read one table of k x k minors.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class DegeneratePoints(ValueError):
 
 
 class NoGenericWitness(RuntimeError):
-    """Every candidate translation hits a forbidden extra incidence."""
+    """Over a field of small characteristic, every kernel vector hits a
+    forbidden extra incidence, or there are too many to enumerate."""
 
 
 def _as_element(field: FieldDescriptor, value) -> FieldElement:
@@ -50,7 +53,7 @@ def _as_element(field: FieldDescriptor, value) -> FieldElement:
 class Arrangement:
     """n hyperplanes through the origin of K^k, one normal each."""
 
-    __slots__ = ("field", "k", "n", "_normals")
+    __slots__ = ("field", "k", "n", "_normals", "_minors")
 
     def __init__(self, field: FieldDescriptor, k: int, normals):
         rows = [tuple(_as_element(field, e) for e in v) for v in normals]
@@ -64,6 +67,7 @@ class Arrangement:
         self.k = k
         self.n = len(rows)
         self._normals = tuple(rows)
+        self._minors = None
 
     @property
     def normals(self) -> tuple[Vector, ...]:
@@ -79,6 +83,17 @@ class Arrangement:
     def indices(self) -> range:
         return range(1, self.n + 1)
 
+    def minors(self) -> dict:
+        """Payload of every k x k minor of the normals, keyed by its
+        sorted 1-based index tuple; computed on the first call and kept
+        (the arrangement is immutable), so every caller gets one dict."""
+        if self._minors is None:
+            fd = self.field
+            rows = [[e.payload for e in v] for v in self._normals]
+            self._minors = {sub: _det_payloads(fd, [rows[p - 1] for p in sub])
+                            for sub in combinations(self.indices, self.k)}
+        return self._minors
+
     def __eq__(self, other):
         if not isinstance(other, Arrangement):
             return NotImplemented
@@ -93,10 +108,20 @@ class Arrangement:
 
 def is_generic(a: Arrangement) -> bool:
     """True iff every k-subset of normals is linearly independent."""
+    is_zero = a.field._is_zero
+    return not any(is_zero(d) for d in a.minors().values())
+
+
+def _discriminantal_row(a: Arrangement, key: tuple) -> list:
+    """Payload row of the normal of D_key, key a sorted (k+1)-subset:
+    coordinate p_j is (-1)^(j+1) times the minor with p_j deleted."""
     fd = a.field
-    rows = [[e.payload for e in v] for v in a.normals]
-    return not any(fd._is_zero(_det_payloads(fd, sub))
-                   for sub in combinations(rows, a.k))
+    minors = a.minors()
+    row = [fd._coerce_int(0)] * a.n
+    for j, p in enumerate(key):
+        d = minors[key[:j] + key[j + 1:]]
+        row[p - 1] = d if j % 2 == 0 else fd._neg(d)
+    return row
 
 
 def projectively_equal(u: Vector, v: Vector) -> bool:
@@ -267,9 +292,11 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
     Returns t in K^n such that for every L in the family the hyperplanes
     {alpha_p . x = t_p : p in L} share a point and no hyperplane outside
     L passes through that point.  Returns None when no such t exists.
-    Raises NoGenericWitness when the field has too few elements to avoid
-    the finitely many forbidden subspaces.  The search runs on raw
-    payloads; only the returned t is wrapped.
+    The search runs on raw payloads; only the returned t is wrapped.
+    On t(c) = sum c^(i-1) b_i over a kernel basis b_1..b_dim, each of the
+    F extra incidences is a nonzero polynomial in c of degree < dim, so
+    c = 0..F(dim - 1) holds a witness when those c are distinct; else the
+    kernel is enumerated (NoGenericWitness: too large, or no witness).
     """
     if not isinstance(family, IndexFamily):
         family = IndexFamily(family)
@@ -283,13 +310,9 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
         if any(not 1 <= p <= n for p in L):
             raise ValueError(f"family set {L} has out-of-range indices")
     add, mul, is_zero = f._add, f._mul, f._is_zero
-    zero, one = f._coerce_int(0), f._coerce_int(1)
-    normals = [None] + [[e.payload for e in v] for v in a.normals]
+    zero = f._coerce_int(0)
 
-    from .discriminantal import _normal_payloads
-
-    minors = {}  # each k x k minor once, for the kernel rows and the incidences
-    rows = [_normal_payloads(f, normals, sub, n, minors)
+    rows = [_discriminantal_row(a, sub)
             for L in family for sub in combinations(L, k + 1)]
     basis = _Span.over(f, rows).kernel(n)
     if not basis:
@@ -304,8 +327,8 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
         for q in a.indices:
             if q in L:
                 continue
-            key = sorted(head + (q,))
-            d = _normal_payloads(f, normals, key, n, minors)
+            key = tuple(sorted(head + (q,)))
+            d = _discriminantal_row(a, key)
             vals = []
             for b in basis:
                 acc = zero
@@ -321,48 +344,32 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
         for vals in evaluated:
             acc = zero
             for c, v in zip(coeffs, vals):
-                if c is not None:
-                    acc = add(acc, mul(c, v))
+                acc = add(acc, mul(c, v))
             if is_zero(acc):
                 return None
         t = [zero] * n
         for c, b in zip(coeffs, basis):
-            if c is None:
-                continue
             for i in range(n):
                 t[i] = add(t[i], mul(c, b[i]))
         return tuple(FieldElement(f, x) for x in t)
 
     dim = len(basis)
+    bound = len(evaluated) * (dim - 1)
     char = f.characteristic()
-    if char == 0:
-        for i in range(dim):
-            coeffs = [None] * dim
-            coeffs[i] = one
-            t = admissible(coeffs)
+    if char == 0 or char > bound:
+        for c in range(bound + 1):
+            t = admissible([f._coerce_int(c ** i) for i in range(dim)])
             if t is not None:
                 return t
-        scalars = [f._coerce_int(c) for c in range(-8, 9)]
-        for i, j in combinations(range(dim), 2):
-            for ci, cj in product(scalars, repeat=2):
-                coeffs = [None] * dim
-                coeffs[i], coeffs[j] = ci, cj
-                t = admissible(coeffs)
-                if t is not None:
-                    return t
-        raise NoGenericWitness("no small kernel combination avoids the extra incidences")
+        raise AssertionError("the moment-curve bound admits no witness")
 
-    # finite field: enumerate the kernel outright
-    try:
-        elems = [e.payload for e in f.iter_elements()]
-    except Exception as exc:  # pragma: no cover - descriptor without enumeration
-        raise NoGenericWitness("cannot enumerate this field") from exc
+    elems = [e.payload for e in f.iter_elements()]
     if len(elems) ** dim > 10 ** 6:
         raise NoGenericWitness("kernel too large to enumerate")
     for coeffs in product(elems, repeat=dim):
         if all(is_zero(c) for c in coeffs):
             continue
-        t = admissible(list(coeffs))
+        t = admissible(coeffs)
         if t is not None:
             return t
     raise NoGenericWitness("every kernel vector hits an extra incidence")

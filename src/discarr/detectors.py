@@ -20,6 +20,7 @@ from .arrangement import (
     Arrangement,
     NotGeneric,
     cross_ratio,
+    is_generic,
     projective_map_through,
 )
 from .exactfield import FieldElement
@@ -158,17 +159,14 @@ def crossratio_form(a: Arrangement, fourset: FourSet) -> FieldElement:
 
 
 def _det_table(a: Arrangement) -> dict:
-    """det2 payload of every ordered pair of distinct indices; the
-    reversed pair holds the negation.  Raises NotGeneric when one
-    vanishes."""
-    fd = a.field
-    neg = fd._neg
-    rows = {p: [e.payload for e in a.normal(p)] for p in a.indices}
+    """det2 payload of every ordered pair of distinct indices: the
+    arrangement's 2 x 2 minors, with the negation on the reversed pair.
+    Raises NotGeneric when one vanishes."""
+    if not is_generic(a):
+        raise NotGeneric("parallel or repeated lines")
+    neg = a.field._neg
     table = {}
-    for x, y in combinations(a.indices, 2):
-        d = _det_payloads(fd, [rows[x], rows[y]])
-        if fd._is_zero(d):
-            raise NotGeneric("parallel or repeated lines")
+    for (x, y), d in a.minors().items():
         table[x, y] = d
         table[y, x] = neg(d)
     return table

@@ -4,7 +4,8 @@ Each (k+1)-subset L of hyperplane indices gives one hyperplane D_L in
 the n-dimensional space of translation vectors: D_L is the locus of
 translations making the L-indexed hyperplanes concurrent, and its
 normal is supported on L with signed k x k minors of the base normals
-as coordinates.  The whole family is central of rank n - k.
+as coordinates, read off the arrangement's table of minors.  The whole
+family is central of rank n - k.
 
 Lattice flats are stored by closed support: the set of ALL subsets L
 whose normal lies in the flat's normal span.  Each level is built from
@@ -19,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arrangement import Arrangement, NotGeneric, is_generic
+from .arrangement import Arrangement, NotGeneric, _discriminantal_row, is_generic
 from .exactfield import FieldDescriptor, FieldElement, descriptor_to_json
-from .linalg import Vector, _det_payloads, _Span
+from .linalg import Vector, _Span
 
 
 class BadSubsetSize(ValueError):
@@ -51,24 +52,7 @@ def discriminantal_normal(a: Arrangement, L) -> Vector:
     of the base normals with column p_j deleted; all other coordinates
     are zero."""
     key = _as_subset(a, L)
-    normals = {p: [e.payload for e in a.normal(p)] for p in key}
-    row = _normal_payloads(a.field, normals, key, a.n, {})
-    return tuple(FieldElement(a.field, x) for x in row)
-
-
-def _normal_payloads(fd: FieldDescriptor, normals, key, n: int, minors: dict) -> list:
-    """Payload row of discriminantal_normal for the sorted subset key;
-    normals[p] is the payload row of base normal p, and minors keeps each
-    k x k minor by its index tuple for the calls that share the dict."""
-    row = [fd._coerce_int(0)] * n
-    for j, p in enumerate(key):
-        sub = tuple(q for q in key if q != p)
-        d = minors.get(sub)
-        if d is None:
-            # the minor's transpose: the same determinant
-            d = minors[sub] = _det_payloads(fd, [normals[q] for q in sub])
-        row[p - 1] = d if j % 2 == 0 else fd._neg(d)
-    return row
+    return tuple(FieldElement(a.field, x) for x in _discriminantal_row(a, key))
 
 
 def ordered_normal(a: Arrangement, seq) -> Vector:
@@ -120,11 +104,10 @@ def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
     if not is_generic(a):
         raise NotGeneric("base arrangement has a dependent k-subset of normals")
     fd = a.field
-    normals = [None] + [[e.payload for e in v] for v in a.normals]
-    hyperplanes, minors = {}, {}
+    hyperplanes = {}
     span = _Span.over(fd)
     for L in combinations(a.indices, a.k + 1):
-        row = _normal_payloads(fd, normals, L, a.n, minors)
+        row = _discriminantal_row(a, L)
         hyperplanes[L] = tuple(FieldElement(fd, x) for x in row)
         span.insert(span.row(row))
     if span.rank != a.n - a.k:

@@ -454,6 +454,8 @@ class Prime(FieldDescriptor):
 # through exp/log/Zech tables over a primitive element; larger ones add
 # and multiply as polynomials and invert as a^(q-2).
 _GALOIS_TABLE_LIMIT = 1 << 12
+# The most operations Galois may spend testing its modulus (0.15 s).
+_TRIAL_DIVISION_BUDGET = 10 ** 6
 
 
 class Galois(FieldDescriptor):
@@ -494,9 +496,17 @@ class Galois(FieldDescriptor):
 
     def _irreducible(self) -> bool:
         # brute force: trial-divide by every monic polynomial of degree
-        # 1..deg/2 (field sizes here are tiny)
+        # d = 1..deg/2, p^d of them at (deg - d + 1)(d + 1) multiply-
+        # subtracts plus 16 for the call each: at most p = 49999 at
+        # degree 2 and degree 23 at p = 2 fit the budget
         from itertools import product
 
+        work = 0
+        for d in range(1, self.deg // 2 + 1):
+            work += self.p ** d * ((self.deg - d + 1) * (d + 1) + 16)
+            if work > _TRIAL_DIVISION_BUDGET:
+                raise ValueError(f"testing irreducibility of degree {self.deg} over "
+                                 f"F_{self.p} exceeds the budget")
         for d in range(1, self.deg // 2 + 1):
             for tail in product(range(self.p), repeat=d):
                 trial = list(tail) + [1]

@@ -2,9 +2,10 @@
 
 The one determinant, _det_payloads, works on raw payloads through the
 descriptor hooks: a cofactor expansion up to 3x3, with no inversions,
-and Gaussian elimination above that; det wraps it.  The library's one
-echelon is the span (_Span, and _IntegerSpan on fraction-free integer
-rows over Q): an incremental row echelon of raw payload rows.  The
+and Gaussian elimination above that; det and Arrangement.minors (each
+k x k minor of an arrangement, once) wrap it.  The library's one echelon
+is the span (_Span, and _IntegerSpan on fraction-free integer rows over
+Q): an incremental row echelon of raw payload rows.  The
 intersection lattice, the discriminantal rank check and the translate
 solver build on it, and so do rank, rank_of_rows, kernel, solve and
 inverse: the rank is the span's, and a kernel basis, a solution of

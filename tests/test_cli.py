@@ -144,6 +144,18 @@ def test_detect_prime_above_limit_exits_at_once(tmp_path, capsys):
     assert "p must be below" in capsys.readouterr().err
 
 
+def test_detect_galois_past_trial_division_budget_exits_at_once(tmp_path, capsys):
+    # x^2 - 2 is irreducible over F_1000003: trial division took 3.7 s
+    normals = [["1", "0"], ["0", "1"], ["1", "1"], ["g", "1"], ["g+1", "1"]]
+    p = tmp_path / "big_galois.json"
+    p.write_text(json.dumps({"field": {"kind": "galois", "p": 1000003, "modulus": [-2, 0, 1]},
+                             "k": 2, "normals": normals}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["detect", str(p), "--json"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1
+    assert "exceeds the budget" in capsys.readouterr().err
+
+
 def test_detect_bool_k_file(tmp_path, capsys):
     obj = arrangement_to_json(discarr.build_gallery("crapo"))
     obj["k"] = True

@@ -177,11 +177,32 @@ def test_fields_refuse_sizes_past_their_limits():
     lambda: Quadratic(-4294967291),
     lambda: Cyclotomic(509),
     lambda: Cyclotomic(512),
-], ids=["prime", "quadratic+", "quadratic-", "cyclotomic509", "cyclotomic512"])
+    # the largest p at degree 2 and the largest degree at p = 2 that the
+    # trial-division budget admits, with irreducible moduli x^2 - 3 and
+    # x^23 + x^5 + 1
+    lambda: Galois(49999, (-3, 0, 1)),
+    lambda: Galois(2, (1, 0, 0, 0, 0, 1) + (0,) * 17 + (1,)),
+], ids=["prime", "quadratic+", "quadratic-", "cyclotomic509", "cyclotomic512",
+        "galois-large-p", "galois-high-degree"])
 def test_field_construction_at_the_limit_is_quick(build):
     start = time.perf_counter()
     build()
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (50021, (-2, 0, 1)),
+    (1000003, (-2, 0, 1)),
+    (2, (1, 1, 0, 1, 1) + (0,) * 19 + (1,)),
+    (2, (1, 0, 0, 1) + (0,) * 27 + (1,)),
+], ids=["p50021-deg2", "p1000003-deg2", "p2-deg24", "p2-deg31"])
+def test_galois_refuses_a_modulus_past_the_trial_division_budget(p, modulus):
+    # each modulus is irreducible, so trial division would try every
+    # divisor: 3.7 s for p = 1000003 and 1.85 s for x^31 + x^3 + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="irreducibility of degree"):
+        Galois(p, modulus)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_prime_inverses_all_nonzero():

@@ -26,6 +26,7 @@ from discarr import (
     IndexFamily,
     Matrix,
     NotGeneric,
+    Prime,
     build_gallery,
     discriminantal_normal,
     find_involutions,
@@ -182,17 +183,13 @@ def oracle_translate_solver(a, family):
         return tuple(t)
 
     def candidates(dim):
-        if f.characteristic() == 0:
-            for i in range(dim):
-                coeffs = [None] * dim
-                coeffs[i] = f.one()
-                yield coeffs
-            scalars = [f.from_int(c) for c in range(-8, 9)]
-            for i, j in combinations(range(dim), 2):
-                for ci, cj in product(scalars, repeat=2):
-                    coeffs = [None] * dim
-                    coeffs[i], coeffs[j] = ci, cj
-                    yield coeffs
+        # the walk t(c) = sum c^i b_i, c = 0..F(dim - 1), when those c are
+        # distinct in the field; otherwise every nonzero kernel vector
+        bound = len(evaluated) * (dim - 1)
+        char = f.characteristic()
+        if char == 0 or char > bound:
+            for c in range(bound + 1):
+                yield [f.from_int(c) ** i for i in range(dim)]
             return
         elems = list(f.iter_elements())
         if len(elems) ** dim > 10 ** 6:
@@ -403,7 +400,7 @@ def test_translate_solver_matches_oracle_on_lines(name):
         patterns = [q.sets for q in quadral_points(a)]
         # every detected pattern, plus two candidate 4-sets, single triples
         # and two disjoint triples, where over Q no single kernel basis
-        # vector is admissible and the search goes on to pairs
+        # vector is admissible and the walk goes past c = 0
         others = [q.sets for q in fourset_candidates(a.indices)[:2]]
         others += [[(1, 2, 3)], [(2, 4, 6)], [(1, 2, 3), (4, 5, 6)]]
         found += _compare_translations(a, patterns + others)
@@ -426,6 +423,19 @@ def test_translate_solver_matches_oracle_on_witnesses():
     for a in gallery_witnesses():
         patterns = [g.sets for g in good6_points(a)]
         assert _compare_translations(a, patterns + [[(1, 2, 3, 4)]]) == len(patterns) + 1
+
+
+@pytest.mark.parametrize("p, normals, family", [
+    (5, [[1], [2], [3], [4], [1]], [(1, 2), (3, 4, 5)]),
+    (7, [[1], [2], [3], [4], [5], [6], [1]], [(1, 2, 3), (4, 5, 6, 7)]),
+    (11, [[1], [2], [3], [4], [5], [6], [1]], [(1, 2, 3), (4, 5, 6, 7)]),
+], ids=["F5-bound5", "F7-bound7", "F11-bound7"])
+def test_translate_solver_matches_oracle_at_the_walk_bound(p, normals, family):
+    # F (dim - 1) equals the characteristic for the first two, where the
+    # walk's c would repeat and the kernel is enumerated; over F_11 the
+    # same family is walked
+    a = Arrangement(Prime(p), 1, normals)
+    assert _compare_translations(a, [family]) == 1
 
 
 def test_translate_solver_makes_no_element_arithmetic(monkeypatch):

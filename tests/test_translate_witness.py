@@ -1,0 +1,190 @@
+"""translate_solver's answers checked on their own terms, whatever order
+its search meets them in, and the one table of minors it reads.
+
+Every translation returned for the families the oracle tests run is
+checked with the oracle determinant of the augmented rows (alpha_p, t_p):
+each (k+1)-subset of a family set is concurrent, and no hyperplane
+outside the set passes through the set's point.  Over characteristic 0
+the moment-curve walk always finds a witness, so NoGenericWitness never
+comes; the small-combination search it replaced gave up on two of the
+inputs below.  Each k x k minor is computed once per arrangement, which
+the counts of _det_payloads calls pin.
+"""
+
+import sys
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+from discarr import (
+    Arrangement,
+    Matrix,
+    Prime,
+    Rational,
+    build_discriminantal,
+    build_gallery,
+    good6_points,
+    is_generic,
+    quadral_points,
+    translate_solver,
+)
+from discarr.arrangement import NoGenericWitness
+from discarr.detectors import _det_table
+
+from _helpers import fourset_candidates
+from test_classify_oracle import FIELDS, oracle_det, seeded_planes
+from test_payload_oracle import K2_FIELDS, gallery_witnesses, seeded_lines
+
+Q = Rational()
+
+
+def translation_problems(a, family, t) -> list[str]:
+    """What t gets wrong: a family set that is not concurrent, or a
+    hyperplane outside a set through the set's point."""
+    k = a.k
+
+    def det_of(indices):
+        rows = [list(a.normal(p)) + [t[p - 1]] for p in indices]
+        return oracle_det(Matrix.from_rows(rows, a.field))
+
+    problems = []
+    for L in family:
+        for sub in combinations(L, k + 1):
+            if not det_of(sub).is_zero():
+                problems.append(f"{sub} is not concurrent")
+        for q in a.indices:
+            if q not in L and det_of(L[:k] + (q,)).is_zero():
+                problems.append(f"hyperplane {q} passes through the point of {L}")
+    return problems
+
+
+def checked(a, families) -> int:
+    """Check every translation found; over characteristic 0 the solver
+    must answer.  Returns the number of translations found."""
+    found = 0
+    for family in families:
+        if a.field.characteristic() == 0:
+            t = translate_solver(a, family)
+        else:
+            try:
+                t = translate_solver(a, family)
+            except NoGenericWitness:
+                continue
+        if t is not None:
+            assert translation_problems(a, family, t) == []
+            found += 1
+    return found
+
+
+# ---------------------------------------------------------------------------
+# the oracle tests' families
+
+@pytest.mark.parametrize("name", K2_FIELDS)
+def test_translations_on_lines_are_witnesses(name):
+    found = 0
+    for a in seeded_lines(name, count=6):
+        if not is_generic(a):
+            continue
+        families = [q.sets for q in quadral_points(a)]
+        families += [q.sets for q in fourset_candidates(a.indices)[:2]]
+        families += [[(1, 2, 3)], [(2, 4, 6)], [(1, 2, 3), (4, 5, 6)]]
+        found += checked(a, families)
+    assert found
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_translations_on_planes_are_witnesses(name):
+    found = 0
+    for a in seeded_planes(FIELDS[name], 0):
+        if is_generic(a):
+            found += checked(a, [g.sets for g in good6_points(a)] + [[(1, 2, 3, 4)]])
+    assert found
+
+
+def test_translations_on_witnesses_are_witnesses():
+    for a in gallery_witnesses():
+        families = [g.sets for g in good6_points(a)] + [[(1, 2, 3, 4)]]
+        assert checked(a, families) == len(families)
+
+
+# ---------------------------------------------------------------------------
+# the walk where small combinations gave up
+
+POINTS8 = [[p] for p in range(1, 9)]
+LINES9 = [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3], [2, 5], [3, 7], [5, 11], [7, 2]]
+
+
+@pytest.mark.parametrize("k, normals, family", [
+    (1, POINTS8, [(1, 2), (3, 4), (5, 6), (7, 8)]),
+    (2, LINES9, [(1, 2, 3), (4, 5, 6), (7, 8, 9)]),
+], ids=["four-pairs-of-points", "three-triples-of-lines"])
+def test_walk_finds_a_witness_beyond_two_basis_vectors(k, normals, family):
+    # single kernel basis vectors and pairs with scalars in -8..8 found
+    # no witness here over Q, and over F_1009, whose characteristic is
+    # above the walk's bound, the kernel was too large to enumerate: both
+    # raised NoGenericWitness
+    for fd in (Q, Prime(1009)):
+        a = Arrangement(fd, k, normals)
+        t = translate_solver(a, family)
+        assert t is not None
+        assert translation_problems(a, family, t) == []
+
+
+# ---------------------------------------------------------------------------
+# one table of minors
+
+def test_minors_are_the_k_by_k_determinants():
+    for name in ("crapo", "dodecahedral", "witness-3^2", "polygon-6"):
+        a = build_gallery(name)
+        table = a.minors()
+        assert sorted(table) == list(combinations(a.indices, a.k))
+        for sub, d in table.items():
+            m = Matrix.from_rows([list(a.normal(p)) for p in sub], a.field)
+            assert d == oracle_det(m).payload
+        assert a.minors() is table
+
+
+def test_det_table_is_the_antisymmetric_view_of_the_minors():
+    a = build_gallery("crapo")
+    dets = _det_table(a)
+    assert len(dets) == 30
+    for (x, y), d in a.minors().items():
+        assert dets[x, y] == d
+        assert dets[y, x] == a.field._neg(d)
+
+
+def _count_dets(monkeypatch) -> Counter:
+    """Count _det_payloads calls through every discarr module that holds it."""
+    calls = Counter()
+    for name, mod in list(sys.modules.items()):
+        fn = getattr(mod, "_det_payloads", None) if name.startswith("discarr") else None
+        if fn is not None:
+            def counting(fd, rows, fn=fn):
+                calls[len(rows)] += 1
+                return fn(fd, rows)
+            monkeypatch.setattr(mod, "_det_payloads", counting)
+    return calls
+
+
+def test_each_minor_is_computed_once_per_arrangement(monkeypatch):
+    # C(6,3) = 20 and C(6,2) = 15 distinct minors, which the genericity
+    # check and the discriminantal rows each computed (38, 40 and 30 calls)
+    witness, crapo = build_gallery("witness-3^2"), build_gallery("crapo")
+    family = good6_points(witness)[0].sets
+    calls = _count_dets(monkeypatch)
+
+    def fresh(a):
+        return Arrangement(a.field, a.k, a.normals)
+
+    a = fresh(witness)
+    assert translate_solver(a, family) is not None
+    assert calls == {3: 20}
+    build_discriminantal(a)
+    assert calls == {3: 20}  # the same arrangement reads the same table
+    calls.clear()
+    build_discriminantal(fresh(witness))
+    assert calls == {3: 20}
+    calls.clear()
+    build_discriminantal(fresh(crapo))
+    assert calls == {2: 15}
