@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import time
-from math import comb
 
 from .arrangement import (
     Arrangement,
@@ -46,8 +45,9 @@ from .detectors import (
     quintuple_points,
 )
 from .discriminantal import (
-    MAX_HYPERPLANES,
     TooLarge,
+    _require_generic,
+    _require_lattice_size,
     build_discriminantal,
     intersection_lattice,
     nvg_flats,
@@ -299,12 +299,11 @@ def cmd_classify(args) -> int:
 def cmd_lattice(args) -> int:
     started = time.perf_counter()
     a = load_arrangement(args.input)
-    if comb(a.n, a.k + 1) > MAX_HYPERPLANES:
-        # intersection_lattice refuses it once build_discriminantal has
-        # checked genericity, which needs no certified prime
-        d = build_discriminantal(a)
-    else:
-        d = build_discriminantal(modular_image(a, lattice=True))
+    # refused before anything is built: a dependent k-subset (exit 3),
+    # read off the minors table, then the cap (exit 2), which needs (n, k)
+    _require_generic(a)
+    _require_lattice_size(a.n, a.k)
+    d = build_discriminantal(modular_image(a, lattice=True))
     lat = intersection_lattice(d, max_rank=args.max_rank)
     nvg = nvg_flats(lat)
     results = lat.report(nvg=nvg)
@@ -335,10 +334,8 @@ def cmd_table(args) -> int:
                "dependencies": _table_dependencies}[args.name]
     rows, lines = builder()
     all_match = all(r["ok"] for r in rows)
-    report = {"schema": SCHEMA, "command": "table",
-              "input": {"source": f"table:{args.name}"},
-              "results": {"rows": rows},
-              "consistency": {"all_match": all_match}}
+    report = _report("table", f"table:{args.name}", None, {"rows": rows},
+                     {"all_match": all_match})
     lines.append("table: " + ("ok" if all_match else "MISMATCH"))
     _emit(args, report, lines, started)
     return EXIT_OK if all_match else EXIT_TABLE
@@ -394,9 +391,7 @@ def _table_dependencies():
 def cmd_gallery(args) -> int:
     started = time.perf_counter()
     names = gallery_names()
-    report = {"schema": SCHEMA, "command": "gallery",
-              "input": {"source": "gallery"},
-              "results": {"names": names}, "consistency": {}}
+    report = _report("gallery", "gallery", None, {"names": names}, {})
     _emit(args, report, list(names), started)
     return EXIT_OK
 

@@ -426,13 +426,14 @@ def good6_condition(a: Arrangement, g: Good6Partition) -> FieldElement:
 def good6_points(a: Arrangement) -> list[Good6Partition]:
     """All good partitions over every 6-subset of indices, k=3.
 
-    The cross product of every pair of normals is computed once, as
-    payloads.  Genericity is read off the same table (the triple x<y<z
-    is dependent iff cross(x, y) . z vanishes), and each matching's
-    good6_condition is one payload 3x3 determinant of three table rows;
-    no inversions."""
+    Genericity is read off the arrangement's table of minors.  The cross
+    product of every pair of normals is computed once, as payloads, and
+    each matching's good6_condition is one payload 3x3 determinant of
+    three table rows; no inversions."""
     if a.k != 3:
         raise NotDimension3(f"cross-product condition needs k=3, got k={a.k}")
+    if not is_generic(a):
+        raise NotGeneric("dependent normal triple")
     fd = a.field
     mul, add, neg, is_zero = fd._mul, fd._add, fd._neg, fd._is_zero
     normals = {p: [e.payload for e in a.normal(p)] for p in a.indices}
@@ -442,10 +443,6 @@ def good6_points(a: Arrangement) -> list[Good6Partition]:
         cross[x, y] = (add(mul(u1, v2), neg(mul(u2, v1))),
                        add(mul(u2, v0), neg(mul(u0, v2))),
                        add(mul(u0, v1), neg(mul(u1, v0))))
-    for x, y, z in combinations(a.indices, 3):
-        (c0, c1, c2), (w0, w1, w2) = cross[x, y], normals[z]
-        if is_zero(add(add(mul(c0, w0), mul(c1, w1)), mul(c2, w2))):
-            raise NotGeneric("dependent normal triple")
     found = []
     for subset in combinations(a.indices, 6):
         for pairs in perfect_matchings(subset):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .arrangement import Arrangement, NotGeneric, _discriminantal_row, is_generic
 from .exactfield import FieldDescriptor, FieldElement, descriptor_to_json
@@ -100,9 +101,21 @@ class DiscriminantalArrangement:
         return f"DiscriminantalArrangement(n={self.n}, k={self.k}, {len(self)} hyperplanes)"
 
 
-def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
+def _require_generic(a: Arrangement) -> None:
     if not is_generic(a):
         raise NotGeneric("base arrangement has a dependent k-subset of normals")
+
+
+def _require_lattice_size(n: int, k: int) -> None:
+    """TooLarge when B(n,k) has more hyperplanes than intersection_lattice
+    takes; needs nothing built."""
+    count = comb(n, k + 1)
+    if count > MAX_HYPERPLANES:
+        raise TooLarge(f"{count} hyperplanes exceeds the {MAX_HYPERPLANES} cap")
+
+
+def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
+    _require_generic(a)
     fd = a.field
     hyperplanes = {}
     span = _Span.over(fd)
@@ -177,8 +190,7 @@ def intersection_lattice(d: DiscriminantalArrangement,
     is F's plus the class key.  Level 1 is the covers of the rank-0 flat,
     whose echelon is empty.  The top level is the single central flat.
     """
-    if len(d.hyperplanes) > MAX_HYPERPLANES:
-        raise TooLarge(f"{len(d.hyperplanes)} hyperplanes exceeds the {MAX_HYPERPLANES} cap")
+    _require_lattice_size(d.n, d.k)
     top = d.n - d.k
     if max_rank is None:
         max_rank = top

@@ -3,10 +3,12 @@
 Supported fields: the rationals, quadratic extensions Q(sqrt(d)), prime
 fields F_p, small Galois fields F_{p^m}, and cyclotomic fields Q(zeta_m).
 Every element carries its field descriptor; equality and zero tests are
-exact (no epsilon anywhere).  Q(sqrt(d)) and Q(zeta_m) are one
-arithmetic, _PowerBasis, on Q[x]/(f) for f monic over the integers; they
-differ only in f and in their conjugates.  _poly_divmod is the one
-polynomial long division, for the cyclotomic polynomials and F_{p^m}.
+exact (no epsilon anywhere).  There are three arithmetics, one per
+kind of field: characteristic 0, F_p and F_{p^m}.  Q, Q(sqrt(d)) and
+Q(zeta_m) are the one characteristic-0 arithmetic, _PowerBasis, on
+Q[x]/(f) for f monic over the integers (f = x for Q); they differ only
+in f and in their conjugates.  _poly_divmod is the one polynomial long
+division, for the cyclotomic polynomials and F_{p^m}.
 """
 
 from __future__ import annotations
@@ -222,36 +224,6 @@ class FieldDescriptor:
         return self.kind
 
 
-class Rational(FieldDescriptor):
-    kind = "rational"
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _inv(self, a):
-        if a == 0:
-            raise DivisionByZero("1/0 in Q")
-        return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _fmt(self, a):
-        return _fmt_fraction(a)
-
-    def _coerce_int(self, n):
-        return Fraction(n)
-
-    def from_fraction(self, q: Fraction) -> "FieldElement":
-        return self.element(Fraction(q))
-
-
 class _PowerBasis(FieldDescriptor):
     """Q[x]/(f) for a monic irreducible integer f of degree phi: payload is
     (integer coefficient tuple, positive denominator).
@@ -264,7 +236,8 @@ class _PowerBasis(FieldDescriptor):
     by the rational norm N(a) (H. Cohen, A Course in Computational
     Algebraic Number Theory, 4.2).  A subclass passes f and how many
     powers it reads, then sets _conjugates: for each other conjugate, the
-    images of x^0..x^(phi-1) in the power basis.
+    images of x^0..x^(phi-1) in the power basis.  Q is the degree-1 case
+    f = x, whose payloads are ((n,), d) and which has no other conjugate.
     """
 
     def __init__(self, poly, npowers: int = 0):
@@ -337,6 +310,8 @@ class _PowerBasis(FieldDescriptor):
                     for t, r in enumerate(images[i]):
                         conj[t] += v * r
             prod = (tuple(conj), 1) if prod is None else self._mul(prod, (tuple(conj), 1))
+        if prod is None:  # Q: a is its own norm
+            return self._norm([da], va[0])
         norm = self._mul((va, 1), prod)[0][0]
         return self._norm([da * v for v in prod[0]], norm)
 
@@ -365,6 +340,19 @@ class _PowerBasis(FieldDescriptor):
     def coefficients(self, x: "FieldElement") -> tuple[Fraction, ...]:
         va, da = x.payload
         return tuple(Fraction(v, da) for v in va)
+
+
+class Rational(_PowerBasis):
+    """Q as Q[x]/(x): the power basis of degree 1, payload ((n,), d), with
+    no other conjugates (N(a) = a) and no generator symbol."""
+
+    kind = "rational"
+
+    def __init__(self):
+        super().__init__((0, 1))
+        self._conjugates = ()
+
+    generator = FieldDescriptor.generator
 
 
 # |d| below this keeps the squarefree test to 2^16 trial divisors
@@ -759,9 +747,10 @@ def embed(value, fd: FieldDescriptor) -> FieldElement:
     if isinstance(value, FieldElement):
         if value.fd == fd:
             return value
-        if value.fd != Rational():
+        if not isinstance(value.fd, Rational):
             raise FieldMismatch(f"cannot embed {value.fd!r} into {fd!r}")
-        value = value.payload
+        (num,), den = value.payload
+        value = Fraction(num, den)
     if isinstance(value, int):
         value = Fraction(value)
     if not isinstance(value, Fraction):
@@ -774,10 +763,6 @@ def embed(value, fd: FieldDescriptor) -> FieldElement:
 # ---------------------------------------------------------------------------
 # formatting and parsing
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def _fmt_terms(terms: list[tuple[Fraction, int]]) -> str:
     """Render sum of coeff * g^power, omitting zero terms."""
     parts = []
@@ -786,10 +771,10 @@ def _fmt_terms(terms: list[tuple[Fraction, int]]) -> str:
             continue
         mag = abs(coeff)
         if power == 0:
-            body = _fmt_fraction(mag)
+            body = str(mag)
         else:
             gpart = "g" if power == 1 else f"g^{power}"
-            body = gpart if mag == 1 else f"{_fmt_fraction(mag)}*{gpart}"
+            body = gpart if mag == 1 else f"{mag}*{gpart}"
         sign = "-" if coeff < 0 else "+"
         parts.append((sign, body))
     if not parts:

@@ -5,7 +5,8 @@ descriptor hooks: a cofactor expansion up to 3x3, with no inversions,
 and Gaussian elimination above that; det and Arrangement.minors (each
 k x k minor of an arrangement, once) wrap it.  The library's one echelon
 is the span (_Span, and _IntegerSpan on fraction-free integer rows over
-Q): an incremental row echelon of raw payload rows.  The
+Q, read off the numerators of Q's ((n,), d) payloads): an incremental
+row echelon of raw payload rows.  The
 intersection lattice, the discriminantal rank check and the translate
 solver build on it, and so do rank, rank_of_rows, kernel, solve and
 inverse: the rank is the span's, and a kernel basis, a solution of
@@ -19,6 +20,7 @@ needs no magnitude heuristics.
 
 from __future__ import annotations
 
+import operator
 from math import gcd, lcm
 
 from .exactfield import FieldDescriptor, FieldElement, FieldMismatch, Rational
@@ -79,9 +81,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_list(self) -> list[list[FieldElement]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -261,18 +260,21 @@ class _Span:
         w[j] = self.one
         return tuple(w)
 
+    def _zero_test(self):  # of a row entry
+        return self.field._is_zero
+
     def reduced_key(self, row) -> tuple | None:
         """Canonical class of row reduced modulo the echelon; None when
         row lies in the span."""
         w = self._reduce(list(row))
-        is_zero = self.field._is_zero
+        is_zero = self._zero_test()
         for j, lead in enumerate(w):
             if not is_zero(lead):
                 return self._scaled(w, j, lead)
         return None
 
     def _push(self, key) -> None:
-        is_zero = self.field._is_zero
+        is_zero = self._zero_test()
         nonzero = [(i, x) for i, x in enumerate(key) if not is_zero(x)]
         piv, lead = nonzero[0]
         self.rows.append((piv, lead, tuple(nonzero[1:])))
@@ -333,14 +335,17 @@ class _Span:
 class _IntegerSpan(_Span):
     """_Span over Q on fraction-free integer rows: every row is primitive,
     a reduction step scales the vector instead of dividing, and the key
-    is the primitive vector with a positive leading entry.  Null vectors
-    come back as Fractions."""
+    is the primitive vector with a positive leading entry.  Row entries
+    are ints, not payloads; null vectors come back as Q payloads."""
 
     __slots__ = ()
 
     def row(self, payloads) -> list:
-        den = lcm(*(q.denominator for q in payloads))
-        return [q.numerator * (den // q.denominator) for q in payloads]
+        den = lcm(*(d for _, d in payloads))
+        return [vec[0] * (den // d) for vec, d in payloads]
+
+    def _zero_test(self):
+        return operator.not_
 
     def _reduce(self, w: list) -> list:
         for piv, a, rest in self.rows:
@@ -362,12 +367,16 @@ class _IntegerSpan(_Span):
         return tuple(x // g for x in w) if g != 1 else tuple(w)
 
     def null_vector(self, ncols: int, col: int) -> list:
-        v = {col: self.one}
+        # numerators over one denominator, scaled by each pivot entry used
+        v, den = {col: 1}, 1
         for piv, lead, rest in reversed(self.rows):
             acc = sum(x * v[i] for i, x in rest if i in v)
             if acc:
-                v[piv] = -acc / lead
-        return self._dense(v, ncols)
+                v = {i: y * lead for i, y in v.items()}
+                den *= lead
+                v[piv] = -acc
+        norm = self.field._norm
+        return self._dense({i: norm([y], den) for i, y in v.items()}, ncols)
 
 
 def _wrap(fd: FieldDescriptor, v) -> Vector:

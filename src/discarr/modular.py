@@ -20,6 +20,10 @@ fully factored, proven prime by the Lucas n - 1 test (Crandall and
 Pomerance, Prime Numbers, 4.1.1), whose primitive root g gives
 zeta -> g^((p-1)/m); over Q(sqrt d), p has (d/p) = 1 and sqrt d mod p is
 taken by Tonelli-Shanks.
+
+Q is the degree-1 case of the same power basis, but modular_image
+leaves it in place: its bound, and so the prime, grows with the input's
+entries, and certifying a prime above a 2,000-bit bound takes seconds.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def modular_image(a: Arrangement, lattice: bool = False) -> Arrangement:
     genericity minors and the rank check).
     """
     fd = a.field
-    if not isinstance(fd, _PowerBasis):
+    if not isinstance(fd, (Quadratic, Cyclotomic)):
         return a
     rows = [_integral(v) for v in a.normals]
     r = isqrt(abs(fd.d) - 1) + 1 if isinstance(fd, Quadratic) else 1

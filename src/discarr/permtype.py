@@ -324,7 +324,7 @@ class TypeReport:
     m_formula_consistent: bool
 
 
-def arrangement_type(a, k: int | None = None) -> TypeReport:
+def arrangement_type(a) -> TypeReport:
     """Classify a 6-hyperplane arrangement by its detected edge set.
 
     k = 2 collects the matchings realized by projective involutions of
@@ -335,22 +335,18 @@ def arrangement_type(a, k: int | None = None) -> TypeReport:
     """
     from . import detectors
 
-    if k is None:
-        k = a.k
-    if k != a.k:
-        raise ValueError(f"arrangement has k={a.k}, requested k={k}")
     if a.n != 6:
         raise ValueError("type classification needs exactly 6 hyperplanes")
-    if k == 2:
+    if a.k == 2:
         matchings = tuple(m for m, _ in detectors.find_involutions(a))
         m_a = 2 * len(matchings)
         factor = 2
-    elif k == 3:
+    elif a.k == 3:
         matchings = tuple(g.matching for g in detectors.good6_points(a))
         m_a = len(matchings)
         factor = 1
     else:
-        raise ValueError(f"no classifier for k={k}")
+        raise ValueError(f"no classifier for k={a.k}")
     edges = frozenset(matching_to_edge(m) for m in matchings)
     part = partition_from_edges(edges)
     closed = induced_edges(part)

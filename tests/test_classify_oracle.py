@@ -314,7 +314,8 @@ def test_good6_oracle_cases_find_partitions():
 
 
 def test_good6_points_needs_no_inversions(monkeypatch):
-    # 15 pair cross products x 6, 20 genericity dots x 3 and 15 matching
+    # 15 pair cross products x 6, 20 genericity minors x 9 (the
+    # arrangement's table, on the first call only) and 15 matching
     # determinants x 9 products on six planes; the per-matching
     # Gaussian path does 551 products and 87 inversions on f4.
     a = f4_arrangement()
@@ -332,4 +333,8 @@ def test_good6_points_needs_no_inversions(monkeypatch):
     monkeypatch.setattr(Galois, "_inv", counting("_inv"))
     assert good6_points(a)
     assert calls["_inv"] == 0
-    assert calls["_mul"] <= 15 * 6 + 20 * 3 + 15 * 9
+    assert calls["_mul"] <= 15 * 6 + 20 * 9 + 15 * 9
+    calls.clear()
+    assert good6_points(a)
+    assert calls["_inv"] == 0
+    assert calls["_mul"] <= 15 * 6 + 15 * 9

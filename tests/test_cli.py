@@ -305,6 +305,30 @@ def test_lattice_too_large(capsys):
     assert "hyperplanes" in capsys.readouterr().err
 
 
+def _no_build(monkeypatch):
+    def refuse(a):
+        raise AssertionError("build_discriminantal called")
+    monkeypatch.setattr(discarr.cli, "build_discriminantal", refuse)
+
+
+def test_lattice_over_cap_refused_before_build(monkeypatch, capsys):
+    # C(40, 3) = 9880 hyperplanes over Q(zeta160): nothing of B is built
+    _no_build(monkeypatch)
+    assert main(["lattice", "gallery:polygon-40"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: 9880 hyperplanes exceeds the 64 cap\n"
+
+
+def test_lattice_non_generic_over_cap_exits_not_generic(tmp_path, monkeypatch, capsys):
+    # nine lines, C(9, 3) = 84 > 64, two of them parallel: genericity first
+    _no_build(monkeypatch)
+    a = Arrangement(Rational(), 2, ((1, 0), (1, 0), (1, 1), (2, 1), (3, 1),
+                                    (5, 1), (7, 1), (11, 1), (13, 1)))
+    p = tmp_path / "parallel9.json"
+    p.write_text(json.dumps(arrangement_to_json(a)), encoding="utf-8")
+    assert main(["lattice", str(p)]) == EXIT_NOT_GENERIC
+    assert "dependent k-subset" in capsys.readouterr().err
+
+
 def test_lattice_text_marks_nvg(capsys):
     assert main(["lattice", "gallery:crapo"]) == EXIT_OK
     out = capsys.readouterr().out

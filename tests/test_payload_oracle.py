@@ -16,7 +16,6 @@ exactly.
 
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -318,13 +317,18 @@ def _sparse_matrices(fd, draw, rng):
     return out
 
 
-def _payload_types(fd, results):
-    """Payload types of vectors and matrices returned over Q."""
-    types = set()
-    for r in results:
-        if r is not None and not isinstance(r, type):
-            types.update(type(e.payload) for e in getattr(r, "entries", r))
-    return types
+def _payloads(results):
+    """Payloads of the vectors and matrices returned."""
+    return [e.payload for r in results if r is not None and not isinstance(r, type)
+            for e in getattr(r, "entries", r)]
+
+
+def _canonical_q(fd, payload) -> bool:
+    """payload is Q's ((n,), d): integers, d > 0, gcd(n, d) = 1 and zero
+    as ((0,), 1), which is what _norm returns."""
+    vec, den = payload
+    return (type(vec) is tuple and len(vec) == 1 and type(vec[0]) is int
+            and type(den) is int and den > 0 and fd._norm(list(vec), den) == payload)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -370,7 +374,8 @@ def test_echelon_matches_fieldelement_oracle(name):
         check(m, tuple(draw(rng) for _ in range(m.rows)))
         check(m, tuple(fd.zero() for _ in range(m.rows)))
     if name == "Q":
-        assert _payload_types(fd, returned) == {Fraction}
+        payloads = _payloads(returned)
+        assert payloads and all(_canonical_q(fd, p) for p in payloads)
 
 
 # ---------------------------------------------------------------------------

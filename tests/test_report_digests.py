@@ -2,7 +2,8 @@
 
 Each case runs cli.main in process with --json and compares the sha256 of
 stdout, and the exit code, with values recorded before the Q(sqrt d)
-arithmetic moved onto the shared power basis.  A refactor that changes
+arithmetic moved onto the shared power basis (the Q and finite-field
+cases: before Q moved onto it).  A refactor that changes
 any report byte (a key, an element string, an order) fails here; a
 deliberate change to the report must update the digests and bump SCHEMA.
 """
@@ -50,6 +51,20 @@ DIGESTS = {
         "542f3724c734c584f7133a2979c28a6fa2771a2836c9b79d95fa9cbddee93e62",
     "table dependencies":
         "2ea992dbda5ec41ec13c9d6d6c576cc625f4e6c08e4790eebbe984f172c92025",
+    "detect gallery:crapo":
+        "367dff88d56075398fd01933af0b3e31f737e22550f67eb214f989f2c6ea5dc0",
+    "lattice gallery:crapo":
+        "9a10f688a4063e97b819c85e51fd49937aa8632711180ad53c4a9421931a32e6",
+    "classify gallery:crapo":
+        "3276cb4e409e9ece2e6a5650150b6a8b613081a0d3cd1ac305bdd7ae4e523244",
+    "classify gallery:witness-1^2,4^1":
+        "53d5fe4655d542fe78bf97a90066b3df8505fc6968c20a6df9415967b42601eb",
+    "detect gallery:witness-1^6":
+        "7c28fb2c8c5b14232bca61bc45f26e5e3e716d6f554fa11718ae6c16413db41e",
+    "detect gallery:f5":
+        "dc6c9378ae11975d3dfc90e8feabee31ac49ac3c3ba25b7644e94af841b7276e",
+    "lattice gallery:f4":
+        "079d75093c54603d0f680c0646c898a1c3fa50caec332066fcdab59bff6643f7",
 }
 
 

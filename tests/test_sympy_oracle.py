@@ -28,10 +28,10 @@ def _domain(fd):
 
 def _to_oracle(K, x):
     """x in K; the generator g of Q(sqrt d) goes to K.ext, a root of x^2 - d."""
+    c0, *c1 = (sympy.QQ(c.numerator, c.denominator) for c in x.fd.coefficients(x))
     if isinstance(x.fd, Rational):
-        return K(x.payload.numerator, x.payload.denominator)
-    c0, c1 = (sympy.QQ(c.numerator, c.denominator) for c in x.fd.coefficients(x))
-    return K.new([c1, c0])
+        return c0
+    return K.new([c1[0], c0])
 
 
 def _oracle_matrix(m):
