@@ -8,7 +8,8 @@ detector finds three pairwise intersection lines meeting a common
 point at infinity.  Closure scanners verify the composition laws the
 detected patterns must obey.
 
-All detectors are pure and return canonical, deduplicated families.
+All detectors are pure, compare products from one table of signed
+minors (_det_table) and return canonical, deduplicated families.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .arrangement import (
     projective_map_through,
 )
 from .exactfield import FieldElement
-from .linalg import Matrix, _det_payloads, cross3, det, det2
+from .linalg import Matrix, cross3, det, det2
 
 
 class BadFourSet(ValueError):
@@ -159,17 +160,28 @@ def crossratio_form(a: Arrangement, fourset: FourSet) -> FieldElement:
 
 
 def _det_table(a: Arrangement) -> dict:
-    """det2 payload of every ordered pair of distinct indices: the
-    arrangement's 2 x 2 minors, with the negation on the reversed pair.
-    Raises NotGeneric when one vanishes."""
+    """Payload of every ordered k-tuple of distinct indices: the minor of
+    the sorted tuple, negated on odd orderings (2 entries per minor at
+    k = 2, 6 at k = 3).  Raises NotGeneric when a minor vanishes."""
     if not is_generic(a):
-        raise NotGeneric("parallel or repeated lines")
+        raise NotGeneric("parallel or repeated lines" if a.k == 2
+                         else "dependent normal triple")
     neg = a.field._neg
+    parities = [sum(x > y for x, y in combinations(o, 2)) % 2
+                for o in permutations(range(a.k))]
     table = {}
-    for (x, y), d in a.minors().items():
-        table[x, y] = d
-        table[y, x] = neg(d)
+    for key, d in a.minors().items():
+        signed = (d, neg(d))
+        for order, odd in zip(permutations(key), parities):
+            table[order] = signed[odd]
     return table
+
+
+def _pairs_swap(mul, dets, pairs) -> bool:
+    """True iff one projective involution of P^1 swaps the three pairs."""
+    (x, x2), (y, y2), (z, z2) = pairs
+    return (mul(mul(dets[x, y2], dets[y, z2]), dets[z, x2])
+            == mul(mul(dets[x, z2], dets[y, x2]), dets[z, y2]))
 
 
 def quadral_points(a: Arrangement) -> list[FourSet]:
@@ -183,14 +195,10 @@ def quadral_points(a: Arrangement) -> list[FourSet]:
     found = []
     for subset in combinations(a.indices, 6):
         for pairs in perfect_matchings(subset):
-            (a1, b1), (a2, b2), (a3, b3) = pairs
-            lhs = mul(mul(dets[a1, b2], dets[a2, b3]), dets[a3, b1])
-            rhs = mul(mul(dets[a1, b3], dets[a2, b1]), dets[a3, b2])
-            if lhs == rhs:
-                found.append(FourSet(((a1, a2, a3), (a1, b2, b3),
-                                      (b1, a2, b3), (b1, b2, a3))))
-                found.append(FourSet(((b1, b2, b3), (b1, a2, a3),
-                                      (a1, b2, a3), (a1, a2, b3))))
+            if _pairs_swap(mul, dets, pairs):
+                (a1, b1), (a2, b2), (a3, b3) = pairs
+                four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
+                found += [four, four.complement()]
     return sorted(set(found))
 
 
@@ -198,12 +206,10 @@ def find_involutions(a: Arrangement):
     """For each pairing of six lines, the projective involution
     swapping the normals along it, when one exists.
 
-    Pairs (x,x'), (y,y'), (z,z') of points of P^1 are swapped by one
-    projective involution iff [x y'][y z'][z x'] = [x z'][y x'][z y'],
-    the equality quadral_points tests; it is checked on one det2 table
-    and a map is built only for the matchings that pass.  Returns
-    (matching, map) pairs; the map sends each normal to its partner in
-    both directions and squares to the identity."""
+    A map is built only for the matchings that pass _pairs_swap, the
+    test quadral_points makes.  Returns (matching, map) pairs; the map
+    sends each normal to its partner in both directions and squares to
+    the identity."""
     _check_k2(a)
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
@@ -211,9 +217,7 @@ def find_involutions(a: Arrangement):
     dets = _det_table(a)
     out = []
     for pairs in perfect_matchings(a.indices):
-        (x, x2), (y, y2), (z, z2) = pairs
-        if (mul(mul(dets[x, y2], dets[y, z2]), dets[z, x2])
-                != mul(mul(dets[x, z2], dets[y, x2]), dets[z, y2])):
+        if not _pairs_swap(mul, dets, pairs):
             continue
         src = tuple(a.normal(p) for p, _ in pairs)
         dst = tuple(a.normal(q) for _, q in pairs)
@@ -426,27 +430,20 @@ def good6_condition(a: Arrangement, g: Good6Partition) -> FieldElement:
 def good6_points(a: Arrangement) -> list[Good6Partition]:
     """All good partitions over every 6-subset of indices, k=3.
 
-    Genericity is read off the arrangement's table of minors.  The cross
-    product of every pair of normals is computed once, as payloads, and
-    each matching's good6_condition is one payload 3x3 determinant of
-    three table rows; no inversions."""
+    det(a x b, c x d, e x f) = [a b e][c d f] - [a b f][c d e]
+    (Grassmann-Pluecker), so good6_condition vanishes on ((a1,b1),
+    (a2,b2),(a3,b3)) iff [a1 b1 a3][a2 b2 b3] == [a1 b1 b3][a2 b2 a3]:
+    two products of signed 3 x 3 minors (_det_table); no inversions."""
     if a.k != 3:
         raise NotDimension3(f"cross-product condition needs k=3, got k={a.k}")
-    if not is_generic(a):
-        raise NotGeneric("dependent normal triple")
-    fd = a.field
-    mul, add, neg, is_zero = fd._mul, fd._add, fd._neg, fd._is_zero
-    normals = {p: [e.payload for e in a.normal(p)] for p in a.indices}
-    cross = {}
-    for x, y in combinations(a.indices, 2):
-        (u0, u1, u2), (v0, v1, v2) = normals[x], normals[y]
-        cross[x, y] = (add(mul(u1, v2), neg(mul(u2, v1))),
-                       add(mul(u2, v0), neg(mul(u0, v2))),
-                       add(mul(u0, v1), neg(mul(u1, v0))))
+    mul = a.field._mul
+    dets = _det_table(a)
     found = []
     for subset in combinations(a.indices, 6):
         for pairs in perfect_matchings(subset):
-            if is_zero(_det_payloads(fd, [cross[p] for p in pairs])):
+            (a1, b1), (a2, b2), (a3, b3) = pairs
+            if (mul(dets[a1, b1, a3], dets[a2, b2, b3])
+                    == mul(dets[a1, b1, b3], dets[a2, b2, a3])):
                 found.append(Good6Partition(pairs))
     return sorted(found)
 

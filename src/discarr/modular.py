@@ -2,12 +2,13 @@
 
 Every answer of the detectors and of the lattice is the vanishing
 pattern of integer polynomials in the normals' entries: det2 products,
-cross-ratio equalities, determinants of cross products and the minors
-of the discriminantal normals.  After each normal is scaled to integral
-coefficients (every test is homogeneous in each normal), such a value
-alpha lies in Z[x]/(f).  Reducing x to a root r of f modulo a prime p
-sends Z[x]/(f) onto F_p with a kernel P of index p; a nonzero alpha in
-P has p dividing |N(alpha)|, since alpha Z[x]/(f) lies in P.  So when p
+cross-ratio equalities, [a b e][c d f] - [a b f][c d e] (which is
+det(a x b, c x d, e x f)) and the minors of the discriminantal normals.
+After each normal is scaled to integral coefficients (every test is
+homogeneous in each normal), such a value alpha lies in Z[x]/(f).
+Reducing x to a root r of f modulo a prime p sends Z[x]/(f) onto F_p
+with a kernel P of index p; a nonzero alpha in P has p dividing
+|N(alpha)|, since alpha Z[x]/(f) lies in P.  So when p
 exceeds a bound on |N(alpha)| for every alpha tested, each test answers
 the same in F_p as in K: this is the "big prime" modular method (von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 5).
@@ -46,11 +47,11 @@ def modular_image(a: Arrangement, lattice: bool = False) -> Arrangement:
     The bound covers, for k = 2, the quint equality
     |c t1||t0 t2||c s2||s0 s1| - |c s1||s0 s2||c t2||t0 t1| (degree 4 in
     det2, so also the quadral products and the det2 values); for k = 3,
-    the determinant of three cross products (so also the cross products
-    against a third normal); for the lattice, Hadamard's bound on every
-    minor of size at most n - k of the discriminantal normals, whose
-    entries are the k x k minors of the base normals (so also the
-    genericity minors and the rank check).
+    the good6_points value [a b e][c d f] - [a b f][c d e], which is
+    det(a x b, c x d, e x f) (so also each minor); for the lattice,
+    Hadamard's bound on every minor of size at most n - k of the
+    discriminantal normals, whose entries are the k x k minors of the
+    base normals (so also the genericity minors and the rank check).
     """
     fd = a.field
     if not isinstance(fd, (Quadratic, Cyclotomic)):

@@ -8,8 +8,9 @@ determinants by Gaussian elimination on field elements, and good
 adds through Zech logarithms, negates by a shift of the logarithm,
 multiplies and inverts through exp/log tables (small fields) or
 square-and-multiply (large fields), expands determinants up to 3x3 by
-cofactors on payloads, and reads good6_points off one cross-product
-table; all must agree exactly.
+cofactors on payloads, and reads good6_points off the arrangement's
+signed table of 3x3 minors, two products per matching; all must agree
+exactly.
 """
 
 import random
@@ -21,6 +22,7 @@ import pytest
 
 from discarr import (
     Arrangement,
+    Cyclotomic,
     Galois,
     Good6Partition,
     Matrix,
@@ -33,6 +35,7 @@ from discarr import (
     good6_condition,
     good6_points,
     is_generic,
+    pappus_closure_check,
     perfect_matchings,
 )
 from discarr.exactfield import _GALOIS_TABLE_LIMIT
@@ -229,13 +232,14 @@ FIELDS = {
     "GF8": Galois(2, (1, 1, 0, 1)),
     "GF9": Galois(3, (1, 0, 1)),
     "sqrt5": Quadratic(5),
+    "zeta5": Cyclotomic(5),
 }
 
 
 def _sampler(fd):
     if isinstance(fd, Rational):
         return lambda rng: fd.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-    if isinstance(fd, Quadratic):
+    if isinstance(fd, (Quadratic, Cyclotomic)):
         g = fd.generator()
         return lambda rng: (fd.from_int(rng.randint(-1, 1))
                             + fd.from_int(rng.randint(-1, 1)) * g)
@@ -314,10 +318,11 @@ def test_good6_oracle_cases_find_partitions():
 
 
 def test_good6_points_needs_no_inversions(monkeypatch):
-    # 15 pair cross products x 6, 20 genericity minors x 9 (the
-    # arrangement's table, on the first call only) and 15 matching
-    # determinants x 9 products on six planes; the per-matching
-    # Gaussian path does 551 products and 87 inversions on f4.
+    # 20 genericity minors x 9 products (the arrangement's table, on the
+    # first call only) and 2 products of signed minors for each of the
+    # 15 matchings on six planes; the per-matching Gaussian path does
+    # 551 products and 87 inversions on f4.  pappus_closure_check runs
+    # good6_points again and pays the 30 products once more.
     a = f4_arrangement()
     calls = Counter()
 
@@ -333,8 +338,12 @@ def test_good6_points_needs_no_inversions(monkeypatch):
     monkeypatch.setattr(Galois, "_inv", counting("_inv"))
     assert good6_points(a)
     assert calls["_inv"] == 0
-    assert calls["_mul"] <= 15 * 6 + 20 * 9 + 15 * 9
+    assert calls["_mul"] == 20 * 9 + 15 * 2
     calls.clear()
     assert good6_points(a)
     assert calls["_inv"] == 0
-    assert calls["_mul"] <= 15 * 6 + 15 * 9
+    assert calls["_mul"] == 15 * 2
+    calls.clear()
+    assert pappus_closure_check(a) == []
+    assert calls["_inv"] == 0
+    assert calls["_mul"] == 15 * 2

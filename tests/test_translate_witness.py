@@ -152,6 +152,15 @@ def test_det_table_is_the_antisymmetric_view_of_the_minors():
     for (x, y), d in a.minors().items():
         assert dets[x, y] == d
         assert dets[y, x] == a.field._neg(d)
+    # at k = 3 the even orderings keep the minor and the odd ones negate it
+    w = build_gallery("witness-3^2")
+    dets = _det_table(w)
+    assert len(dets) == 6 * 20
+    for (x, y, z), d in w.minors().items():
+        for key in ((x, y, z), (y, z, x), (z, x, y)):
+            assert dets[key] == d
+        for key in ((y, x, z), (x, z, y), (z, y, x)):
+            assert dets[key] == w.field._neg(d)
 
 
 def _count_dets(monkeypatch) -> Counter:
