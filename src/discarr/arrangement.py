@@ -10,15 +10,14 @@ translate solver all read one table of k x k minors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .exactfield import (
     FieldDescriptor,
     FieldElement,
+    _as_element,
     descriptor_from_json,
     descriptor_to_json,
-    embed,
     format_element,
     parse_element,
 )
@@ -36,18 +35,6 @@ class DegeneratePoints(ValueError):
 class NoGenericWitness(RuntimeError):
     """Over a field of small characteristic, every kernel vector hits a
     forbidden extra incidence, or there are too many to enumerate."""
-
-
-def _as_element(field: FieldDescriptor, value) -> FieldElement:
-    if isinstance(value, FieldElement):
-        if value.fd is not field and value.fd != field:
-            raise ValueError("normal entry from a different field")
-        return value
-    if isinstance(value, int):
-        return field.from_int(value)
-    if isinstance(value, Fraction):
-        return embed(value, field)
-    raise TypeError(f"cannot use {value!r} as a field element")
 
 
 class Arrangement:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import gcd
 from typing import Iterable
 
@@ -134,9 +136,7 @@ def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
     return quot, rem[:dd]
 
 
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, constant term first.
 
@@ -145,17 +145,13 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m in _CYCLO_CACHE:
-        return _CYCLO_CACHE[m]
     num = [-1] + [0] * (m - 1) + [1]
     for d in _divisors(m):
         if d < m:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             if any(rem):
                 raise ArithmeticError("inexact polynomial division")
-    result = tuple(num)
-    _CYCLO_CACHE[m] = result
-    return result
+    return tuple(num)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +483,6 @@ class Galois(FieldDescriptor):
         # d = 1..deg/2, p^d of them at (deg - d + 1)(d + 1) multiply-
         # subtracts plus 16 for the call each: at most p = 49999 at
         # degree 2 and degree 23 at p = 2 fit the budget
-        from itertools import product
-
         work = 0
         for d in range(1, self.deg // 2 + 1):
             work += self.p ** d * ((self.deg - d + 1) * (d + 1) + 16)
@@ -525,8 +519,6 @@ class Galois(FieldDescriptor):
 
     def _build_tables(self) -> None:
         # g is primitive iff g^((q-1)/r) != 1 for every prime r | q-1
-        from itertools import product
-
         n = self.q - 1
         one = self._pad([1])
         cofactors = [n // r for r in _prime_factors(n)]
@@ -602,9 +594,7 @@ class Galois(FieldDescriptor):
         return self.element(self._pad([0, 1]))
 
     def iter_elements(self):
-        from itertools import product as _product
-
-        for coeffs in _product(range(self.p), repeat=self.deg):
+        for coeffs in product(range(self.p), repeat=self.deg):
             yield self.element(tuple(coeffs))
 
     def __repr__(self):
@@ -760,6 +750,22 @@ def embed(value, fd: FieldDescriptor) -> FieldElement:
     return fd.from_fraction(value)
 
 
+def _as_element(fd: FieldDescriptor, value) -> FieldElement:
+    """value as an element of fd: an element of fd itself, an int, or a
+    Fraction (numerator over denominator in characteristic p)."""
+    if isinstance(value, FieldElement):
+        if value.fd is not fd and value.fd != fd:
+            raise FieldMismatch(f"{value.fd!r} vs {fd!r}")
+        return value
+    if isinstance(value, int):
+        return fd.from_int(value)
+    if isinstance(value, Fraction):
+        if fd.characteristic() == 0:
+            return fd.from_fraction(value)
+        return fd.from_int(value.numerator) / fd.from_int(value.denominator)
+    raise TypeError(f"cannot use {value!r} as an element of {fd!r}")
+
+
 # ---------------------------------------------------------------------------
 # formatting and parsing
 
@@ -786,103 +792,42 @@ def _fmt_terms(terms: list[tuple[Fraction, int]]) -> str:
     return out
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[g+\-*/^])")
-
-
-def _tokenize(s: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m:
-            if s[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {s[pos:].strip()[0]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+# one whole term of parse_element's grammar, with its surrounding
+# whitespace; groups: sign, a, b, then g and k after a coefficient, or g
+# and k alone
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?(?:\s*\*\s*(g)(?:\s*\^\s*(\d+))?)?"
+                   r"|(g)(?:\s*\^\s*(\d+))?)\s*")
 
 
 def parse_element(s: str, fd: FieldDescriptor) -> FieldElement:
     """Parse an element string: signed rationals plus terms in g.
 
-    Grammar: term ((+|-) term)* where term is `a`, `a/b`, `a*g^k`, `g^k`,
-    or `g`.  Whitespace is insignificant.
+    Grammar: term ((+|-) term)* where term is `a`, `a/b`, `a*g^k`,
+    `a/b*g^k`, `a*g`, `g^k` or `g`.  Whitespace is insignificant.
     """
-    tokens = _tokenize(s)
-    if not tokens:
+    if not s.strip():
         raise ParseError("empty element", 0)
-    idx = 0
-
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def take():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def parse_number() -> tuple[Fraction, int]:
-        tok, pos = take()
-        if not tok.isdigit():
-            raise ParseError("expected a number", pos)
-        value = Fraction(int(tok))
-        if peek() == "/":
-            take()
-            tok2, pos2 = take() if idx < len(tokens) else (None, pos)
-            if tok2 is None or not tok2.isdigit():
-                raise ParseError("expected denominator", pos2)
-            if int(tok2) == 0:
-                raise ParseError("zero denominator", pos2)
-            value /= int(tok2)
-        return value, pos
-
-    def parse_gpower() -> int:
-        tok, pos = take()
-        assert tok == "g"
-        if peek() == "^":
-            take()
-            if idx >= len(tokens) or not tokens[idx][0].isdigit():
-                raise ParseError("expected exponent", tokens[idx - 1][1])
-            etok, _ = take()
-            return int(etok)
-        return 1
-
-    result = fd.zero()
-    first = True
-    while idx < len(tokens):
-        sign = 1
-        if peek() in ("+", "-"):
-            tok, pos = take()
-            sign = -1 if tok == "-" else 1
-        elif not first:
-            raise ParseError("expected + or - between terms", tokens[idx][1])
-        first = False
-        if peek() is None:
-            raise ParseError("dangling sign", tokens[idx - 1][1])
-        if peek() == "g":
-            power = parse_gpower()
-            coeff = Fraction(1)
-        else:
-            coeff, pos = parse_number()
-            power = 0
-            if peek() == "*":
-                take()
-                if peek() != "g":
-                    raise ParseError("expected g after *", tokens[idx - 1][1])
-                power = parse_gpower()
+    result, pos = fd.zero(), 0
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        if not m:
+            raise ParseError("expected a term", pos)
+        sign, num, den, g, k, lone_g, lone_k = m.groups()
+        if pos and not sign:
+            raise ParseError("expected + or - between terms", pos)
+        if den is not None and int(den) == 0:
+            raise ParseError("zero denominator", m.start(3))
+        coeff = Fraction(int(num or 1), int(den or 1))
+        power = int(k or lone_k or 1)
         if power > 10**6:
-            raise ParseError("exponent too large", 0)
-        if fd.characteristic() == 0:
-            term = embed(sign * coeff, fd)
-        else:
-            if coeff.denominator != 1:
-                raise ParseError("fractional coefficient in finite field", 0)
-            term = fd.from_int(sign * coeff.numerator)
-        if power:
-            term = term * (fd.generator() ** power)
+            raise ParseError("exponent too large", pos)
+        if fd.characteristic() and coeff.denominator != 1:
+            raise ParseError("fractional coefficient in finite field", pos)
+        term = _as_element(fd, -coeff if sign == "-" else coeff)
+        if g or lone_g:  # even g^0 needs a field with a generator
+            term = term * fd.generator() ** power
         result = result + term
+        pos = m.end()
     return result
 
 

@@ -23,12 +23,11 @@ from .exactfield import (
     Cyclotomic,
     FieldDescriptor,
     FieldElement,
-    FieldMismatch,
     Galois,
     Prime,
     Quadratic,
     Rational,
-    embed,
+    _as_element,
 )
 from .linalg import Vector
 from .permtype import TYPE_ORDER, PartitionType
@@ -84,25 +83,11 @@ def f5_arrangement() -> Arrangement:
 # ---------------------------------------------------------------------------
 # the four-parameter plane family and its genericity conditions
 
-def _param(field: FieldDescriptor, v) -> FieldElement:
-    if isinstance(v, FieldElement):
-        if v.fd != field:
-            raise FieldMismatch(f"parameter from {v.fd!r}, expected {field!r}")
-        return v
-    if isinstance(v, int):
-        return field.from_int(v)
-    if isinstance(v, Fraction):
-        if field.characteristic() == 0:
-            return embed(v, field)
-        return field.from_int(v.numerator) / field.from_int(v.denominator)
-    raise TypeError(f"cannot use {v!r} as a parameter")
-
-
 def parametrized(field: FieldDescriptor, w, x, y, z) -> Arrangement:
     """The six-plane arrangement with normals e1, e2, e3, (1,1,1),
     (w,x,1), (y,z,1); every 6-plane type question reduces to this
     family up to projective change of coordinates."""
-    w, x, y, z = (_param(field, v) for v in (w, x, y, z))
+    w, x, y, z = (_as_element(field, v) for v in (w, x, y, z))
     one, zero = field.one(), field.zero()
     cols = ((one, zero, zero), (zero, one, zero), (zero, zero, one),
             (one, one, one), (w, x, one), (y, z, one))
@@ -113,7 +98,7 @@ def parameter_conditions(field: FieldDescriptor, w, x, y, z) -> tuple[FieldEleme
     """The expressions that must all be nonzero for parametrized() to be
     generic: the four parameters, their distances from 1, and the six
     combinations that vanish exactly on degenerate column triples."""
-    w, x, y, z = (_param(field, v) for v in (w, x, y, z))
+    w, x, y, z = (_as_element(field, v) for v in (w, x, y, z))
     one = field.one()
     return (w, x, y, z,
             w - one, x - one, y - one, z - one,

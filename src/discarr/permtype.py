@@ -14,6 +14,7 @@ first.  All tests and tables assume this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -123,7 +124,8 @@ _GENERATORS: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {
 }
 
 
-def _build_phi_table() -> dict[Perm, Perm]:
+@cache
+def _phi_table() -> dict[Perm, Perm]:
     gens = [(Perm.from_cycles([pair]), Perm.from_cycles(list(img)))
             for pair, img in _GENERATORS.items()]
     table = {Perm.identity(): Perm.identity()}
@@ -143,14 +145,8 @@ def _build_phi_table() -> dict[Perm, Perm]:
     return table
 
 
-_PHI: dict[Perm, Perm] | None = None
-
-
 def phi(p: Perm) -> Perm:
-    global _PHI
-    if _PHI is None:
-        _PHI = _build_phi_table()
-    return _PHI[p]
+    return _phi_table()[p]
 
 
 def edge_label(i: int, j: int) -> Perm:
@@ -159,19 +155,14 @@ def edge_label(i: int, j: int) -> Perm:
     return phi(Perm.from_cycles([(i, j)]))
 
 
-_EDGE_OF_MATCHING: dict[Matching, tuple[int, int]] | None = None
-
-
+@cache
 def _edge_table() -> dict[Matching, tuple[int, int]]:
-    global _EDGE_OF_MATCHING
-    if _EDGE_OF_MATCHING is None:
-        table = {}
-        for i, j in combinations(range(1, 7), 2):
-            table[matching_from_perm(edge_label(i, j))] = (i, j)
-        if len(table) != 15:
-            raise RuntimeError("edge labels are not 15 distinct matchings")
-        _EDGE_OF_MATCHING = table
-    return _EDGE_OF_MATCHING
+    table = {}
+    for i, j in combinations(range(1, 7), 2):
+        table[matching_from_perm(edge_label(i, j))] = (i, j)
+    if len(table) != 15:
+        raise RuntimeError("edge labels are not 15 distinct matchings")
+    return table
 
 
 def matching_to_edge(m: Matching) -> tuple[int, int]:

@@ -111,6 +111,26 @@ def test_projective_map_operations():
         ProjectiveMap.from_rows([[1, 2], [2, 4]], Q)
 
 
+def test_entries_coerce_into_the_field():
+    # one coercion for normals, map rows and the parametrized family: an
+    # element of another field is a FieldMismatch, a Fraction over F_p is
+    # its numerator over its denominator, anything else a TypeError
+    from discarr.exactfield import FieldMismatch, Prime
+
+    g = Quadratic(5).generator()
+    with pytest.raises(FieldMismatch):
+        Arrangement(Q, 2, ((1, 0), (0, 1), (g, 1)))
+    with pytest.raises(FieldMismatch):
+        ProjectiveMap.from_rows([[1, 0], [g, 1]], Q)
+    with pytest.raises(TypeError):
+        Arrangement(Q, 2, ((1, 0), (0, 1), (1.5, 1)))
+    f7 = Prime(7)
+    a = Arrangement(f7, 2, ((1, 0), (0, 1), (Fraction(1, 2), 1)))
+    assert a.normal(3) == (f7.from_int(4), f7.one())
+    m = ProjectiveMap.from_rows([[Fraction(3, 2), 0], [0, 1]], f7)
+    assert m.apply((f7.one(), f7.one()))[0] == f7.from_int(5)
+
+
 def test_projective_map_through():
     one, zero = Q.one(), Q.zero()
     src = ((one, zero), (zero, one), (one, one))

@@ -391,10 +391,21 @@ def test_format_is_parseable_for_random_elements():
 
 
 def test_parse_errors_carry_position():
-    for bad in ["", "1//2", "g^", "3+", "@", "g^^2"]:
+    # a failed term is reported at its start; the other messages name
+    # what a matched term broke
+    q, z8, f7 = Rational(), Cyclotomic(8), Prime(7)
+    cases = [("", q, "empty element", 0), ("1//2", q, "expected a term", 1),
+             ("g^", z8, "expected a term", 1), ("3+", q, "expected a term", 1),
+             ("@", q, "expected a term", 0), ("g^^2", z8, "expected a term", 1),
+             ("1 2", q, "expected + or - between terms", 2),
+             ("1 + 3/0", q, "zero denominator", 6),
+             ("1+g^1000001", z8, "exponent too large", 1),
+             ("1/2", f7, "fractional coefficient in finite field", 0)]
+    for bad, fd, message, position in cases:
         with pytest.raises(ParseError) as err:
-            parse_element(bad, Rational() if "g" not in bad else Cyclotomic(8))
-        assert isinstance(err.value.position, int)
+            parse_element(bad, fd)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
 
 def test_pow_negative_and_zero():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from discarr import Quadratic, Rational
+from discarr import Prime, Quadratic, Rational
 from discarr.exactfield import (
     DivisionByZero,
     FieldElement,
@@ -66,12 +66,14 @@ def test_zero_has_no_inverse():
 
 
 def test_no_generator():
-    fd = Rational()
-    with pytest.raises(ParseError):
-        fd.generator()
-    for text in ("g", "1 + g", "2*g^2"):
+    for fd in (Rational(), Prime(7)):
         with pytest.raises(ParseError):
-            parse_element(text, fd)
+            fd.generator()
+        # a term that names g needs the generator, even at exponent 0
+        for text in ("g", "1 + g", "2*g^2", "g^0", "0*g^0", "1+g^0"):
+            with pytest.raises(ParseError):
+                parse_element(text, fd)
+    fd = Rational()
     assert parse_element("-6/4", fd) == fd.from_fraction(Fraction(-3, 2))
 
 

@@ -1,0 +1,75 @@
+"""Source hygiene of src/discarr, read with the stdlib ast module.
+
+No module other than the package __init__ imports a name it never uses,
+and every _-prefixed module-level name is referenced somewhere in the
+package, so a deletion cannot leave a dead import or helper behind.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "discarr"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere in tree, quoted annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for leaf in ast.walk(ann) if ann else ():
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                    used |= _used_names(ast.parse(leaf.value, mode="eval"))
+    return used
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _module_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    assert [n for n in _imported_names(tree) if n not in used] == []
+
+
+def test_every_private_module_name_is_referenced():
+    trees = [_tree(p) for p in MODULES]
+    referenced = set()
+    for tree in trees:
+        referenced |= _used_names(tree)
+        referenced |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                       for a in node.names}
+    private = [f"{p.name}:{n}" for p, tree in zip(MODULES, trees)
+               for n in _module_level_names(tree)
+               if n.startswith("_") and not n.endswith("__") and n not in referenced]
+    assert private == []
