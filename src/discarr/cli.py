@@ -215,8 +215,7 @@ def _detect_k2(args, a: Arrangement):
             for m, f in invs]
         results["involution_count"] = len(invs)
         consistency["involutions_match_quadral"] = (
-            {frozenset(frozenset(p) for p in f.matching()) for f in quads}
-            == {m for m, _ in invs})
+            {f.matching() for f in quads} == {m for m, _ in invs})
     if a.n >= 7:
         quints = quintuple_points(image)
         results["quint_count"] = len(quints)

@@ -177,28 +177,43 @@ def _det_table(a: Arrangement) -> dict:
     return table
 
 
-def _pairs_swap(mul, dets, pairs) -> bool:
-    """True iff one projective involution of P^1 swaps the three pairs."""
-    (x, x2), (y, y2), (z, z2) = pairs
-    return (mul(mul(dets[x, y2], dets[y, z2]), dets[z, x2])
-            == mul(mul(dets[x, z2], dets[y, x2]), dets[z, y2]))
+def _pairings(a: Arrangement) -> list[tuple]:
+    """The matchings ((x, x2), (y, y2), (z, z2)) of every 6-subset of
+    indices whose pairs are related, each a test between two products of
+    signed minors (_det_table), with no inversions.
+
+    k = 2: one projective involution of P^1 swaps the three pairs, iff
+    |x y2||y z2||z x2| == |x z2||y x2||z y2|.  k = 3: the three pair
+    intersection lines meet, det(x x x2, y x y2, z x z2) = 0, which is
+    [x x2 z][y y2 z2] == [x x2 z2][y y2 z] (Grassmann-Pluecker)."""
+    mul = a.field._mul
+    dets = _det_table(a)
+    lines = a.k == 2
+    found = []
+    for subset in combinations(a.indices, 6):
+        for pairs in perfect_matchings(subset):
+            (x, x2), (y, y2), (z, z2) = pairs
+            if lines:
+                related = (mul(mul(dets[x, y2], dets[y, z2]), dets[z, x2])
+                           == mul(mul(dets[x, z2], dets[y, x2]), dets[z, y2]))
+            else:
+                related = (mul(dets[x, x2, z], dets[y, y2, z2])
+                           == mul(dets[x, x2, z2], dets[y, y2, z]))
+            if related:
+                found.append(pairs)
+    return found
 
 
 def quadral_points(a: Arrangement) -> list[FourSet]:
     """All 4-sets with ceva_value 1, over every 6-subset of indices.
 
-    Each satisfying matching contributes its complementary pair of
-    4-sets, so the count is even."""
+    Each matching one involution realizes (_pairings) contributes its
+    complementary pair of 4-sets, so the count is even."""
     _check_k2(a)
-    mul = a.field._mul
-    dets = _det_table(a)
     found = []
-    for subset in combinations(a.indices, 6):
-        for pairs in perfect_matchings(subset):
-            if _pairs_swap(mul, dets, pairs):
-                (a1, b1), (a2, b2), (a3, b3) = pairs
-                four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
-                found += [four, four.complement()]
+    for (a1, b1), (a2, b2), (a3, b3) in _pairings(a):
+        four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
+        found += [four, four.complement()]
     return sorted(set(found))
 
 
@@ -206,19 +221,15 @@ def find_involutions(a: Arrangement):
     """For each pairing of six lines, the projective involution
     swapping the normals along it, when one exists.
 
-    A map is built only for the matchings that pass _pairs_swap, the
-    test quadral_points makes.  Returns (matching, map) pairs; the map
-    sends each normal to its partner in both directions and squares to
-    the identity."""
+    A map is built only for the matchings _pairings passes, the test
+    quadral_points makes.  Returns (matching, map) pairs; the map sends
+    each normal to its partner in both directions and squares to the
+    identity."""
     _check_k2(a)
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
-    mul = a.field._mul
-    dets = _det_table(a)
     out = []
-    for pairs in perfect_matchings(a.indices):
-        if not _pairs_swap(mul, dets, pairs):
-            continue
+    for pairs in _pairings(a):
         src = tuple(a.normal(p) for p, _ in pairs)
         dst = tuple(a.normal(q) for _, q in pairs)
         f = projective_map_through(src, dst)
@@ -428,24 +439,11 @@ def good6_condition(a: Arrangement, g: Good6Partition) -> FieldElement:
 
 
 def good6_points(a: Arrangement) -> list[Good6Partition]:
-    """All good partitions over every 6-subset of indices, k=3.
-
-    det(a x b, c x d, e x f) = [a b e][c d f] - [a b f][c d e]
-    (Grassmann-Pluecker), so good6_condition vanishes on ((a1,b1),
-    (a2,b2),(a3,b3)) iff [a1 b1 a3][a2 b2 b3] == [a1 b1 b3][a2 b2 a3]:
-    two products of signed 3 x 3 minors (_det_table); no inversions."""
+    """All good partitions over every 6-subset of indices, k=3: the
+    matchings on which good6_condition vanishes (_pairings)."""
     if a.k != 3:
         raise NotDimension3(f"cross-product condition needs k=3, got k={a.k}")
-    mul = a.field._mul
-    dets = _det_table(a)
-    found = []
-    for subset in combinations(a.indices, 6):
-        for pairs in perfect_matchings(subset):
-            (a1, b1), (a2, b2), (a3, b3) = pairs
-            if (mul(dets[a1, b1, a3], dets[a2, b2, b3])
-                    == mul(dets[a1, b1, b3], dets[a2, b2, a3])):
-                found.append(Good6Partition(pairs))
-    return sorted(found)
+    return sorted(Good6Partition(pairs) for pairs in _pairings(a))
 
 
 def pappus_closure_check(a: Arrangement) -> list[str]:

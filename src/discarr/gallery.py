@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .arrangement import Arrangement, NotGeneric, is_generic
 from .detectors import FourSet, QuintFamily
@@ -239,7 +240,6 @@ def regular_polygon(n: int) -> Arrangement:
 
 def quadral_lower_bound(n: int) -> int:
     """Guaranteed 4-set pattern count for the regular n-gon lines."""
-    from math import comb
     if n % 2 == 0:
         h = n // 2
         return (n + 2) * comb(h, 3) + n * comb(h - 1, 3)
@@ -248,7 +248,6 @@ def quadral_lower_bound(n: int) -> int:
 
 def quint_lower_bound(n: int) -> int:
     """Guaranteed five-triple pattern count for the regular n-gon lines."""
-    from math import comb
     if n % 2 == 0:
         return 4 * n * comb(n // 2 - 1, 3)
     return 4 * n * comb((n - 1) // 2, 3)
@@ -298,10 +297,8 @@ def predicted_polygon_sets(n: int) -> tuple[list[FourSet], list[QuintFamily]]:
     for pairs, fixed in _reflection_orbits(n):
         for trio in combinations(pairs, 3):
             (a1, b1), (a2, b2), (a3, b3) = (tuple(sorted(p)) for p in trio)
-            four_sets.add(FourSet(((a1, a2, a3), (a1, b2, b3),
-                                   (b1, a2, b3), (b1, b2, a3))))
-            four_sets.add(FourSet(((b1, b2, b3), (b1, a2, a3),
-                                   (a1, b2, a3), (a1, a2, b3))))
+            four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
+            four_sets |= {four, four.complement()}
             for center in fixed:
                 for c2, d2 in ((a2, b2), (b2, a2)):
                     for c3, d3 in ((a3, b3), (b3, a3)):

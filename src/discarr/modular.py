@@ -16,11 +16,16 @@ Gathen and Gerhard, Modern Computer Algebra, ch. 5).
 The bound: every embedding sends x to a root of modulus at most R (1 for
 zeta_m, sqrt|d| for sqrt d), so |sigma(alpha)| is at most the l1 norm of
 alpha's coefficients weighted by R^i, and |N(alpha)| is at most the
-phi-th power of a bound on that.  The prime is p = 1 + c*m*2^a with p - 1
-fully factored, proven prime by the Lucas n - 1 test (Crandall and
-Pomerance, Prime Numbers, 4.1.1), whose primitive root g gives
-zeta -> g^((p-1)/m); over Q(sqrt d), p has (d/p) = 1 and sqrt d mod p is
-taken by Tonelli-Shanks.
+phi-th power of a bound on that.  The prime is p = 1 + c*M*3^a with c
+odd and M = lcm(8, m) (m = 1 for Q(sqrt d)), so p - 1 is fully factored
+and its 2-adic valuation s is that of M: 3 over Q(sqrt d), at most 9
+over Q(zeta_m).  The Lucas n - 1 test (Crandall and Pomerance, Prime
+Numbers, 4.1.1) proves p prime, and its primitive root g gives
+zeta -> g^((p-1)/m).  Over Q(sqrt d), p has (d/p) = 1, and sqrt d mod p
+is read off the 2-Sylow subgroup that g^((p-1)/2^s) generates, in at
+most 2^(s-1) = 4 steps.  p = 1 mod 8 makes -1, 2 and -2 squares (and,
+with 3 | p - 1, 3 and -3) for every c; under p = 3 mod 4 no prime would
+admit Q(i).
 
 Q is the degree-1 case of the same power basis, but modular_image
 leaves it in place: its bound, and so the prime, grows with the input's
@@ -29,6 +34,7 @@ entries, and certifying a prime above a 2,000-bit bound takes seconds.
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd, isqrt, lcm, prod
 
 from .arrangement import Arrangement
@@ -82,22 +88,23 @@ def _integral(v) -> list[tuple[int, ...]]:
 
 
 def _certified_prime(fd: _PowerBasis, bound: int) -> tuple[int, int]:
-    """The least prime p = 1 + c*m*2^a above bound, for the least a that
-    allows c = 1, that the Lucas test proves prime and that has a root of
-    fd's polynomial; returns p and that root."""
+    """The least prime p = 1 + c*M*3^a above bound, c odd, M = lcm(8, m)
+    and a >= 1 the least with M*3^a > bound, that the Lucas test proves
+    prime and that has a root of fd's polynomial; returns p and that
+    root."""
     m = fd.m if isinstance(fd, Cyclotomic) else 1
-    a = max(bound.bit_length() - m.bit_length() + 1, 1)
-    step = m << a
-    base = [2] + [q for q in _prime_factors(m) if q != 2]
-    # a candidate sharing a factor with the odd primes below 3000 is
-    # skipped before any modular power is spent on it
+    step = 3 * lcm(8, m)
+    while step <= bound:
+        step *= 3
+    base = [2, 3] + [q for q in _prime_factors(m) if q > 3]
+    # a candidate sharing a factor with the primes from 5 to 3000 is
+    # skipped before any modular power is spent on it (2 and 3 never
+    # divide p)
     sieve = bytearray([1]) * 3000
     for q in range(3, 55, 2):
         sieve[q * q::2 * q] = bytes(len(range(q * q, 3000, 2 * q)))
-    small = prod(q for q in range(3, 3000, 2) if sieve[q])
-    c = 0
-    while True:
-        c += 1
+    small = prod(q for q in range(5, 3000, 2) if sieve[q])
+    for c in count(1, 2):
         p = 1 + c * step
         if gcd(p, small) != 1:
             continue
@@ -126,21 +133,12 @@ def _lucas_root(n: int, factors) -> int | None:
 
 
 def _sqrt_mod(d: int, p: int, g: int) -> int:
-    """A square root of the quadratic residue d modulo the odd prime p, by
-    Tonelli-Shanks; the primitive root g is the non-residue it needs."""
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = pow(g, q, p)
-    x, t = pow(d, (q + 1) // 2, p), pow(d, q, p)
-    while t != 1:
-        # the least i with t^(2^i) = 1; then fold z^(2^(s-i-1)) into x
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        w = pow(z, 1 << (s - i - 1), p)
-        x, z = x * w % p, w * w % p
-        t, s = t * z % p, i
-    return x
+    """A square root of the quadratic residue d modulo the prime p, given
+    a primitive root g.  With p - 1 = q*2^s, q odd, z = g^q generates the
+    2-Sylow subgroup, and d^q, a square there, is z^(2j) for one
+    j < 2^(s-1); then (d^((q+1)/2) z^(-j))^2 = d * d^q * z^(-2j) = d."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z, t = pow(g, q, p), pow(d, q, p)
+    j = next(j for j in range(1 << (s - 1)) if pow(z, 2 * j, p) == t)
+    return pow(d, (q + 1) // 2, p) * pow(z, -j, p) % p

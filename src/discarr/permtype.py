@@ -18,6 +18,8 @@ from functools import cache
 from itertools import combinations
 from math import comb
 
+from . import detectors
+
 
 class ClosureViolation(RuntimeError):
     """A detected edge set is not induced by any vertex partition."""
@@ -324,8 +326,6 @@ def arrangement_type(a) -> TypeReport:
     the edges induced by their connected-component partition; anything
     else raises ClosureViolation.
     """
-    from . import detectors
-
     if a.n != 6:
         raise ValueError("type classification needs exactly 6 hyperplanes")
     if a.k == 2:
@@ -333,7 +333,7 @@ def arrangement_type(a) -> TypeReport:
         m_a = 2 * len(matchings)
         factor = 2
     elif a.k == 3:
-        matchings = tuple(g.matching for g in detectors.good6_points(a))
+        matchings = tuple(g.as_frozenset() for g in detectors.good6_points(a))
         m_a = len(matchings)
         factor = 1
     else:

@@ -13,7 +13,9 @@ from discarr import (
     Matrix,
     NotGeneric,
     Rational,
+    arrangement_type,
     build_discriminantal,
+    build_gallery,
     discriminantal_normal,
     intersection_lattice,
     is_very_generic,
@@ -125,6 +127,26 @@ def test_lattice_too_large():
     d = build_discriminantal(a)   # 120 hyperplanes is fine to build
     with pytest.raises(TooLarge):
         intersection_lattice(d)
+
+
+@pytest.mark.parametrize("name, rank2", [
+    ("witness-1^6", 51), ("witness-1^4,2^1", 49), ("witness-1^3,3^1", 45),
+    ("witness-1^2,2^2", 47), ("witness-1^2,4^1", 39), ("witness-1^1,2^1,3^1", 43),
+    ("witness-1^1,5^1", 31), ("witness-3^2", 39), ("f4", 21), ("dodecahedral", 31),
+])
+def test_rank2_count_of_6_3_is_51_minus_2m(name, rank2):
+    # each detected good partition merges three rank-2 flats of B(6,3) into one
+    a = build_gallery(name)
+    lat = intersection_lattice(build_discriminantal(a))
+    assert lat.counts()[2] == rank2 == 51 - 2 * arrangement_type(a).m_a
+
+
+@pytest.mark.parametrize("name, rank3", [
+    ("crapo", 180), ("octahedral", 150), ("f5", 126), ("polygon-6", 162),
+])
+def test_rank3_count_of_6_2_is_186_minus_3_nvg(name, rank3):
+    lat = intersection_lattice(build_discriminantal(build_gallery(name)))
+    assert lat.counts()[3] == rank3 == 186 - 3 * len(nvg_flats(lat))
 
 
 def test_dodecahedral_lattice_profile():

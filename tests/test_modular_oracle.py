@@ -11,6 +11,7 @@ certificate and the norm bound behind it are checked on their own.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -37,6 +38,7 @@ from discarr.modular import (
     _certified_prime,
     _integral,
     _lucas_root,
+    _sqrt_mod,
     modular_image,
 )
 
@@ -194,17 +196,30 @@ def test_lucas_root_is_primitive():
         assert order == p - 1
 
 
+def _assert_prime_shape(p, m):
+    """p - 1 = c * lcm(8, m) * 3^a with c odd and a >= 1, so its 2-adic
+    valuation is that of lcm(8, m)."""
+    step = lcm(8, m)
+    assert (p - 1) % (3 * step) == 0 and (p - 1) // step % 2 == 1
+
+
+def _two_adic(n):
+    return (n & -n).bit_length() - 1
+
+
 def _exact_order(r, m, p):
     return pow(r, m, p) == 1 and all(pow(r, m // q, p) != 1 for q in _prime_factors(m))
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 12, 28, 40, 56, 105])
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 12, 28, 40, 56, 105, 384, 512])
 @pytest.mark.parametrize("bits", [1, 40, 300])
 def test_certified_prime_has_root_of_order_m(m, bits):
     fd = Cyclotomic(m)
     bound = (1 << bits) - 1
     p, root = _certified_prime(fd, bound)
     assert p > bound and (p - 1) % m == 0
+    _assert_prime_shape(p, m)
+    assert _two_adic(p - 1) <= 9
     assert _exact_order(root, m, p)
     # the root is a root of Phi_m modulo p
     assert sum(c * pow(root, i, p) for i, c in enumerate(fd.poly)) % p == 0
@@ -218,9 +233,20 @@ def test_certified_prime_has_square_root_of_d(d, bits):
     bound = (1 << bits) - 1
     p, root = _certified_prime(Quadratic(d), bound)
     assert p > bound
+    _assert_prime_shape(p, 1)
+    assert _two_adic(p - 1) == 3
     assert (root * root - d) % p == 0
     if p < _PRIME_LIMIT:
         assert _is_prime(p)
+
+
+# 2-adic valuations of p - 1 from 1 to 9
+@pytest.mark.parametrize("p", [3, 5, 41, 17, 97, 193, 641, 257, 7681])
+def test_sqrt_mod_reads_the_two_sylow_subgroup(p):
+    g = _lucas_root(p, _prime_factors(p - 1))
+    for x in range(1, min(p, 300)):
+        r = _sqrt_mod(x * x % p, p, g)
+        assert r * r % p == x * x % p
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from discarr import (
     VertexPartition,
     all_partitions_of_6,
     arrangement_type,
+    build_gallery,
     edge_label,
     induced_edges,
     matching_to_edge,
@@ -225,6 +226,16 @@ def test_arrangement_type_on_reference():
     b = reference_very_generic(6, 3, seed=0)
     rep3 = arrangement_type(b)
     assert rep3.type.label() == "1^6" and rep3.m_a == 0
+
+
+@pytest.mark.parametrize("name", ["octahedral", "dodecahedral"])
+def test_arrangement_type_matchings_are_frozensets(name):
+    # k = 2 (octahedral) and k = 3 (dodecahedral) report one Matching type
+    rep = arrangement_type(build_gallery(name))
+    assert rep.matchings
+    for m in rep.matchings:
+        assert type(m) is frozenset and len(m) == 3
+        assert all(type(p) is frozenset and len(p) == 2 for p in m)
 
 
 def test_arrangement_type_rejects_wrong_size():

@@ -3,6 +3,8 @@
 No module other than the package __init__ imports a name it never uses,
 and every _-prefixed module-level name is referenced somewhere in the
 package, so a deletion cannot leave a dead import or helper behind.
+Every import sits at module level, where a cycle or a missing name shows
+on import rather than on the first call.
 """
 
 import ast
@@ -73,3 +75,11 @@ def test_every_private_module_name_is_referenced():
                for n in _module_level_names(tree)
                if n.startswith("_") and not n.endswith("__") and n not in referenced]
     assert private == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    nested = [f"{fn.name}:{node.lineno}" for fn in ast.walk(_tree(path))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
