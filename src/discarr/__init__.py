@@ -55,6 +55,7 @@ from .detectors import (
     ceva_value,
     crossratio_form,
     find_involutions,
+    good6_closure_checks,
     good6_condition,
     good6_points,
     pappus_closure_check,

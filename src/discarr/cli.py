@@ -36,9 +36,9 @@ from .arrangement import (
     arrangement_to_json,
 )
 from .detectors import (
+    good6_closure_checks,
     good6_condition,
     good6_points,
-    pappus_closure_check,
     quadral_points,
     find_involutions,
     quint_closure_checks,
@@ -52,16 +52,7 @@ from .discriminantal import (
     intersection_lattice,
     nvg_flats,
 )
-from .exactfield import (
-    Cyclotomic,
-    FieldDescriptor,
-    Galois,
-    Prime,
-    Quadratic,
-    Rational,
-    descriptor_to_json,
-    format_element,
-)
+from .exactfield import FieldDescriptor, descriptor_to_json, format_element
 from .gallery import (
     DODECAHEDRAL_DEPENDENCIES,
     build_gallery,
@@ -96,19 +87,7 @@ class CliError(Exception):
 
 
 def field_label(fd: FieldDescriptor | None) -> str:
-    if fd is None:
-        return "*"
-    if isinstance(fd, Rational):
-        return "Q"
-    if isinstance(fd, Quadratic):
-        return f"Q(sqrt({fd.d}))"
-    if isinstance(fd, Prime):
-        return f"F{fd.p}"
-    if isinstance(fd, Galois):
-        return f"F{fd.p ** fd.deg}"
-    if isinstance(fd, Cyclotomic):
-        return f"Q(zeta{fd.m})"
-    return repr(fd)
+    return "*" if fd is None else fd.label
 
 
 def load_arrangement(source: str) -> Arrangement:
@@ -248,7 +227,7 @@ def _detect_k3(args, a: Arrangement):
         "good6": [_matching_json(g.matching) for g in found],
         "m_a": len(found),
     }
-    consistency = {"pappus_closure_violations": pappus_closure_check(image)}
+    consistency = {"pappus_closure_violations": good6_closure_checks(found)}
     report = _report("detect", args.input, a, results, consistency)
     lines = [f"detect {args.input}: n={a.n} k=3 field={field_label(a.field)}",
              f"good 6-partitions: {len(found)}"]

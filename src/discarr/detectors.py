@@ -112,6 +112,14 @@ class FourSet:
         sup = set(self.support)
         return FourSet(tuple(sup - set(s)) for s in self.sets)
 
+    @staticmethod
+    def of_matching(pairs) -> tuple["FourSet", "FourSet"]:
+        """The two complementary 4-sets whose matching() is pairs, three
+        disjoint pairs of indices in either order."""
+        (a1, b1), (a2, b2), (a3, b3) = pairs
+        four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
+        return four, four.complement()
+
     def __eq__(self, other):
         if not isinstance(other, FourSet):
             return NotImplemented
@@ -210,11 +218,7 @@ def quadral_points(a: Arrangement) -> list[FourSet]:
     Each matching one involution realizes (_pairings) contributes its
     complementary pair of 4-sets, so the count is even."""
     _check_k2(a)
-    found = []
-    for (a1, b1), (a2, b2), (a3, b3) in _pairings(a):
-        four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
-        found += [four, four.complement()]
-    return sorted(set(found))
+    return sorted({four for pairs in _pairings(a) for four in FourSet.of_matching(pairs)})
 
 
 def find_involutions(a: Arrangement):
@@ -224,7 +228,9 @@ def find_involutions(a: Arrangement):
     A map is built only for the matchings _pairings passes, the test
     quadral_points makes.  Returns (matching, map) pairs; the map sends
     each normal to its partner in both directions and squares to the
-    identity."""
+    identity: projective_map_through sends each normal to its partner,
+    and by Cayley-Hamilton f^2 = tr(f) f - det(f) is scalar, so that f
+    sends the partners back, exactly when tr(f) is zero."""
     _check_k2(a)
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
@@ -233,8 +239,7 @@ def find_involutions(a: Arrangement):
         src = tuple(a.normal(p) for p, _ in pairs)
         dst = tuple(a.normal(q) for _, q in pairs)
         f = projective_map_through(src, dst)
-        if all(f.maps_to(dst[i], src[i]) for i in range(3)):
-            assert f.compose(f).is_identity()
+        if (f.matrix[0, 0] + f.matrix[1, 1]).is_zero():
             matching = frozenset(frozenset(p) for p in pairs)
             out.append((matching, f))
     return out
@@ -447,10 +452,14 @@ def good6_points(a: Arrangement) -> list[Good6Partition]:
 
 
 def pappus_closure_check(a: Arrangement) -> list[str]:
-    """Detected partitions sharing a support but no pair must be closed
-    under conjugation of their involutions.  Returns violations
-    (expected none)."""
-    found = good6_points(a)
+    """good6_closure_checks on the partitions good6_points detects on a."""
+    return good6_closure_checks(good6_points(a))
+
+
+def good6_closure_checks(found: list[Good6Partition]) -> list[str]:
+    """Partitions good6_points detected on one arrangement that share a
+    support but no pair must be closed under conjugation of their
+    involutions.  Returns violations (expected none)."""
     detected = set(found)
     by_support: dict = {}
     for g in found:

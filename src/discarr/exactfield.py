@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 
@@ -158,9 +158,18 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 # descriptors
 
 class FieldDescriptor:
-    """Identifies a concrete field and implements its payload arithmetic."""
+    """Identifies a concrete field and implements its payload arithmetic.
+
+    A subclass declares its kind, its params (the names of its
+    constructor's arguments, in order, each kept as an attribute), which
+    of them are lists of integers rather than integers, and _label, its
+    report label formatted from its attributes.  Equality, hashing, repr
+    and the JSON form (descriptor_to_json) derive from these."""
 
     kind: str = "abstract"
+    params: tuple[str, ...] = ()
+    _list_params: tuple[str, ...] = ()
+    _label: str
 
     # subclasses override all payload hooks below
     def _add(self, a, b):
@@ -214,10 +223,19 @@ class FieldDescriptor:
         return hash((type(self).__name__, self._key()))
 
     def _key(self):
-        return ()
+        return tuple(getattr(self, name) for name in self.params)
+
+    def _json_params(self) -> dict:
+        return {name: list(v) if name in self._list_params else v
+                for name, v in zip(self.params, self._key())}
+
+    @property
+    def label(self) -> str:
+        return self._label.format_map(vars(self))
 
     def __repr__(self):
-        return self.kind
+        args = ", ".join(f"{name}={v!r}" for name, v in self._json_params().items())
+        return f"{self.kind}({args})" if args else self.kind
 
 
 class _PowerBasis(FieldDescriptor):
@@ -337,12 +355,19 @@ class _PowerBasis(FieldDescriptor):
         va, da = x.payload
         return tuple(Fraction(v, da) for v in va)
 
+    def _integral(self, payloads) -> list[tuple[int, ...]]:
+        """The coefficient tuples of a vector of payloads, scaled by the
+        lcm of their denominators."""
+        den = lcm(*(d for _, d in payloads))
+        return [tuple(c * (den // d) for c in vec) for vec, d in payloads]
+
 
 class Rational(_PowerBasis):
     """Q as Q[x]/(x): the power basis of degree 1, payload ((n,), d), with
     no other conjugates (N(a) = a) and no generator symbol."""
 
     kind = "rational"
+    _label = "Q"
 
     def __init__(self):
         super().__init__((0, 1))
@@ -361,6 +386,8 @@ class Quadratic(_PowerBasis):
     g -> -g."""
 
     kind = "quadratic"
+    params = ("d",)
+    _label = "Q(sqrt({d}))"
 
     def __init__(self, d: int):
         if abs(d) >= _QUADRATIC_LIMIT:
@@ -371,18 +398,14 @@ class Quadratic(_PowerBasis):
         super().__init__((-d, 0, 1))
         self._conjugates = (((1, 0), (0, -1)),)
 
-    def _key(self):
-        return (self.d,)
-
-    def __repr__(self):
-        return f"quadratic(d={self.d})"
-
 
 class Prime(FieldDescriptor):
     """F_p for a prime p below _PRIME_LIMIT; _certified builds a larger
     one that the caller has proven prime."""
 
     kind = "prime"
+    params = ("p",)
+    _label = "F{p}"
 
     def __init__(self, p: int):
         _check_prime(p)
@@ -396,9 +419,6 @@ class Prime(FieldDescriptor):
         fd = cls.__new__(cls)
         fd.p = p
         return fd
-
-    def _key(self):
-        return (self.p,)
 
     def characteristic(self):
         return self.p
@@ -430,9 +450,6 @@ class Prime(FieldDescriptor):
         for a in range(self.p):
             yield self.element(a)
 
-    def __repr__(self):
-        return f"prime(p={self.p})"
-
 
 # Fields with at most this many elements add, multiply and invert
 # through exp/log/Zech tables over a primitive element; larger ones add
@@ -457,6 +474,9 @@ class Galois(FieldDescriptor):
     """
 
     kind = "galois"
+    params = ("p", "modulus")
+    _list_params = ("modulus",)
+    _label = "F{q}"
 
     def __init__(self, p: int, modulus: Iterable[int]):
         _check_prime(p)
@@ -534,9 +554,6 @@ class Galois(FieldDescriptor):
         sums = (self._poly_add(one, x) for x in exp)
         self._zech = tuple(None if s == self._zero else self._log[s] for s in sums)
 
-    def _key(self):
-        return (self.p, self.modulus)
-
     def characteristic(self):
         return self.p
 
@@ -597,9 +614,6 @@ class Galois(FieldDescriptor):
         for coeffs in product(range(self.p), repeat=self.deg):
             yield self.element(tuple(coeffs))
 
-    def __repr__(self):
-        return f"galois(p={self.p}, modulus={list(self.modulus)})"
-
 
 # the power table has m rows of phi(m) entries and the conjugates phi(m)
 # rows each: at m = 509, a prime, construction takes about 0.12 s
@@ -613,6 +627,8 @@ class Cyclotomic(_PowerBasis):
     off the power table."""
 
     kind = "cyclotomic"
+    params = ("m",)
+    _label = "Q(zeta{m})"
 
     def __init__(self, m: int):
         if not 3 <= m <= _CYCLOTOMIC_LIMIT:
@@ -621,12 +637,6 @@ class Cyclotomic(_PowerBasis):
         super().__init__(cyclotomic_polynomial(m), m)
         self._conjugates = tuple(tuple(self._powers[i * j % m] for i in range(self.phi))
                                  for j in range(2, m) if gcd(j, m) == 1)
-
-    def _key(self):
-        return (self.m,)
-
-    def __repr__(self):
-        return f"cyclotomic(m={self.m})"
 
 
 # ---------------------------------------------------------------------------
@@ -838,18 +848,11 @@ def format_element(x: FieldElement) -> str:
 # ---------------------------------------------------------------------------
 # descriptor (de)serialization
 
+_FIELD_KINDS = {cls.kind: cls for cls in (Rational, Quadratic, Prime, Galois, Cyclotomic)}
+
+
 def descriptor_to_json(fd: FieldDescriptor) -> dict:
-    if isinstance(fd, Rational):
-        return {"kind": "rational"}
-    if isinstance(fd, Quadratic):
-        return {"kind": "quadratic", "d": fd.d}
-    if isinstance(fd, Prime):
-        return {"kind": "prime", "p": fd.p}
-    if isinstance(fd, Galois):
-        return {"kind": "galois", "p": fd.p, "modulus": list(fd.modulus)}
-    if isinstance(fd, Cyclotomic):
-        return {"kind": "cyclotomic", "m": fd.m}
-    raise ValueError(f"unknown descriptor {fd!r}")
+    return {"kind": fd.kind, **fd._json_params()}
 
 
 def _json_int(value) -> int:
@@ -862,16 +865,11 @@ def _json_int(value) -> int:
 def descriptor_from_json(obj: dict) -> FieldDescriptor:
     try:
         kind = obj["kind"]
-        if kind == "rational":
-            return Rational()
-        if kind == "quadratic":
-            return Quadratic(_json_int(obj["d"]))
-        if kind == "prime":
-            return Prime(_json_int(obj["p"]))
-        if kind == "galois":
-            return Galois(_json_int(obj["p"]), [_json_int(c) for c in obj["modulus"]])
-        if kind == "cyclotomic":
-            return Cyclotomic(_json_int(obj["m"]))
+        cls = _FIELD_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is not None:
+            args = [[_json_int(c) for c in obj[name]] if name in cls._list_params
+                    else _json_int(obj[name]) for name in cls.params]
+            return cls(*args)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad field descriptor: {exc}", 0) from exc
     raise ParseError(f"unknown field kind {kind!r}", 0)

@@ -296,9 +296,8 @@ def predicted_polygon_sets(n: int) -> tuple[list[FourSet], list[QuintFamily]]:
     quints = set()
     for pairs, fixed in _reflection_orbits(n):
         for trio in combinations(pairs, 3):
+            four_sets.update(FourSet.of_matching(trio))
             (a1, b1), (a2, b2), (a3, b3) = (tuple(sorted(p)) for p in trio)
-            four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
-            four_sets |= {four, four.complement()}
             for center in fixed:
                 for c2, d2 in ((a2, b2), (b2, a2)):
                     for c3, d3 in ((a3, b3), (b3, a3)):

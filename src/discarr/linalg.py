@@ -21,7 +21,7 @@ needs no magnitude heuristics.
 from __future__ import annotations
 
 import operator
-from math import gcd, lcm
+from math import gcd
 
 from .exactfield import FieldDescriptor, FieldElement, FieldMismatch, Rational
 
@@ -341,8 +341,7 @@ class _IntegerSpan(_Span):
     __slots__ = ()
 
     def row(self, payloads) -> list:
-        den = lcm(*(d for _, d in payloads))
-        return [vec[0] * (den // d) for vec, d in payloads]
+        return [c for (c,) in self.field._integral(payloads)]
 
     def _zero_test(self):
         return operator.not_

@@ -62,7 +62,7 @@ def modular_image(a: Arrangement, lattice: bool = False) -> Arrangement:
     fd = a.field
     if not isinstance(fd, (Quadratic, Cyclotomic)):
         return a
-    rows = [_integral(v) for v in a.normals]
+    rows = [fd._integral([e.payload for e in v]) for v in a.normals]
     r = isqrt(abs(fd.d) - 1) + 1 if isinstance(fd, Quadratic) else 1
     b = max(sum(abs(c) * r ** i for i, c in enumerate(vec)) for row in rows for vec in row)
     k = a.k
@@ -78,13 +78,6 @@ def modular_image(a: Arrangement, lattice: bool = False) -> Arrangement:
     image = Prime._certified(p)
     return Arrangement(image, k, [[sum(c * w for c, w in zip(vec, powers)) for vec in row]
                                   for row in rows])
-
-
-def _integral(v) -> list[tuple[int, ...]]:
-    """The coefficient vectors of the normal v scaled by the common
-    denominator of its entries."""
-    den = lcm(*(e.payload[1] for e in v))
-    return [tuple(c * (den // e.payload[1]) for c in e.payload[0]) for e in v]
 
 
 def _certified_prime(fd: _PowerBasis, bound: int) -> tuple[int, int]:

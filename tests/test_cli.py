@@ -21,6 +21,7 @@ from discarr.cli import (
     field_label,
     main,
 )
+from discarr.detectors import good6_points
 from discarr.exactfield import Cyclotomic, Galois, Prime, Quadratic
 from discarr.permtype import ClosureViolation
 
@@ -79,6 +80,20 @@ def test_detect_k3_json(capsys):
     assert res["good6_count"] == 10
     assert len(res["good6"]) == 10
     assert rep["consistency"]["pappus_closure_violations"] == []
+
+
+def test_detect_k3_runs_good6_points_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return good6_points(a)
+
+    monkeypatch.setattr("discarr.cli.good6_points", counted)
+    monkeypatch.setattr("discarr.detectors.good6_points", counted)
+    assert main(["detect", "gallery:dodecahedral", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["good6_count"] == 10
+    assert len(calls) == 1
 
 
 def test_detect_polygon_reports_quints(capsys):
@@ -395,6 +410,7 @@ def test_field_labels():
     assert field_label(Prime(5)) == "F5"
     assert field_label(Galois(2, (1, 1, 1))) == "F4"
     assert field_label(Cyclotomic(24)) == "Q(zeta24)"
+    assert field_label(Prime._certified(2 ** 127 - 1)) == f"F{2 ** 127 - 1}"
 
 
 def test_module_entry_point():

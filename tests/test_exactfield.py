@@ -348,6 +348,26 @@ def test_descriptor_json_roundtrip():
         assert descriptor_from_json(descriptor_to_json(fd)) == fd
 
 
+# a Mersenne prime above _PRIME_LIMIT, which only _certified accepts
+_M127 = 2 ** 127 - 1
+
+
+@pytest.mark.parametrize("fd, text, obj", [
+    (Rational(), "rational", {"kind": "rational"}),
+    (Quadratic(-3), "quadratic(d=-3)", {"kind": "quadratic", "d": -3}),
+    (Prime(7), "prime(p=7)", {"kind": "prime", "p": 7}),
+    (Prime._certified(_M127), f"prime(p={_M127})", {"kind": "prime", "p": _M127}),
+    (Galois(2, (1, 1, 1)), "galois(p=2, modulus=[1, 1, 1])",
+     {"kind": "galois", "p": 2, "modulus": [1, 1, 1]}),
+    (Galois(3, (2, 0, 2)), "galois(p=3, modulus=[1, 0, 1])",
+     {"kind": "galois", "p": 3, "modulus": [1, 0, 1]}),
+    (Cyclotomic(12), "cyclotomic(m=12)", {"kind": "cyclotomic", "m": 12}),
+], ids=["Q", "sqrt-3", "F7", "certified", "GF4", "GF9", "zeta12"])
+def test_descriptor_repr_and_json(fd, text, obj):
+    assert repr(fd) == text
+    assert descriptor_to_json(fd) == obj  # a list modulus, not a tuple
+
+
 @pytest.mark.parametrize("obj", [
     {"kind": "quadratic", "d": 5.9},
     {"kind": "quadratic", "d": 5.0},
@@ -358,6 +378,10 @@ def test_descriptor_json_roundtrip():
     {"kind": "galois", "p": 3, "modulus": [1, False, 1]},
     {"kind": "galois", "p": 2, "modulus": "111"},
     {"kind": "cyclotomic", "m": "12"},
+    {"kind": "prime", "p": [7]},
+    {"kind": "galois", "p": 2, "modulus": 7},
+    {"kind": "cyclotomic", "m": [12]},
+    {"kind": "quadratic", "d": [5]},
 ])
 def test_descriptor_json_takes_only_integers(obj):
     # int() used to truncate 5.9 to 5 and parse "7"

@@ -36,7 +36,6 @@ from discarr.exactfield import _is_prime, _PRIME_LIMIT, _prime_factors
 from discarr.linalg import _det_payloads
 from discarr.modular import (
     _certified_prime,
-    _integral,
     _lucas_root,
     _sqrt_mod,
     modular_image,
@@ -268,7 +267,7 @@ def _abs_norm(fd, payload):
 
 def _integral_rows(a):
     fd = a.field
-    return {p: [fd._norm(list(vec), 1) for vec in _integral(v)]
+    return {p: [fd._norm(list(vec), 1) for vec in fd._integral([e.payload for e in v])]
             for p, v in zip(a.indices, a.normals)}
 
 
