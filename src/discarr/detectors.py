@@ -8,8 +8,11 @@ detector finds three pairwise intersection lines meeting a common
 point at infinity.  Closure scanners verify the composition laws the
 detected patterns must obey.
 
-All detectors are pure, compare products from one table of signed
-minors (_det_table) and return canonical, deduplicated families.
+All detectors are pure, compare products of the arrangement's minors
+(Arrangement.minors) and return canonical, deduplicated families: the
+six-element relations read them through one fixed 15-row pattern per k
+(_pairing_pattern), the quint search through the signed k = 2 view
+(_det_table).
 """
 
 from __future__ import annotations
@@ -167,48 +170,77 @@ def crossratio_form(a: Arrangement, fourset: FourSet) -> FieldElement:
     return r1 * r2 * r3
 
 
-def _det_table(a: Arrangement) -> dict:
-    """Payload of every ordered k-tuple of distinct indices: the minor of
-    the sorted tuple, negated on odd orderings (2 entries per minor at
-    k = 2, 6 at k = 3).  Raises NotGeneric when a minor vanishes."""
+def _require_generic(a: Arrangement) -> None:
     if not is_generic(a):
         raise NotGeneric("parallel or repeated lines" if a.k == 2
                          else "dependent normal triple")
+
+
+def _det_table(a: Arrangement) -> dict:
+    """Payload of |x y| for every ordered pair of distinct indices, k = 2:
+    the minor of the sorted pair, negated when x > y.  Raises NotGeneric
+    when a minor vanishes."""
+    _require_generic(a)
     neg = a.field._neg
-    parities = [sum(x > y for x, y in combinations(o, 2)) % 2
-                for o in permutations(range(a.k))]
     table = {}
-    for key, d in a.minors().items():
-        signed = (d, neg(d))
-        for order, odd in zip(permutations(key), parities):
-            table[order] = signed[odd]
+    for (x, y), d in a.minors().items():
+        table[x, y] = d
+        table[y, x] = neg(d)
     return table
+
+
+@cache
+def _pairing_pattern(k: int) -> tuple:
+    """The relation _pairings tests on a sorted 6-subset, k = 2 or 3: one
+    row (pairs, left, right, odd) per matching of positions 0..5
+    (_matching_pattern(6)).  left and right are the positions, in
+    combinations(range(6), k) order, of the minors each side multiplies;
+    odd is the parity of all the row's orderings combined, set when the
+    two sides carry opposite signs."""
+    position = {key: i for i, key in enumerate(combinations(range(6), k))}
+    rows = []
+    for pairs in _matching_pattern(6):
+        (x, x2), (y, y2), (z, z2) = pairs
+        if k == 2:
+            sides = (((x, y2), (y, z2), (z, x2)), ((x, z2), (y, x2), (z, y2)))
+        else:
+            sides = (((x, x2, z), (y, y2, z2)), ((x, x2, z2), (y, y2, z)))
+        left, right = (tuple(position[tuple(sorted(o))] for o in side) for side in sides)
+        odd = sum(u > v for side in sides for o in side
+                  for u, v in combinations(o, 2)) % 2
+        rows.append((pairs, left, right, odd))
+    return tuple(rows)
 
 
 def _pairings(a: Arrangement) -> list[tuple]:
     """The matchings ((x, x2), (y, y2), (z, z2)) of every 6-subset of
     indices whose pairs are related, each a test between two products of
-    signed minors (_det_table), with no inversions.
+    minors (_pairing_pattern), with no inversions.
 
     k = 2: one projective involution of P^1 swaps the three pairs, iff
     |x y2||y z2||z x2| == |x z2||y x2||z y2|.  k = 3: the three pair
     intersection lines meet, det(x x x2, y x y2, z x z2) = 0, which is
-    [x x2 z][y y2 z2] == [x x2 z2][y y2 z] (Grassmann-Pluecker)."""
-    mul = a.field._mul
-    dets = _det_table(a)
-    lines = a.k == 2
+    [x x2 z][y y2 z2] == [x x2 z2][y y2 z] (Grassmann-Pluecker).  The
+    subset is sorted, so its minors come in the pattern's order."""
+    _require_generic(a)
+    mul, neg = a.field._mul, a.field._neg
+    minors = a.minors()
+    pattern = _pairing_pattern(a.k)
     found = []
     for subset in combinations(a.indices, 6):
-        for pairs in perfect_matchings(subset):
-            (x, x2), (y, y2), (z, z2) = pairs
-            if lines:
-                related = (mul(mul(dets[x, y2], dets[y, z2]), dets[z, x2])
-                           == mul(mul(dets[x, z2], dets[y, x2]), dets[z, y2]))
-            else:
-                related = (mul(dets[x, x2, z], dets[y, y2, z2])
-                           == mul(dets[x, x2, z2], dets[y, y2, z]))
-            if related:
-                found.append(pairs)
+        m = [minors[key] for key in combinations(subset, a.k)]
+        if a.k == 2:
+            for pairs, (l0, l1, l2), (r0, r1, r2), odd in pattern:
+                lv = mul(mul(m[l0], m[l1]), m[l2])
+                rv = mul(mul(m[r0], m[r1]), m[r2])
+                if lv == (neg(rv) if odd else rv):
+                    found.append(tuple((subset[i], subset[j]) for i, j in pairs))
+        else:
+            for pairs, (l0, l1), (r0, r1), odd in pattern:
+                lv = mul(m[l0], m[l1])
+                rv = mul(m[r0], m[r1])
+                if lv == (neg(rv) if odd else rv):
+                    found.append(tuple((subset[i], subset[j]) for i, j in pairs))
     return found
 
 
@@ -459,8 +491,9 @@ def pappus_closure_check(a: Arrangement) -> list[str]:
 def good6_closure_checks(found: list[Good6Partition]) -> list[str]:
     """Partitions good6_points detected on one arrangement that share a
     support but no pair must be closed under conjugation of their
-    involutions.  Returns violations (expected none)."""
-    detected = set(found)
+    involutions.  Each conjugate is looked up as a canonical matching,
+    sorted (small, large) pairs; returns violations (expected none)."""
+    detected = {g.matching for g in found}
     by_support: dict = {}
     for g in found:
         by_support.setdefault(g.support, []).append(g)
@@ -472,9 +505,9 @@ def good6_closure_checks(found: list[Good6Partition]) -> list[str]:
             s1 = {x: y for p in g1.matching for x, y in (p, p[::-1])}
             s2 = {x: y for p in g2.matching for x, y in (p, p[::-1])}
             s3 = {x: s1[s2[s1[x]]] for x in support}
-            g3 = Good6Partition(frozenset(frozenset((x, y)) for x, y in s3.items()))
-            if g3 not in detected:
+            conjugate = tuple((x, y) for x, y in s3.items() if x < y)
+            if conjugate not in detected:
                 violations.append(
                     f"conjugation closure fails: {g1!r} and {g2!r} "
-                    f"detected but {g3!r} is not")
+                    f"detected but {Good6Partition(conjugate)!r} is not")
     return violations

@@ -17,7 +17,6 @@ generic arrangement cannot produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -129,12 +128,25 @@ def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
     return DiscriminantalArrangement(a, hyperplanes)
 
 
-@dataclass(frozen=True)
 class Flat:
     """A lattice element: closed support plus the rank of its normal span."""
 
-    support: tuple[tuple[int, ...], ...]
-    rank: int
+    __slots__ = ("support", "rank")
+
+    def __init__(self, support: tuple[tuple[int, ...], ...], rank: int):
+        self.support = support
+        self.rank = rank
+
+    def __eq__(self, other):
+        if not isinstance(other, Flat):
+            return NotImplemented
+        return (self.support, self.rank) == (other.support, other.rank)
+
+    def __hash__(self):
+        return hash((self.support, self.rank))
+
+    def __repr__(self):
+        return f"Flat(support={self.support!r}, rank={self.rank!r})"
 
     def key(self) -> tuple[frozenset, int]:
         return (frozenset(self.support), self.rank)

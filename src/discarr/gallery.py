@@ -13,7 +13,6 @@ hyperplane indices matching the documented column order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -115,13 +114,31 @@ def is_parameter_generic(field: FieldDescriptor, w, x, y, z) -> bool:
 # ---------------------------------------------------------------------------
 # classification witnesses
 
-@dataclass(frozen=True)
 class WitnessSpec:
     """A realizable type with frozen parameters over its smallest field."""
 
-    nu: PartitionType
-    field: FieldDescriptor
-    parameters: tuple[FieldElement, FieldElement, FieldElement, FieldElement]
+    __slots__ = ("nu", "field", "parameters")
+
+    def __init__(self, nu: PartitionType, field: FieldDescriptor,
+                 parameters: tuple[FieldElement, FieldElement, FieldElement, FieldElement]):
+        self.nu = nu
+        self.field = field
+        self.parameters = parameters
+
+    def _key(self) -> tuple:
+        return (self.nu, self.field, self.parameters)
+
+    def __eq__(self, other):
+        if not isinstance(other, WitnessSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"WitnessSpec({fields})"
 
     def arrangement(self) -> Arrangement:
         w, x, y, z = self.parameters

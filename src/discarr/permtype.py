@@ -13,7 +13,6 @@ first.  All tests and tables assume this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -307,14 +306,38 @@ def all_partitions_of_6() -> list[VertexPartition]:
     return out
 
 
-@dataclass(frozen=True)
 class TypeReport:
-    type: PartitionType
-    partition: VertexPartition
-    matchings: tuple[Matching, ...]
-    edges: frozenset[tuple[int, int]]
-    m_a: int
-    m_formula_consistent: bool
+    """The S6 type of a six-element arrangement with the matchings and
+    edges it was read off, m(A) and whether m(A) fits the type."""
+
+    __slots__ = ("type", "partition", "matchings", "edges", "m_a",
+                 "m_formula_consistent")
+
+    def __init__(self, type: PartitionType, partition: VertexPartition,
+                 matchings: tuple[Matching, ...], edges: frozenset[tuple[int, int]],
+                 m_a: int, m_formula_consistent: bool):
+        self.type = type
+        self.partition = partition
+        self.matchings = matchings
+        self.edges = edges
+        self.m_a = m_a
+        self.m_formula_consistent = m_formula_consistent
+
+    def _key(self) -> tuple:
+        return (self.type, self.partition, self.matchings, self.edges, self.m_a,
+                self.m_formula_consistent)
+
+    def __eq__(self, other):
+        if not isinstance(other, TypeReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"TypeReport({fields})"
 
 
 def arrangement_type(a) -> TypeReport:

@@ -1,15 +1,17 @@
 """Shared constructors for the test suite: seeded random arrangements,
 the random very generic reference, the lattice closure oracle,
+the six-element pairing and conjugation closure oracles,
 candidate-family enumeration, and small number-theory checks."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from discarr import (
     Arrangement,
     FourSet,
     Good6Partition,
+    NotGeneric,
     QuintFamily,
     Rational,
     detectors,
@@ -149,6 +151,74 @@ def oracle_closure(normals, supports):
         span.insert(normals[L])
     members = tuple(L for L in sorted(normals) if span.contains(normals[L]))
     return members, len(span.rows)
+
+
+# ---------------------------------------------------------------------------
+# the six-element oracles: the signed-minor walk detectors._pairings
+# replaced, and the conjugation closure over Good6Partition objects
+
+def oracle_det_table(a):
+    """Payload of every ordered k-tuple of distinct indices: the minor of
+    the sorted tuple, negated on odd orderings (2 entries per minor at
+    k = 2, 6 at k = 3)."""
+    neg = a.field._neg
+    parities = [sum(x > y for x, y in combinations(o, 2)) % 2
+                for o in permutations(range(a.k))]
+    table = {}
+    for key, d in a.minors().items():
+        signed = (d, neg(d))
+        for order, odd in zip(permutations(key), parities):
+            table[order] = signed[odd]
+    return table
+
+
+def oracle_pairings(a):
+    """The matchings of every 6-subset whose pairs are related, walking
+    perfect_matchings per subset over the signed table: at k = 2
+    |x y2||y z2||z x2| == |x z2||y x2||z y2|, at k = 3
+    [x x2 z][y y2 z2] == [x x2 z2][y y2 z]."""
+    if not is_generic(a):
+        raise NotGeneric("parallel or repeated lines" if a.k == 2
+                         else "dependent normal triple")
+    mul = a.field._mul
+    dets = oracle_det_table(a)
+    found = []
+    for subset in combinations(a.indices, 6):
+        for pairs in perfect_matchings(subset):
+            (x, x2), (y, y2), (z, z2) = pairs
+            if a.k == 2:
+                related = (mul(mul(dets[x, y2], dets[y, z2]), dets[z, x2])
+                           == mul(mul(dets[x, z2], dets[y, x2]), dets[z, y2]))
+            else:
+                related = (mul(dets[x, x2, z], dets[y, y2, z2])
+                           == mul(dets[x, x2, z2], dets[y, y2, z]))
+            if related:
+                found.append(pairs)
+    return found
+
+
+def oracle_good6_closure_checks(found):
+    """Partitions sharing a support but no pair must be closed under
+    conjugation of their involutions; each conjugate built as a
+    Good6Partition and looked up among the detected ones."""
+    detected = set(found)
+    by_support: dict = {}
+    for g in found:
+        by_support.setdefault(g.support, []).append(g)
+    violations = []
+    for support, gs in sorted(by_support.items()):
+        for g1, g2 in combinations(gs, 2):
+            if set(g1.matching) & set(g2.matching):
+                continue
+            s1 = {x: y for p in g1.matching for x, y in (p, p[::-1])}
+            s2 = {x: y for p in g2.matching for x, y in (p, p[::-1])}
+            s3 = {x: s1[s2[s1[x]]] for x in support}
+            g3 = Good6Partition(frozenset(frozenset((x, y)) for x, y in s3.items()))
+            if g3 not in detected:
+                violations.append(
+                    f"conjugation closure fails: {g1!r} and {g2!r} "
+                    f"detected but {g3!r} is not")
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,285 @@
+"""The six-element pairing relation and the conjugation closure against
+their oracles in _helpers.
+
+detectors._pairings reads each sorted 6-subset's minors through one
+fixed 15-row pattern per k; the oracle walks perfect_matchings over the
+signed table of every ordering.  good6_closure_checks looks conjugates
+up as canonical matchings; the oracle builds each as a Good6Partition.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
+from math import comb
+
+import pytest
+
+from discarr import (
+    Arrangement,
+    Cyclotomic,
+    Galois,
+    Matrix,
+    NotGeneric,
+    Prime,
+    Quadratic,
+    Rational,
+    build_gallery,
+    det,
+    detectors,
+    find_involutions,
+    good6_closure_checks,
+    good6_points,
+    is_generic,
+    quadral_points,
+)
+from discarr.detectors import _matching_pattern, _pairing_pattern, _pairings
+from discarr.gallery import TYPE_ORDER, is_parameter_generic, parametrized, witness_spec
+from discarr.modular import modular_image
+
+from _helpers import (
+    imposed_k3,
+    oracle_det_table,
+    oracle_good6_closure_checks,
+    oracle_pairings,
+    random_k3,
+)
+
+WITNESSES = ["witness-" + nu.cli_token() for nu in TYPE_ORDER if witness_spec(nu)]
+GALLERY = ["crapo", "octahedral", "dodecahedral", "f4", "f5", "polygon-6"] + WITNESSES
+
+
+def _outcome(fn, a):
+    try:
+        return fn(a)
+    except NotGeneric as exc:
+        return ("NotGeneric", str(exc))
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_gallery_pairings_match_oracle(name):
+    a = build_gallery(name)
+    assert _pairings(a) == oracle_pairings(a)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_polygon_image_pairings_match_oracle(n):
+    a = modular_image(build_gallery(f"polygon-{n}"))
+    found = _pairings(a)
+    assert found == oracle_pairings(a)
+    assert found
+
+
+# ---------------------------------------------------------------------------
+# seeded arrangements over one field of each kind
+
+FIELDS = {
+    "Q": Rational(),
+    "F11": Prime(11),
+    "GF9": Galois(3, (1, 0, 1)),
+    "sqrt5": Quadratic(5),
+    "zeta12": Cyclotomic(12),
+}
+
+
+def _element(fd, rng):
+    """A uniform element of a finite field; small entries otherwise, so
+    that relations happen by chance."""
+    if fd.characteristic():
+        return rng.choice(list(fd.iter_elements()))
+    x = fd.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    if fd == Rational():
+        return x
+    return x + fd.from_int(rng.randint(-1, 1)) * fd.generator()
+
+
+def _imposed(fd, k, rng):
+    """Six normals related by construction: slopes (inf, 0, 1, l4, l5,
+    l6) with l6 = l4 (l5 - 1) / (l4 - 1) at k = 2, the planes of
+    gallery.parametrized with z = x y at k = 3; drawn until generic."""
+    one = fd.one()
+    while True:
+        l4, l5, w = (_element(fd, rng) for _ in range(3))
+        if k == 2:
+            if (l4 - one).is_zero():
+                continue
+            l6 = l4 * (l5 - one) / (l4 - one)
+            a = Arrangement(fd, 2, [(one, 0), (0, one), (one, one), (l4, one), (l5, one), (l6, one)])
+        elif is_parameter_generic(fd, w, l4, l5, l4 * l5):
+            a = parametrized(fd, w, l4, l5, l4 * l5)
+        else:
+            continue
+        if is_generic(a):
+            return list(a.normals)
+
+
+def _independent(fd, normals, v) -> bool:
+    return all(not det(Matrix.from_rows([*rest, v], fd)).is_zero()
+               for rest in combinations(normals, len(v) - 1))
+
+
+def _seeded(fd, k, n, rng, imposed):
+    """n normals in general position: the unit vectors or six related
+    normals, extended one at a time by a draw that keeps every k-subset
+    independent.  Over a finite field the draw is among all the points
+    left, starting over when none is."""
+    if fd.characteristic():
+        one = fd.one()
+        points = [v for v in product(list(fd.iter_elements()), repeat=k)
+                  if next((e for e in v if not e.is_zero()), None) == one]
+    while True:
+        normals = _imposed(fd, k, rng) if imposed else [
+            [fd.one() if i == j else fd.zero() for j in range(k)] for i in range(k)]
+        while len(normals) < n:
+            pool = points if fd.characteristic() else [
+                [_element(fd, rng) for _ in range(k)] for _ in range(8)]
+            pool = [v for v in pool if _independent(fd, normals, v)]
+            if not pool:
+                break
+            normals.append(rng.choice(pool))
+        else:
+            return Arrangement(fd, k, normals)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("k", [2, 3])
+def test_seeded_pairings_match_oracle(name, k):
+    fd = FIELDS[name]
+    rng = random.Random(f"pairings-{name}-{k}")
+    related, tested = 0, 0
+    for n in range(6, 10):
+        for imposed in (False, True):
+            a = _seeded(fd, k, n, rng, imposed)
+            expected = oracle_pairings(a)
+            assert _pairings(a) == expected
+            related += len(expected)
+            tested += 15 * comb(n, 6)
+        # a repeated normal: both refuse with the same message
+        bad = Arrangement(fd, k, list(a.normals) + [a.normal(1)])
+        assert _outcome(_pairings, bad) == _outcome(oracle_pairings, bad)
+        assert _outcome(_pairings, bad)[0] == "NotGeneric"
+    # some matchings pass and some fail
+    assert 0 < related < tested
+
+
+# ---------------------------------------------------------------------------
+# the pattern itself, against the signed table
+
+def _generic(fd, k, n, rng):
+    while True:
+        a = Arrangement(fd, k, [[fd.from_int(rng.randint(-99, 99)) for _ in range(k)]
+                                for _ in range(n)])
+        if is_generic(a):
+            return a
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pattern_signs_match_the_signed_table(k):
+    """Each row's products equal the oracle's signed sides up to sign,
+    and the sides' signs differ exactly on odd rows: with L = sL lv and
+    R = sR rv, L rv = (-1)^odd R lv."""
+    a = _generic(Rational(), k, 6, random.Random(f"pattern-{k}"))
+    fd = a.field
+    mul, neg = fd._mul, fd._neg
+    dets = oracle_det_table(a)
+    assert len(dets) == {2: 2 * 15, 3: 6 * 20}[k]
+    for (x, y, z), d in (a.minors().items() if k == 3 else ()):
+        for key in ((x, y, z), (y, z, x), (z, x, y)):
+            assert dets[key] == d
+        for key in ((y, x, z), (x, z, y), (z, y, x)):
+            assert dets[key] == neg(d)
+    m = [a.minors()[key] for key in combinations(a.indices, k)]
+    pattern = _pairing_pattern(k)
+    assert [row[0] for row in pattern] == list(_matching_pattern(6))
+    for pairs, left, right, odd in pattern:
+        (x, x2), (y, y2), (z, z2) = ((p + 1, q + 1) for p, q in pairs)
+        if k == 2:
+            sides = (((x, y2), (y, z2), (z, x2)), ((x, z2), (y, x2), (z, y2)))
+        else:
+            sides = (((x, x2, z), (y, y2, z2)), ((x, x2, z2), (y, y2, z)))
+        big_l, big_r = (_product(mul, [dets[o] for o in side]) for side in sides)
+        lv, rv = (_product(mul, [m[i] for i in side]) for side in (left, right))
+        assert big_l in (lv, neg(lv)) and big_r in (rv, neg(rv))
+        cross = mul(big_r, lv)
+        assert mul(big_l, rv) == (neg(cross) if odd else cross)
+
+
+def _product(mul, values):
+    out = values[0]
+    for v in values[1:]:
+        out = mul(out, v)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the work, pinned
+
+def _count_payload_calls(monkeypatch, fd):
+    calls = Counter()
+    cls = type(fd)
+    for hook in ("_mul", "_inv"):
+        fn = getattr(cls, hook)
+
+        def counting(self, *args, fn=fn, hook=hook):
+            calls[hook] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(cls, hook, counting)
+    for helper in ("_det_table", "perfect_matchings"):
+        fn = getattr(detectors, helper)
+
+        def counting_helper(*args, fn=fn, helper=helper):
+            calls[helper] += 1
+            return fn(*args)
+        monkeypatch.setattr(detectors, helper, counting_helper)
+    return calls
+
+
+@pytest.mark.parametrize("detector, name, products", [
+    (good6_points, "witness-3^2", 30),
+    (quadral_points, "octahedral", 60),
+])
+def test_six_element_detectors_do_two_products_per_side(monkeypatch, detector, name, products):
+    """15 rows on one 6-subset: two products per side at k = 2, one at
+    k = 3; no inverse and no signed table or matching walk per call."""
+    a = build_gallery(name)
+    assert is_generic(a)  # the minors are kept; only the relation is counted
+    calls = _count_payload_calls(monkeypatch, a.field)
+    detector(a)
+    assert calls == Counter(_mul=products)
+
+
+def test_find_involutions_builds_no_signed_table(monkeypatch):
+    a = build_gallery("octahedral")
+    calls = _count_payload_calls(monkeypatch, a.field)
+    assert find_involutions(a)
+    assert calls["_det_table"] == calls["perfect_matchings"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the conjugation closure
+
+def _closure_cases(seed):
+    rng = random.Random(f"closure-{seed}")
+    for _ in range(12):
+        yield random_k3(rng)
+        yield imposed_k3(rng)
+    for name in WITNESSES + ["dodecahedral", "f4"]:
+        yield build_gallery(name)
+    fd = Prime(11)
+    for _ in range(12):
+        a = Arrangement(fd, 3, [[_element(fd, rng) for _ in range(3)] for _ in range(6)])
+        if is_generic(a):
+            yield a
+
+
+def test_good6_closure_matches_oracle():
+    violating = 0
+    for a in _closure_cases(101):
+        found = good6_points(a)
+        assert good6_closure_checks(found) == oracle_good6_closure_checks(found) == []
+        for i in range(len(found)):
+            dropped = found[:i] + found[i + 1:]
+            expected = oracle_good6_closure_checks(dropped)
+            assert good6_closure_checks(dropped) == expected
+            violating += bool(expected)
+    assert violating

@@ -4,7 +4,8 @@ No module other than the package __init__ imports a name it never uses,
 and every _-prefixed module-level name is referenced somewhere in the
 package, so a deletion cannot leave a dead import or helper behind.
 Every import sits at module level, where a cycle or a missing name shows
-on import rather than on the first call.
+on import rather than on the first call.  A functools memo takes only
+int parameters, so none can key on an arrangement or keep one alive.
 """
 
 import ast
@@ -83,3 +84,25 @@ def test_imports_at_module_level(path):
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def _is_memo(decorator: ast.expr) -> bool:
+    """functools.cache or lru_cache, called or not, by name or attribute."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_memos_take_only_int_parameters(path):
+    loose = []
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _is_memo(d) for d in fn.decorator_list):
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            loose += [f"{fn.name}({p.arg})" for p in params
+                      if not (isinstance(p.annotation, ast.Name) and p.annotation.id == "int")]
+    assert loose == []

@@ -152,15 +152,8 @@ def test_det_table_is_the_antisymmetric_view_of_the_minors():
     for (x, y), d in a.minors().items():
         assert dets[x, y] == d
         assert dets[y, x] == a.field._neg(d)
-    # at k = 3 the even orderings keep the minor and the odd ones negate it
-    w = build_gallery("witness-3^2")
-    dets = _det_table(w)
-    assert len(dets) == 6 * 20
-    for (x, y, z), d in w.minors().items():
-        for key in ((x, y, z), (y, z, x), (z, x, y)):
-            assert dets[key] == d
-        for key in ((y, x, z), (x, z, y), (z, y, x)):
-            assert dets[key] == w.field._neg(d)
+    # k = 3 reads no signed table: test_pairing_oracle checks the signs of
+    # the fixed pairing pattern against the oracle's six orderings per minor
 
 
 def _count_dets(monkeypatch) -> Counter:
