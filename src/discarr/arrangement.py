@@ -16,6 +16,7 @@ from .exactfield import (
     FieldDescriptor,
     FieldElement,
     _as_element,
+    _Value,
     descriptor_from_json,
     descriptor_to_json,
     format_element,
@@ -37,10 +38,11 @@ class NoGenericWitness(RuntimeError):
     forbidden extra incidence, or there are too many to enumerate."""
 
 
-class Arrangement:
+class Arrangement(_Value):
     """n hyperplanes through the origin of K^k, one normal each."""
 
     __slots__ = ("field", "k", "n", "_normals", "_minors")
+    _fields = ("field", "k", "_normals")
 
     def __init__(self, field: FieldDescriptor, k: int, normals):
         rows = [tuple(_as_element(field, e) for e in v) for v in normals]
@@ -80,14 +82,6 @@ class Arrangement:
             self._minors = {sub: _det_payloads(fd, [rows[p - 1] for p in sub])
                             for sub in combinations(self.indices, self.k)}
         return self._minors
-
-    def __eq__(self, other):
-        if not isinstance(other, Arrangement):
-            return NotImplemented
-        return (self.field, self.k, self._normals) == (other.field, other.k, other._normals)
-
-    def __hash__(self):
-        return hash((self.field, self.k, self._normals))
 
     def __repr__(self):
         return f"Arrangement(n={self.n}, k={self.k}, field={self.field!r})"
@@ -239,10 +233,11 @@ def projective_map_through(sources, targets) -> ProjectiveMap:
     return ProjectiveMap(mt).compose(ProjectiveMap(ms).inverse())
 
 
-class IndexFamily:
+class IndexFamily(_Value):
     """A family of index subsets, none a proper subset of another."""
 
     __slots__ = ("sets",)
+    _fields = __slots__
 
     def __init__(self, sets):
         fam = tuple(sorted({tuple(sorted(set(s))) for s in sets}))
@@ -259,14 +254,6 @@ class IndexFamily:
 
     def __len__(self):
         return len(self.sets)
-
-    def __eq__(self, other):
-        if not isinstance(other, IndexFamily):
-            return NotImplemented
-        return self.sets == other.sets
-
-    def __hash__(self):
-        return hash(self.sets)
 
     def __repr__(self):
         body = ", ".join("{" + ",".join(map(str, s)) + "}" for s in self.sets)

@@ -27,7 +27,7 @@ from .arrangement import (
     is_generic,
     projective_map_through,
 )
-from .exactfield import FieldElement
+from .exactfield import FieldElement, _Value
 from .linalg import Matrix, cross3, det, det2
 
 
@@ -71,11 +71,12 @@ def _matching_pattern(n: int) -> tuple:
     return pattern
 
 
-class FourSet:
+class FourSet(_Value):
     """Four 3-subsets, pairwise meeting in one index, covering six
     indices twice each."""
 
     __slots__ = ("sets",)
+    _fields = __slots__
 
     def __init__(self, sets):
         quads = sorted(tuple(sorted(s)) for s in sets)
@@ -122,17 +123,6 @@ class FourSet:
         (a1, b1), (a2, b2), (a3, b3) = pairs
         four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
         return four, four.complement()
-
-    def __eq__(self, other):
-        if not isinstance(other, FourSet):
-            return NotImplemented
-        return self.sets == other.sets
-
-    def __hash__(self):
-        return hash(self.sets)
-
-    def __lt__(self, other: "FourSet"):
-        return self.sets < other.sets
 
     def __repr__(self):
         body = ", ".join("{" + "".join(map(str, s)) + "}" for s in self.sets)
@@ -277,7 +267,7 @@ def find_involutions(a: Arrangement):
     return out
 
 
-class QuintFamily:
+class QuintFamily(_Value):
     """Center p0 plus aligned triples (p1,p2,p3), (p4,p5,p6), encoding
     the five sets {p0,p1,p4}, {p0,p2,p5}, {p0,p3,p6}, {p1,p2,p3},
     {p4,p5,p6}.
@@ -286,6 +276,7 @@ class QuintFamily:
     comes first, with its entries ascending."""
 
     __slots__ = ("center", "ta", "tb")
+    _fields = __slots__
 
     def __init__(self, center: int, ta, tb):
         ta, tb = tuple(ta), tuple(tb)
@@ -308,14 +299,6 @@ class QuintFamily:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted((self.center,) + self.ta + self.tb))
-
-    def __eq__(self, other):
-        if not isinstance(other, QuintFamily):
-            return NotImplemented
-        return (self.center, self.ta, self.tb) == (other.center, other.ta, other.tb)
-
-    def __hash__(self):
-        return hash((self.center, self.ta, self.tb))
 
     def _sort_key(self) -> tuple:
         """The order of __lt__: support, then center, ta and tb."""
@@ -422,11 +405,12 @@ def quint_closure_checks(families: list[QuintFamily]) -> list[str]:
     return violations
 
 
-class Good6Partition:
+class Good6Partition(_Value):
     """Three disjoint index pairs; the coincidence pattern is the three
     pair-union 4-subsets."""
 
     __slots__ = ("matching",)
+    _fields = __slots__
 
     def __init__(self, pairs):
         canon = tuple(sorted(tuple(sorted(p)) for p in pairs))
@@ -447,17 +431,6 @@ class Good6Partition:
 
     def as_frozenset(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(p) for p in self.matching)
-
-    def __eq__(self, other):
-        if not isinstance(other, Good6Partition):
-            return NotImplemented
-        return self.matching == other.matching
-
-    def __hash__(self):
-        return hash(self.matching)
-
-    def __lt__(self, other: "Good6Partition"):
-        return self.matching < other.matching
 
     def __repr__(self):
         body = ")(".join("".join(map(str, p)) for p in self.matching)

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .arrangement import Arrangement, NotGeneric, _discriminantal_row, is_generic
-from .exactfield import FieldDescriptor, FieldElement, descriptor_to_json
+from .exactfield import FieldDescriptor, FieldElement, _Value, descriptor_to_json
 from .linalg import Vector, _Span
 
 
@@ -128,25 +128,15 @@ def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
     return DiscriminantalArrangement(a, hyperplanes)
 
 
-class Flat:
+class Flat(_Value):
     """A lattice element: closed support plus the rank of its normal span."""
 
     __slots__ = ("support", "rank")
+    _fields = __slots__
 
     def __init__(self, support: tuple[tuple[int, ...], ...], rank: int):
         self.support = support
         self.rank = rank
-
-    def __eq__(self, other):
-        if not isinstance(other, Flat):
-            return NotImplemented
-        return (self.support, self.rank) == (other.support, other.rank)
-
-    def __hash__(self):
-        return hash((self.support, self.rank))
-
-    def __repr__(self):
-        return f"Flat(support={self.support!r}, rank={self.rank!r})"
 
     def key(self) -> tuple[frozenset, int]:
         return (frozenset(self.support), self.rank)
@@ -179,12 +169,12 @@ class Lattice:
         return max(self.flats_by_rank)
 
     def report(self, nvg=()) -> dict:
-        flagged = {f.key() for f in nvg}
+        flagged = set(nvg)
         ranks = []
         for r in sorted(self.flats_by_rank):
             flats = [{"support": [list(L) for L in f.support],
                       "rank": f.rank,
-                      "nvg": f.key() in flagged}
+                      "nvg": f in flagged}
                      for f in self.flats_by_rank[r]]
             ranks.append({"rank": r, "count": len(flats), "flats": flats})
         return {"n": self.n, "k": self.k,

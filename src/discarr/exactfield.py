@@ -8,7 +8,8 @@ kind of field: characteristic 0, F_p and F_{p^m}.  Q, Q(sqrt(d)) and
 Q(zeta_m) are the one characteristic-0 arithmetic, _PowerBasis, on
 Q[x]/(f) for f monic over the integers (f = x for Q); they differ only
 in f and in their conjugates.  _poly_divmod is the one polynomial long
-division, for the cyclotomic polynomials and F_{p^m}.
+division, for the cyclotomic polynomials and F_{p^m}.  _Value is the
+base of the library's other value classes: each names its key once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -35,6 +37,38 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class _Value:
+    """An immutable value identified by the attributes its class names in
+    _fields: equality (with instances of the same class only), hashing,
+    order and the keyword repr all read that one key.  A subclass
+    declares __slots__, so it has no instance dict."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        # one name gives the attribute itself, several give a tuple;
+        # attrgetter is no descriptor, so self._key(self) reads the key
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) < self._key(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .exactfield import (
     Quadratic,
     Rational,
     _as_element,
+    _Value,
 )
 from .linalg import Vector
 from .permtype import TYPE_ORDER, PartitionType
@@ -114,31 +115,17 @@ def is_parameter_generic(field: FieldDescriptor, w, x, y, z) -> bool:
 # ---------------------------------------------------------------------------
 # classification witnesses
 
-class WitnessSpec:
+class WitnessSpec(_Value):
     """A realizable type with frozen parameters over its smallest field."""
 
     __slots__ = ("nu", "field", "parameters")
+    _fields = __slots__
 
     def __init__(self, nu: PartitionType, field: FieldDescriptor,
                  parameters: tuple[FieldElement, FieldElement, FieldElement, FieldElement]):
         self.nu = nu
         self.field = field
         self.parameters = parameters
-
-    def _key(self) -> tuple:
-        return (self.nu, self.field, self.parameters)
-
-    def __eq__(self, other):
-        if not isinstance(other, WitnessSpec):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"WitnessSpec({fields})"
 
     def arrangement(self) -> Arrangement:
         w, x, y, z = self.parameters

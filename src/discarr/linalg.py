@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from math import gcd
 
-from .exactfield import FieldDescriptor, FieldElement, FieldMismatch, Rational
+from .exactfield import FieldDescriptor, FieldElement, FieldMismatch, Rational, _Value
 
 
 class NotSquare(ValueError):
@@ -41,10 +41,13 @@ class SingularMatrix(ZeroDivisionError):
 Vector = tuple[FieldElement, ...]
 
 
-class Matrix:
+class Matrix(_Value):
     """Immutable row-major matrix of field elements sharing one descriptor."""
 
     __slots__ = ("field", "rows", "cols", "entries")
+    # field first: matrices over different fields differ before any
+    # entries are compared, so comparing them raises no FieldMismatch
+    _fields = __slots__
 
     def __init__(self, field: FieldDescriptor, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -113,14 +116,6 @@ class Matrix:
             raise DimensionMismatch(f"vector length {len(v)} vs {self.cols} columns")
         return tuple(
             _dot(self.row(i), v, self.field) for i in range(self.rows))
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))

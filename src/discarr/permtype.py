@@ -18,6 +18,7 @@ from itertools import combinations
 from math import comb
 
 from . import detectors
+from .exactfield import _Value
 
 
 class ClosureViolation(RuntimeError):
@@ -28,10 +29,11 @@ class NotAMatchingLabel(ValueError):
     """The given matching is not the orbit set of any edge label."""
 
 
-class Perm:
+class Perm(_Value):
     """A permutation of {1,...,6}; images[i-1] is the image of i."""
 
     __slots__ = ("images",)
+    _fields = __slots__
 
     def __init__(self, images):
         im = tuple(images)
@@ -83,14 +85,6 @@ class Perm:
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted(len(o) for o in self.orbits()))
 
-    def __eq__(self, other):
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
     def __repr__(self):
         parts = []
         for orb in sorted(self.orbits(), key=min):
@@ -106,10 +100,7 @@ class Perm:
         return "".join(parts) if parts else "()"
 
 
-Matching = frozenset  # frozenset of three disjoint frozenset pairs
-
-
-def matching_from_perm(p: Perm) -> Matching:
+def matching_from_perm(p: Perm) -> frozenset:
     orbs = p.orbits()
     if any(len(o) != 2 for o in orbs):
         raise NotAMatchingLabel(f"{p!r} is not a fixed-point-free involution")
@@ -157,7 +148,7 @@ def edge_label(i: int, j: int) -> Perm:
 
 
 @cache
-def _edge_table() -> dict[Matching, tuple[int, int]]:
+def _edge_table() -> dict[frozenset, tuple[int, int]]:
     table = {}
     for i, j in combinations(range(1, 7), 2):
         table[matching_from_perm(edge_label(i, j))] = (i, j)
@@ -166,7 +157,7 @@ def _edge_table() -> dict[Matching, tuple[int, int]]:
     return table
 
 
-def matching_to_edge(m: Matching) -> tuple[int, int]:
+def matching_to_edge(m: frozenset) -> tuple[int, int]:
     table = _edge_table()
     key = frozenset(frozenset(p) for p in m)
     if key not in table:
@@ -174,10 +165,11 @@ def matching_to_edge(m: Matching) -> tuple[int, int]:
     return table[key]
 
 
-class VertexPartition:
+class VertexPartition(_Value):
     """A partition of the six vertices of the labeled K_6."""
 
     __slots__ = ("blocks",)
+    _fields = __slots__
 
     def __init__(self, blocks):
         bl = frozenset(frozenset(b) for b in blocks)
@@ -192,23 +184,16 @@ class VertexPartition:
     def sorted_blocks(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(b)) for b in self.blocks)
 
-    def __eq__(self, other):
-        if not isinstance(other, VertexPartition):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
     def __repr__(self):
         body = "|".join("".join(map(str, b)) for b in self.sorted_blocks())
         return f"VertexPartition({body})"
 
 
-class PartitionType:
+class PartitionType(_Value):
     """A partition of the integer 6, written d1^a1 d2^a2 ... with d ascending."""
 
     __slots__ = ("sizes",)
+    _fields = __slots__
 
     def __init__(self, sizes):
         sz = tuple(sorted(int(s) for s in sizes))
@@ -238,14 +223,6 @@ class PartitionType:
 
     def m(self) -> int:
         return sum(comb(d, 2) for d in self.sizes)
-
-    def __eq__(self, other):
-        if not isinstance(other, PartitionType):
-            return NotImplemented
-        return self.sizes == other.sizes
-
-    def __hash__(self):
-        return hash(self.sizes)
 
     def __repr__(self):
         return f"PartitionType({self.label()})"
@@ -306,15 +283,16 @@ def all_partitions_of_6() -> list[VertexPartition]:
     return out
 
 
-class TypeReport:
+class TypeReport(_Value):
     """The S6 type of a six-element arrangement with the matchings and
     edges it was read off, m(A) and whether m(A) fits the type."""
 
     __slots__ = ("type", "partition", "matchings", "edges", "m_a",
                  "m_formula_consistent")
+    _fields = __slots__
 
     def __init__(self, type: PartitionType, partition: VertexPartition,
-                 matchings: tuple[Matching, ...], edges: frozenset[tuple[int, int]],
+                 matchings: tuple[frozenset, ...], edges: frozenset[tuple[int, int]],
                  m_a: int, m_formula_consistent: bool):
         self.type = type
         self.partition = partition
@@ -322,22 +300,6 @@ class TypeReport:
         self.edges = edges
         self.m_a = m_a
         self.m_formula_consistent = m_formula_consistent
-
-    def _key(self) -> tuple:
-        return (self.type, self.partition, self.matchings, self.edges, self.m_a,
-                self.m_formula_consistent)
-
-    def __eq__(self, other):
-        if not isinstance(other, TypeReport):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"TypeReport({fields})"
 
 
 def arrangement_type(a) -> TypeReport:

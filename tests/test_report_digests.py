@@ -65,6 +65,25 @@ DIGESTS = {
         "dc6c9378ae11975d3dfc90e8feabee31ac49ac3c3ba25b7644e94af841b7276e",
     "lattice gallery:f4":
         "079d75093c54603d0f680c0646c898a1c3fa50caec332066fcdab59bff6643f7",
+    "lattice gallery:f5":
+        "ff870646cdddee0097152ce99ebc8af9dd502dd8dd6b665e9e6d9e3ca9ebb54e",
+    "detect gallery:f4":
+        "0bde9ae8f3937f0a66e13ce1390ada7d97cfae09747abbe4d6f25295b551182f",
+    "classify gallery:f4":
+        "36a6f6a7dbeda085f7496f39b25f827c34c904ee2fbd9d5f5757eec7827462dc",
+    "classify gallery:f5":
+        "8fdb397a051c235ed759d749bd7be7ab1c43f5d642a04b7f9fa330d44f8b2393",
+    "table mformula":
+        "2541ae7c514bb4ac846284261ccf19ac1b3d48a5d6a0e2bb97a2ed83402d6779",
+}
+
+# text mode prints FourSet and QuintFamily reprs; the trailing elapsed
+# line is a wall time and stays out of the digest
+TEXT_DIGESTS = {
+    "detect gallery:crapo":
+        "11573e3673cfe9c95d0e131aa6c0ec1eba7966d2369c6791738822995163b7ee",
+    "detect gallery:polygon-7":
+        "963870eed6cd810b160d37dfec42614d716e3f7a62293d46f20b08315bdb4420",
 }
 
 
@@ -73,3 +92,11 @@ def test_report_bytes_match_recorded_digest(command, capsys):
     assert main(command.split() + ["--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", TEXT_DIGESTS)
+def test_text_listing_matches_recorded_digest(command, capsys):
+    assert main(command.split()) == 0
+    *body, last = capsys.readouterr().out.splitlines(keepends=True)
+    assert last.startswith("elapsed ")
+    assert hashlib.sha256("".join(body).encode()).hexdigest() == TEXT_DIGESTS[command]

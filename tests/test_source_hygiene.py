@@ -6,6 +6,9 @@ package, so a deletion cannot leave a dead import or helper behind.
 Every import sits at module level, where a cycle or a missing name shows
 on import rather than on the first call.  A functools memo takes only
 int parameters, so none can key on an arrangement or keep one alive.
+Only the _Value base and the three classes whose equality is not a key
+comparison define __eq__ or __hash__, and every _Value subclass has
+__slots__ (an instance dict would cost memory on every value).
 """
 
 import ast
@@ -106,3 +109,40 @@ def test_memos_take_only_int_parameters(path):
             loose += [f"{fn.name}({p.arg})" for p in params
                       if not (isinstance(p.annotation, ast.Name) and p.annotation.id == "int")]
     assert loose == []
+
+
+# FieldDescriptor keeps its own __eq__ (which the benchmark tracer wraps),
+# FieldElement raises FieldMismatch across fields, and ProjectiveMap
+# compares up to scaling
+OWN_EQUALITY = {"_Value", "FieldDescriptor", "FieldElement", "ProjectiveMap"}
+
+
+def _class_body_names(cls: ast.ClassDef) -> set[str]:
+    """Methods and class attributes the class body defines."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_value_classes_declare_only_their_key():
+    classes = [node for path in MODULES for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ClassDef)]
+    values = {"_Value"}
+    grown = True
+    while grown:
+        grown = False
+        for cls in classes:
+            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
+            if cls.name not in values and bases & values:
+                values.add(cls.name)
+                grown = True
+    own = [cls.name for cls in classes if cls.name not in OWN_EQUALITY
+           and {"__eq__", "__hash__"} & _class_body_names(cls)]
+    slotless = [cls.name for cls in classes
+                if cls.name in values and "__slots__" not in _class_body_names(cls)]
+    assert (own, slotless) == ([], [])
