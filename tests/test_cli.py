@@ -23,7 +23,7 @@ from discarr.cli import (
 )
 from discarr.detectors import good6_points
 from discarr.exactfield import Cyclotomic, Galois, Prime, Quadratic
-from discarr.permtype import ClosureViolation
+from discarr.permtype import ClosureViolation, TypeReport, arrangement_type
 
 
 def run_json(capsys, argv):
@@ -277,6 +277,48 @@ def test_internal_value_error_is_not_usage(monkeypatch):
     monkeypatch.setattr("discarr.cli.quadral_points", boom)
     with pytest.raises(ValueError, match="synthetic internal failure"):
         main(["detect", "gallery:crapo"])
+
+
+# ---------------------------------------------------------------------------
+# consistency failures reported through the consistency dict
+
+_VIOLATION = "synthetic closure violation"
+
+
+def _type_off_formula(a):
+    rep = arrangement_type(a)
+    return TypeReport(rep.type, rep.partition, rep.matchings, rep.edges, rep.m_a, False)
+
+
+@pytest.mark.parametrize("argv, target, fake, key, failed", [
+    (["detect", "gallery:polygon-7"], "discarr.cli.quint_closure_checks",
+     lambda quints: [_VIOLATION], "quint_closure_violations", [_VIOLATION]),
+    (["detect", "gallery:dodecahedral"], "discarr.cli.good6_closure_checks",
+     lambda found: [_VIOLATION], "pappus_closure_violations", [_VIOLATION]),
+    (["classify", "gallery:octahedral"], "discarr.cli.arrangement_type",
+     _type_off_formula, "m_formula_consistent", False),
+], ids=["detect-k2-quints", "detect-k3-pappus", "classify-m-formula"])
+def test_consistency_failure_exits_closure(monkeypatch, capsys, argv, target, fake, key, failed):
+    _, good, _ = run_json(capsys, argv)
+    monkeypatch.setattr(target, fake)
+    code, rep, _ = run_json(capsys, argv)
+    assert code == EXIT_CLOSURE
+    # the full report is still written, with only the verdict changed
+    assert rep["consistency"][key] == failed
+    good["consistency"][key] = failed
+    assert rep == good
+    assert main(argv + ["--quiet"]) == EXIT_CLOSURE
+    assert capsys.readouterr().out.splitlines()[-1] == "consistency: FAILED"
+
+
+@pytest.mark.parametrize("argv", [["lattice", "gallery:crapo", "--max-rank", "1"],
+                                  ["gallery"]])
+def test_commands_without_checks_exit_ok(capsys, argv):
+    code, rep, _ = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert rep["consistency"] == {}
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].startswith("elapsed ")
 
 
 # ---------------------------------------------------------------------------
