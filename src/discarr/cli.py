@@ -9,6 +9,14 @@ Arrangements come from JSON files or gallery:<name> URIs.  Reports are
 deterministic for a fixed input; --json emits schema report.v2 (SCHEMA),
 text mode adds a timing line that --quiet suppresses.
 
+Each subcommand is a function from the parsed arguments to one tuple
+(source, arrangement or None, results, consistency, text lines); it
+neither reads the clock nor prints nor picks an exit code.  main alone
+times the call, writes the report.v2 document or the text lines, and
+maps the verdict to the exit code: 0 when every consistency check holds
+(a true flag, an empty violation list), otherwise the failure code the
+subparser declares beside its func.
+
 detect and lattice decide their zero tests over Q(sqrt d) and Q(zeta_m)
 in one certified large prime (modular.modular_image); the report keeps
 the arrangement's own field and digest.  classify and the involution
@@ -101,7 +109,7 @@ def load_arrangement(source: str) -> Arrangement:
         return arrangement_from_json(obj)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise CliError(EXIT_USAGE, f"bad JSON in {source!r}: {exc}") from exc
     except NotGeneric:
         raise
@@ -144,32 +152,20 @@ def _matching_text(m) -> str:
     return "|".join("".join(map(str, p)) for p in _matching_json(m))
 
 
-def _emit(args, report: dict, lines: list[str], started: float) -> None:
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return
-    for line in lines:
-        print(line)
-    if not args.quiet:
-        print(f"elapsed {time.perf_counter() - started:.3f}s")
-
-
 # ---------------------------------------------------------------------------
 # detect
 
-def cmd_detect(args) -> int:
-    started = time.perf_counter()
+def cmd_detect(args):
     a = load_arrangement(args.input)
     if args.k is not None and args.k != a.k:
         raise CliError(EXIT_USAGE, f"arrangement has k={a.k}, requested k={args.k}")
-    if a.k == 2:
-        report, lines = _detect_k2(args, a)
-    elif a.k == 3:
-        report, lines = _detect_k3(args, a)
-    else:
+    if a.k not in (2, 3):
         raise CliError(EXIT_USAGE, f"no detectors for k={a.k}")
-    _emit(args, report, lines, started)
-    return EXIT_OK if _consistent(report["consistency"]) else EXIT_CLOSURE
+    results, consistency, lines = (_detect_k2 if a.k == 2 else _detect_k3)(args, a)
+    lines = [f"detect {args.input}: n={a.n} k={a.k} field={field_label(a.field)}",
+             *lines, f"m(A) = {results['m_a']}",
+             "consistency: " + ("ok" if _consistent(consistency) else "FAILED")]
+    return args.input, a, results, consistency, lines
 
 
 def _detect_k2(args, a: Arrangement):
@@ -201,9 +197,7 @@ def _detect_k2(args, a: Arrangement):
         results["quints"] = [{"center": q.center, "ta": list(q.ta),
                               "tb": list(q.tb)} for q in quints]
         consistency["quint_closure_violations"] = quint_closure_checks(quints)
-    report = _report("detect", args.input, a, results, consistency)
-    lines = [f"detect {args.input}: n={a.n} k=2 field={field_label(a.field)}",
-             f"quadral points: {len(quads)}"]
+    lines = [f"quadral points: {len(quads)}"]
     if not args.quiet:
         lines += [f"  {f!r}" for f in quads]
     if a.n == 6:
@@ -214,9 +208,7 @@ def _detect_k2(args, a: Arrangement):
         lines.append(f"quintuple families: {results['quint_count']}")
         if not args.quiet:
             lines += [f"  {q!r}" for q in quints]
-    lines.append(f"m(A) = {results['m_a']}")
-    lines.append("consistency: " + ("ok" if _consistent(consistency) else "FAILED"))
-    return report, lines
+    return results, consistency, lines
 
 
 def _detect_k3(args, a: Arrangement):
@@ -228,21 +220,16 @@ def _detect_k3(args, a: Arrangement):
         "m_a": len(found),
     }
     consistency = {"pappus_closure_violations": good6_closure_checks(found)}
-    report = _report("detect", args.input, a, results, consistency)
-    lines = [f"detect {args.input}: n={a.n} k=3 field={field_label(a.field)}",
-             f"good 6-partitions: {len(found)}"]
+    lines = [f"good 6-partitions: {len(found)}"]
     if not args.quiet:
         lines += [f"  {_matching_text(g.matching)}" for g in found]
-    lines.append(f"m(A) = {results['m_a']}")
-    lines.append("consistency: " + ("ok" if _consistent(consistency) else "FAILED"))
-    return report, lines
+    return results, consistency, lines
 
 
 # ---------------------------------------------------------------------------
 # classify
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def cmd_classify(args):
     a = load_arrangement(args.input)
     if a.n != 6:
         raise CliError(EXIT_USAGE, f"classification needs n=6, got n={a.n}")
@@ -260,22 +247,19 @@ def cmd_classify(args) -> int:
     }
     consistency = {"m_formula_consistent": rep.m_formula_consistent,
                    "upper_bound_ok": rep.m_a <= 20}
-    report = _report("classify", args.input, a, results, consistency)
     blocks = "|".join("".join(map(str, b)) for b in rep.partition.sorted_blocks())
     lines = [f"classify {args.input}: n=6 k={a.k} field={field_label(a.field)}",
              f"type {rep.type.label()}  m(A)={rep.m_a}  blocks {blocks}"]
     if not args.quiet:
         lines += [f"  {_matching_text(m)}" for m in rep.matchings]
     lines.append("consistency: " + ("ok" if _consistent(consistency) else "FAILED"))
-    _emit(args, report, lines, started)
-    return EXIT_OK if _consistent(consistency) else EXIT_CLOSURE
+    return args.input, a, results, consistency, lines
 
 
 # ---------------------------------------------------------------------------
 # lattice
 
-def cmd_lattice(args) -> int:
-    started = time.perf_counter()
+def cmd_lattice(args):
     a = load_arrangement(args.input)
     # refused before anything is built: a dependent k-subset (exit 3),
     # read off the minors table, then the cap (exit 2), which needs (n, k)
@@ -287,7 +271,6 @@ def cmd_lattice(args) -> int:
     results = lat.report(nvg=nvg)
     results["field"] = descriptor_to_json(a.field)
     results["nvg_count"] = len(nvg)
-    report = _report("lattice", args.input, a, results, {})
     lines = [f"lattice {args.input}: n={a.n} k={a.k} "
              f"{len(d)} hyperplanes, top rank {lat.max_rank()}"]
     for level in results["ranks"]:
@@ -298,25 +281,20 @@ def cmd_lattice(args) -> int:
                     sup = " ".join("".join(map(str, L)) for L in f["support"])
                     lines.append(f"  nvg {sup}")
     lines.append(f"non-very-generic flats: {len(nvg)}")
-    _emit(args, report, lines, started)
-    return EXIT_OK
+    return args.input, a, results, {}, lines
 
 
 # ---------------------------------------------------------------------------
 # tables
 
-def cmd_table(args) -> int:
-    started = time.perf_counter()
+def cmd_table(args):
     builder = {"mformula": _table_mformula,
                "classification": _table_classification,
                "dependencies": _table_dependencies}[args.name]
     rows, lines = builder()
     all_match = all(r["ok"] for r in rows)
-    report = _report("table", f"table:{args.name}", None, {"rows": rows},
-                     {"all_match": all_match})
     lines.append("table: " + ("ok" if all_match else "MISMATCH"))
-    _emit(args, report, lines, started)
-    return EXIT_OK if all_match else EXIT_TABLE
+    return f"table:{args.name}", None, {"rows": rows}, {"all_match": all_match}, lines
 
 
 def _table_mformula():
@@ -366,12 +344,9 @@ def _table_dependencies():
 # ---------------------------------------------------------------------------
 # gallery listing
 
-def cmd_gallery(args) -> int:
-    started = time.perf_counter()
+def cmd_gallery(args):
     names = gallery_names()
-    report = _report("gallery", "gallery", None, {"names": names}, {})
-    _emit(args, report, list(names), started)
-    return EXIT_OK
+    return "gallery", None, {"names": names}, {}, names
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, choices=(2, 3),
                     help="require this ambient dimension")
     common(sp)
-    sp.set_defaults(func=cmd_detect)
+    sp.set_defaults(func=cmd_detect, failure=EXIT_CLOSURE)
 
     sp = sub.add_parser("classify", help="type of a 6-element arrangement")
     sp.add_argument("input", help="arrangement JSON path or gallery:<name>")
     common(sp)
-    sp.set_defaults(func=cmd_classify)
+    sp.set_defaults(func=cmd_classify, failure=EXIT_CLOSURE)
 
     sp = sub.add_parser("lattice", help="flats of the discriminantal arrangement")
     sp.add_argument("input", help="arrangement JSON path or gallery:<name>")
@@ -411,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="render and verify a built-in table")
     sp.add_argument("name", choices=("mformula", "classification", "dependencies"))
     common(sp)
-    sp.set_defaults(func=cmd_table)
+    sp.set_defaults(func=cmd_table, failure=EXIT_TABLE)
 
     sp = sub.add_parser("gallery", help="list built-in arrangements")
     sp.add_argument("action", nargs="?", default="list", choices=("list",))
@@ -423,10 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        code = args.func(args)
+        source, a, results, consistency, lines = args.func(args)
+        if args.json:
+            report = _report(args.command, source, a, results, consistency)
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+            if not args.quiet:
+                print(f"elapsed {time.perf_counter() - started:.3f}s")
         sys.stdout.flush()
-        return code
+        return EXIT_OK if _consistent(consistency) else args.failure
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the flush
         # at exit cannot fail again (Python docs, "Note on SIGPIPE")

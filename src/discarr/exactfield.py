@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import attrgetter
 from typing import Iterable
 
@@ -113,20 +113,6 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        if n % f == 0:
-            n //= f
-        f += 1
-    return True
-
-
 def _prime_factors(m: int) -> list[int]:
     out = []
     f = 2
@@ -139,18 +125,6 @@ def _prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
-
-
-def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    f = 1
-    while f * f <= m:
-        if m % f == 0:
-            small.append(f)
-            if f != m // f:
-                large.append(m // f)
-        f += 1
-    return small + large[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +154,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError("m must be >= 1")
     num = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m):
-        if d < m:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
+    for e in range(1, m):
+        if m % e == 0:
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(e))
             if any(rem):
                 raise ArithmeticError("inexact polynomial division")
     return tuple(num)
@@ -426,7 +400,8 @@ class Quadratic(_PowerBasis):
     def __init__(self, d: int):
         if abs(d) >= _QUADRATIC_LIMIT:
             raise ValueError(f"|d| must be below {_QUADRATIC_LIMIT}, got {d}")
-        if d in (0, 1) or not _is_squarefree(d):
+        # squarefree: |d| is the product of its distinct prime factors
+        if d in (0, 1) or prod(_prime_factors(abs(d))) != abs(d):
             raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
         self.d = d
         super().__init__((-d, 0, 1))
@@ -778,20 +753,13 @@ def embed(value, fd: FieldDescriptor) -> FieldElement:
     Only characteristic-0 targets accept fractional values; use
     fd.from_int for finite fields.
     """
-    if isinstance(value, FieldElement):
-        if value.fd == fd:
-            return value
+    if isinstance(value, FieldElement) and value.fd != fd:
         if not isinstance(value.fd, Rational):
             raise FieldMismatch(f"cannot embed {value.fd!r} into {fd!r}")
-        (num,), den = value.payload
-        value = Fraction(num, den)
-    if isinstance(value, int):
-        value = Fraction(value)
-    if not isinstance(value, Fraction):
-        raise FieldMismatch(f"cannot embed {type(value).__name__} into {fd!r}")
-    if fd.characteristic() != 0:
+        value = value.fd.coefficients(value)[0]
+    if fd.characteristic() != 0 and not isinstance(value, FieldElement):
         raise FieldMismatch("rational embedding requires characteristic 0")
-    return fd.from_fraction(value)
+    return _as_element(fd, value)
 
 
 def _as_element(fd: FieldDescriptor, value) -> FieldElement:
@@ -807,7 +775,7 @@ def _as_element(fd: FieldDescriptor, value) -> FieldElement:
         if fd.characteristic() == 0:
             return fd.from_fraction(value)
         return fd.from_int(value.numerator) / fd.from_int(value.denominator)
-    raise TypeError(f"cannot use {value!r} as an element of {fd!r}")
+    raise FieldMismatch(f"cannot embed {type(value).__name__} into {fd!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,16 @@ def test_detect_bad_json_file(tmp_path, capsys):
     assert "bad JSON" in capsys.readouterr().err
 
 
+def test_detect_deeply_nested_json_file(tmp_path, capsys):
+    # json.load recurses once per level and runs out of stack
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["detect", str(p)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad JSON in {str(p)!r}")
+    assert captured.out == ""
+
+
 def test_detect_wrong_schema_file(tmp_path, capsys):
     p = tmp_path / "odd.json"
     p.write_text(json.dumps({"field": "nope"}), encoding="utf-8")

@@ -340,6 +340,15 @@ def test_embed_into_each_field():
     assert embed(third, c) * embed(3, c) == c.one()
     with pytest.raises(FieldMismatch):
         embed(third, Prime(7))   # fractional embedding is char-0 only
+    z = Cyclotomic(12)
+    with pytest.raises(FieldMismatch, match=r"cannot embed quadratic\(d=5\) into cyclotomic\(m=12\)"):
+        embed(f.generator(), z)
+    with pytest.raises(FieldMismatch, match=r"cannot embed float into cyclotomic\(m=12\)"):
+        embed(0.5, z)
+    with pytest.raises(FieldMismatch, match="rational embedding requires characteristic 0"):
+        embed(3, Prime(7))
+    x = Prime(7).from_int(3)
+    assert embed(x, Prime(7)) is x
 
 
 def test_descriptor_json_roundtrip():

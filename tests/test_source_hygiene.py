@@ -8,7 +8,9 @@ on import rather than on the first call.  A functools memo takes only
 int parameters, so none can key on an arrangement or keep one alive.
 Only the _Value base and the three classes whose equality is not a key
 comparison define __eq__ or __hash__, and every _Value subclass has
-__slots__ (an instance dict would cost memory on every value).
+__slots__ (an instance dict would cost memory on every value).  Only
+cli.main prints, touches sys.stdout or sys.stderr, reads the clock or
+returns an exit code, so every command shares its one skeleton.
 """
 
 import ast
@@ -146,3 +148,32 @@ def test_value_classes_declare_only_their_key():
     slotless = [cls.name for cls in classes
                 if cls.name in values and "__slots__" not in _class_body_names(cls)]
     assert (own, slotless) == ([], [])
+
+
+def _io_sites(fn: ast.AST) -> list[int]:
+    """Lines in fn that call print, read sys.stdout or sys.stderr, read
+    the clock (time.*) or return an EXIT_* code."""
+    lines = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            hit = node.func.id == "print"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            hit = node.value.id == "time" or (
+                node.value.id == "sys" and node.attr in ("stdout", "stderr"))
+        elif isinstance(node, ast.Return) and node.value is not None:
+            hit = any(isinstance(n, ast.Name) and n.id.startswith("EXIT_")
+                      for n in ast.walk(node.value))
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_cli_main_does_io_timing_and_exit_codes():
+    sites = [f"{path.name}:{fn.name}:{line}" for path in MODULES
+             for fn in ast.walk(_tree(path))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and (path.name, fn.name) != ("cli.py", "main")
+             for line in _io_sites(fn)]
+    assert sites == []
