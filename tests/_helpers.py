@@ -1,6 +1,7 @@
 """Shared constructors for the test suite: seeded random arrangements,
 the random very generic reference, the lattice closure oracle,
-the six-element pairing and conjugation closure oracles,
+the six-element pairing and conjugation closure oracles, the quint
+closure oracle,
 candidate-family enumeration, and small number-theory checks."""
 
 import random
@@ -218,6 +219,51 @@ def oracle_good6_closure_checks(found):
                 violations.append(
                     f"conjugation closure fails: {g1!r} and {g2!r} "
                     f"detected but {g3!r} is not")
+    return violations
+
+
+def oracle_quint_closure_checks(families: list[QuintFamily]) -> list[str]:
+    """Composition laws among the families quintuple_points detected on
+    one arrangement.
+
+    Same center and same unordered triple pair: two detected pairings
+    differing by a 3-cycle force the third power.  Same center and same
+    rim pairing: three detected splits force the fourth.  Returns the
+    violations found (expected none)."""
+    violations = []
+
+    by_triples: dict = {}
+    for q in families:
+        key = (q.center, frozenset((frozenset(q.ta), frozenset(q.tb))))
+        by_triples.setdefault(key, set()).add(q)
+    for (center, _), fams in sorted(by_triples.items(),
+                                    key=lambda kv: (kv[0][0], sorted(map(sorted, kv[0][1])))):
+        # canonical form aligns every family on the same sorted ta
+        bijections = {q.tb: q for q in fams}
+        for tb1 in bijections:
+            m1_inv = {tb1[i]: i for i in range(3)}
+            for tb2 in bijections:
+                if tb2 == tb1:
+                    continue
+                cycle = {tb1[i]: tb2[i] for i in range(3)}
+                if any(cycle[b] == b for b in cycle):
+                    continue
+                tb3 = tuple(cycle[tb2[i]] for i in range(3))
+                if tb3 not in bijections:
+                    q1, q2 = bijections[tb1], bijections[tb2]
+                    violations.append(
+                        f"three-cycle closure fails: {q1!r} and {q2!r} "
+                        f"detected but center={center} tb={tb3} is not")
+
+    by_pairing: dict = {}
+    for q in families:
+        key = (q.center, frozenset(frozenset((q.ta[i], q.tb[i])) for i in range(3)))
+        by_pairing.setdefault(key, set()).add(q)
+    for (center, pairing), fams in by_pairing.items():
+        if len(fams) == 3:
+            violations.append(
+                f"split closure fails: center={center} pairing="
+                f"{sorted(map(sorted, pairing))} has 3 of 4 splits detected")
     return violations
 
 

@@ -5,6 +5,8 @@ detectors._pairings reads each sorted 6-subset's minors through one
 fixed 15-row pattern per k; the oracle walks perfect_matchings over the
 signed table of every ordering.  good6_closure_checks looks conjugates
 up as canonical matchings; the oracle builds each as a Good6Partition.
+At k = 2 find_involutions keeps a map for exactly the matchings
+_pairings passes, in characteristic 2 and 3 as well.
 """
 
 import random
@@ -160,6 +162,40 @@ def test_seeded_pairings_match_oracle(name, k):
         assert _outcome(_pairings, bad)[0] == "NotGeneric"
     # some matchings pass and some fail
     assert 0 < related < tested
+
+
+# ---------------------------------------------------------------------------
+# the k = 2 involutions in characteristic 0, 2, 3 and beyond
+
+INVOLUTION_FIELDS = {
+    "GF8": Galois(2, (1, 1, 0, 1)),
+    "GF16": Galois(2, (1, 1, 0, 0, 1)),
+    "GF9": Galois(3, (1, 0, 1)),
+    "F7": Prime(7),
+    "F11": Prime(11),
+    "Q": Rational(),
+}
+
+
+@pytest.mark.parametrize("name", INVOLUTION_FIELDS)
+def test_involutions_are_exactly_the_pairings(name):
+    """find_involutions keeps a map for every matching _pairings passes,
+    in order: the relation is an iff in every characteristic, and each
+    map has trace 0, so it squares to a scalar (Cayley-Hamilton).  GF(4)
+    has five points, too few for six generic lines."""
+    fd = INVOLUTION_FIELDS[name]
+    rng = random.Random(f"involutions-{name}")
+    maps = 0
+    for i in range(150):
+        a = _seeded(fd, 2, 6, rng, imposed=i % 2 == 0)
+        invs = find_involutions(a)
+        assert [m for m, _ in invs] == [frozenset(frozenset(p) for p in pairs)
+                                        for pairs in _pairings(a)]
+        for _, f in invs:
+            assert (f.matrix[0, 0] + f.matrix[1, 1]).is_zero()
+            assert f.compose(f).is_identity()
+        maps += len(invs)
+    assert maps >= 75
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ DIGESTS = {
         "9dd2be6fcd559ebfe565023568e95b3c1c049f81696b139f9ecb8253a0e96727",
     "detect gallery:polygon-10":
         "7a067e16562c86834e4fdac8ddf01f3cfee50e11088a823b49785920567e2cdd",
+    "detect gallery:polygon-12":
+        "1772dbee49a4b2a9c4d1714f4e8d1e357816cdd409711008100efefb23d1f703",
     "lattice gallery:polygon-6":
         "136edc0f888abd20ce2375399e45de983a48d85e61b8dc2e1ce670a270884df0",
     "lattice gallery:polygon-7 --max-rank 2":
