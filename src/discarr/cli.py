@@ -19,8 +19,9 @@ subparser declares beside its func.
 
 detect and lattice decide their zero tests over Q(sqrt d) and Q(zeta_m)
 in one certified large prime (modular.modular_image); the report keeps
-the arrangement's own field and digest.  classify and the involution
-maps stay in the arrangement's field, since they print field values.
+the arrangement's own field and digest.  detect's involution maps (n = 6)
+stay in the arrangement's field, since their entries are printed;
+classify prints no field values but also runs in the arrangement's field.
 
 Exit codes: 0 all checks pass, 1 stdout closed before the report was
 written (a pipe reader such as head exited), 2 unusable input, 3
@@ -171,16 +172,18 @@ def cmd_detect(args):
 def _detect_k2(args, a: Arrangement):
     image = modular_image(a)
     quads = quadral_points(image)
-    quad_set = set(quads)
     results: dict = {
         "quadral_count": len(quads),
         "quadral": [[list(s) for s in f.sets] for f in quads],
         "m_a": len(quads),
     }
     consistency: dict = {
-        "complement_closed": all(f.complement() in quad_set for f in quads),
+        "complement_closed": {f.complement() for f in quads} <= set(quads),
         "count_even": len(quads) % 2 == 0,
     }
+    lines = [f"quadral points: {len(quads)}"]
+    if not args.quiet:
+        lines += [f"  {f!r}" for f in quads]
     if a.n == 6:
         invs = find_involutions(a)
         results["involutions"] = [
@@ -191,21 +194,16 @@ def _detect_k2(args, a: Arrangement):
         results["involution_count"] = len(invs)
         consistency["involutions_match_quadral"] = (
             {f.matching() for f in quads} == {m for m, _ in invs})
-    if a.n >= 7:
+        lines.append(f"involutions: {len(invs)}")
+        if not args.quiet:
+            lines += [f"  {_matching_text(m)}" for m, _ in invs]
+    elif a.n >= 7:
         quints = quintuple_points(image)
         results["quint_count"] = len(quints)
         results["quints"] = [{"center": q.center, "ta": list(q.ta),
                               "tb": list(q.tb)} for q in quints]
         consistency["quint_closure_violations"] = quint_closure_checks(quints)
-    lines = [f"quadral points: {len(quads)}"]
-    if not args.quiet:
-        lines += [f"  {f!r}" for f in quads]
-    if a.n == 6:
-        lines.append(f"involutions: {results['involution_count']}")
-        if not args.quiet:
-            lines += [f"  {_matching_text(m)}" for m, _ in invs]
-    if a.n >= 7:
-        lines.append(f"quintuple families: {results['quint_count']}")
+        lines.append(f"quintuple families: {len(quints)}")
         if not args.quiet:
             lines += [f"  {q!r}" for q in quints]
     return results, consistency, lines

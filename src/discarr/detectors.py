@@ -285,10 +285,8 @@ class QuintFamily(_Value):
             raise ValueError(f"need 7 distinct indices, got {indices}")
         if min(tb) < min(ta):
             ta, tb = tb, ta
-        order = sorted(range(3), key=lambda i: ta[i])
         self.center = center
-        self.ta = tuple(ta[i] for i in order)
-        self.tb = tuple(tb[i] for i in order)
+        self.ta, self.tb = zip(*sorted(zip(ta, tb)))
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
@@ -355,53 +353,51 @@ def quintuple_points(a: Arrangement) -> list[QuintFamily]:
         for members in groups.values():
             for ta in members:
                 if ta[0] < ta[1] < ta[2]:
+                    rim = set(ta)
                     found += [QuintFamily(c, ta, tb) for tb in members
-                              if min(tb) > ta[0] and not set(ta) & set(tb)]
+                              if min(tb) > ta[0] and rim.isdisjoint(tb)]
     return sorted(found, key=QuintFamily._sort_key)
 
 
 def quint_closure_checks(families: list[QuintFamily]) -> list[str]:
     """Composition laws among the families quintuple_points detected on
-    one arrangement.
+    one arrangement, grouped on the canonical tuples each family holds
+    (ta sorted, tb aligned with it).
 
-    Same center and same unordered triple pair: two detected pairings
-    differing by a 3-cycle force the third power.  Same center and same
-    rim pairing: three detected splits force the fourth.  Returns the
-    violations found (expected none)."""
+    Three-cycle law, key (center, ta, sorted tb): two detected pairings
+    of one triple pair differing by a 3-cycle force the third power.
+    The groups of two or more come in key order, each walked as a set.
+    Split law, key (center, sorted (small, large) rim pairs): three
+    distinct detected splits (tb) force the fourth; the groups come in
+    input order.  Returns the violations found (expected none)."""
     violations = []
 
     by_triples: dict = {}
     for q in families:
-        key = (q.center, frozenset((frozenset(q.ta), frozenset(q.tb))))
-        by_triples.setdefault(key, set()).add(q)
-    for (center, _), fams in sorted(by_triples.items(),
-                                    key=lambda kv: (kv[0][0], sorted(map(sorted, kv[0][1])))):
-        # canonical form aligns every family on the same sorted ta
-        bijections = {q.tb: q for q in fams}
-        for tb1 in bijections:
-            m1_inv = {tb1[i]: i for i in range(3)}
-            for tb2 in bijections:
-                if tb2 == tb1:
+        by_triples.setdefault((q.center, q.ta, tuple(sorted(q.tb))), []).append(q)
+    for key in sorted(key for key, group in by_triples.items() if len(group) > 1):
+        bijections = {q.tb: q for q in set(by_triples[key])}
+        for tb1, q1 in bijections.items():
+            for tb2, q2 in bijections.items():
+                # a pairing with a fixed point, the identity too, is no 3-cycle
+                if any(x == y for x, y in zip(tb1, tb2)):
                     continue
-                cycle = {tb1[i]: tb2[i] for i in range(3)}
-                if any(cycle[b] == b for b in cycle):
-                    continue
-                tb3 = tuple(cycle[tb2[i]] for i in range(3))
+                cycle = dict(zip(tb1, tb2))
+                tb3 = tuple(cycle[b] for b in tb2)
                 if tb3 not in bijections:
-                    q1, q2 = bijections[tb1], bijections[tb2]
                     violations.append(
                         f"three-cycle closure fails: {q1!r} and {q2!r} "
-                        f"detected but center={center} tb={tb3} is not")
+                        f"detected but center={key[0]} tb={tb3} is not")
 
     by_pairing: dict = {}
     for q in families:
-        key = (q.center, frozenset(frozenset((q.ta[i], q.tb[i])) for i in range(3)))
-        by_pairing.setdefault(key, set()).add(q)
-    for (center, pairing), fams in by_pairing.items():
-        if len(fams) == 3:
+        pairs = tuple(sorted((min(x, y), max(x, y)) for x, y in zip(q.ta, q.tb)))
+        by_pairing.setdefault((q.center, pairs), set()).add(q.tb)
+    for (center, pairs), splits in by_pairing.items():
+        if len(splits) == 3:
             violations.append(
                 f"split closure fails: center={center} pairing="
-                f"{sorted(map(sorted, pairing))} has 3 of 4 splits detected")
+                f"{[list(p) for p in pairs]} has 3 of 4 splits detected")
     return violations
 
 
