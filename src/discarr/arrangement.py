@@ -15,6 +15,7 @@ from itertools import combinations, product
 from .exactfield import (
     FieldDescriptor,
     FieldElement,
+    FieldMismatch,
     _as_element,
     _Value,
     descriptor_from_json,
@@ -22,7 +23,7 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import Matrix, Vector, _det_payloads, _Span, det, det2, inverse
+from .linalg import DimensionMismatch, Matrix, Vector, _det_payloads, _Span, det, det2, inverse
 
 
 class NotGeneric(ValueError):
@@ -204,33 +205,48 @@ class ProjectiveMap:
         return f"ProjectiveMap({self.matrix!r})"
 
 
+def _frame(points):
+    """The field of three pairwise distinct points of P^1 and the payloads
+    (row-major) of their frame: columns l1 p1, l2 p2 with p3 = l1 p1 + l2 p2,
+    so the matrix sends (1, 1) to p3 (l1 = d23/d12, l2 = -d13/d12 by
+    Cramer, d_ij = det(p_i, p_j))."""
+    if any(len(p) != 2 for p in points):
+        raise DimensionMismatch("det2 needs 2-vectors")
+    fd = points[0][0].fd
+    add, mul, neg = fd._add, fd._mul, fd._neg
+    (x1, y1), (x2, y2), (x3, y3) = [[_as_element(fd, e).payload for e in p] for p in points]
+    d12 = add(mul(x1, y2), neg(mul(y1, x2)))
+    d13 = add(mul(x1, y3), neg(mul(y1, x3)))
+    d23 = add(mul(x2, y3), neg(mul(y2, x3)))
+    if fd._is_zero(d12) or fd._is_zero(d13) or fd._is_zero(d23):
+        raise DegeneratePoints("frame points are not pairwise distinct")
+    s = fd._inv(d12)
+    l1, l2 = mul(d23, s), neg(mul(d13, s))
+    return fd, (mul(l1, x1), mul(l2, x2), mul(l1, y1), mul(l2, y2))
+
+
 def projective_map_through(sources, targets) -> ProjectiveMap:
     """The unique map of P^1 taking the three sources to the three targets.
 
     sources and targets are triples of 2-vectors, each triple pairwise
-    distinct projectively.
+    distinct projectively.  The map is the targets' frame times the
+    adjugate of the sources' frame (_frame), computed on payloads; only
+    the product is wrapped, and checked invertible (the frames are, as
+    their points are distinct).
     """
     sources = tuple(sources)
     targets = tuple(targets)
     if len(sources) != 3 or len(targets) != 3:
         raise ValueError("exactly three source and three target points")
-
-    def frame(p1, p2, p3):
-        # scale columns p1, p2 so that the matrix sends (1,1) to p3
-        d12 = det2(p1, p2)
-        d13 = det2(p1, p3)
-        d23 = det2(p2, p3)
-        if d12.is_zero() or d13.is_zero() or d23.is_zero():
-            raise DegeneratePoints("frame points are not pairwise distinct")
-        # p3 = l1 p1 + l2 p2 by Cramer
-        l1 = d23 / d12
-        l2 = -d13 / d12
-        f = p1[0].fd
-        return Matrix.from_rows([[l1 * p1[0], l2 * p2[0]], [l1 * p1[1], l2 * p2[1]]], f)
-
-    ms = frame(*sources)
-    mt = frame(*targets)
-    return ProjectiveMap(mt).compose(ProjectiveMap(ms).inverse())
+    fd, (a, b, c, d) = _frame(sources)
+    ft, (e, f, g, h) = _frame(targets)
+    if ft is not fd and ft != fd:
+        raise FieldMismatch("matrix product across fields")
+    add, mul, neg = fd._add, fd._mul, fd._neg
+    # [e f; g h] times the adjugate [d -b; -c a]
+    entries = (add(mul(e, d), neg(mul(f, c))), add(mul(f, a), neg(mul(e, b))),
+               add(mul(g, d), neg(mul(h, c))), add(mul(h, a), neg(mul(g, b))))
+    return ProjectiveMap(Matrix(fd, 2, 2, [FieldElement(fd, x) for x in entries]))
 
 
 class IndexFamily(_Value):
@@ -260,6 +276,32 @@ class IndexFamily(_Value):
         return f"IndexFamily({body})"
 
 
+def _candidates(fd: FieldDescriptor, incidences: int, dim: int):
+    """The kernel coefficients translate_solver tries, as payload lists,
+    against F = incidences extra incidences on a kernel of dimension dim.
+
+    On t(c) = sum c^(i-1) b_i over a kernel basis b_1..b_dim, each extra
+    incidence that does not hold on the whole kernel is a nonzero
+    polynomial in c of degree < dim, so the moment curve at
+    c = 0..F(dim - 1) holds a witness when those c are distinct in fd;
+    walking past them is a bug (AssertionError).  Otherwise every nonzero
+    combination, in product order, then NoGenericWitness; NoGenericWitness
+    at once when there are more than 10^6 of them."""
+    bound = incidences * (dim - 1)
+    char = fd.characteristic()
+    if char == 0 or char > bound:
+        for c in range(bound + 1):
+            yield [fd._coerce_int(c ** i) for i in range(dim)]
+        raise AssertionError("the moment-curve bound admits no witness")
+    elems = [e.payload for e in fd.iter_elements()]
+    if len(elems) ** dim > 10 ** 6:
+        raise NoGenericWitness("kernel too large to enumerate")
+    for coeffs in product(elems, repeat=dim):
+        if not all(fd._is_zero(c) for c in coeffs):
+            yield list(coeffs)
+    raise NoGenericWitness("every kernel vector hits an extra incidence")
+
+
 def translate_solver(a: Arrangement, family) -> Vector | None:
     """Find a translation t making each family set concurrent, no extras.
 
@@ -267,10 +309,11 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
     {alpha_p . x = t_p : p in L} share a point and no hyperplane outside
     L passes through that point.  Returns None when no such t exists.
     The search runs on raw payloads; only the returned t is wrapped.
-    On t(c) = sum c^(i-1) b_i over a kernel basis b_1..b_dim, each of the
-    F extra incidences is a nonzero polynomial in c of degree < dim, so
-    c = 0..F(dim - 1) holds a witness when those c are distinct; else the
-    kernel is enumerated (NoGenericWitness: too large, or no witness).
+    Each extra incidence is one discriminantal normal, built once per
+    distinct key and tested on each candidate t of _candidates (k + 1
+    products); only once a candidate has failed (or the kernel is too
+    large to enumerate) is an incidence holding on the whole kernel,
+    which rules out every t, looked for.
     """
     if not isinstance(family, IndexFamily):
         family = IndexFamily(family)
@@ -294,59 +337,36 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
 
     # extra incidences: hyperplane q outside L passes through L's common
     # point iff L's head and q are concurrent, i.e. t lies on D_{head + q};
-    # each such normal is evaluated on the kernel basis
-    evaluated = []
-    for L in family:
-        head = L[:k]
-        for q in a.indices:
-            if q in L:
-                continue
-            key = tuple(sorted(head + (q,)))
-            d = _discriminantal_row(a, key)
-            vals = []
-            for b in basis:
-                acc = zero
-                for p in key:
-                    acc = add(acc, mul(d[p - 1], b[p - 1]))
-                vals.append(acc)
-            if all(is_zero(v) for v in vals):
-                return None  # the extra incidence holds on the whole kernel
-            evaluated.append(vals)
+    # the walk's bound counts every (L, q), duplicate keys included
+    keys = [tuple(sorted(L[:k] + (q,))) for L in family for q in a.indices if q not in L]
+    functionals = []
+    for key in dict.fromkeys(keys):
+        d = _discriminantal_row(a, key)
+        functionals.append([(p - 1, d[p - 1]) for p in key])
 
-    def admissible(coeffs) -> Vector | None:
-        # coeffs combine the kernel basis; check every functional
-        for vals in evaluated:
-            acc = zero
-            for c, v in zip(coeffs, vals):
-                acc = add(acc, mul(c, v))
-            if is_zero(acc):
+    def vanishes(fn, v) -> bool:
+        acc = zero
+        for i, x in fn:
+            acc = add(acc, mul(x, v[i]))
+        return is_zero(acc)
+
+    def holds_on_kernel() -> bool:
+        return any(all(vanishes(fn, b) for b in basis) for fn in functionals)
+
+    try:
+        for tried, coeffs in enumerate(_candidates(f, len(keys), len(basis))):
+            t = [zero] * n
+            for c, b in zip(coeffs, basis):
+                if not is_zero(c):
+                    t = [add(x, mul(c, y)) for x, y in zip(t, b)]
+            if not any(vanishes(fn, t) for fn in functionals):
+                return tuple(FieldElement(f, x) for x in t)
+            if not tried and holds_on_kernel():
                 return None
-        t = [zero] * n
-        for c, b in zip(coeffs, basis):
-            for i in range(n):
-                t[i] = add(t[i], mul(c, b[i]))
-        return tuple(FieldElement(f, x) for x in t)
-
-    dim = len(basis)
-    bound = len(evaluated) * (dim - 1)
-    char = f.characteristic()
-    if char == 0 or char > bound:
-        for c in range(bound + 1):
-            t = admissible([f._coerce_int(c ** i) for i in range(dim)])
-            if t is not None:
-                return t
-        raise AssertionError("the moment-curve bound admits no witness")
-
-    elems = [e.payload for e in f.iter_elements()]
-    if len(elems) ** dim > 10 ** 6:
-        raise NoGenericWitness("kernel too large to enumerate")
-    for coeffs in product(elems, repeat=dim):
-        if all(is_zero(c) for c in coeffs):
-            continue
-        t = admissible(coeffs)
-        if t is not None:
-            return t
-    raise NoGenericWitness("every kernel vector hits an extra incidence")
+    except NoGenericWitness:
+        if holds_on_kernel():
+            return None
+        raise
 
 
 def arrangement_to_json(a: Arrangement) -> dict:

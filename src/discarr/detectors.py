@@ -252,16 +252,20 @@ def find_involutions(a: Arrangement):
     each normal to its partner in both directions and squares to the
     identity: projective_map_through sends each normal to its partner,
     and by Cayley-Hamilton f^2 = tr(f) f - det(f) is scalar, so that f
-    sends the partners back, exactly when tr(f) is zero."""
+    sends the partners back, exactly when tr(f) is zero.  Each map is
+    the closed form of projective_map_through, and the trace is taken
+    on its payloads."""
     _check_k2(a)
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
+    fd = a.field
     out = []
     for pairs in _pairings(a):
         src = tuple(a.normal(p) for p, _ in pairs)
         dst = tuple(a.normal(q) for _, q in pairs)
         f = projective_map_through(src, dst)
-        if (f.matrix[0, 0] + f.matrix[1, 1]).is_zero():
+        m = f.matrix.entries
+        if fd._is_zero(fd._add(m[0].payload, m[3].payload)):
             matching = frozenset(frozenset(p) for p in pairs)
             out.append((matching, f))
     return out

@@ -1,7 +1,7 @@
 """Shared constructors for the test suite: seeded random arrangements,
 the random very generic reference, the lattice closure oracle,
 the six-element pairing and conjugation closure oracles, the quint
-closure oracle,
+closure oracle, the FieldElement projective map through three points,
 candidate-family enumeration, and small number-theory checks."""
 
 import random
@@ -12,13 +12,17 @@ from discarr import (
     Arrangement,
     FourSet,
     Good6Partition,
+    Matrix,
     NotGeneric,
+    ProjectiveMap,
     QuintFamily,
     Rational,
+    det2,
     detectors,
     is_generic,
     perfect_matchings,
 )
+from discarr.arrangement import DegeneratePoints
 from discarr.gallery import is_parameter_generic, parametrized
 
 
@@ -152,6 +156,37 @@ def oracle_closure(normals, supports):
         span.insert(normals[L])
     members = tuple(L for L in sorted(normals) if span.contains(normals[L]))
     return members, len(span.rows)
+
+
+# ---------------------------------------------------------------------------
+# the projective map oracle
+
+def oracle_projective_map_through(sources, targets):
+    """The map of P^1 taking three sources to three targets, built on
+    FieldElements: the targets' frame after the inverse (the adjugate)
+    of the sources' frame, each frame a ProjectiveMap; a frame's columns
+    are l1 p1 and l2 p2 with p3 = l1 p1 + l2 p2, by Cramer."""
+    sources = tuple(sources)
+    targets = tuple(targets)
+    if len(sources) != 3 or len(targets) != 3:
+        raise ValueError("exactly three source and three target points")
+
+    def frame(p1, p2, p3):
+        d12 = det2(p1, p2)
+        d13 = det2(p1, p3)
+        d23 = det2(p2, p3)
+        if d12.is_zero() or d13.is_zero() or d23.is_zero():
+            raise DegeneratePoints("frame points are not pairwise distinct")
+        l1 = d23 / d12
+        l2 = -d13 / d12
+        f = p1[0].fd
+        return Matrix.from_rows([[l1 * p1[0], l2 * p2[0]], [l1 * p1[1], l2 * p2[1]]], f)
+
+    ms = ProjectiveMap(frame(*sources)).matrix
+    mt = ProjectiveMap(frame(*targets)).matrix
+    a, b, c, d = ms[0, 0], ms[0, 1], ms[1, 0], ms[1, 1]
+    adjugate = ProjectiveMap(Matrix.from_rows([[d, -b], [-c, a]], ms.field)).matrix
+    return ProjectiveMap(mt * adjugate)
 
 
 # ---------------------------------------------------------------------------

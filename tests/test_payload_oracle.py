@@ -3,15 +3,17 @@ FieldElement paths they replaced.
 
 The oracles below are the original routines: find_involutions building
 one projective map per matching of the six lines and keeping those that
-swap every pair, reduced row echelon form on FieldElement rows (with
+swap every pair, each map composed of FieldElement frames
+(oracle_projective_map_through), reduced row echelon form on FieldElement rows (with
 rank, kernel, solve and inverse built on it), and translate_solver on
 FieldElement discriminantal rows, kernel and head inverses, which tests
 an extra incidence of q with a family set L through the common point
 x_L(t) = head^-1 t.  The library tests the det2 pairing condition before
 building any map, reduces raw payloads, and searches translations on
 payloads, testing the same incidence as t on the discriminantal normal
-of L's head and q, so its kernel is its only span; all must agree
-exactly.
+of L's head and q, so its kernel is its only span; it builds each map in
+closed form on payloads.  All must agree exactly, and the payload work
+of one map and one translation is pinned.
 """
 
 import random
@@ -42,12 +44,13 @@ from discarr import (
     translate_solver,
 )
 from discarr import detectors, linalg
-from discarr.arrangement import NoGenericWitness
-from discarr.exactfield import FieldElement
-from discarr.linalg import SingularMatrix, inverse
+from discarr.arrangement import DegeneratePoints, NoGenericWitness
+from discarr.exactfield import FieldElement, FieldMismatch
+from discarr.linalg import DimensionMismatch, SingularMatrix, inverse
 
-from _helpers import fourset_candidates, imposed_k2
+from _helpers import fourset_candidates, imposed_k2, oracle_projective_map_through
 from test_classify_oracle import FIELDS, _sampler, seeded_planes
+from test_pairing_oracle import _count_payload_calls
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +127,7 @@ def oracle_find_involutions(a):
     for pairs in perfect_matchings(a.indices):
         src = tuple(a.normal(x) for x, _ in pairs)
         dst = tuple(a.normal(y) for _, y in pairs)
-        f = projective_map_through(src, dst)
+        f = oracle_projective_map_through(src, dst)
         if all(f.maps_to(dst[i], src[i]) for i in range(3)):
             out.append((frozenset(frozenset(p) for p in pairs), f))
     return out
@@ -207,7 +210,8 @@ def oracle_translate_solver(a, family):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (NotGeneric, NoGenericWitness, SingularMatrix) as exc:
+    except (NotGeneric, NoGenericWitness, SingularMatrix, DegeneratePoints,
+            FieldMismatch, DimensionMismatch) as exc:
         return type(exc)
 
 
@@ -293,6 +297,82 @@ def test_one_map_per_involution(monkeypatch):
         found = find_involutions(build_gallery(g))
         assert found
         assert calls["maps"] == len(found)
+
+
+# ---------------------------------------------------------------------------
+# projective maps
+
+MAP_FIELDS = ("Q", "sqrt5", "F7", "F11", "GF8", "GF9")
+
+
+@pytest.mark.parametrize("name", MAP_FIELDS)
+def test_projective_maps_match_fieldelement_oracle(name):
+    # every matching of the seeded lines, the last of which repeats a
+    # line, so some frames have coincident points: the same entries, byte
+    # for byte, or the same exception
+    tally = Counter()
+    for a in seeded_lines(name, count=6):
+        for pairs in perfect_matchings(a.indices):
+            src = [a.normal(x) for x, _ in pairs]
+            dst = [a.normal(y) for _, y in pairs]
+            want = _outcome(oracle_projective_map_through, src, dst)
+            got = _outcome(projective_map_through, src, dst)
+            if isinstance(want, type):
+                assert got is want
+                tally[want.__name__] += 1
+                continue
+            assert _fmt(got.matrix.entries) == _fmt(want.matrix.entries)
+            if name == "Q":
+                assert all(_canonical_q(a.field, e.payload) for e in got.matrix.entries)
+            tally["maps"] += 1
+    assert tally == Counter(maps=tally["maps"], DegeneratePoints=tally["DegeneratePoints"])
+    assert tally["maps"] and tally["DegeneratePoints"]
+
+
+def test_projective_map_refusals_match_oracle():
+    q, f7, f11 = FIELDS["Q"], FIELDS["F7"], FIELDS["F11"]
+
+    def points(fd, *coords):
+        return [tuple(fd.from_int(x) for x in p) for p in coords]
+
+    frame = ((1, 0), (0, 1), (1, 1))
+    other = ((1, 2), (2, 1), (1, 3))
+    cases = {
+        "coincident sources": (points(q, (1, 2), (2, 4), (1, 1)), points(q, *other)),
+        "coincident targets": (points(q, *frame), points(q, *other[:2], (2, 4))),
+        "targets over another field": (points(f7, *frame), points(f11, *other)),
+        "mixed source fields": (points(f7, *frame[:2]) + points(f11, frame[2]),
+                                points(f7, *other)),
+        "degenerate targets over another field": (points(f7, *frame),
+                                                  points(f11, (1, 1), (2, 2), (1, 0))),
+        "a 3-vector": (points(q, *frame), points(q, *other[:2], (1, 2, 3))),
+    }
+    outcomes = {}
+    for label, (src, dst) in cases.items():
+        want = _outcome(oracle_projective_map_through, src, dst)
+        assert _outcome(projective_map_through, src, dst) is want
+        outcomes[label] = want.__name__
+    assert outcomes == {
+        "coincident sources": "DegeneratePoints",
+        "coincident targets": "DegeneratePoints",
+        "targets over another field": "FieldMismatch",
+        "mixed source fields": "FieldMismatch",
+        "degenerate targets over another field": "DegeneratePoints",
+        "a 3-vector": "DimensionMismatch",
+    }
+
+
+def test_one_projective_map_is_34_products_and_2_inverses(monkeypatch):
+    # two frames of 12 products and one inverse each (three 2 x 2 minors,
+    # l1 and l2, the four columns), 8 for the product with the adjugate
+    # and 2 for the one determinant check; the FieldElement path took 40
+    # and 4, with four determinant checks and an inverse per division
+    a = build_gallery("crapo")
+    src = [a.normal(p) for p in (1, 2, 3)]
+    dst = [a.normal(p) for p in (4, 5, 6)]
+    calls = _count_payload_calls(monkeypatch, a.field)
+    projective_map_through(src, dst)
+    assert calls == Counter(_mul=34, _inv=2)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +524,10 @@ def test_translate_solver_matches_oracle_at_the_walk_bound(p, normals, family):
 
 
 def test_translate_solver_makes_no_element_arithmetic(monkeypatch):
+    # nor does find_involutions: each map is built on payloads
     a = build_gallery("witness-1^1,5^1")
     family = good6_points(a)[0].sets
+    lines = [build_gallery(g) for g in ("crapo", "octahedral", "f5", "polygon-6")]
     calls = Counter()
 
     def counting(op):
@@ -459,7 +541,38 @@ def test_translate_solver_makes_no_element_arithmetic(monkeypatch):
     for op in ("__mul__", "__add__", "__sub__", "__truediv__"):
         monkeypatch.setattr(FieldElement, op, counting(op))
     assert translate_solver(a, family) is not None
+    assert all(find_involutions(b) for b in lines)
     assert sum(calls.values()) == 0
+
+
+def test_translate_solver_payload_work_is_pinned(monkeypatch):
+    # three 4-sets on six planes whose rows have rank 2: 12 products and
+    # the one inverse for the 4-dimensional kernel; six extra incidences
+    # on five distinct keys, all avoided by the first candidate t = b_1
+    # (6 products), each tested at t (4 products); testing every
+    # incidence on the kernel basis first took 156 products
+    a = build_gallery("witness-1^1,5^1")
+    family = good6_points(a)[0].sets  # the minors are kept, not counted
+    calls = _count_payload_calls(monkeypatch, a.field)
+    assert translate_solver(a, family) is not None
+    assert calls == Counter(_mul=38, _inv=1)
+
+
+@pytest.mark.parametrize("family, expected", [
+    ([(1, 2), (2, 3)], None),
+    ([(1, 2), (3, 4)], NoGenericWitness),
+], ids=["incidence-on-kernel", "no-such-incidence"])
+def test_kernel_wide_incidence_comes_before_the_enumeration_refusal(family, expected):
+    # ten points over F_7: an 8-dimensional kernel, 7^8 > 10^6 candidates
+    # and F (dim - 1) = 112 >= 7, so the kernel cannot be enumerated; when
+    # the family forces hyperplane 3 through the point of (1, 2) there is
+    # no translation, which the solver says before refusing
+    a = Arrangement(Prime(7), 1, [[p % 6 + 1] for p in range(10)])
+    assert _outcome(translate_solver, a, family) is expected
+    assert _compare_translations(a, [family]) == 0
+    if expected is NoGenericWitness:
+        with pytest.raises(NoGenericWitness, match="kernel too large to enumerate"):
+            translate_solver(a, family)
 
 
 def test_translate_solver_builds_one_span(monkeypatch):

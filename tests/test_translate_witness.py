@@ -7,8 +7,10 @@ each (k+1)-subset of a family set is concurrent, and no hyperplane
 outside the set passes through the set's point.  Over characteristic 0
 the moment-curve walk always finds a witness, so NoGenericWitness never
 comes; the small-combination search it replaced gave up on two of the
-inputs below.  Each k x k minor is computed once per arrangement, which
-the counts of _det_payloads calls pin.
+inputs below.  The candidate sequence is pinned at both of its ends:
+the walk's last value c = F(dim - 1), and the enumeration that replaces
+the walk once those c would repeat.  Each k x k minor is computed once
+per arrangement, which the counts of _det_payloads calls pin.
 """
 
 import sys
@@ -29,7 +31,7 @@ from discarr import (
     quadral_points,
     translate_solver,
 )
-from discarr.arrangement import NoGenericWitness
+from discarr.arrangement import NoGenericWitness, _candidates
 from discarr.detectors import _det_table
 
 from _helpers import fourset_candidates
@@ -129,6 +131,46 @@ def test_walk_finds_a_witness_beyond_two_basis_vectors(k, normals, family):
         t = translate_solver(a, family)
         assert t is not None
         assert translation_problems(a, family, t) == []
+
+
+# ---------------------------------------------------------------------------
+# the candidate sequence
+
+def test_walk_ends_at_f_times_dim_minus_one():
+    # F = 3 incidences on a 3-dimensional kernel: c = 0..6 on the moment
+    # curve, the last candidate (1, 6, 36); exhausting it is a bug
+    walk = _candidates(Q, 3, 3)
+    got = [next(walk) for _ in range(7)]
+    assert got[0] == [Q._coerce_int(x) for x in (1, 0, 0)]
+    assert got[-1] == [Q._coerce_int(x) for x in (1, 6, 36)]
+    with pytest.raises(AssertionError, match="moment-curve bound"):
+        next(walk)
+    # over F_7 the same seven c are distinct, so F_7 walks them too
+    walk = _candidates(Prime(7), 3, 3)
+    assert [next(walk) for _ in range(7)][-1] == [1, 6, 36 % 7]
+    with pytest.raises(AssertionError, match="moment-curve bound"):
+        next(walk)
+
+
+@pytest.mark.parametrize("p, incidences, dim", [(5, 5, 2), (7, 7, 2), (3, 1, 4)])
+def test_enumeration_once_the_walk_would_repeat(p, incidences, dim):
+    # F (dim - 1) = p: c = 0..p repeats c = 0 mod p, so every nonzero
+    # kernel combination is tried in product order, then the refusal
+    fd = Prime(p)
+    candidates = _candidates(fd, incidences, dim)
+    got = [next(candidates) for _ in range(p ** dim - 1)]
+    assert got[0] == [0] * (dim - 1) + [1]
+    assert got[-1] == [p - 1] * dim
+    assert len(set(map(tuple, got))) == p ** dim - 1
+    with pytest.raises(NoGenericWitness, match="every kernel vector"):
+        next(candidates)
+
+
+def test_enumeration_refused_past_a_million_candidates():
+    with pytest.raises(NoGenericWitness, match="kernel too large to enumerate"):
+        next(_candidates(Prime(7), 2, 8))
+    # at 7^7 < 10^6 the enumeration starts
+    assert next(_candidates(Prime(7), 2, 7)) == [0] * 6 + [1]
 
 
 # ---------------------------------------------------------------------------
