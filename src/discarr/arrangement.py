@@ -94,6 +94,13 @@ def is_generic(a: Arrangement) -> bool:
     return not any(is_zero(d) for d in a.minors().values())
 
 
+def _require_generic(a: Arrangement) -> None:
+    """The one genericity gate: NotGeneric when some k normals are dependent."""
+    if not is_generic(a):
+        raise NotGeneric({2: "parallel or repeated lines", 3: "dependent normal triple"}
+                         .get(a.k, "dependent k-subset of normals"))
+
+
 def _discriminantal_row(a: Arrangement, key: tuple) -> list:
     """Payload row of the normal of D_key, key a sorted (k+1)-subset:
     coordinate p_j is (-1)^(j+1) times the minor with p_j deleted."""
@@ -170,12 +177,7 @@ class ProjectiveMap:
         return ProjectiveMap(self.matrix * other.matrix)
 
     def inverse(self) -> "ProjectiveMap":
-        m = self.matrix
-        f = m.field
-        if m.rows == 2:
-            a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-            return ProjectiveMap(Matrix.from_rows([[d, -b], [-c, a]], f))
-        return ProjectiveMap(inverse(m))
+        return ProjectiveMap(inverse(self.matrix))
 
     def proj_eq(self, other: "ProjectiveMap") -> bool:
         u = self.matrix.entries
@@ -317,8 +319,7 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
     """
     if not isinstance(family, IndexFamily):
         family = IndexFamily(family)
-    if not is_generic(a):
-        raise NotGeneric("translate solving requires a generic arrangement")
+    _require_generic(a)
     f = a.field
     k, n = a.k, a.n
     for L in family:

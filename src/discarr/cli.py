@@ -41,6 +41,7 @@ import time
 from .arrangement import (
     Arrangement,
     NotGeneric,
+    _require_generic,
     arrangement_from_json,
     arrangement_to_json,
 )
@@ -55,7 +56,6 @@ from .detectors import (
 )
 from .discriminantal import (
     TooLarge,
-    _require_generic,
     _require_lattice_size,
     build_discriminantal,
     intersection_lattice,

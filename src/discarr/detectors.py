@@ -12,7 +12,8 @@ All detectors are pure, compare products of the arrangement's minors
 (Arrangement.minors) and return canonical, deduplicated families: the
 six-element relations read them through one fixed 15-row pattern per k
 (_pairing_pattern), the quint search through the signed k = 2 view
-(_det_table).
+(_det_table); both refuse a non-generic arrangement through the one
+gate, arrangement._require_generic.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from itertools import combinations, permutations
 
 from .arrangement import (
     Arrangement,
-    NotGeneric,
+    _require_generic,
     cross_ratio,
-    is_generic,
     projective_map_through,
 )
 from .exactfield import FieldElement, _Value
@@ -158,12 +158,6 @@ def crossratio_form(a: Arrangement, fourset: FourSet) -> FieldElement:
     r2 = cross_ratio(v[p[2]], v[p[0]], v[p[1]], v[p[4]])
     r3 = cross_ratio(v[p[0]], v[p[1]], v[p[2]], v[p[5]])
     return r1 * r2 * r3
-
-
-def _require_generic(a: Arrangement) -> None:
-    if not is_generic(a):
-        raise NotGeneric("parallel or repeated lines" if a.k == 2
-                         else "dependent normal triple")
 
 
 def _det_table(a: Arrangement) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .arrangement import Arrangement, NotGeneric, _discriminantal_row, is_generic
+from .arrangement import Arrangement, NotGeneric, _discriminantal_row, _require_generic
 from .exactfield import FieldDescriptor, FieldElement, _Value, descriptor_to_json
 from .linalg import Vector, _Span
 
@@ -98,11 +98,6 @@ class DiscriminantalArrangement:
 
     def __repr__(self):
         return f"DiscriminantalArrangement(n={self.n}, k={self.k}, {len(self)} hyperplanes)"
-
-
-def _require_generic(a: Arrangement) -> None:
-    if not is_generic(a):
-        raise NotGeneric("base arrangement has a dependent k-subset of normals")
 
 
 def _require_lattice_size(n: int, k: int) -> None:

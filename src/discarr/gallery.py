@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .arrangement import Arrangement, NotGeneric, is_generic
+from .arrangement import Arrangement, _require_generic
 from .detectors import FourSet, QuintFamily
 from .exactfield import (
     Cyclotomic,
@@ -237,8 +237,7 @@ def regular_polygon(n: int) -> Arrangement:
         zm = zeta ** (4 * n - 2 * p)
         normals.append(((zp + zm) * half, (zp - zm) * half * inv_i))
     a = Arrangement(field, 2, normals)
-    if not is_generic(a):
-        raise NotGeneric("polygon normals must be pairwise independent")
+    _require_generic(a)
     return a
 
 

@@ -2,20 +2,20 @@
 
 The one determinant, _det_payloads, works on raw payloads through the
 descriptor hooks: a cofactor expansion up to 3x3, with no inversions,
-and Gaussian elimination above that; det and Arrangement.minors (each
-k x k minor of an arrangement, once) wrap it.  The library's one echelon
-is the span (_Span, and _IntegerSpan on fraction-free integer rows over
-Q, read off the numerators of Q's ((n,), d) payloads): an incremental
-row echelon of raw payload rows.  The
-intersection lattice, the discriminantal rank check and the translate
-solver build on it, and so do rank, rank_of_rows, kernel, solve and
-inverse: the rank is the span's, and a kernel basis, a solution of
-M x = b and M^-1 are null vectors read off it by back-substitution.
-inverse is the library's one matrix inverse; the translate solver needs
-none, since its incidence tests are discriminantal normals too.  The
-public functions unwrap their field elements once and wrap the result
-once.  Pivots are the first nonzero entry of a row; exact arithmetic
-needs no magnitude heuristics.
+and the span above that; det and Arrangement.minors (each k x k minor
+of an arrangement, once) wrap it.  The library's one echelon is the
+span (_Span, and _IntegerSpan on fraction-free integer rows over Q,
+read off the numerators of Q's ((n,), d) payloads): an incremental row
+echelon of raw payload rows.  Determinants above 3x3, the intersection
+lattice, the discriminantal rank check and the translate solver build
+on it, and so do rank, rank_of_rows, kernel, solve and inverse: the
+rank is the span's, and a kernel basis, a solution of M x = b and M^-1
+are null vectors read off it by back-substitution.  inverse is the
+library's one matrix inverse, ProjectiveMap.inverse's at every size;
+the translate solver needs none, since its incidence tests are
+discriminantal normals too.  The public functions unwrap their field
+elements once and wrap the result once.  Pivots are the first nonzero
+entry of a row; exact arithmetic needs no magnitude heuristics.
 """
 
 from __future__ import annotations
@@ -97,14 +97,9 @@ class Matrix(_Value):
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("matrix product across fields")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = self.field.zero()
-                for k in range(self.cols):
-                    acc = acc + self[i, k] * other[k, j]
-                out.append(acc)
-        return Matrix(self.field, self.rows, other.cols, out)
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return Matrix(self.field, self.rows, other.cols,
+                      [_dot(self.row(i), c, self.field) for i in range(self.rows) for c in cols])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -146,11 +141,10 @@ def det(m: Matrix) -> FieldElement:
 
 
 def _det_payloads(fd: FieldDescriptor, rows):
-    """Payload of the determinant of a square matrix of payloads.  Up to
-    3x3 it is a cofactor expansion through the descriptor hooks (at most
-    nine products, no inversions); larger matrices take Gaussian
-    elimination through the same hooks, the product of the pivots with a
-    sign per row swap."""
+    """Payload of the determinant of a square matrix of payloads.  2x2
+    and 3x3 are a cofactor expansion through the descriptor hooks (at
+    most nine products, no inversions); other sizes are read off the
+    span of their rows."""
     mul, add, neg = fd._mul, fd._add, fd._neg
     n = len(rows)
     if n == 2:
@@ -161,27 +155,21 @@ def _det_payloads(fd: FieldDescriptor, rows):
         return add(add(mul(a, add(mul(e, i), neg(mul(f, h)))),
                        mul(b, add(mul(f, g), neg(mul(d, i))))),
                    mul(c, add(mul(d, h), neg(mul(e, g)))))
-    if n < 2:
-        return rows[0][0] if n else fd._coerce_int(1)
-    is_zero = fd._is_zero
-    a = [list(r) for r in rows]
-    result = fd._coerce_int(1)
-    for k in range(n):
-        piv = k
-        while is_zero(a[piv][k]):
-            piv += 1
-            if piv == n:
-                return fd._coerce_int(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+    # above 3x3: reducing a row only adds multiples of earlier rows, and
+    # each key is 1 at its own pivot and 0 at every earlier pivot, so det
+    # is the product of the leads the keys scale away, negated on an odd
+    # pivot order.  A plain _Span, not _Span.over: _IntegerSpan rescales.
+    span = _Span(fd)
+    result = span.one
+    for row in rows:
+        w = span._reduce(list(row))
+        j = next((j for j, x in enumerate(w) if not fd._is_zero(x)), None)
+        if j is None:
+            return span.zero
+        result = mul(result, w[j])
+        if sum(piv > j for piv, _, _ in span.rows) % 2:
             result = neg(result)
-        result = mul(result, a[k][k])
-        inv = fd._inv(a[k][k])
-        for i in range(k + 1, n):
-            if not is_zero(a[i][k]):
-                factor = neg(mul(a[i][k], inv))
-                for j in range(k + 1, n):
-                    a[i][j] = add(a[i][j], mul(factor, a[k][j]))
+        span._push(span._scaled(w, j, w[j]))
     return result
 
 

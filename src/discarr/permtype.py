@@ -205,11 +205,11 @@ class PartitionType(_Value):
     def from_string(cls, s: str) -> "PartitionType":
         sizes = []
         for part in s.replace(",", " ").split():
-            if "^" in part:
-                d, a = part.split("^")
-                sizes.extend([int(d)] * int(a))
-            else:
-                sizes.append(int(part))
+            d, caret, a = part.partition("^")
+            d, a = int(d), int(a) if caret else 1
+            if not (1 <= d <= 6 and 1 <= a <= 6):
+                raise ValueError(f"part {part!r} is not d^a with d and a in 1..6")
+            sizes.extend([d] * a)
         return cls(sizes)
 
     def label(self) -> str:

@@ -7,8 +7,10 @@ import pytest
 
 from discarr import (
     Arrangement,
+    Galois,
     IndexFamily,
     NotGeneric,
+    Prime,
     ProjectiveMap,
     Quadratic,
     Rational,
@@ -111,11 +113,32 @@ def test_projective_map_operations():
         ProjectiveMap.from_rows([[1, 2], [2, 4]], Q)
 
 
+@pytest.mark.parametrize("fd", [Prime(7), Prime(2), Galois(2, (1, 1, 0, 1)), Galois(3, (1, 0, 1))],
+                         ids=["F7", "F2", "GF8", "GF9"])
+def test_2x2_projective_map_inverse_over_finite_fields(fd):
+    # the inverse is the adjugate up to scaling and undoes the map on
+    # every point of P^1(fd)
+    rng = random.Random(f"pgl2-{fd!r}")
+    elems = list(fd.iter_elements())
+    points = [(fd.one(), x) for x in elems] + [(fd.zero(), fd.one())]
+    maps = 0
+    while maps < 8:
+        a, b, c, d = (rng.choice(elems) for _ in range(4))
+        if (a * d - b * c).is_zero():
+            continue
+        maps += 1
+        f = ProjectiveMap.from_rows([[a, b], [c, d]], fd)
+        inv = f.inverse()
+        assert inv == ProjectiveMap.from_rows([[d, -b], [-c, a]], fd)
+        assert f.compose(inv).is_identity() and inv.compose(f).is_identity()
+        assert all(inv.maps_to(f.apply(v), v) for v in points)
+
+
 def test_entries_coerce_into_the_field():
     # one coercion for normals, map rows and the parametrized family: an
     # element of another field is a FieldMismatch, a Fraction over F_p is
     # its numerator over its denominator, anything else a TypeError
-    from discarr.exactfield import FieldMismatch, Prime
+    from discarr.exactfield import FieldMismatch
 
     g = Quadratic(5).generator()
     with pytest.raises(FieldMismatch):

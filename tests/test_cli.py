@@ -258,6 +258,11 @@ def test_classify_witness_by_uri(capsys):
     assert rep["input"]["field"]["kind"] == "quadratic"
 
 
+def test_witness_token_with_a_huge_count_exits_usage(capsys):
+    assert main(["classify", "gallery:witness-1^100000"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad type token in 'witness-1^100000'\n"
+
+
 def test_classify_needs_six(tmp_path, capsys):
     assert main(["classify", "gallery:polygon-7"]) == EXIT_USAGE
     assert "n=6" in capsys.readouterr().err
@@ -393,7 +398,7 @@ def test_lattice_non_generic_over_cap_exits_not_generic(tmp_path, monkeypatch, c
     p = tmp_path / "parallel9.json"
     p.write_text(json.dumps(arrangement_to_json(a)), encoding="utf-8")
     assert main(["lattice", str(p)]) == EXIT_NOT_GENERIC
-    assert "dependent k-subset" in capsys.readouterr().err
+    assert "parallel or repeated lines" in capsys.readouterr().err
 
 
 def test_lattice_text_marks_nvg(capsys):

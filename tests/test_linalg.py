@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from discarr import (
+    Cyclotomic,
     FieldMismatch,
     Galois,
     Matrix,
@@ -56,6 +58,88 @@ def test_det_matches_cofactor_oracle():
             rows = [[q.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
                      for _ in range(n)] for _ in range(n)]
             assert det(Matrix.from_rows(rows, q)) == _cofactor_det(rows, q)
+
+
+DET_FIELDS = {"F7": Prime(7), "GF9": Galois(3, (1, 0, 1)),
+              "sqrt5": Quadratic(5), "zeta5": Cyclotomic(5)}
+
+
+def _pool(fd):
+    """Every element of a finite field, else small combinations of 1, g, g^2."""
+    if fd.characteristic():
+        return list(fd.iter_elements())
+    g = fd.generator()
+    return [fd.from_int(a) + fd.from_int(b) * g + fd.from_int(c) * g * g
+            for a, b, c in product(range(-2, 3), repeat=3)]
+
+
+def _sign(perm):
+    return (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+
+
+@pytest.mark.parametrize("name", DET_FIELDS)
+def test_det_above_3x3_matches_cofactor_oracle(name):
+    # random, singular (a row the sum of two others), zero-row and
+    # row-permuted triangular matrices, whose pivots come out of order
+    fd = DET_FIELDS[name]
+    pool = _pool(fd)
+    nonzero = [x for x in pool if not x.is_zero()]
+    rng = random.Random(f"det-{name}")
+    zero = fd.zero()
+    cases = []
+    for n in (4, 5):
+        for _ in range(5):
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            c = rng.choice(nonzero)
+            i = rng.randrange(n)
+            triangular = [[zero] * j + [rng.choice(nonzero)] + [rng.choice(pool) for _ in range(n - j - 1)]
+                          for j in range(n)]
+            perm = rng.sample(range(n), n)
+            cases += [rows,
+                      rows[:-1] + [[x + c * y for x, y in zip(rows[0], rows[1])]],
+                      rows[:i] + [[zero] * n] + rows[i + 1:],
+                      [triangular[j] for j in perm]]
+    singular = 0
+    for rows in cases:
+        expected = _cofactor_det(rows, fd)
+        singular += expected.is_zero()
+        assert det(Matrix.from_rows(rows, fd)) == expected
+    assert singular >= 20
+
+
+@pytest.mark.parametrize("name", DET_FIELDS)
+def test_det_of_permutation_matrices_is_their_sign(name):
+    fd = DET_FIELDS[name]
+    zero, one = fd.zero(), fd.one()
+    odd = 0
+    for n in (4, 5):
+        for perm in permutations(range(n)):
+            rows = [[one if j == perm[i] else zero for j in range(n)] for i in range(n)]
+            sign = one if _sign(perm) == 1 else -one
+            odd += _sign(perm) == -1
+            assert det(Matrix.from_rows(rows, fd)) == sign == _cofactor_det(rows, fd)
+    assert odd == 12 + 60
+
+
+@pytest.mark.parametrize("fd", [Prime(7), Galois(2, (1, 1, 0, 1))], ids=["F7", "GF8"])
+def test_matmul_of_non_square_matrices_matches_element_loop(fd):
+    rng = random.Random(f"matmul-{fd!r}")
+    pool = _pool(fd)
+    for _ in range(10):
+        a = Matrix.from_rows([[rng.choice(pool) for _ in range(3)] for _ in range(2)], fd)
+        b = Matrix.from_rows([[rng.choice(pool) for _ in range(4)] for _ in range(3)], fd)
+        expected = []
+        for i in range(2):
+            for j in range(4):
+                acc = fd.zero()
+                for k in range(3):
+                    acc = acc + a[i, k] * b[k, j]
+                expected.append(acc)
+        ab = a * b
+        assert (ab.rows, ab.cols, ab.entries) == (2, 4, tuple(expected))
+        assert ab.transpose() == b.transpose() * a.transpose()
+    with pytest.raises(DimensionMismatch):
+        b * a
 
 
 def test_det_over_nonrational_fields():

@@ -1,6 +1,7 @@
 """The exceptional automorphism, edge labels, and type bookkeeping."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -182,6 +183,22 @@ def test_partition_type_parsing_and_m():
     assert nu.m() == 6
     with pytest.raises(ValueError):
         PartitionType.from_string("1^2 4^2")
+
+
+def test_partition_type_refuses_parts_outside_1_to_6_before_expanding():
+    # 1^100000 once built a list of 100,000 ones and echoed it in the error
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            PartitionType.from_string("1^100000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "part '1^100000' is not d^a with d and a in 1..6"
+    assert peak < 100_000
+    for token in ("0^6", "7", "1^0 6^1", "2^-3", "1^", "^2", "1^1^2"):
+        with pytest.raises(ValueError):
+            PartitionType.from_string(token)
 
 
 def test_type_order_table():

@@ -10,7 +10,10 @@ Only the _Value base and the three classes whose equality is not a key
 comparison define __eq__ or __hash__, and every _Value subclass has
 __slots__ (an instance dict would cost memory on every value).  Only
 cli.main prints, touches sys.stdout or sys.stderr, reads the clock or
-returns an exit code, so every command shares its one skeleton.
+returns an exit code, so every command shares its one skeleton.  One
+gate, arrangement._require_generic, raises NotGeneric for a dependent
+k-subset of normals; only build_discriminantal's rank check raises it
+too.
 """
 
 import ast
@@ -177,3 +180,17 @@ def test_only_cli_main_does_io_timing_and_exit_codes():
              and (path.name, fn.name) != ("cli.py", "main")
              for line in _io_sites(fn)]
     assert sites == []
+
+
+def test_one_genericity_gate():
+    defined, raised = [], []
+    for path in MODULES:
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined += [path.name] if fn.name == "_require_generic" else []
+                raised += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                           and node.func.id == "NotGeneric"]
+    assert (defined, sorted(raised)) == (
+        ["arrangement.py"],
+        ["arrangement.py:_require_generic", "discriminantal.py:build_discriminantal"])
