@@ -330,11 +330,10 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
     add, mul, is_zero = f._add, f._mul, f._is_zero
     zero = f._coerce_int(0)
 
+    # the kernel is never empty: it holds t_p = alpha_p . e_i for i = 1..k
     rows = [_discriminantal_row(a, sub)
             for L in family for sub in combinations(L, k + 1)]
     basis = _Span.over(f, rows).kernel(n)
-    if not basis:
-        return None
 
     # extra incidences: hyperplane q outside L passes through L's common
     # point iff L's head and q are concurrent, i.e. t lies on D_{head + q};

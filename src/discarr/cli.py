@@ -100,8 +100,8 @@ def field_label(fd: FieldDescriptor | None) -> str:
 
 
 def load_arrangement(source: str) -> Arrangement:
-    """The arrangement named by source.  A non-generic one raises
-    NotGeneric; any other fault in the input is a CliError(EXIT_USAGE)."""
+    """The arrangement named by source; it is not checked for genericity
+    here.  A fault in the input is a CliError(EXIT_USAGE)."""
     try:
         if source.startswith("gallery:"):
             return build_gallery(source[len("gallery:"):])
@@ -112,8 +112,6 @@ def load_arrangement(source: str) -> Arrangement:
         raise CliError(EXIT_USAGE, f"cannot read {source!r}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise CliError(EXIT_USAGE, f"bad JSON in {source!r}: {exc}") from exc
-    except NotGeneric:
-        raise
     except ValueError as exc:  # ParseError, UnknownGalleryName and shape errors
         raise CliError(EXIT_USAGE, str(exc)) from exc
 

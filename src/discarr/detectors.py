@@ -82,11 +82,9 @@ class FourSet(_Value):
         quads = sorted(tuple(sorted(s)) for s in sets)
         if len(quads) != 4 or any(len(s) != 3 or len(set(s)) != 3 for s in quads):
             raise BadFourSet(f"need four 3-subsets, got {quads}")
-        counts: dict[int, int] = {}
-        for s in quads:
-            for p in s:
-                counts[p] = counts.get(p, 0) + 1
-        if len(counts) != 6 or set(counts.values()) != {2}:
+        # on six indices, pairwise single meets force each index into two
+        # triples: the counts r sum to 12 and sum(r^2) = 12 + 2 * C(4, 2) = 24
+        if len({p for s in quads for p in s}) != 6:
             raise BadFourSet(f"indices must cover a 6-set twice each: {quads}")
         for s, t in combinations(quads, 2):
             if len(set(s) & set(t)) != 1:

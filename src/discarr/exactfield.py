@@ -172,34 +172,14 @@ class FieldDescriptor:
     constructor's arguments, in order, each kept as an attribute), which
     of them are lists of integers rather than integers, and _label, its
     report label formatted from its attributes.  Equality, hashing, repr
-    and the JSON form (descriptor_to_json) derive from these."""
+    and the JSON form (descriptor_to_json) derive from these.  Each
+    concrete descriptor also defines the seven payload hooks _add, _neg,
+    _mul, _inv, _is_zero, _fmt and _coerce_int."""
 
     kind: str = "abstract"
     params: tuple[str, ...] = ()
     _list_params: tuple[str, ...] = ()
     _label: str
-
-    # subclasses override all payload hooks below
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
-
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def _fmt(self, a) -> str:
-        raise NotImplementedError
-
-    def _coerce_int(self, n: int):
-        raise NotImplementedError
 
     def characteristic(self) -> int:
         return 0
@@ -212,17 +192,14 @@ class FieldDescriptor:
         raise FieldMismatch(f"{self.kind} is not a finite field")
 
     # element factories ----------------------------------------------------
-    def element(self, payload) -> "FieldElement":
-        return FieldElement(self, payload)
-
     def zero(self) -> "FieldElement":
-        return self.element(self._coerce_int(0))
+        return FieldElement(self, self._coerce_int(0))
 
     def one(self) -> "FieldElement":
-        return self.element(self._coerce_int(1))
+        return FieldElement(self, self._coerce_int(1))
 
     def from_int(self, n: int) -> "FieldElement":
-        return self.element(self._coerce_int(n))
+        return FieldElement(self, self._coerce_int(n))
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
@@ -352,12 +329,12 @@ class _PowerBasis(FieldDescriptor):
     def from_fraction(self, q: Fraction) -> "FieldElement":
         vec = [0] * self.phi
         vec[0] = q.numerator
-        return self.element(self._norm(vec, q.denominator))
+        return FieldElement(self, self._norm(vec, q.denominator))
 
     def generator(self):
         vec = [0] * self.phi
         vec[1] = 1
-        return self.element((tuple(vec), 1))
+        return FieldElement(self, (tuple(vec), 1))
 
     def coefficients(self, x: "FieldElement") -> tuple[Fraction, ...]:
         va, da = x.payload
@@ -457,7 +434,7 @@ class Prime(FieldDescriptor):
 
     def iter_elements(self):
         for a in range(self.p):
-            yield self.element(a)
+            yield FieldElement(self, a)
 
 
 # Fields with at most this many elements add, multiply and invert
@@ -617,11 +594,11 @@ class Galois(FieldDescriptor):
         return self._pad([n % self.p])
 
     def generator(self):
-        return self.element(self._pad([0, 1]))
+        return FieldElement(self, self._pad([0, 1]))
 
     def iter_elements(self):
         for coeffs in product(range(self.p), repeat=self.deg):
-            yield self.element(tuple(coeffs))
+            yield FieldElement(self, tuple(coeffs))
 
 
 # the power table has m rows of phi(m) entries and the conjugates phi(m)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .arrangement import Arrangement, _require_generic
+from .arrangement import Arrangement
 from .detectors import FourSet, QuintFamily
 from .exactfield import (
     Cyclotomic,
@@ -224,7 +224,9 @@ def classification_rows() -> list[tuple[PartitionType, int, FieldDescriptor | No
 def regular_polygon(n: int) -> Arrangement:
     """n lines normal to the directions p*pi/n, p = 1..n, encoded in
     Q(zeta) for zeta a primitive 4n-th root of unity: with i = zeta^n,
-    cos and sin become (zeta^2p + zeta^-2p)/2 and (zeta^2p - zeta^-2p)/2i."""
+    cos and sin become (zeta^2p + zeta^-2p)/2 and (zeta^2p - zeta^-2p)/2i.
+    The arrangement is generic with no check: the n directions lie in
+    [0, pi) and are distinct, so no two lines are parallel."""
     if n < 3:
         raise ValueError(f"regular polygon family needs n >= 3, got {n}")
     field = Cyclotomic(4 * n)
@@ -236,9 +238,7 @@ def regular_polygon(n: int) -> Arrangement:
         zp = zeta ** (2 * p)
         zm = zeta ** (4 * n - 2 * p)
         normals.append(((zp + zm) * half, (zp - zm) * half * inv_i))
-    a = Arrangement(field, 2, normals)
-    _require_generic(a)
-    return a
+    return Arrangement(field, 2, normals)
 
 
 def quadral_lower_bound(n: int) -> int:
@@ -358,7 +358,7 @@ def gallery_names() -> list[str]:
     names = list(_FIXED_BUILDERS)
     names.append("polygon-<n>")
     names.extend("witness-" + nu.cli_token()
-                 for nu in TYPE_ORDER if witness_spec(nu) is not None)
+                 for nu in TYPE_ORDER if nu.label() in _WITNESS_SOURCES)
     return names
 
 

@@ -214,6 +214,10 @@ def test_index_family():
     fam = IndexFamily([(3, 1, 2), (1, 2, 3), (4, 5, 6)])
     assert len(fam) == 2
     assert (1, 2, 3) in list(fam)
+    with pytest.raises(ValueError, match="at least one"):
+        IndexFamily([])
+    with pytest.raises(ValueError, match="nested"):
+        IndexFamily([(1, 2, 3), (1, 2, 3, 4)])
 
 
 def test_json_roundtrip_over_each_field():
@@ -226,6 +230,8 @@ def test_json_roundtrip_over_each_field():
 def test_json_rejects_garbage():
     with pytest.raises((KeyError, ValueError, TypeError)):
         arrangement_from_json({"k": 2})
+    with pytest.raises(ValueError, match="must be an object"):
+        arrangement_from_json([])
 
 
 def test_json_rejects_bool_k():

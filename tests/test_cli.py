@@ -21,7 +21,7 @@ from discarr.cli import (
     field_label,
     main,
 )
-from discarr.detectors import good6_points
+from discarr.detectors import Good6Partition, good6_points
 from discarr.exactfield import Cyclotomic, Galois, Prime, Quadratic
 from discarr.permtype import ClosureViolation, TypeReport, arrangement_type
 
@@ -281,6 +281,16 @@ def test_classify_closure_violation_exit(monkeypatch, capsys):
     monkeypatch.setattr("discarr.cli.arrangement_type", boom)
     assert main(["classify", "gallery:crapo"]) == EXIT_CLOSURE
     assert "synthetic closure failure" in capsys.readouterr().err
+
+
+def test_classify_missing_closure_edge_exits_closure(monkeypatch, capsys):
+    # the matchings of the edges (1,2) and (2,3), without (1,3)
+    found = [Good6Partition(((1, 5), (2, 6), (3, 4))), Good6Partition(((1, 2), (3, 5), (4, 6)))]
+    monkeypatch.setattr("discarr.detectors.good6_points", lambda a: found)
+    with pytest.raises(ClosureViolation, match=r"missing \[\(1, 3\)\]"):
+        arrangement_type(discarr.build_gallery("witness-1^6"))
+    assert main(["classify", "gallery:witness-1^6"]) == EXIT_CLOSURE
+    assert "missing [(1, 3)]" in capsys.readouterr().err
 
 
 def test_internal_value_error_is_not_usage(monkeypatch):

@@ -103,6 +103,9 @@ def test_fourset_validation():
         FourSet(((1, 2, 3), (1, 2, 4), (3, 4, 5), (3, 4, 6)))  # bad covering
     with pytest.raises(BadFourSet):
         FourSet(((1, 2), (3, 4, 5), (1, 3, 6), (2, 4, 6)))     # wrong size
+    with pytest.raises(BadFourSet, match="cover a 6-set"):
+        # meets pairwise in one index, but on nine indices
+        FourSet(((1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 8, 9)))
 
 
 def test_matching_foursets_helper_roundtrip():

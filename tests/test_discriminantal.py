@@ -10,14 +10,18 @@ import pytest
 from discarr import (
     Arrangement,
     Flat,
+    Galois,
     Matrix,
     NotGeneric,
+    Prime,
+    Quadratic,
     Rational,
     arrangement_type,
     build_discriminantal,
     build_gallery,
     discriminantal_normal,
     intersection_lattice,
+    is_generic,
     is_very_generic,
     nvg_flats,
     ordered_normal,
@@ -53,6 +57,38 @@ def test_normal_defines_concurrency_hyperplane():
             rhs = tuple(t[p - 1] for p in L)
             x, _ = solve(Matrix.from_rows(rows, Q), rhs)
             assert (x is not None) == dot.is_zero()
+
+
+def _random_element(rng, fd):
+    x = fd.from_int(rng.randint(-9, 9))
+    if isinstance(fd, (Galois, Quadratic)):
+        x = x + fd.from_int(rng.randint(-9, 9)) * fd.generator()
+    return x
+
+
+@pytest.mark.parametrize("fd", [Q, Prime(7), Galois(3, (1, 0, 1)), Quadratic(5)],
+                         ids=["Q", "F7", "GF9", "sqrt5"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_normals_vanish_on_the_coordinate_translations(fd, k):
+    # t_p = alpha_p . e_i makes every hyperplane pass through e_i, so
+    # each D_L vanishes there: the translate solver's kernel is never empty
+    rng = random.Random(f"translations-{fd!r}-{k}")
+    n = k + 3
+    a = None
+    while a is None or not is_generic(a):
+        a = Arrangement(fd, k, [[_random_element(rng, fd) for _ in range(k)]
+                                for _ in range(n)])
+    for L in combinations(a.indices, k + 1):
+        lam = discriminantal_normal(a, L)
+        for i in range(k):
+            t = [a.normal(p)[i] for p in a.indices]
+            assert sum((x * y for x, y in zip(lam, t)), fd.zero()).is_zero()
+
+
+def test_normal_refuses_an_index_past_n():
+    a = random_k2(random.Random("past-n"), n=4)
+    with pytest.raises(BadSubsetSize, match="out of range"):
+        discriminantal_normal(a, (1, 2, 5))
 
 
 def test_ordered_normal_parity():

@@ -23,7 +23,12 @@ from discarr import (
     format_element,
     parse_element,
 )
-from discarr.exactfield import _PRIME_LIMIT, _is_prime, cyclotomic_polynomial
+from discarr.exactfield import (
+    _FIELD_KINDS,
+    _PRIME_LIMIT,
+    _is_prime,
+    cyclotomic_polynomial,
+)
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -232,6 +237,17 @@ def test_galois_rejects_reducible_modulus():
         Galois(2, (1, 0, 1))
 
 
+def test_galois_modulus_drops_trailing_zeros():
+    assert Galois(2, (1, 1, 1, 0)) == Galois(2, (1, 1, 1))
+
+
+def test_galois_division_by_zero_above_table_limit():
+    # x^13 + x^4 + x^3 + x + 1 over F_2: no exp/log tables
+    fd = Galois(2, (1, 1, 0, 1, 1) + (0,) * 8 + (1,))
+    with pytest.raises(DivisionByZero):
+        fd.one() / fd.zero()
+
+
 def test_f8_inverses():
     f = Galois(2, (1, 1, 0, 1))
     for x in f.iter_elements():
@@ -248,6 +264,8 @@ def test_cyclotomic_polynomial_known_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    with pytest.raises(ValueError):
+        cyclotomic_polynomial(0)
 
 
 def test_cyclotomic_root_of_unity():
@@ -448,3 +466,30 @@ def test_pow_negative_and_zero():
     assert g ** -2 == embed(Fraction(1, 2), f)
     with pytest.raises(DivisionByZero):
         f.zero() ** -1
+
+
+# ---------------------------------------------------------------------------
+# payload hooks
+
+HOOKS = ("_add", "_neg", "_mul", "_inv", "_is_zero", "_fmt", "_coerce_int")
+ONE_OF_EACH_KIND = {
+    "rational": Rational(),
+    "quadratic": Quadratic(5),
+    "cyclotomic": Cyclotomic(5),
+    "prime": Prime(7),
+    "galois": Galois(3, (1, 0, 1)),
+}
+
+
+def test_one_of_each_kind_covers_the_kind_table():
+    assert {k: type(fd) for k, fd in ONE_OF_EACH_KIND.items()} == _FIELD_KINDS
+
+
+@pytest.mark.parametrize("fd", [*ONE_OF_EACH_KIND.values(), Prime._certified(2 ** 127 - 1)],
+                         ids=[*ONE_OF_EACH_KIND, "certified"])
+def test_each_descriptor_defines_the_payload_hooks(fd):
+    assert [h for h in HOOKS if not callable(getattr(fd, h, None))] == []
+    one, two = fd._coerce_int(1), fd._coerce_int(2)
+    assert fd._is_zero(fd._add(two, fd._neg(two)))
+    assert fd._mul(two, fd._inv(two)) == one
+    assert fd._fmt(one) == "1"

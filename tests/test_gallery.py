@@ -351,6 +351,12 @@ def test_regular_polygon_basic():
         regular_polygon(2)
 
 
+@pytest.mark.parametrize("n", range(3, 25))
+def test_regular_polygon_is_generic(n):
+    # the builder does not check: the directions p*pi/n are pairwise non-parallel
+    assert is_generic(regular_polygon(n))
+
+
 def test_polygon_lower_bound_values():
     assert [quadral_lower_bound(n) for n in range(6, 11)] == [8, 14, 48, 72, 160]
     assert [quint_lower_bound(n) for n in range(6, 11)] == [0, 28, 32, 144, 160]
@@ -411,6 +417,8 @@ def test_gallery_names_and_builders():
     assert "polygon-<n>" in names
     witness_names = [n for n in names if n.startswith("witness-")]
     assert len(witness_names) == 8
+    assert witness_names == ["witness-" + nu.cli_token()
+                             for nu in TYPE_ORDER if witness_spec(nu) is not None]
     for name in names:
         if name == "polygon-<n>":
             continue

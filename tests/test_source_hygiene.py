@@ -13,7 +13,7 @@ cli.main prints, touches sys.stdout or sys.stderr, reads the clock or
 returns an exit code, so every command shares its one skeleton.  One
 gate, arrangement._require_generic, raises NotGeneric for a dependent
 k-subset of normals; only build_discriminantal's rank check raises it
-too.
+too.  No function is a stub whose body only raises NotImplementedError.
 """
 
 import ast
@@ -194,3 +194,20 @@ def test_one_genericity_gate():
     assert (defined, sorted(raised)) == (
         ["arrangement.py"],
         ["arrangement.py:_require_generic", "discriminantal.py:build_discriminantal"])
+
+
+def _is_stub(fn: ast.FunctionDef) -> bool:
+    """The body, past an optional docstring, is one raise NotImplementedError."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def test_no_not_implemented_stubs():
+    stubs = [f"{path.name}:{fn.name}:{fn.lineno}" for path in MODULES
+             for fn in ast.walk(_tree(path))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_stub(fn)]
+    assert stubs == []
