@@ -4,8 +4,8 @@ An arrangement is a list of n normal vectors in K^k with n > k >= 1.
 Hyperplane p is { x : alpha_p . x = t_p }; the library keeps only the
 normals (offsets live in separate translation vectors t in K^n).
 Indices are 1-based throughout the public interface.  Genericity, the
-line detectors' det2 table, the discriminantal normals and the
-translate solver all read one table of k x k minors.
+detectors, the discriminantal normals and the translate solver all read
+one table of k x k minors, Arrangement.minors.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ def _require_generic(a: Arrangement) -> None:
 
 
 def _discriminantal_row(a: Arrangement, key: tuple) -> list:
-    """Payload row of the normal of D_key, key a sorted (k+1)-subset:
-    coordinate p_j is (-1)^(j+1) times the minor with p_j deleted."""
+    """Payload row of the normal of D_key, key = (p_1 < ... < p_{k+1}):
+    coordinate p_j, j counted from 1, is (-1)^(j+1) times the minor with
+    p_j deleted."""
     fd = a.field
     minors = a.minors()
     row = [fd._coerce_int(0)] * a.n

@@ -11,9 +11,9 @@ detected patterns must obey.
 All detectors are pure, compare products of the arrangement's minors
 (Arrangement.minors) and return canonical, deduplicated families: the
 six-element relations read them through one fixed 15-row pattern per k
-(_pairing_pattern), the quint search through the signed k = 2 view
-(_det_table); both refuse a non-generic arrangement through the one
-gate, arrangement._require_generic.
+(_pairing_pattern), the quint search signs and inverts each k = 2 minor
+once; both refuse a non-generic arrangement through the one gate,
+arrangement._require_generic.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class BadFourSet(ValueError):
 
 
 class NotDimension3(ValueError):
-    """The operation needs plane normals in K^3."""
+    """Wrong ambient dimension for the detector."""
 
 
 class TooFewHyperplanes(ValueError):
@@ -156,19 +156,6 @@ def crossratio_form(a: Arrangement, fourset: FourSet) -> FieldElement:
     r2 = cross_ratio(v[p[2]], v[p[0]], v[p[1]], v[p[4]])
     r3 = cross_ratio(v[p[0]], v[p[1]], v[p[2]], v[p[5]])
     return r1 * r2 * r3
-
-
-def _det_table(a: Arrangement) -> dict:
-    """Payload of |x y| for every ordered pair of distinct indices, k = 2:
-    the minor of the sorted pair, negated when x > y.  Raises NotGeneric
-    when a minor vanishes."""
-    _require_generic(a)
-    neg = a.field._neg
-    table = {}
-    for (x, y), d in a.minors().items():
-        table[x, y] = d
-        table[y, x] = neg(d)
-    return table
 
 
 @cache
@@ -328,13 +315,15 @@ def quintuple_points(a: Arrangement) -> list[QuintFamily]:
     _check_k2(a)
     if a.n < 7:
         raise TooFewHyperplanes(f"quint families need 7 hyperplanes, have {a.n}")
+    _require_generic(a)
     fd = a.field
-    mul = fd._mul
-    dets = _det_table(a)
-    inverses = {}
-    for x, y in combinations(a.indices, 2):
-        inverses[x, y] = fd._inv(dets[x, y])
-        inverses[y, x] = fd._neg(inverses[x, y])
+    mul, neg = fd._mul, fd._neg
+    # |x y| and its inverse for every ordered pair, negated when x > y
+    dets, inverses = {}, {}
+    for (x, y), d in a.minors().items():
+        dets[x, y], dets[y, x] = d, neg(d)
+        inverses[x, y] = fd._inv(d)
+        inverses[y, x] = neg(inverses[x, y])
     triples = list(permutations(a.indices, 3))
     ratio = {(x, y, z): mul(dets[x, z], inverses[x, y]) for x, y, z in triples}
     found = []

@@ -4,8 +4,9 @@ Each (k+1)-subset L of hyperplane indices gives one hyperplane D_L in
 the n-dimensional space of translation vectors: D_L is the locus of
 translations making the L-indexed hyperplanes concurrent, and its
 normal is supported on L with signed k x k minors of the base normals
-as coordinates, read off the arrangement's table of minors.  The whole
-family is central of rank n - k.
+as coordinates, read off the arrangement's table of minors, which is
+the only table B(n,k,A) keeps.  For a generic base the whole family is
+central of rank n - k (Manin-Schechtman), so it is built unchecked.
 
 Lattice flats are stored by closed support: the set of ALL subsets L
 whose normal lies in the flat's normal span.  Each level is built from
@@ -20,8 +21,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .arrangement import Arrangement, NotGeneric, _discriminantal_row, _require_generic
-from .exactfield import FieldDescriptor, FieldElement, _Value, descriptor_to_json
+from .arrangement import Arrangement, _discriminantal_row, _require_generic
+from .exactfield import FieldDescriptor, FieldElement, _Value
 from .linalg import Vector, _Span
 
 
@@ -48,9 +49,9 @@ def _as_subset(a: Arrangement, L) -> tuple[int, ...]:
 
 
 def discriminantal_normal(a: Arrangement, L) -> Vector:
-    """Normal of D_L: coordinate p_j carries (-1)^(j+1) times the minor
-    of the base normals with column p_j deleted; all other coordinates
-    are zero."""
+    """Normal of D_L, L = (p_1 < ... < p_{k+1}): coordinate p_j, j
+    counted from 1, carries (-1)^(j+1) times the minor of the base
+    normals with p_j deleted; all other coordinates are zero."""
     key = _as_subset(a, L)
     return tuple(FieldElement(a.field, x) for x in _discriminantal_row(a, key))
 
@@ -67,13 +68,14 @@ def ordered_normal(a: Arrangement, seq) -> Vector:
 
 
 class DiscriminantalArrangement:
-    """All C(n, k+1) hyperplanes D_L of B(n,k,A), keyed by sorted subset."""
+    """The C(n, k+1) hyperplanes D_L of B(n,k,A) over a generic base A,
+    one per sorted (k+1)-subset L; each normal is read off the base's
+    minors when asked for."""
 
-    __slots__ = ("base", "hyperplanes")
+    __slots__ = ("base",)
 
-    def __init__(self, base: Arrangement, hyperplanes: dict):
+    def __init__(self, base: Arrangement):
         self.base = base
-        self.hyperplanes = hyperplanes
 
     @property
     def field(self) -> FieldDescriptor:
@@ -88,13 +90,13 @@ class DiscriminantalArrangement:
         return self.base.k
 
     def subsets(self) -> list[tuple[int, ...]]:
-        return sorted(self.hyperplanes)
+        return list(combinations(self.base.indices, self.k + 1))
 
     def normal(self, L) -> Vector:
-        return self.hyperplanes[_as_subset(self.base, L)]
+        return discriminantal_normal(self.base, L)
 
     def __len__(self) -> int:
-        return len(self.hyperplanes)
+        return comb(self.n, self.k + 1)
 
     def __repr__(self):
         return f"DiscriminantalArrangement(n={self.n}, k={self.k}, {len(self)} hyperplanes)"
@@ -109,18 +111,15 @@ def _require_lattice_size(n: int, k: int) -> None:
 
 
 def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
+    """B(n,k,A); NotGeneric unless A is generic.
+
+    Genericity forces rank n - k, so no rank is checked.  By Laplace
+    expansion every normal D_L is orthogonal to the k coordinate columns
+    of A, which are independent: the rank is at most n - k.  For each
+    q > k the normal of D_{1..k,q} carries +-[1..k] != 0 at q and 0 at
+    every other q' > k, so those n - k normals are independent."""
     _require_generic(a)
-    fd = a.field
-    hyperplanes = {}
-    span = _Span.over(fd)
-    for L in combinations(a.indices, a.k + 1):
-        row = _discriminantal_row(a, L)
-        hyperplanes[L] = tuple(FieldElement(fd, x) for x in row)
-        span.insert(span.row(row))
-    if span.rank != a.n - a.k:
-        raise NotGeneric(
-            f"normal family has rank {span.rank}, expected {a.n - a.k}")
-    return DiscriminantalArrangement(a, hyperplanes)
+    return DiscriminantalArrangement(a)
 
 
 class Flat(_Value):
@@ -143,12 +142,11 @@ class Flat(_Value):
 class Lattice:
     """Flats of B(n,k,A) grouped by rank."""
 
-    __slots__ = ("n", "k", "field", "flats_by_rank")
+    __slots__ = ("n", "k", "flats_by_rank")
 
     def __init__(self, d: DiscriminantalArrangement, flats_by_rank: dict):
         self.n = d.n
         self.k = d.k
-        self.field = d.field
         self.flats_by_rank = flats_by_rank
 
     def flats(self, rank: int | None = None):
@@ -172,8 +170,7 @@ class Lattice:
                       "nvg": f in flagged}
                      for f in self.flats_by_rank[r]]
             ranks.append({"rank": r, "count": len(flats), "flats": flats})
-        return {"n": self.n, "k": self.k,
-                "field": descriptor_to_json(self.field), "ranks": ranks}
+        return {"n": self.n, "k": self.k, "ranks": ranks}
 
 
 def intersection_lattice(d: DiscriminantalArrangement,
@@ -192,9 +189,9 @@ def intersection_lattice(d: DiscriminantalArrangement,
     if max_rank is None:
         max_rank = top
     max_rank = max(0, min(max_rank, top))
-    keys = sorted(d.hyperplanes)
+    keys = d.subsets()
     empty = _Span.over(d.field)
-    rows = {L: empty.row([x.payload for x in d.hyperplanes[L]]) for L in keys}
+    rows = {L: empty.row(_discriminantal_row(d.base, L)) for L in keys}
 
     levels: dict[int, tuple[Flat, ...]] = {0: (Flat(support=(), rank=0),)}
     spans: dict[tuple, _Span] = {(): empty}

@@ -7,13 +7,12 @@ of an arrangement, once) wrap it.  The library's one echelon is the
 span (_Span, and _IntegerSpan on fraction-free integer rows over Q,
 read off the numerators of Q's ((n,), d) payloads): an incremental row
 echelon of raw payload rows.  Determinants above 3x3, the intersection
-lattice, the discriminantal rank check and the translate solver build
-on it, and so do rank, rank_of_rows, kernel, solve and inverse: the
-rank is the span's, and a kernel basis, a solution of M x = b and M^-1
-are null vectors read off it by back-substitution.  inverse is the
-library's one matrix inverse, ProjectiveMap.inverse's at every size;
-the translate solver needs none, since its incidence tests are
-discriminantal normals too.  The public functions unwrap their field
+lattice and the translate solver build on it, and so do rank,
+rank_of_rows, kernel, solve and inverse: the rank is the span's, and
+a kernel basis, a solution of M x = b and M^-1 are null vectors read
+off it by back-substitution.  inverse is the library's one matrix
+inverse, ProjectiveMap.inverse's at every size; the translate solver
+needs none, since its incidence tests are discriminantal normals too.  The public functions unwrap their field
 elements once and wrap the result once.  Pivots are the first nonzero
 entry of a row; exact arithmetic needs no magnitude heuristics.
 """

@@ -57,7 +57,7 @@ def modular_image(a: Arrangement, lattice: bool = False) -> Arrangement:
     det(a x b, c x d, e x f) (so also each minor); for the lattice,
     Hadamard's bound on every minor of size at most n - k of the
     discriminantal normals, whose entries are the k x k minors of the
-    base normals (so also the genericity minors and the rank check).
+    base normals (so also the genericity minors).
     """
     fd = a.field
     if not isinstance(fd, (Quadratic, Cyclotomic)):

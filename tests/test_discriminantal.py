@@ -9,6 +9,7 @@ import pytest
 
 from discarr import (
     Arrangement,
+    Cyclotomic,
     Flat,
     Galois,
     Matrix,
@@ -26,12 +27,14 @@ from discarr import (
     nvg_flats,
     ordered_normal,
     quadral_points,
+    rank_of_rows,
     solve,
 )
 from discarr.discriminantal import BadSubsetSize, TooLarge
-from discarr.gallery import crapo, dodecahedral
+from discarr.gallery import crapo, dodecahedral, f5_arrangement
 
 from _helpers import oracle_closure, random_k2, reference_very_generic
+from test_pairing_oracle import _count_payload_calls
 
 Q = Rational()
 
@@ -61,9 +64,17 @@ def test_normal_defines_concurrency_hyperplane():
 
 def _random_element(rng, fd):
     x = fd.from_int(rng.randint(-9, 9))
-    if isinstance(fd, (Galois, Quadratic)):
+    if isinstance(fd, (Galois, Quadratic, Cyclotomic)):
         x = x + fd.from_int(rng.randint(-9, 9)) * fd.generator()
     return x
+
+
+def _random_generic(rng, fd, n, k):
+    a = None
+    while a is None or not is_generic(a):
+        a = Arrangement(fd, k, [[_random_element(rng, fd) for _ in range(k)]
+                                for _ in range(n)])
+    return a
 
 
 @pytest.mark.parametrize("fd", [Q, Prime(7), Galois(3, (1, 0, 1)), Quadratic(5)],
@@ -72,17 +83,22 @@ def _random_element(rng, fd):
 def test_normals_vanish_on_the_coordinate_translations(fd, k):
     # t_p = alpha_p . e_i makes every hyperplane pass through e_i, so
     # each D_L vanishes there: the translate solver's kernel is never empty
-    rng = random.Random(f"translations-{fd!r}-{k}")
-    n = k + 3
-    a = None
-    while a is None or not is_generic(a):
-        a = Arrangement(fd, k, [[_random_element(rng, fd) for _ in range(k)]
-                                for _ in range(n)])
+    a = _random_generic(random.Random(f"translations-{fd!r}-{k}"), fd, k + 3, k)
     for L in combinations(a.indices, k + 1):
         lam = discriminantal_normal(a, L)
         for i in range(k):
             t = [a.normal(p)[i] for p in a.indices]
             assert sum((x * y for x, y in zip(lam, t)), fd.zero()).is_zero()
+
+
+@pytest.mark.parametrize("fd", [Q, Quadratic(5), Cyclotomic(5), Prime(101),
+                                Galois(7, (1, 0, 1))],
+                         ids=["Q", "sqrt5", "zeta5", "F101", "GF49"])
+@pytest.mark.parametrize("n, k", [(4, 1), (6, 2), (6, 3), (7, 3), (6, 4)])
+def test_generic_base_gives_rank_n_minus_k(fd, n, k):
+    # build_discriminantal checks no rank: genericity forces n - k
+    d = build_discriminantal(_random_generic(random.Random(f"rank-{fd!r}-{n}-{k}"), fd, n, k))
+    assert rank_of_rows([d.normal(L) for L in d.subsets()], fd) == n - k
 
 
 def test_normal_refuses_an_index_past_n():
@@ -111,6 +127,17 @@ def test_build_discriminantal_basics():
         d.normal((1, 2))
 
 
+def test_build_discriminantal_makes_no_arithmetic(monkeypatch):
+    # the gate reads the kept minors and each normal is read off them on
+    # request; the rank check it dropped took 95 products and 1 inverse
+    a = f5_arrangement()
+    assert is_generic(a)
+    calls = _count_payload_calls(monkeypatch, a.field)
+    d = build_discriminantal(a)
+    assert len(d) == 20 and d.subsets() == list(combinations(a.indices, 3))
+    assert calls == Counter()
+
+
 def test_build_discriminantal_rejects_degenerate():
     with pytest.raises(NotGeneric):
         build_discriminantal(Arrangement(Q, 2, ((1, 0), (2, 0), (0, 1))))
@@ -137,8 +164,9 @@ def test_lattice_closure_idempotent():
     # hyperplane, and its rank is the rank of that span
     d = build_discriminantal(crapo())
     lat = intersection_lattice(d)
+    normals = {L: d.normal(L) for L in d.subsets()}
     for f in lat.flats():
-        assert oracle_closure(d.hyperplanes, f.support) == (f.support, f.rank)
+        assert oracle_closure(normals, f.support) == (f.support, f.rank)
 
 
 def test_lattice_max_rank_truncation():
@@ -151,6 +179,7 @@ def test_lattice_max_rank_truncation():
 def test_lattice_report_shape():
     lat = intersection_lattice(build_discriminantal(dodecahedral()))
     rep = lat.report()
+    assert sorted(rep) == ["k", "n", "ranks"]   # the command adds the input's field
     assert rep["n"] == 6 and rep["k"] == 3
     assert [lvl["rank"] for lvl in rep["ranks"]] == [0, 1, 2, 3]
     assert all(lvl["count"] == len(lvl["flats"]) for lvl in rep["ranks"])

@@ -31,7 +31,7 @@ from _helpers import oracle_closure, reference_very_generic
 
 def oracle_flats(d, max_rank=None):
     """rank -> [(support, rank)] by per-(flat, hyperplane) closure."""
-    normals = d.hyperplanes
+    normals = {L: d.normal(L) for L in d.subsets()}
     keys = sorted(normals)
     top = d.n - d.k
     max_rank = top if max_rank is None else min(max_rank, top)

@@ -25,8 +25,10 @@ from discarr import (
 )
 from discarr.gallery import regular_polygon
 from discarr.linalg import det2
+from discarr.modular import modular_image
 
 from _helpers import reference_very_generic
+from test_pairing_oracle import _count_payload_calls
 
 
 def _pair_dets(a, subset):
@@ -135,3 +137,15 @@ def test_quint_search_inverts_each_pair_once(monkeypatch):
     quintuple_points(a)
     assert calls["_inv"] == 28
     assert calls["_mul"] <= 8 ** 4
+
+
+@pytest.mark.parametrize("n, products, inverses", [(7, 1050, 21), (8, 2016, 28)])
+def test_quint_search_work_is_pinned(monkeypatch, n, products, inverses):
+    # n(n-1)(n-2)^2 products: a ratio per ordered triple, then one per
+    # center and ordered triple avoiding it; one inverse per pair.  The
+    # kept minors are not counted.
+    a = modular_image(regular_polygon(n))
+    a.minors()
+    calls = _count_payload_calls(monkeypatch, a.field)
+    quintuple_points(a)
+    assert calls == Counter(_mul=products, _inv=inverses)

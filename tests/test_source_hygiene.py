@@ -12,8 +12,7 @@ __slots__ (an instance dict would cost memory on every value).  Only
 cli.main prints, touches sys.stdout or sys.stderr, reads the clock or
 returns an exit code, so every command shares its one skeleton.  One
 gate, arrangement._require_generic, raises NotGeneric for a dependent
-k-subset of normals; only build_discriminantal's rank check raises it
-too.  No function is a stub whose body only raises NotImplementedError.
+k-subset of normals, and nothing else constructs it.  No function is a stub whose body only raises NotImplementedError.
 """
 
 import ast
@@ -191,9 +190,7 @@ def test_one_genericity_gate():
                 raised += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                            and node.func.id == "NotGeneric"]
-    assert (defined, sorted(raised)) == (
-        ["arrangement.py"],
-        ["arrangement.py:_require_generic", "discriminantal.py:build_discriminantal"])
+    assert (defined, raised) == (["arrangement.py"], ["arrangement.py:_require_generic"])
 
 
 def _is_stub(fn: ast.FunctionDef) -> bool:

@@ -32,7 +32,6 @@ from discarr import (
     translate_solver,
 )
 from discarr.arrangement import NoGenericWitness, _candidates
-from discarr.detectors import _det_table
 
 from _helpers import fourset_candidates
 from test_classify_oracle import FIELDS, oracle_det, seeded_planes
@@ -185,17 +184,6 @@ def test_minors_are_the_k_by_k_determinants():
             m = Matrix.from_rows([list(a.normal(p)) for p in sub], a.field)
             assert d == oracle_det(m).payload
         assert a.minors() is table
-
-
-def test_det_table_is_the_antisymmetric_view_of_the_minors():
-    a = build_gallery("crapo")
-    dets = _det_table(a)
-    assert len(dets) == 30
-    for (x, y), d in a.minors().items():
-        assert dets[x, y] == d
-        assert dets[y, x] == a.field._neg(d)
-    # k = 3 reads no signed table: test_pairing_oracle checks the signs of
-    # the fixed pairing pattern against the oracle's six orderings per minor
 
 
 def _count_dets(monkeypatch) -> Counter:
