@@ -95,21 +95,42 @@ def parametrized(field: FieldDescriptor, w, x, y, z) -> Arrangement:
     return Arrangement(field, 3, cols)
 
 
+def _conditions(field: FieldDescriptor, w, x, y, z):
+    """The payloads of the 14 genericity conditions, one at a time: w, x,
+    y, z, the four v - 1, w - x, w - y, x - z, y - z, d = wz - xy, and
+    w - x - y + z - d.  All four parameters are coerced before the first
+    yield, so a parameter from another field raises FieldMismatch even
+    when w = 0."""
+    w, x, y, z = (_as_element(field, v).payload for v in (w, x, y, z))
+    add, neg, mul = field._add, field._neg, field._mul
+    yield from (w, x, y, z)
+    minus_one = neg(field.one().payload)
+    for v in (w, x, y, z):
+        yield add(v, minus_one)
+    w_x, neg_y, neg_z = add(w, neg(x)), neg(y), neg(z)
+    yield w_x
+    yield add(w, neg_y)
+    yield add(x, neg_z)
+    yield add(y, neg_z)
+    d = add(mul(w, z), neg(mul(x, y)))
+    yield d
+    yield add(add(add(w_x, neg_y), z), neg(d))
+
+
 def parameter_conditions(field: FieldDescriptor, w, x, y, z) -> tuple[FieldElement, ...]:
     """The expressions that must all be nonzero for parametrized() to be
     generic: the four parameters, their distances from 1, and the six
     combinations that vanish exactly on degenerate column triples."""
-    w, x, y, z = (_as_element(field, v) for v in (w, x, y, z))
-    one = field.one()
-    return (w, x, y, z,
-            w - one, x - one, y - one, z - one,
-            w - x, w - y, x - z, y - z,
-            w * z - x * y,
-            w - x - y + z - w * z + x * y)
+    return tuple(FieldElement(field, c) for c in _conditions(field, w, x, y, z))
 
 
 def is_parameter_generic(field: FieldDescriptor, w, x, y, z) -> bool:
-    return all(not e.is_zero() for e in parameter_conditions(field, w, x, y, z))
+    """Whether parametrized(field, w, x, y, z) is generic, that is,
+    equal to is_generic(parametrized(field, w, x, y, z)).  The conditions
+    are tested in parameter_conditions' order (w, x, y, z, the v - 1,
+    the four differences, wz - xy, then the last) and the test stops at
+    the first that vanishes, so most rejected tuples cost no product."""
+    return not any(map(field._is_zero, _conditions(field, w, x, y, z)))
 
 
 # ---------------------------------------------------------------------------

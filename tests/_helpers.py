@@ -2,9 +2,12 @@
 the random very generic reference, the lattice closure oracle,
 the six-element pairing and conjugation closure oracles, the quint
 closure oracle, the FieldElement projective map through three points,
-candidate-family enumeration, and small number-theory checks."""
+the FieldElement genericity conditions of the parametrized family,
+the payload work counter, candidate-family enumeration, and small
+number-theory checks."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -23,6 +26,7 @@ from discarr import (
     perfect_matchings,
 )
 from discarr.arrangement import DegeneratePoints
+from discarr.exactfield import _as_element
 from discarr.gallery import is_parameter_generic, parametrized
 
 
@@ -187,6 +191,46 @@ def oracle_projective_map_through(sources, targets):
     a, b, c, d = ms[0, 0], ms[0, 1], ms[1, 0], ms[1, 1]
     adjugate = ProjectiveMap(Matrix.from_rows([[d, -b], [-c, a]], ms.field)).matrix
     return ProjectiveMap(mt * adjugate)
+
+
+# ---------------------------------------------------------------------------
+# work counting
+
+def count_payload_calls(monkeypatch, fd):
+    """A Counter of the products and inverses of fd's class, and of the
+    perfect_matchings walks of the detectors, made while the test runs."""
+    calls = Counter()
+    cls = type(fd)
+    for hook in ("_mul", "_inv"):
+        fn = getattr(cls, hook)
+
+        def counting(self, *args, fn=fn, hook=hook):
+            calls[hook] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(cls, hook, counting)
+    for helper in ("perfect_matchings",):
+        fn = getattr(detectors, helper)
+
+        def counting_helper(*args, fn=fn, helper=helper):
+            calls[helper] += 1
+            return fn(*args)
+        monkeypatch.setattr(detectors, helper, counting_helper)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# the parametrized family's conditions oracle
+
+def oracle_parameter_conditions(field, w, x, y, z):
+    """The 14 genericity conditions of parametrized(), built on
+    FieldElements with every expression written out in full."""
+    w, x, y, z = (_as_element(field, v) for v in (w, x, y, z))
+    one = field.one()
+    return (w, x, y, z,
+            w - one, x - one, y - one, z - one,
+            w - x, w - y, x - z, y - z,
+            w * z - x * y,
+            w - x - y + z - w * z + x * y)
 
 
 # ---------------------------------------------------------------------------

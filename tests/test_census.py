@@ -1,0 +1,120 @@
+"""The six-plane types over small finite fields, counted exhaustively.
+
+Every labeled generic six-plane arrangement is projectively equivalent
+to exactly one parametrized(w, x, y, z): the first four normals are a
+frame, and normals 5 and 6 have a nonzero third coordinate.  So running
+arrangement_type over every tuple of F_q^4 that is_parameter_generic
+passes counts the labeled projective classes of each type, with no
+sampling.
+
+What is derived and what is only pinned:
+- The per-type counts in CENSUS are regression pins only: they record
+  what the classifier gives today, not an independent count.
+- The starred types (2^3, 2^1 4^1, 6^1) occur only in characteristic 2;
+  gallery's blocked core says why (2x(x - 1) has no admissible root).
+- In odd characteristic p != 5, 1^1 5^1 has exactly 12 classes when 5
+  is a square and none otherwise (its witness needs a root of
+  x^2 + x - 1); over F_5 the two roots coincide and it has 6.
+- In odd characteristic, 3^2 has exactly 20 classes when -3 is a
+  nonzero square and none otherwise (its witness needs a root of
+  x^2 - x + 1).
+Both square conditions are decided here by Euler's criterion, apart
+from the classifier.  No ClosureViolation occurs on any class.
+"""
+
+from collections import Counter
+from functools import cache
+from itertools import product
+
+import pytest
+
+from discarr import ClosureViolation, Galois, Prime, arrangement_type
+from discarr.gallery import is_parameter_generic, parametrized, starred_types
+
+FIELDS = {
+    "F5": Prime(5),
+    "F7": Prime(7),
+    "F11": Prime(11),
+    "GF4": Galois(2, (1, 1, 1)),
+    "GF8": Galois(2, (1, 1, 0, 1)),
+    "GF9": Galois(3, (1, 0, 1)),
+}
+
+# regression pins: labeled classes per type
+CENSUS = {
+    "F5": {"1^1 5^1": 6},
+    "F7": {"1^1 2^1 3^1": 60, "1^2 4^1": 60, "3^2": 20},
+    "F11": {"1^1 2^1 3^1": 300, "1^1 5^1": 12, "1^2 2^2": 1260, "1^2 4^1": 60,
+            "1^3 3^1": 600, "1^4 2^1": 720, "1^6": 144},
+    "GF4": {"6^1": 2},
+    "GF8": {"1^3 3^1": 120, "2^1 4^1": 90, "2^3": 180},
+    "GF9": {"1^1 2^1 3^1": 240, "1^1 5^1": 12, "1^2 2^2": 360, "1^2 4^1": 30,
+            "1^3 3^1": 240},
+}
+
+STARRED = {"2^3", "2^1 4^1", "6^1"}
+
+
+@cache
+def census(name):
+    """(type label -> labeled classes, tuples whose classification
+    raised ClosureViolation) over every generic tuple of the field."""
+    fd = FIELDS[name]
+    elements = tuple(fd.iter_elements())
+    counts = Counter()
+    violations = []
+    for params in product(elements, repeat=4):
+        if not is_parameter_generic(fd, *params):
+            continue
+        try:
+            counts[arrangement_type(parametrized(fd, *params)).type.label()] += 1
+        except ClosureViolation:
+            violations.append(params)
+    return dict(counts), violations
+
+
+def _is_nonzero_square(fd, n):
+    """Euler's criterion in F_q, q odd: a nonzero a is a square iff
+    a^((q - 1)/2) = 1."""
+    q = sum(1 for _ in fd.iter_elements())
+    a = fd.from_int(n)
+    return not a.is_zero() and a ** ((q - 1) // 2) == fd.one()
+
+
+ODD = sorted(name for name, fd in FIELDS.items() if fd.characteristic() != 2)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_census_counts(name):
+    counts, violations = census(name)
+    assert violations == []
+    assert counts == CENSUS[name]
+
+
+def test_starred_types_only_in_characteristic_two():
+    assert STARRED == {nu.label() for nu in starred_types()}
+    for name, fd in FIELDS.items():
+        if fd.characteristic() != 2:
+            assert not STARRED & set(census(name)[0]), name
+    assert STARRED <= set(census("GF4")[0]) | set(census("GF8")[0])
+
+
+@pytest.mark.parametrize("name", [n for n in ODD if FIELDS[n].characteristic() != 5])
+def test_golden_type_needs_sqrt5(name):
+    expected = 12 if _is_nonzero_square(FIELDS[name], 5) else 0
+    assert census(name)[0].get("1^1 5^1", 0) == expected
+
+
+@pytest.mark.parametrize("name", ODD)
+def test_hexagonal_type_needs_sqrt_minus3(name):
+    expected = 20 if _is_nonzero_square(FIELDS[name], -3) else 0
+    assert census(name)[0].get("3^2", 0) == expected
+
+
+def test_euler_criterion_on_small_fields():
+    # -3 = 4 = 2^2 in F_7, where 5 is not a square; in GF(9), 5 = -1 = i^2
+    # and -3 = 0
+    assert _is_nonzero_square(FIELDS["F7"], -3)
+    assert not _is_nonzero_square(FIELDS["F7"], 5)
+    assert _is_nonzero_square(FIELDS["GF9"], 5)
+    assert not _is_nonzero_square(FIELDS["GF9"], -3)

@@ -33,8 +33,7 @@ from discarr import (
 from discarr.discriminantal import BadSubsetSize, TooLarge
 from discarr.gallery import crapo, dodecahedral, f5_arrangement
 
-from _helpers import oracle_closure, random_k2, reference_very_generic
-from test_pairing_oracle import _count_payload_calls
+from _helpers import count_payload_calls, oracle_closure, random_k2, reference_very_generic
 
 Q = Rational()
 
@@ -132,7 +131,7 @@ def test_build_discriminantal_makes_no_arithmetic(monkeypatch):
     # request; the rank check it dropped took 95 products and 1 inverse
     a = f5_arrangement()
     assert is_generic(a)
-    calls = _count_payload_calls(monkeypatch, a.field)
+    calls = count_payload_calls(monkeypatch, a.field)
     d = build_discriminantal(a)
     assert len(d) == 20 and d.subsets() == list(combinations(a.indices, 3))
     assert calls == Counter()

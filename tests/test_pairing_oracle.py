@@ -28,7 +28,6 @@ from discarr import (
     Rational,
     build_gallery,
     det,
-    detectors,
     find_involutions,
     good6_closure_checks,
     good6_points,
@@ -40,6 +39,7 @@ from discarr.gallery import TYPE_ORDER, is_parameter_generic, parametrized, witn
 from discarr.modular import modular_image
 
 from _helpers import (
+    count_payload_calls,
     imposed_k3,
     oracle_det_table,
     oracle_good6_closure_checks,
@@ -250,26 +250,6 @@ def _product(mul, values):
 # ---------------------------------------------------------------------------
 # the work, pinned
 
-def _count_payload_calls(monkeypatch, fd):
-    calls = Counter()
-    cls = type(fd)
-    for hook in ("_mul", "_inv"):
-        fn = getattr(cls, hook)
-
-        def counting(self, *args, fn=fn, hook=hook):
-            calls[hook] += 1
-            return fn(self, *args)
-        monkeypatch.setattr(cls, hook, counting)
-    for helper in ("perfect_matchings",):
-        fn = getattr(detectors, helper)
-
-        def counting_helper(*args, fn=fn, helper=helper):
-            calls[helper] += 1
-            return fn(*args)
-        monkeypatch.setattr(detectors, helper, counting_helper)
-    return calls
-
-
 @pytest.mark.parametrize("detector, name, products", [
     (good6_points, "witness-3^2", 30),
     (quadral_points, "octahedral", 60),
@@ -279,14 +259,14 @@ def test_six_element_detectors_do_two_products_per_side(monkeypatch, detector, n
     k = 3; no inverse and no signed table or matching walk per call."""
     a = build_gallery(name)
     assert is_generic(a)  # the minors are kept; only the relation is counted
-    calls = _count_payload_calls(monkeypatch, a.field)
+    calls = count_payload_calls(monkeypatch, a.field)
     detector(a)
     assert calls == Counter(_mul=products)
 
 
 def test_find_involutions_builds_no_signed_table(monkeypatch):
     a = build_gallery("octahedral")
-    calls = _count_payload_calls(monkeypatch, a.field)
+    calls = count_payload_calls(monkeypatch, a.field)
     assert find_involutions(a)
     assert calls["perfect_matchings"] == 0
 

@@ -48,9 +48,13 @@ from discarr.arrangement import DegeneratePoints, NoGenericWitness
 from discarr.exactfield import FieldElement, FieldMismatch
 from discarr.linalg import DimensionMismatch, SingularMatrix, inverse
 
-from _helpers import fourset_candidates, imposed_k2, oracle_projective_map_through
+from _helpers import (
+    count_payload_calls,
+    fourset_candidates,
+    imposed_k2,
+    oracle_projective_map_through,
+)
 from test_classify_oracle import FIELDS, _sampler, seeded_planes
-from test_pairing_oracle import _count_payload_calls
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +374,7 @@ def test_one_projective_map_is_34_products_and_2_inverses(monkeypatch):
     a = build_gallery("crapo")
     src = [a.normal(p) for p in (1, 2, 3)]
     dst = [a.normal(p) for p in (4, 5, 6)]
-    calls = _count_payload_calls(monkeypatch, a.field)
+    calls = count_payload_calls(monkeypatch, a.field)
     projective_map_through(src, dst)
     assert calls == Counter(_mul=34, _inv=2)
 
@@ -553,7 +557,7 @@ def test_translate_solver_payload_work_is_pinned(monkeypatch):
     # incidence on the kernel basis first took 156 products
     a = build_gallery("witness-1^1,5^1")
     family = good6_points(a)[0].sets  # the minors are kept, not counted
-    calls = _count_payload_calls(monkeypatch, a.field)
+    calls = count_payload_calls(monkeypatch, a.field)
     assert translate_solver(a, family) is not None
     assert calls == Counter(_mul=38, _inv=1)
 

@@ -27,8 +27,7 @@ from discarr.gallery import regular_polygon
 from discarr.linalg import det2
 from discarr.modular import modular_image
 
-from _helpers import reference_very_generic
-from test_pairing_oracle import _count_payload_calls
+from _helpers import count_payload_calls, reference_very_generic
 
 
 def _pair_dets(a, subset):
@@ -146,6 +145,6 @@ def test_quint_search_work_is_pinned(monkeypatch, n, products, inverses):
     # kept minors are not counted.
     a = modular_image(regular_polygon(n))
     a.minors()
-    calls = _count_payload_calls(monkeypatch, a.field)
+    calls = count_payload_calls(monkeypatch, a.field)
     quintuple_points(a)
     assert calls == Counter(_mul=products, _inv=inverses)
