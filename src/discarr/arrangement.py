@@ -102,15 +102,28 @@ def _require_generic(a: Arrangement) -> None:
 
 
 def _discriminantal_row(a: Arrangement, key: tuple) -> list:
-    """Payload row of the normal of D_key, key = (p_1 < ... < p_{k+1}):
-    coordinate p_j, j counted from 1, is (-1)^(j+1) times the minor with
-    p_j deleted."""
-    fd = a.field
-    minors = a.minors()
-    row = [fd._coerce_int(0)] * a.n
-    for j, p in enumerate(key):
-        d = minors[key[:j] + key[j + 1:]]
-        row[p - 1] = d if j % 2 == 0 else fd._neg(d)
+    """The normal of D_key, key = (p_1 < ... < p_{k+1}), as its k + 1
+    (coordinate, payload) pairs: coordinate p_j, j counted from 1,
+    carries (-1)^(j+1) times the minor with p_j deleted."""
+    minors, neg = a.minors(), a.field._neg
+    k = len(key) - 1
+    pairs = []
+    # combinations(key, k) deletes p_{k+1}, p_k, ..., p_1 in turn
+    for j, sub in zip(range(k, -1, -1), combinations(key, k)):
+        d = minors[sub]
+        pairs.append((key[j], d if j % 2 == 0 else neg(d)))
+    pairs.reverse()
+    return pairs
+
+
+def _projected_row(a: Arrangement, key: tuple) -> list:
+    """The normal of D_key on coordinates k+1..n: a dense payload row of
+    length n - k (the discriminantal docstring proves nothing is lost)."""
+    k = a.k
+    row = [a.field._coerce_int(0)] * (a.n - k)
+    for p, x in _discriminantal_row(a, key):
+        if p > k:
+            row[p - 1 - k] = x
     return row
 
 
@@ -310,10 +323,19 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
 
     Returns t in K^n such that for every L in the family the hyperplanes
     {alpha_p . x = t_p : p in L} share a point and no hyperplane outside
-    L passes through that point.  Returns None when no such t exists.
-    The search runs on raw payloads; only the returned t is wrapped.
-    Each extra incidence is one discriminantal normal, built once per
-    distinct key and tested on each candidate t of _candidates (k + 1
+    L passes through that point, with t_1 = ... = t_k = 0.  Returns None
+    when no such t exists.
+
+    The rigid translations t_p = alpha_p . x lie on every D_L and keep
+    every incidence, and each class of translations modulo them has
+    exactly one member with t_1..t_k = 0 (the first k normals are
+    independent).  So the search fixes those k coordinates at zero and
+    runs on coordinates k+1..n, where the kernel of the family's rows
+    has k dimensions fewer; an empty kernel there leaves only the zero
+    translation, which every extra incidence holds on.  The search runs
+    on raw payloads; only the returned t is wrapped.  Each extra
+    incidence is one discriminantal normal, built once per distinct key
+    and tested on each candidate t of _candidates (at most k + 1
     products); only once a candidate has failed (or the kernel is too
     large to enumerate) is an incidence holding on the whole kernel,
     which rules out every t, looked for.
@@ -331,19 +353,18 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
     add, mul, is_zero = f._add, f._mul, f._is_zero
     zero = f._coerce_int(0)
 
-    # the kernel is never empty: it holds t_p = alpha_p . e_i for i = 1..k
-    rows = [_discriminantal_row(a, sub)
-            for L in family for sub in combinations(L, k + 1)]
-    basis = _Span.over(f, rows).kernel(n)
+    rows = [_projected_row(a, sub) for L in family for sub in combinations(L, k + 1)]
+    basis = _Span.over(f, rows).kernel(n - k)
 
     # extra incidences: hyperplane q outside L passes through L's common
-    # point iff L's head and q are concurrent, i.e. t lies on D_{head + q};
-    # the walk's bound counts every (L, q), duplicate keys included
+    # point iff L's head and q are concurrent, i.e. t lies on D_{head + q},
+    # read on coordinates k+1..n (every key holds one); the walk's bound
+    # counts every (L, q), duplicate keys included
     keys = [tuple(sorted(L[:k] + (q,))) for L in family for q in a.indices if q not in L]
-    functionals = []
-    for key in dict.fromkeys(keys):
-        d = _discriminantal_row(a, key)
-        functionals.append([(p - 1, d[p - 1]) for p in key])
+    functionals = [[(p - 1 - k, x) for p, x in _discriminantal_row(a, key) if p > k]
+                   for key in dict.fromkeys(keys)]
+    if not basis:
+        return None if functionals else (FieldElement(f, zero),) * n
 
     def vanishes(fn, v) -> bool:
         acc = zero
@@ -356,12 +377,12 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
 
     try:
         for tried, coeffs in enumerate(_candidates(f, len(keys), len(basis))):
-            t = [zero] * n
+            t = [zero] * (n - k)
             for c, b in zip(coeffs, basis):
                 if not is_zero(c):
                     t = [add(x, mul(c, y)) for x, y in zip(t, b)]
             if not any(vanishes(fn, t) for fn in functionals):
-                return tuple(FieldElement(f, x) for x in t)
+                return tuple(FieldElement(f, x) for x in [zero] * k + t)
             if not tried and holds_on_kernel():
                 return None
     except NoGenericWitness:

@@ -453,11 +453,12 @@ def good6_closure_checks(found: list[Good6Partition]) -> list[str]:
         by_support.setdefault(g.support, []).append(g)
     violations = []
     for support, gs in sorted(by_support.items()):
-        for g1, g2 in combinations(gs, 2):
-            if set(g1.matching) & set(g2.matching):
+        # each partition's involution and pair set, once per group
+        swaps = [({x: y for p in g.matching for x, y in (p, p[::-1])}, set(g.matching))
+                 for g in gs]
+        for (g1, (s1, pairs1)), (g2, (s2, pairs2)) in combinations(zip(gs, swaps), 2):
+            if pairs1 & pairs2:
                 continue
-            s1 = {x: y for p in g1.matching for x, y in (p, p[::-1])}
-            s2 = {x: y for p in g2.matching for x, y in (p, p[::-1])}
             s3 = {x: s1[s2[s1[x]]] for x in support}
             conjugate = tuple((x, y) for x, y in s3.items() if x < y)
             if conjugate not in detected:

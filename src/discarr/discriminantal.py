@@ -8,6 +8,21 @@ as coordinates, read off the arrangement's table of minors, which is
 the only table B(n,k,A) keeps.  For a generic base the whole family is
 central of rank n - k (Manin-Schechtman), so it is built unchecked.
 
+The geometry lives on coordinates k+1..n.  Let pi drop coordinates
+1..k.  Every normal is orthogonal to the k coordinate columns of A
+(Laplace expansion), so the normals span a subspace W of the
+orthogonal complement of those columns, which has dimension n - k.
+For q > k, pi sends the normal of D_{1..k,q} to +-[1..k] e_q, where
+[1..k] != 0 by genericity; these n - k images are independent, so
+dim W = n - k and pi is injective on W.  Hence pi preserves every
+linear relation among the normals: every set of normals has the same
+rank under pi as in full, the same normals lie in its span, and the
+lattice built from the projected rows (rows of length n - k with at
+most k + 1 nonzero entries) has exactly the flats of the full one.
+Dually, the rigid translations t_p = alpha_p . x are the common zeros
+of W, and each class of translations modulo them has one member with
+t_1..t_k = 0, on which translate_solver searches.
+
 Lattice flats are stored by closed support: the set of ALL subsets L
 whose normal lies in the flat's normal span.  Each level is built from
 the one before by reducing the hyperplanes modulo every flat's span,
@@ -21,7 +36,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .arrangement import Arrangement, _discriminantal_row, _require_generic
+from .arrangement import Arrangement, _discriminantal_row, _projected_row, _require_generic
 from .exactfield import FieldDescriptor, FieldElement, _Value
 from .linalg import Vector, _Span
 
@@ -53,7 +68,10 @@ def discriminantal_normal(a: Arrangement, L) -> Vector:
     counted from 1, carries (-1)^(j+1) times the minor of the base
     normals with p_j deleted; all other coordinates are zero."""
     key = _as_subset(a, L)
-    return tuple(FieldElement(a.field, x) for x in _discriminantal_row(a, key))
+    normal = [a.field.zero()] * a.n
+    for p, x in _discriminantal_row(a, key):
+        normal[p - 1] = FieldElement(a.field, x)
+    return tuple(normal)
 
 
 def ordered_normal(a: Arrangement, seq) -> Vector:
@@ -111,13 +129,8 @@ def _require_lattice_size(n: int, k: int) -> None:
 
 
 def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
-    """B(n,k,A); NotGeneric unless A is generic.
-
-    Genericity forces rank n - k, so no rank is checked.  By Laplace
-    expansion every normal D_L is orthogonal to the k coordinate columns
-    of A, which are independent: the rank is at most n - k.  For each
-    q > k the normal of D_{1..k,q} carries +-[1..k] != 0 at q and 0 at
-    every other q' > k, so those n - k normals are independent."""
+    """B(n,k,A); NotGeneric unless A is generic.  Genericity forces
+    rank n - k (module docstring), so no rank is checked."""
     _require_generic(a)
     return DiscriminantalArrangement(a)
 
@@ -183,6 +196,8 @@ def intersection_lattice(d: DiscriminantalArrangement,
     is one rank-(r+1) flat with support F plus the class, and its echelon
     is F's plus the class key.  Level 1 is the covers of the rank-0 flat,
     whose echelon is empty.  The top level is the single central flat.
+    Every row is the normal on coordinates k+1..n, of length n - k
+    (the module docstring proves the flats are the same).
     """
     _require_lattice_size(d.n, d.k)
     top = d.n - d.k
@@ -191,7 +206,7 @@ def intersection_lattice(d: DiscriminantalArrangement,
     max_rank = max(0, min(max_rank, top))
     keys = d.subsets()
     empty = _Span.over(d.field)
-    rows = {L: empty.row(_discriminantal_row(d.base, L)) for L in keys}
+    rows = {L: empty.row(_projected_row(d.base, L)) for L in keys}
 
     levels: dict[int, tuple[Flat, ...]] = {0: (Flat(support=(), rank=0),)}
     spans: dict[tuple, _Span] = {(): empty}

@@ -57,7 +57,9 @@ def modular_image(a: Arrangement, lattice: bool = False) -> Arrangement:
     det(a x b, c x d, e x f) (so also each minor); for the lattice,
     Hadamard's bound on every minor of size at most n - k of the
     discriminantal normals, whose entries are the k x k minors of the
-    base normals (so also the genericity minors).
+    base normals (so also the genericity minors).  The lattice reduces
+    the normals on coordinates k+1..n only, so the minors its echelon
+    decides are a subset of those and the same bound covers them.
     """
     fd = a.field
     if not isinstance(fd, (Quadratic, Cyclotomic)):

@@ -3,8 +3,9 @@ the random very generic reference, the lattice closure oracle,
 the six-element pairing and conjugation closure oracles, the quint
 closure oracle, the FieldElement projective map through three points,
 the FieldElement genericity conditions of the parametrized family,
-the payload work counter, candidate-family enumeration, and small
-number-theory checks."""
+the cofactor determinant and the incidence check of a translation
+built on it, the payload work counter, candidate-family enumeration,
+and small number-theory checks."""
 
 import random
 from collections import Counter
@@ -160,6 +161,44 @@ def oracle_closure(normals, supports):
         span.insert(normals[L])
     members = tuple(L for L in sorted(normals) if span.contains(normals[L]))
     return members, len(span.rows)
+
+
+# ---------------------------------------------------------------------------
+# the incidence check of a translation
+
+def cofactor_det(rows):
+    """Determinant of FieldElement rows by Laplace expansion along the
+    first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, x in enumerate(rows[0]):
+        term = x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def translation_problems(a, family, t) -> list[str]:
+    """What the translation t gets wrong, by cofactor determinants of
+    the augmented rows (alpha_p, t_p): a (k+1)-subset of a family set
+    that is not concurrent, or a hyperplane outside a set through the
+    set's point."""
+    k = a.k
+
+    def det_of(indices):
+        return cofactor_det([list(a.normal(p)) + [t[p - 1]] for p in indices])
+
+    problems = []
+    for L in family:
+        for sub in combinations(L, k + 1):
+            if not det_of(sub).is_zero():
+                problems.append(f"{sub} is not concurrent")
+        for q in a.indices:
+            if q not in L and det_of(L[:k] + (q,)).is_zero():
+                problems.append(f"hyperplane {q} passes through the point of {L}")
+    return problems
 
 
 # ---------------------------------------------------------------------------

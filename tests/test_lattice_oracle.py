@@ -3,8 +3,10 @@
 The oracle below is the original algorithm: an echelon of FieldElement
 rows (oracle_closure, in _helpers), and every cover of a rank-r flat
 found by closing the flat plus one outside hyperplane from scratch.  The library groups hyperplanes by
-their reduction modulo the flat's saved echelon instead; both must give
-the same flats, in the same order, on one input per field kind.
+their reduction modulo the flat's saved echelon instead, on rows of
+length n - k (coordinates k+1..n) where the oracle keeps all n; both
+must give the same flats, in the same order, on one input per field
+kind and on two six-plane witnesses.
 """
 
 from collections import Counter
@@ -15,6 +17,7 @@ from discarr import (
     Arrangement,
     Rational,
     build_discriminantal,
+    build_gallery,
     intersection_lattice,
 )
 from discarr import linalg
@@ -23,6 +26,7 @@ from discarr.gallery import (
     dodecahedral,
     f4_arrangement,
     f5_arrangement,
+    octahedral,
     regular_polygon,
 )
 
@@ -65,7 +69,11 @@ def oracle_flats(d, max_rank=None):
     (f4_arrangement, None),                 # GF(4)
     (lambda: regular_polygon(6), 2),        # Q(zeta_24)
     (lambda: Arrangement(Rational(), 1, [(1,)] * 4), None),  # braid B(4,1)
-], ids=["crapo", "dodecahedral", "f5", "f4", "polygon-6", "braid-4"])
+    (octahedral, None),                     # Q(i)
+    (lambda: build_gallery("witness-3^2"), None),      # Q(sqrt -3), k = 3
+    (lambda: build_gallery("witness-1^1,5^1"), None),  # Q(sqrt 5), k = 3
+], ids=["crapo", "dodecahedral", "f5", "f4", "polygon-6", "braid-4", "octahedral",
+        "witness-3^2", "witness-1^1,5^1"])
 def test_lattice_matches_closure_oracle(make, max_rank):
     d = build_discriminantal(make())
     lat = intersection_lattice(d, max_rank=max_rank)

@@ -24,23 +24,12 @@ from discarr import (
 )
 from discarr.linalg import DimensionMismatch, NotSquare, SingularMatrix, inverse
 
+from _helpers import cofactor_det
+
 
 def _mat(rows, field=None):
     f = field or Rational()
     return Matrix.from_rows([[f.from_int(x) for x in r] for r in rows], f)
-
-
-def _cofactor_det(rows, field):
-    """Schoolbook expansion along the first row; the oracle."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = field.zero()
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _cofactor_det(minor, field)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def test_det_known_values():
@@ -57,7 +46,7 @@ def test_det_matches_cofactor_oracle():
         for _ in range(12):
             rows = [[q.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
                      for _ in range(n)] for _ in range(n)]
-            assert det(Matrix.from_rows(rows, q)) == _cofactor_det(rows, q)
+            assert det(Matrix.from_rows(rows, q)) == cofactor_det(rows)
 
 
 DET_FIELDS = {"F7": Prime(7), "GF9": Galois(3, (1, 0, 1)),
@@ -101,7 +90,7 @@ def test_det_above_3x3_matches_cofactor_oracle(name):
                       [triangular[j] for j in perm]]
     singular = 0
     for rows in cases:
-        expected = _cofactor_det(rows, fd)
+        expected = cofactor_det(rows)
         singular += expected.is_zero()
         assert det(Matrix.from_rows(rows, fd)) == expected
     assert singular >= 20
@@ -117,7 +106,7 @@ def test_det_of_permutation_matrices_is_their_sign(name):
             rows = [[one if j == perm[i] else zero for j in range(n)] for i in range(n)]
             sign = one if _sign(perm) == 1 else -one
             odd += _sign(perm) == -1
-            assert det(Matrix.from_rows(rows, fd)) == sign == _cofactor_det(rows, fd)
+            assert det(Matrix.from_rows(rows, fd)) == sign == cofactor_det(rows)
     assert odd == 12 + 60
 
 

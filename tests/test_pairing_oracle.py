@@ -289,13 +289,17 @@ def _closure_cases(seed):
 
 
 def test_good6_closure_matches_oracle():
-    violating = 0
+    # message for message, order included: lists with one or two
+    # detected partitions dropped, many with several violations
+    violating = several = 0
     for a in _closure_cases(101):
         found = good6_points(a)
         assert good6_closure_checks(found) == oracle_good6_closure_checks(found) == []
-        for i in range(len(found)):
-            dropped = found[:i] + found[i + 1:]
-            expected = oracle_good6_closure_checks(dropped)
-            assert good6_closure_checks(dropped) == expected
-            violating += bool(expected)
-    assert violating
+        for drop in (1, 2):
+            for gone in combinations(range(len(found)), drop):
+                kept = [g for i, g in enumerate(found) if i not in gone]
+                expected = oracle_good6_closure_checks(kept)
+                assert good6_closure_checks(kept) == expected
+                violating += bool(expected)
+                several += len(expected) > 1
+    assert violating and several

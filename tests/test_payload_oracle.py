@@ -12,8 +12,14 @@ x_L(t) = head^-1 t.  The library tests the det2 pairing condition before
 building any map, reduces raw payloads, and searches translations on
 payloads, testing the same incidence as t on the discriminantal normal
 of L's head and q, so its kernel is its only span; it builds each map in
-closed form on payloads.  All must agree exactly, and the payload work
-of one map and one translation is pinned.
+closed form on payloads.  Maps, involutions and the echelon must agree
+exactly.  The solver searches on coordinates k+1..n, modulo the rigid
+translations, where the oracle searches on all n: it must reach the
+oracle's outcome, and a translation it finds must vanish on coordinates
+1..k, pass a cofactor incidence check, and, on a kernel of k rigid
+translations plus one direction, be proportional to the oracle's with
+its rigid part removed.  The payload work of one map and one
+translation is pinned.
 """
 
 import random
@@ -43,8 +49,13 @@ from discarr import (
     solve,
     translate_solver,
 )
-from discarr import detectors, linalg
-from discarr.arrangement import DegeneratePoints, NoGenericWitness
+from discarr import arrangement, detectors, linalg
+from discarr.arrangement import (
+    DegeneratePoints,
+    NoGenericWitness,
+    _projected_row,
+    projectively_equal,
+)
 from discarr.exactfield import FieldElement, FieldMismatch
 from discarr.linalg import DimensionMismatch, SingularMatrix, inverse
 
@@ -53,6 +64,7 @@ from _helpers import (
     fourset_candidates,
     imposed_k2,
     oracle_projective_map_through,
+    translation_problems,
 )
 from test_classify_oracle import FIELDS, _sampler, seeded_planes
 
@@ -465,18 +477,41 @@ def test_echelon_matches_fieldelement_oracle(name):
 # ---------------------------------------------------------------------------
 # translate_solver
 
+def _rigid_part_removed(a, t):
+    """t minus the rigid translation t_p = alpha_p . x that agrees with t
+    on coordinates 1..k (x solves the first k rows, by the oracle
+    inverse), so the result vanishes there."""
+    k = a.k
+    minv = oracle_inverse(Matrix.from_rows([list(a.normal(p)) for p in range(1, k + 1)],
+                                           a.field))
+    x = [sum((minv[i, j] * t[j] for j in range(k)), a.field.zero()) for i in range(k)]
+    return tuple(tp - sum((ai * xi for ai, xi in zip(a.normal(p), x)), a.field.zero())
+                 for p, tp in zip(a.indices, t))
+
+
 def _compare_translations(a, families):
-    """translate_solver equals the oracle on every family; returns the
-    number of translations found."""
+    """translate_solver has the oracle's outcome on every family: None,
+    the same exception class, or a translation.  A translation found has
+    t_1..t_k = 0 and passes the cofactor incidence check; when the
+    family's kernel is the k rigid translations plus one direction, it
+    is that direction, so proportional to the oracle's t with its rigid
+    part removed.  Returns the number of translations found."""
     found = 0
+    k = a.k
     for fam in families:
         got = _outcome(translate_solver, a, fam)
         want = _outcome(oracle_translate_solver, a, fam)
-        if isinstance(want, type):
+        if want is None or isinstance(want, type):
             assert got is want
             continue
-        assert _fmt(got) == _fmt(want)
-        found += got is not None
+        assert isinstance(got, tuple) and len(got) == a.n
+        assert all(x.is_zero() for x in got[:k])
+        assert translation_problems(a, IndexFamily(fam), got) == []
+        rows = [list(discriminantal_normal(a, sub))
+                for L in IndexFamily(fam) for sub in combinations(L, k + 1)]
+        if a.n - oracle_rank(Matrix.from_rows(rows, a.field)) == k + 1:
+            assert projectively_equal(got, _rigid_part_removed(a, want))
+        found += 1
     return found
 
 
@@ -514,17 +549,32 @@ def test_translate_solver_matches_oracle_on_witnesses():
         assert _compare_translations(a, patterns + [[(1, 2, 3, 4)]]) == len(patterns) + 1
 
 
-@pytest.mark.parametrize("p, normals, family", [
-    (5, [[1], [2], [3], [4], [1]], [(1, 2), (3, 4, 5)]),
-    (7, [[1], [2], [3], [4], [5], [6], [1]], [(1, 2, 3), (4, 5, 6, 7)]),
-    (11, [[1], [2], [3], [4], [5], [6], [1]], [(1, 2, 3), (4, 5, 6, 7)]),
-], ids=["F5-bound5", "F7-bound7", "F11-bound7"])
-def test_translate_solver_matches_oracle_at_the_walk_bound(p, normals, family):
-    # F (dim - 1) equals the characteristic for the first two, where the
-    # walk's c would repeat and the kernel is enumerated; over F_11 the
-    # same family is walked
+@pytest.mark.parametrize("p, normals, family, bound", [
+    (7, [[1], [2], [3], [4], [5], [6]], [(1, 2), (3, 4, 5)], 7),
+    (11, [[p] for p in range(1, 11)], [(1, 2, 3, 4), (5, 6, 7, 8, 9)], 11),
+    (11, [[1], [2], [3], [4], [5], [6]], [(1, 2), (3, 4, 5)], 7),
+], ids=["F7-bound7", "F11-bound11", "F11-bound7"])
+def test_translate_solver_matches_oracle_at_the_walk_bound(monkeypatch, p, normals, family,
+                                                           bound):
+    # on coordinates 2..n each kernel has dimension 2, so F (dim - 1) = F;
+    # it equals the characteristic for the first two, where the walk's c
+    # would repeat and the kernel is enumerated, and over F_11 the first
+    # family is walked; the solver sizes its candidates on that dimension
     a = Arrangement(Prime(p), 1, normals)
+    rows = [_projected_row(a, sub) for L in IndexFamily(family) for sub in combinations(L, 2)]
+    dim = len(linalg._Span.over(a.field, rows).kernel(a.n - 1))
+    incidences = sum(a.n - len(L) for L in family)
+    assert incidences * (dim - 1) == bound
+    sized = []
+    candidates = arrangement._candidates
+
+    def recording(fd, f, d):
+        sized.append((f, d))
+        return candidates(fd, f, d)
+
+    monkeypatch.setattr(arrangement, "_candidates", recording)
     assert _compare_translations(a, [family]) == 1
+    assert sized == [(incidences, 2)]
 
 
 def test_translate_solver_makes_no_element_arithmetic(monkeypatch):
@@ -550,16 +600,21 @@ def test_translate_solver_makes_no_element_arithmetic(monkeypatch):
 
 
 def test_translate_solver_payload_work_is_pinned(monkeypatch):
-    # three 4-sets on six planes whose rows have rank 2: 12 products and
-    # the one inverse for the 4-dimensional kernel; six extra incidences
-    # on five distinct keys, all avoided by the first candidate t = b_1
-    # (6 products), each tested at t (4 products); testing every
-    # incidence on the kernel basis first took 156 products
+    # three 4-sets on six planes, on coordinates 4..6: rows of rank 2 in
+    # 3 columns, 3 products and the one inverse for the 1-dimensional
+    # kernel; six extra incidences on five distinct keys, all avoided by
+    # the first candidate t = b_1 (3 products), each tested at t on its
+    # entries past k (8 products); on all six coordinates this took 38
+    # products (12 + 6 + 20)
     a = build_gallery("witness-1^1,5^1")
     family = good6_points(a)[0].sets  # the minors are kept, not counted
     calls = count_payload_calls(monkeypatch, a.field)
     assert translate_solver(a, family) is not None
-    assert calls == Counter(_mul=38, _inv=1)
+    assert calls == Counter(_mul=14, _inv=1)
+
+
+def _points_over_f7(n):
+    return Arrangement(Prime(7), 1, [[p % 6 + 1] for p in range(n)])
 
 
 @pytest.mark.parametrize("family, expected", [
@@ -567,16 +622,29 @@ def test_translate_solver_payload_work_is_pinned(monkeypatch):
     ([(1, 2), (3, 4)], NoGenericWitness),
 ], ids=["incidence-on-kernel", "no-such-incidence"])
 def test_kernel_wide_incidence_comes_before_the_enumeration_refusal(family, expected):
-    # ten points over F_7: an 8-dimensional kernel, 7^8 > 10^6 candidates
-    # and F (dim - 1) = 112 >= 7, so the kernel cannot be enumerated; when
-    # the family forces hyperplane 3 through the point of (1, 2) there is
-    # no translation, which the solver says before refusing
-    a = Arrangement(Prime(7), 1, [[p % 6 + 1] for p in range(10)])
+    # eleven points over F_7: a 9-dimensional kernel, 8-dimensional on
+    # coordinates 2..11, so 7^8 > 10^6 candidates, and F (dim - 1) =
+    # 126 >= 7, so the kernel cannot be enumerated; when the family
+    # forces hyperplane 3 through the point of (1, 2) there is no
+    # translation, which the solver says before refusing
+    a = _points_over_f7(11)
     assert _outcome(translate_solver, a, family) is expected
     assert _compare_translations(a, [family]) == 0
     if expected is NoGenericWitness:
         with pytest.raises(NoGenericWitness, match="kernel too large to enumerate"):
             translate_solver(a, family)
+
+
+@pytest.mark.parametrize("n, dim", [(10, 7), (11, 8)])
+def test_projected_kernel_dimension_of_the_refusal_inputs(n, dim):
+    # ten points give 7^7 < 10^6 candidates on coordinates 2..10, which
+    # the solver enumerates (and finds a witness in seconds), so the
+    # refusal needs eleven; the dimension is pinned without the search
+    a = _points_over_f7(n)
+    for family in ([(1, 2), (2, 3)], [(1, 2), (3, 4)]):
+        rows = [_projected_row(a, L) for L in family]
+        assert len(linalg._Span.over(a.field, rows).kernel(n - 1)) == dim
+    assert (7 ** dim > 10 ** 6) == (n == 11)
 
 
 def test_translate_solver_builds_one_span(monkeypatch):

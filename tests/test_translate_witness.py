@@ -2,14 +2,15 @@
 its search meets them in, and the one table of minors it reads.
 
 Every translation returned for the families the oracle tests run is
-checked with the oracle determinant of the augmented rows (alpha_p, t_p):
-each (k+1)-subset of a family set is concurrent, and no hyperplane
-outside the set passes through the set's point.  Over characteristic 0
-the moment-curve walk always finds a witness, so NoGenericWitness never
-comes; the small-combination search it replaced gave up on two of the
-inputs below.  The candidate sequence is pinned at both of its ends:
-the walk's last value c = F(dim - 1), and the enumeration that replaces
-the walk once those c would repeat.  Each k x k minor is computed once
+checked with cofactor determinants of the augmented rows (alpha_p, t_p)
+(_helpers.translation_problems): each (k+1)-subset of a family set is
+concurrent, and no hyperplane outside the set passes through the set's
+point.  Over characteristic 0 the moment-curve walk always finds a
+witness, so NoGenericWitness never comes; the small-combination search
+it replaced gave up on two of the inputs below.  The candidate
+sequence is pinned at both of its ends: the walk's last value
+c = F(dim - 1), and the enumeration that replaces the walk once those c
+would repeat.  Each k x k minor is computed once
 per arrangement, which the counts of _det_payloads calls pin.
 """
 
@@ -33,31 +34,11 @@ from discarr import (
 )
 from discarr.arrangement import NoGenericWitness, _candidates
 
-from _helpers import fourset_candidates
+from _helpers import fourset_candidates, translation_problems
 from test_classify_oracle import FIELDS, oracle_det, seeded_planes
 from test_payload_oracle import K2_FIELDS, gallery_witnesses, seeded_lines
 
 Q = Rational()
-
-
-def translation_problems(a, family, t) -> list[str]:
-    """What t gets wrong: a family set that is not concurrent, or a
-    hyperplane outside a set through the set's point."""
-    k = a.k
-
-    def det_of(indices):
-        rows = [list(a.normal(p)) + [t[p - 1]] for p in indices]
-        return oracle_det(Matrix.from_rows(rows, a.field))
-
-    problems = []
-    for L in family:
-        for sub in combinations(L, k + 1):
-            if not det_of(sub).is_zero():
-                problems.append(f"{sub} is not concurrent")
-        for q in a.indices:
-            if q not in L and det_of(L[:k] + (q,)).is_zero():
-                problems.append(f"hyperplane {q} passes through the point of {L}")
-    return problems
 
 
 def checked(a, families) -> int:
