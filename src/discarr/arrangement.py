@@ -351,7 +351,7 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
         if any(not 1 <= p <= n for p in L):
             raise ValueError(f"family set {L} has out-of-range indices")
     add, mul, is_zero = f._add, f._mul, f._is_zero
-    zero = f._coerce_int(0)
+    zero, one = f._coerce_int(0), f._coerce_int(1)
 
     rows = [_projected_row(a, sub) for L in family for sub in combinations(L, k + 1)]
     basis = _Span.over(f, rows).kernel(n - k)
@@ -377,10 +377,13 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
 
     try:
         for tried, coeffs in enumerate(_candidates(f, len(keys), len(basis))):
-            t = [zero] * (n - k)
+            # sum c b over the nonzero c, with no product by one and no
+            # sum with zero; _candidates yields no zero combination
+            t = None
             for c, b in zip(coeffs, basis):
                 if not is_zero(c):
-                    t = [add(x, mul(c, y)) for x, y in zip(t, b)]
+                    term = b if c == one else [mul(c, y) for y in b]
+                    t = term if t is None else [add(x, y) for x, y in zip(t, term)]
             if not any(vanishes(fn, t) for fn in functionals):
                 return tuple(FieldElement(f, x) for x in [zero] * k + t)
             if not tried and holds_on_kernel():

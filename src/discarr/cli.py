@@ -37,6 +37,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .arrangement import (
     Arrangement,
@@ -130,6 +131,61 @@ def _report(command: str, source: str, a: Arrangement | None,
                    field=descriptor_to_json(a.field))
     return {"schema": SCHEMA, "command": command, "input": inp,
             "results": results, "consistency": consistency}
+
+
+def _report_text(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte.
+
+    With indent set, json encodes through its pure-Python iterator; this
+    writes the same layout into one list of chunks, and a list of plain
+    ints (no bools) in one str.join.  Keys must be str, strings are
+    escaped by json's own ASCII encoder, and any other scalar (a float)
+    is left to json.dumps."""
+    chunks: list[str] = []
+    _encode(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def _encode(value, newline: str, chunks: list[str]) -> None:
+    """Append value's encoding to chunks; newline is a line break plus
+    the indent of the line value starts on."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif type(value) is int:
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{"
+        for key in sorted(value):
+            chunks += (opening, inner, encode_basestring_ascii(key), ": ")
+            opening = ","
+            _encode(value[key], inner, chunks)
+        chunks += (newline, "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            chunks += ("[", inner, ("," + inner).join(map(int.__repr__, value)), newline, "]")
+            return
+        opening = "["
+        for item in value:
+            chunks += (opening, inner)
+            opening = ","
+            _encode(item, inner, chunks)
+        chunks += (newline, "]")
+    else:
+        chunks.append(json.dumps(value))
 
 
 def _consistent(consistency: dict) -> bool:
@@ -399,7 +455,7 @@ def main(argv=None) -> int:
         source, a, results, consistency, lines = args.func(args)
         if args.json:
             report = _report(args.command, source, a, results, consistency)
-            print(json.dumps(report, sort_keys=True, indent=2))
+            print(_report_text(report))
         else:
             for line in lines:
                 print(line)

@@ -111,20 +111,38 @@ class FourSet(_Value):
                           frozenset({p[2], p[5]})})
 
     def complement(self) -> "FourSet":
-        sup = set(self.support)
-        return FourSet(tuple(sup - set(s)) for s in self.sets)
+        """The four complementary triples, again a 4-set: two triples A
+        and B meet in one index, so |A u B| = 5 and their complements in
+        the six indices meet in 6 - 5 = 1."""
+        sup = {p for s in self.sets for p in s}
+        return FourSet._from_key(tuple(sorted(tuple(sorted(sup.difference(s)))
+                                              for s in self.sets)))
 
     @staticmethod
     def of_matching(pairs) -> tuple["FourSet", "FourSet"]:
         """The two complementary 4-sets whose matching() is pairs, three
         disjoint pairs of indices in either order."""
-        (a1, b1), (a2, b2), (a3, b3) = pairs
-        four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
-        return four, four.complement()
+        pairs = tuple(pairs)
+        if len({p for pair in pairs for p in pair}) != 6:
+            raise BadFourSet(f"need three disjoint pairs, got {pairs}")
+        four, other = _matching_foursets(pairs)
+        return FourSet._from_key(four), FourSet._from_key(other)
 
     def __repr__(self):
         body = ", ".join("{" + "".join(map(str, s)) + "}" for s in self.sets)
         return f"FourSet({body})"
+
+
+def _matching_foursets(pairs) -> tuple[tuple, tuple]:
+    """The canonical sets of the two complementary 4-sets of three
+    disjoint pairs (a1, b1), (a2, b2), (a3, b3): each triple takes one
+    index of every pair, and two of them share exactly the one pair
+    where they take the same index.  The first 4-set takes an even
+    number of b's, the second an odd number."""
+    (a1, b1), (a2, b2), (a3, b3) = pairs
+    return tuple(tuple(sorted(tuple(sorted(t)) for t in triples)) for triples in (
+        ((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)),
+        ((b1, b2, b3), (b1, a2, a3), (a1, b2, a3), (a1, a2, b3))))
 
 
 def _check_k2(a: Arrangement):
@@ -217,9 +235,12 @@ def quadral_points(a: Arrangement) -> list[FourSet]:
     """All 4-sets with ceva_value 1, over every 6-subset of indices.
 
     Each matching one involution realizes (_pairings) contributes its
-    complementary pair of 4-sets, so the count is even."""
+    complementary pair of 4-sets, so the count is even.  The matchings
+    are three disjoint pairs, so their 4-sets' canonical tuples are
+    deduplicated and sorted before any FourSet is built."""
     _check_k2(a)
-    return sorted({four for pairs in _pairings(a) for four in FourSet.of_matching(pairs)})
+    keys = {four for pairs in _pairings(a) for four in _matching_foursets(pairs)}
+    return [FourSet._from_key(key) for key in sorted(keys)]
 
 
 def find_involutions(a: Arrangement):
@@ -334,14 +355,16 @@ def quintuple_points(a: Arrangement) -> list[QuintFamily]:
                 value = mul(ratio[c, t[2], t[1]], ratio[t])
                 groups.setdefault(value, []).append(t)
         # a sorted ta and a tb whose smallest index comes after ta's is
-        # the canonical form, so each family is built exactly once
+        # the canonical form, so each family is found exactly once, as
+        # its _sort_key, and built once the keys are sorted
         for members in groups.values():
             for ta in members:
                 if ta[0] < ta[1] < ta[2]:
                     rim = set(ta)
-                    found += [QuintFamily(c, ta, tb) for tb in members
+                    found += [(tuple(sorted((c,) + ta + tb)), c, ta, tb) for tb in members
                               if min(tb) > ta[0] and rim.isdisjoint(tb)]
-    return sorted(found, key=QuintFamily._sort_key)
+    found.sort()
+    return [QuintFamily._from_key((c, ta, tb)) for _, c, ta, tb in found]
 
 
 def quint_closure_checks(families: list[QuintFamily]) -> list[str]:
@@ -431,10 +454,12 @@ def good6_condition(a: Arrangement, g: Good6Partition) -> FieldElement:
 
 def good6_points(a: Arrangement) -> list[Good6Partition]:
     """All good partitions over every 6-subset of indices, k=3: the
-    matchings on which good6_condition vanishes (_pairings)."""
+    matchings on which good6_condition vanishes (_pairings).  Those are
+    canonical already, (small, large) pairs by first element, so they
+    are deduplicated and sorted as tuples and then wrapped."""
     if a.k != 3:
         raise NotDimension3(f"cross-product condition needs k=3, got k={a.k}")
-    return sorted(Good6Partition(pairs) for pairs in _pairings(a))
+    return [Good6Partition._from_key(pairs) for pairs in sorted(set(_pairings(a)))]
 
 
 def pappus_closure_check(a: Arrangement) -> list[str]:

@@ -53,6 +53,23 @@ class _Value:
         # attrgetter is no descriptor, so self._key(self) reads the key
         cls._key = attrgetter(*cls._fields)
 
+    @classmethod
+    def _from_key(cls, key):
+        """The instance whose _key is key, built without __init__, for a
+        caller that has proven key canonical (what __init__ would have
+        made of it).  Only a class whose own __slots__ are its _fields
+        takes this route, so every slot is filled and nothing else is."""
+        fields = cls._fields
+        if cls.__dict__.get("__slots__") != fields:
+            raise TypeError(f"{cls.__name__}: __slots__ are not _fields")
+        obj = object.__new__(cls)
+        if len(fields) == 1:
+            setattr(obj, fields[0], key)
+        else:
+            for name, value in zip(fields, key):
+                setattr(obj, name, value)
+        return obj
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented

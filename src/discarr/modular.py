@@ -115,14 +115,27 @@ def _certified_prime(fd: _PowerBasis, bound: int) -> tuple[int, int]:
 
 
 def _lucas_root(n: int, factors) -> int | None:
-    """A primitive root modulo n, given every prime factor of n - 1: a g
-    with g^(n-1) = 1 and g^((n-1)/q) != 1 for each of them has order n - 1,
-    which proves n prime.  None when a Fermat witness shows n composite,
-    or when no base below _LUCAS_TRIES passes."""
+    """A primitive root modulo the odd n, given every prime factor of
+    n - 1: a g with g^(n-1) = 1 and g^((n-1)/q) != 1 for each of them has
+    order n - 1, which proves n prime.  None when n is shown composite,
+    or when no base below _LUCAS_TRIES passes.
+
+    y = g^((n-1)/2) stands for the Fermat test g^(n-1) = y^2 = 1, so each
+    base costs one modular power fewer.  y = -1 gives g^(n-1) = 1 and
+    passes the test of q = 2.  y = 1 fails that test, so g is no
+    primitive root and the next base is tried.  Any other y proves n
+    composite: modulo a prime, y^2 = g^(n-1) = 1 (Fermat) leaves y = +-1
+    only.  So the search returns what the full Fermat test before each
+    base would: that test returns None at the same y unless y^2 = 1, and
+    then no later base can pass it either, since n is composite."""
+    half = (n - 1) // 2
     for g in range(2, min(n, 2 + _LUCAS_TRIES)):
-        if pow(g, n - 1, n) != 1:
+        y = pow(g, half, n)
+        if y == 1:
+            continue
+        if y != n - 1:
             return None
-        if all(pow(g, (n - 1) // q, n) != 1 for q in factors):
+        if all(pow(g, (n - 1) // q, n) != 1 for q in factors if q != 2):
             return g
     return None
 

@@ -4,8 +4,9 @@ the six-element pairing and conjugation closure oracles, the quint
 closure oracle, the FieldElement projective map through three points,
 the FieldElement genericity conditions of the parametrized family,
 the cofactor determinant and the incidence check of a translation
-built on it, the payload work counter, candidate-family enumeration,
-and small number-theory checks."""
+built on it, the payload work counter, the validating constructions of
+the detected patterns, the full Fermat-then-Lucas test, candidate-family
+enumeration, and small number-theory checks."""
 
 import random
 from collections import Counter
@@ -383,6 +384,77 @@ def oracle_quint_closure_checks(families: list[QuintFamily]) -> list[str]:
                 f"split closure fails: center={center} pairing="
                 f"{sorted(map(sorted, pairing))} has 3 of 4 splits detected")
     return violations
+
+
+# ---------------------------------------------------------------------------
+# the validating constructions the detectors replaced: every pattern
+# built through FourSet, Good6Partition and QuintFamily's __init__, then
+# sorted as objects
+
+def oracle_of_matching(pairs):
+    """FourSet.of_matching through the validating constructor: the
+    4-set of the pairs as given, then its complement."""
+    (a1, b1), (a2, b2), (a3, b3) = pairs
+    four = FourSet(((a1, a2, a3), (a1, b2, b3), (b1, a2, b3), (b1, b2, a3)))
+    return four, oracle_complement(four)
+
+
+def oracle_complement(four):
+    sup = set(four.support)
+    return FourSet(tuple(sup - set(s)) for s in four.sets)
+
+
+def oracle_quadral_points(a):
+    return sorted({four for pairs in detectors._pairings(a)
+                   for four in oracle_of_matching(pairs)})
+
+
+def oracle_good6_points(a):
+    return sorted(Good6Partition(pairs) for pairs in detectors._pairings(a))
+
+
+def oracle_quintuple_points(a):
+    """Every canonical family [c; ta] = [c; tb] found on the signed
+    ratio table, each built by QuintFamily(c, ta, tb) and the list
+    sorted by QuintFamily._sort_key."""
+    detectors._check_k2(a)
+    fd = a.field
+    mul, neg = fd._mul, fd._neg
+    dets, inverses = {}, {}
+    for (x, y), d in a.minors().items():
+        dets[x, y], dets[y, x] = d, neg(d)
+        inverses[x, y] = fd._inv(d)
+        inverses[y, x] = neg(inverses[x, y])
+    triples = list(permutations(a.indices, 3))
+    ratio = {(x, y, z): mul(dets[x, z], inverses[x, y]) for x, y, z in triples}
+    found = []
+    for c in a.indices:
+        groups: dict = {}
+        for t in triples:
+            if c not in t:
+                value = mul(ratio[c, t[2], t[1]], ratio[t])
+                groups.setdefault(value, []).append(t)
+        for members in groups.values():
+            for ta in members:
+                if ta[0] < ta[1] < ta[2]:
+                    found += [QuintFamily(c, ta, tb) for tb in members
+                              if min(tb) > ta[0] and set(ta).isdisjoint(tb)]
+    return sorted(found, key=QuintFamily._sort_key)
+
+
+# ---------------------------------------------------------------------------
+# the Lucas test modular._lucas_root replaced
+
+def oracle_lucas_root(n, factors):
+    """A primitive root modulo n by the full Fermat test g^(n-1) = 1 and
+    then g^((n-1)/q) != 1 for every prime q | n - 1, on the bases below
+    1002; None at the first Fermat witness or when no base passes."""
+    for g in range(2, min(n, 1002)):
+        if pow(g, n - 1, n) != 1:
+            return None
+        if all(pow(g, (n - 1) // q, n) != 1 for q in factors):
+            return g
+    return None
 
 
 # ---------------------------------------------------------------------------

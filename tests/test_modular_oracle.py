@@ -32,6 +32,7 @@ from discarr import (
     quadral_points,
     quintuple_points,
 )
+from discarr import modular
 from discarr.exactfield import _is_prime, _PRIME_LIMIT, _prime_factors
 from discarr.linalg import _det_payloads
 from discarr.modular import (
@@ -40,6 +41,8 @@ from discarr.modular import (
     _sqrt_mod,
     modular_image,
 )
+
+from _helpers import oracle_lucas_root
 
 
 def _detect(a):
@@ -193,6 +196,24 @@ def test_lucas_root_is_primitive():
             continue
         order = next(e for e in range(1, p) if pow(g, e, p) == 1)
         assert order == p - 1
+
+
+def test_lucas_root_agrees_with_the_full_fermat_test():
+    # y = g^((n-1)/2) in place of g^(n-1): the same base or None on every
+    # odd n, prime or composite
+    for n in list(range(3, 6000, 2)) + list(CARMICHAEL):
+        factors = _prime_factors(n - 1)
+        assert _lucas_root(n, factors) == oracle_lucas_root(n, factors), n
+
+
+@pytest.mark.parametrize("fd", [Cyclotomic(m) for m in (3, 4, 5, 7, 8, 12, 28, 105)]
+                         + [Quadratic(d) for d in (-1, -3, 2, 5, 13, -7)], ids=repr)
+@pytest.mark.parametrize("bits", [1, 20, 64, 300])
+def test_certified_prime_agrees_with_the_full_fermat_test(monkeypatch, fd, bits):
+    bound = (1 << bits) - 1
+    found = _certified_prime(fd, bound)
+    monkeypatch.setattr(modular, "_lucas_root", oracle_lucas_root)
+    assert _certified_prime(fd, bound) == found
 
 
 def _assert_prime_shape(p, m):

@@ -603,14 +603,14 @@ def test_translate_solver_payload_work_is_pinned(monkeypatch):
     # three 4-sets on six planes, on coordinates 4..6: rows of rank 2 in
     # 3 columns, 3 products and the one inverse for the 1-dimensional
     # kernel; six extra incidences on five distinct keys, all avoided by
-    # the first candidate t = b_1 (3 products), each tested at t on its
-    # entries past k (8 products); on all six coordinates this took 38
-    # products (12 + 6 + 20)
+    # the first candidate t = 1 * b_1, which is b_1 itself (no product),
+    # each tested at t on its entries past k (8 products); on all six
+    # coordinates this took 38 products (12 + 6 + 20)
     a = build_gallery("witness-1^1,5^1")
     family = good6_points(a)[0].sets  # the minors are kept, not counted
     calls = count_payload_calls(monkeypatch, a.field)
     assert translate_solver(a, family) is not None
-    assert calls == Counter(_mul=14, _inv=1)
+    assert calls == Counter(_mul=11, _inv=1)
 
 
 def _points_over_f7(n):

@@ -13,6 +13,8 @@ cli.main prints, touches sys.stdout or sys.stderr, reads the clock or
 returns an exit code, so every command shares its one skeleton.  One
 gate, arrangement._require_generic, raises NotGeneric for a dependent
 k-subset of normals, and nothing else constructs it.  No function is a stub whose body only raises NotImplementedError.
+No json.dump or json.dumps call passes indent, which would switch json
+to its pure-Python encoder (cli._report_text writes the indented report).
 """
 
 import ast
@@ -208,3 +210,13 @@ def test_no_not_implemented_stubs():
              for fn in ast.walk(_tree(path))
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_stub(fn)]
     assert stubs == []
+
+
+def test_no_indented_json_dump():
+    calls = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert calls == []
