@@ -24,7 +24,7 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import Matrix, cross3, det, det2, kernel, rank, rank_of_rows, solve
+from .linalg import Matrix, cross3, det
 from .arrangement import (
     Arrangement,
     IndexFamily,
@@ -32,7 +32,6 @@ from .arrangement import (
     ProjectiveMap,
     arrangement_from_json,
     arrangement_to_json,
-    cross_ratio,
     is_generic,
     projective_map_through,
     translate_solver,
@@ -46,23 +45,18 @@ from .discriminantal import (
     intersection_lattice,
     is_very_generic,
     nvg_flats,
-    ordered_normal,
 )
 from .detectors import (
     FourSet,
     Good6Partition,
     QuintFamily,
-    ceva_value,
-    crossratio_form,
     find_involutions,
     good6_closure_checks,
     good6_condition,
     good6_points,
     pappus_closure_check,
-    perfect_matchings,
     quadral_points,
     quint_closure_checks,
-    quint_value,
     quintuple_points,
 )
 from .permtype import (
@@ -72,7 +66,6 @@ from .permtype import (
     TYPE_ORDER,
     TypeReport,
     VertexPartition,
-    all_partitions_of_6,
     arrangement_type,
     edge_label,
     induced_edges,
@@ -93,7 +86,6 @@ from .gallery import (
     gallery_names,
     is_parameter_generic,
     octahedral,
-    parameter_conditions,
     parametrized,
     predicted_polygon_sets,
     quadral_lower_bound,

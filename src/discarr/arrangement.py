@@ -23,7 +23,7 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import DimensionMismatch, Matrix, Vector, _det_payloads, _Span, det, det2, inverse
+from .linalg import DimensionMismatch, Matrix, Vector, _det_payloads, _Span, det
 
 
 class NotGeneric(ValueError):
@@ -149,23 +149,6 @@ def normalize_projective(v: Vector) -> Vector:
     raise ValueError("zero vector has no projective class")
 
 
-def cross_ratio(v1: Vector, v2: Vector, v3: Vector, v4: Vector) -> FieldElement:
-    """Cross ratio |v1 v3||v2 v4| / |v2 v3||v1 v4| of four points of P^1.
-
-    All four arguments are 2-vectors representing pairwise distinct
-    projective points; DegeneratePoints is raised when any two of them
-    are proportional.
-    """
-    pts = (v1, v2, v3, v4)
-    dets = {}
-    for i, j in combinations(range(4), 2):
-        d = det2(pts[i], pts[j])
-        if d.is_zero():
-            raise DegeneratePoints(f"points {i + 1} and {j + 1} coincide")
-        dets[(i, j)] = d
-    return (dets[(0, 2)] * dets[(1, 3)]) / (dets[(1, 2)] * dets[(0, 3)])
-
-
 class ProjectiveMap:
     """Invertible k x k matrix considered up to nonzero scaling."""
 
@@ -178,40 +161,10 @@ class ProjectiveMap:
             raise DegeneratePoints("singular matrix is not a projective map")
         self.matrix = matrix
 
-    @classmethod
-    def from_rows(cls, rows, field: FieldDescriptor) -> "ProjectiveMap":
-        ents = [[_as_element(field, e) for e in r] for r in rows]
-        return cls(Matrix.from_rows(ents, field))
-
-    def apply(self, v: Vector) -> Vector:
-        return self.matrix.apply(v)
-
-    def compose(self, other: "ProjectiveMap") -> "ProjectiveMap":
-        """self after other."""
-        return ProjectiveMap(self.matrix * other.matrix)
-
-    def inverse(self) -> "ProjectiveMap":
-        return ProjectiveMap(inverse(self.matrix))
-
-    def proj_eq(self, other: "ProjectiveMap") -> bool:
-        u = self.matrix.entries
-        v = other.matrix.entries
-        if len(u) != len(v):
-            return False
-        return projectively_equal(u, v)
-
-    def is_identity(self) -> bool:
-        m = self.matrix
-        ident = Matrix.identity(m.field, m.rows)
-        return projectively_equal(m.entries, ident.entries)
-
-    def maps_to(self, v: Vector, w: Vector) -> bool:
-        return projectively_equal(self.apply(v), w)
-
     def __eq__(self, other):
         if not isinstance(other, ProjectiveMap):
             return NotImplemented
-        return self.proj_eq(other)
+        return projectively_equal(self.matrix.entries, other.matrix.entries)
 
     def __hash__(self):
         # hash the projectively normalized entry tuple
@@ -227,7 +180,7 @@ def _frame(points):
     so the matrix sends (1, 1) to p3 (l1 = d23/d12, l2 = -d13/d12 by
     Cramer, d_ij = det(p_i, p_j))."""
     if any(len(p) != 2 for p in points):
-        raise DimensionMismatch("det2 needs 2-vectors")
+        raise DimensionMismatch("frame points must be 2-vectors")
     fd = points[0][0].fd
     add, mul, neg = fd._add, fd._mul, fd._neg
     (x1, y1), (x2, y2), (x3, y3) = [[_as_element(fd, e).payload for e in p] for p in points]

@@ -450,6 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a report.v2 document holds no per-item listing, so --json builds
+    # none: the listings are what --quiet omits
+    args.quiet = args.quiet or args.json
     started = time.perf_counter()
     try:
         source, a, results, consistency, lines = args.func(args)

@@ -21,14 +21,9 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, permutations
 
-from .arrangement import (
-    Arrangement,
-    _require_generic,
-    cross_ratio,
-    projective_map_through,
-)
+from .arrangement import Arrangement, _require_generic, projective_map_through
 from .exactfield import FieldElement, _Value
-from .linalg import Matrix, cross3, det, det2
+from .linalg import Matrix, cross3, det
 
 
 class BadFourSet(ValueError):
@@ -41,16 +36,6 @@ class NotDimension3(ValueError):
 
 class TooFewHyperplanes(ValueError):
     """The sweep needs more hyperplanes than the arrangement has."""
-
-
-def perfect_matchings(items):
-    """All ways to split an even index set into unordered pairs.
-
-    Pairs come out as (small, large), sorted by first element: the
-    matchings of positions 0..n-1 relabelled by the sorted items."""
-    items = sorted(items)
-    return [tuple((items[i], items[j]) for i, j in m)
-            for m in _matching_pattern(len(items))]
 
 
 @cache
@@ -122,8 +107,9 @@ class FourSet(_Value):
     def of_matching(pairs) -> tuple["FourSet", "FourSet"]:
         """The two complementary 4-sets whose matching() is pairs, three
         disjoint pairs of indices in either order."""
-        pairs = tuple(pairs)
-        if len({p for pair in pairs for p in pair}) != 6:
+        pairs = tuple(tuple(pair) for pair in pairs)
+        if (len(pairs) != 3 or any(len(pair) != 2 for pair in pairs)
+                or len({p for pair in pairs for p in pair}) != 6):
             raise BadFourSet(f"need three disjoint pairs, got {pairs}")
         four, other = _matching_foursets(pairs)
         return FourSet._from_key(four), FourSet._from_key(other)
@@ -148,32 +134,6 @@ def _matching_foursets(pairs) -> tuple[tuple, tuple]:
 def _check_k2(a: Arrangement):
     if a.k != 2:
         raise NotDimension3(f"line detectors need k=2, got k={a.k}")
-
-
-def ceva_value(a: Arrangement, fourset: FourSet) -> FieldElement:
-    """|p1 p5||p2 p6||p3 p4| / |p1 p6||p2 p4||p3 p5| for the canonical
-    labels; the 4-set is a coincidence pattern exactly when this is 1."""
-    _check_k2(a)
-    if not isinstance(fourset, FourSet):
-        fourset = FourSet(fourset)
-    p = fourset.labels()
-    v = [a.normal(q) for q in p]
-    num = det2(v[0], v[4]) * det2(v[1], v[5]) * det2(v[2], v[3])
-    den = det2(v[0], v[5]) * det2(v[1], v[3]) * det2(v[2], v[4])
-    return num / den
-
-
-def crossratio_form(a: Arrangement, fourset: FourSet) -> FieldElement:
-    """The triple cross-ratio product; always equals -ceva_value."""
-    _check_k2(a)
-    if not isinstance(fourset, FourSet):
-        fourset = FourSet(fourset)
-    p = fourset.labels()
-    v = {q: a.normal(q) for q in p}
-    r1 = cross_ratio(v[p[1]], v[p[2]], v[p[0]], v[p[3]])
-    r2 = cross_ratio(v[p[2]], v[p[0]], v[p[1]], v[p[4]])
-    r3 = cross_ratio(v[p[0]], v[p[1]], v[p[2]], v[p[5]])
-    return r1 * r2 * r3
 
 
 @cache
@@ -232,7 +192,8 @@ def _pairings(a: Arrangement) -> list[tuple]:
 
 
 def quadral_points(a: Arrangement) -> list[FourSet]:
-    """All 4-sets with ceva_value 1, over every 6-subset of indices.
+    """All 4-sets whose Ceva product |p1 p5||p2 p6||p3 p4| /
+    |p1 p6||p2 p4||p3 p5| (FourSet.labels) is 1, over every 6-subset.
 
     Each matching one involution realizes (_pairings) contributes its
     complementary pair of 4-sets, so the count is even.  The matchings
@@ -313,24 +274,13 @@ class QuintFamily(_Value):
         return f"QuintFamily(center={self.center}, {self.ta} | {self.tb})"
 
 
-def quint_value(a: Arrangement, q: QuintFamily):
-    """The two cross ratios [a0,a1;a2,a3] and [a0,a4;a5,a6]; the family
-    is a coincidence pattern exactly when they are equal."""
-    _check_k2(a)
-    v0 = a.normal(q.center)
-    va = [a.normal(p) for p in q.ta]
-    vb = [a.normal(p) for p in q.tb]
-    return (cross_ratio(v0, va[0], va[1], va[2]),
-            cross_ratio(v0, vb[0], vb[1], vb[2]))
-
-
 def quintuple_points(a: Arrangement) -> list[QuintFamily]:
     """All canonical quint families: a center c and disjoint triples
     ta, tb with equal cross ratios [c; ta] = [c; tb].
 
     The cross ratio [c; t0, t1, t2] = |c t1||t0 t2| / |t0 t1||c t2| is
     the product of two entries of ratio[x, y, z] = |x z| / |x y|, so
-    each det2 is computed and inverted once.  Payloads are canonical,
+    each 2 x 2 minor is computed and inverted once.  Payloads are canonical,
     so the ordered triples around each center are grouped by value;
     O(n^4) products in all."""
     _check_k2(a)

@@ -74,17 +74,6 @@ def discriminantal_normal(a: Arrangement, L) -> Vector:
     return tuple(normal)
 
 
-def ordered_normal(a: Arrangement, seq) -> Vector:
-    """discriminantal_normal of sorted(seq), signed by the sorting parity."""
-    seq = tuple(seq)
-    base = discriminantal_normal(a, seq)
-    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-                     if seq[i] > seq[j])
-    if inversions % 2 == 0:
-        return base
-    return tuple(-x for x in base)
-
-
 class DiscriminantalArrangement:
     """The C(n, k+1) hyperplanes D_L of B(n,k,A) over a generic base A,
     one per sorted (k+1)-subset L; each normal is read off the base's

@@ -117,19 +117,15 @@ def _conditions(field: FieldDescriptor, w, x, y, z):
     yield add(add(add(w_x, neg_y), z), neg(d))
 
 
-def parameter_conditions(field: FieldDescriptor, w, x, y, z) -> tuple[FieldElement, ...]:
-    """The expressions that must all be nonzero for parametrized() to be
-    generic: the four parameters, their distances from 1, and the six
-    combinations that vanish exactly on degenerate column triples."""
-    return tuple(FieldElement(field, c) for c in _conditions(field, w, x, y, z))
-
-
 def is_parameter_generic(field: FieldDescriptor, w, x, y, z) -> bool:
     """Whether parametrized(field, w, x, y, z) is generic, that is,
-    equal to is_generic(parametrized(field, w, x, y, z)).  The conditions
-    are tested in parameter_conditions' order (w, x, y, z, the v - 1,
-    the four differences, wz - xy, then the last) and the test stops at
-    the first that vanishes, so most rejected tuples cost no product."""
+    equal to is_generic(parametrized(field, w, x, y, z)).  It is iff
+    none of the 14 _conditions vanishes: the four parameters, their
+    distances from 1, and the six combinations that vanish exactly on
+    degenerate column triples.  They are tested in order (w, x, y, z,
+    the v - 1, the four differences, wz - xy, then the last) and the
+    test stops at the first that vanishes, so most rejected tuples cost
+    no product."""
     return not any(map(field._is_zero, _conditions(field, w, x, y, z)))
 
 
@@ -208,7 +204,7 @@ def starred_types() -> tuple[PartitionType, ...]:
 # The smallest starred type forces the three matchings below (the edges
 # (1,2), (3,4), (5,6) of the labeled K_6).  Eliminating y and z from
 # their determinants leaves 2x(x-1), which has no root compatible with
-# parameter_conditions away from characteristic 2; the other two starred
+# is_parameter_generic away from characteristic 2; the other two starred
 # types induce these same three edges, so they inherit the obstruction.
 BLOCKED_CORE_TYPE = "2^3"
 BLOCKED_CORE_EDGES = ((1, 2), (3, 4), (5, 6))

@@ -7,14 +7,10 @@ of an arrangement, once) wrap it.  The library's one echelon is the
 span (_Span, and _IntegerSpan on fraction-free integer rows over Q,
 read off the numerators of Q's ((n,), d) payloads): an incremental row
 echelon of raw payload rows.  Determinants above 3x3, the intersection
-lattice and the translate solver build on it, and so do rank,
-rank_of_rows, kernel, solve and inverse: the rank is the span's, and
-a kernel basis, a solution of M x = b and M^-1 are null vectors read
-off it by back-substitution.  inverse is the library's one matrix
-inverse, ProjectiveMap.inverse's at every size; the translate solver
-needs none, since its incidence tests are discriminantal normals too.  The public functions unwrap their field
-elements once and wrap the result once.  Pivots are the first nonzero
-entry of a row; exact arithmetic needs no magnitude heuristics.
+lattice and the translate solver build on it; the solver's kernel basis
+is null vectors read off the span by back-substitution.  Pivots are the
+first nonzero entry of a row; exact arithmetic needs no magnitude
+heuristics.
 """
 
 from __future__ import annotations
@@ -31,10 +27,6 @@ class NotSquare(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
-
-
-class SingularMatrix(ZeroDivisionError):
-    """A square matrix with no inverse."""
 
 
 Vector = tuple[FieldElement, ...]
@@ -72,11 +64,6 @@ class Matrix(_Value):
                 raise DimensionMismatch("ragged rows")
         return cls(field, len(rows), ncols, [e for r in rows for e in r])
 
-    @classmethod
-    def identity(cls, field: FieldDescriptor, n: int) -> "Matrix":
-        zero, one = field.zero(), field.one()
-        return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
-
     def __getitem__(self, ij) -> FieldElement:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -86,30 +73,6 @@ class Matrix(_Value):
 
     def row_list(self) -> list[list[FieldElement]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        if self.field is not other.field and self.field != other.field:
-            raise FieldMismatch("matrix product across fields")
-        cols = [other.entries[j::other.cols] for j in range(other.cols)]
-        return Matrix(self.field, self.rows, other.cols,
-                      [_dot(self.row(i), c, self.field) for i in range(self.rows) for c in cols])
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self.matmul(other)
-        return NotImplemented
-
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector length {len(v)} vs {self.cols} columns")
-        return tuple(
-            _dot(self.row(i), v, self.field) for i in range(self.rows))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))
@@ -122,13 +85,6 @@ def _check_field(elements, field: FieldDescriptor) -> None:
             raise FieldMismatch(f"entry field {e.fd!r} differs from {field!r}")
 
 
-def _dot(u, v, field) -> FieldElement:
-    acc = field.zero()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # determinant
 
@@ -136,7 +92,8 @@ def det(m: Matrix) -> FieldElement:
     """Determinant; see _det_payloads."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    return FieldElement(m.field, _det_payloads(m.field, _matrix_rows(m)))
+    rows = [[e.payload for e in m.row(i)] for i in range(m.rows)]
+    return FieldElement(m.field, _det_payloads(m.field, rows))
 
 
 def _det_payloads(fd: FieldDescriptor, rows):
@@ -172,15 +129,8 @@ def _det_payloads(fd: FieldDescriptor, rows):
     return result
 
 
-def det2(u: Vector, v: Vector) -> FieldElement:
-    """Determinant of two 2-vectors; the workhorse of the plane sweeps."""
-    if len(u) != 2 or len(v) != 2:
-        raise DimensionMismatch("det2 needs 2-vectors")
-    return u[0] * v[1] - u[1] * v[0]
-
-
 # ---------------------------------------------------------------------------
-# the span: echelon, rank, kernel, solve, inverse
+# the span: echelon and kernel
 
 class _Span:
     """Row echelon of a subspace of K^n, on raw field payloads.
@@ -358,64 +308,6 @@ class _IntegerSpan(_Span):
                 v[piv] = -acc
         norm = self.field._norm
         return self._dense({i: norm([y], den) for i, y in v.items()}, ncols)
-
-
-def _wrap(fd: FieldDescriptor, v) -> Vector:
-    return tuple(FieldElement(fd, x) for x in v)
-
-
-def _matrix_rows(m: Matrix) -> list[list]:
-    return [[e.payload for e in m.row(i)] for i in range(m.rows)]
-
-
-def rank(m: Matrix) -> int:
-    return _Span.over(m.field, _matrix_rows(m)).rank
-
-
-def rank_of_rows(vectors, field: FieldDescriptor) -> int:
-    span = _Span.over(field)
-    for v in vectors:
-        _check_field(v, field)
-        span.insert(span.row([e.payload for e in v]))
-    return span.rank
-
-
-def kernel(m: Matrix) -> list[Vector]:
-    """Basis of the right null space {v : M v = 0}."""
-    span = _Span.over(m.field, _matrix_rows(m))
-    return [_wrap(m.field, v) for v in span.kernel(m.cols)]
-
-
-def inverse(m: Matrix) -> Matrix:
-    """M^-1, read off the kernel of [M | -I]; raises SingularMatrix when M
-    has no inverse."""
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols}")
-    fd, n = m.field, m.rows
-    zero, minus_one = fd._coerce_int(0), fd._coerce_int(-1)
-    span = _Span.over(fd, (row + [minus_one if j == i else zero for j in range(n)]
-                           for i, row in enumerate(_matrix_rows(m))))
-    # [M | -I] always has rank n; M is invertible iff no pivot lies in -I
-    if any(piv >= n for piv in span.pivots()):
-        raise SingularMatrix(f"singular {n}x{n} matrix")
-    # column j of M^-1 is u in the null vector (u, e_j) of column n + j
-    cols = [span.null_vector(2 * n, n + j) for j in range(n)]
-    return Matrix(fd, n, n, [FieldElement(fd, col[i]) for i in range(n) for col in cols])
-
-
-def solve(m: Matrix, b: Vector):
-    """Solve M x = b; returns (particular solution or None, kernel basis).
-    The solution is the null vector (x, 1) of [M | -b], which exists iff
-    the last column is not a pivot."""
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} vs {m.rows} rows")
-    fd = m.field
-    rows = _matrix_rows(m)
-    span = _Span.over(fd, (row + [fd._neg(e.payload)] for row, e in zip(rows, b)))
-    null = kernel(m)
-    if m.cols in span.pivots():
-        return None, null
-    return _wrap(fd, span.null_vector(m.cols + 1, m.cols)[:m.cols]), null
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,6 @@ class Perm(_Value):
     def __mul__(self, other: "Perm") -> "Perm":
         return Perm(tuple(self.images[other.images[i] - 1] for i in range(6)))
 
-    def inverse(self) -> "Perm":
-        im = [0] * 6
-        for i, y in enumerate(self.images):
-            im[y - 1] = i + 1
-        return Perm(im)
-
     def orbits(self) -> frozenset[frozenset[int]]:
         seen = set()
         parts = []
@@ -81,9 +75,6 @@ class Perm(_Value):
                 x = self(x)
             parts.append(frozenset(orb))
         return frozenset(parts)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(len(o) for o in self.orbits()))
 
     def __repr__(self):
         parts = []
@@ -260,25 +251,6 @@ def partition_from_edges(edges) -> VertexPartition:
     for x in range(1, 7):
         groups.setdefault(find(x), []).append(x)
     return VertexPartition(groups.values())
-
-
-def all_partitions_of_6() -> list[VertexPartition]:
-    """All 203 set partitions of {1,...,6}."""
-    out = []
-
-    def grow(rest, blocks):
-        if not rest:
-            out.append(VertexPartition(blocks))
-            return
-        first, tail = rest[0], rest[1:]
-        for size in range(len(tail) + 1):
-            for extra in combinations(tail, size):
-                block = (first,) + extra
-                remaining = [x for x in tail if x not in extra]
-                grow(remaining, blocks + [block])
-
-    grow(list(range(1, 7)), [])
-    return out
 
 
 class TypeReport(_Value):

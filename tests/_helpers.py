@@ -1,12 +1,24 @@
 """Shared constructors for the test suite: seeded random arrangements,
-the random very generic reference, the lattice closure oracle,
-the six-element pairing and conjugation closure oracles, the quint
-closure oracle, the FieldElement projective map through three points,
-the FieldElement genericity conditions of the parametrized family,
-the cofactor determinant and the incidence check of a translation
-built on it, the payload work counter, the validating constructions of
-the detected patterns, the full Fermat-then-Lucas test, candidate-family
-enumeration, and small number-theory checks."""
+the random very generic reference, the lattice closure oracle and the
+rank read off its echelon, the six-element pairing and conjugation
+closure oracles, the quint closure oracle, the FieldElement projective
+map through three points, the FieldElement genericity conditions of the
+parametrized family, the cofactor determinant and the incidence check of
+a translation built on it, the payload work counter, the validating
+constructions of the detected patterns, the full Fermat-then-Lucas test,
+candidate-family enumeration, and small number-theory checks.
+
+The slow definitions the library dropped are oracles here: the cross
+ratio (oracle_cross_ratio), the Ceva, triple cross-ratio and quint
+values of a detected pattern (oracle_ceva_value, oracle_crossratio_form,
+oracle_quint_value), a projective map's action, composition and identity
+test on its FieldElement entries (oracle_apply, oracle_compose,
+oracle_is_identity, oracle_maps_to, with projective_map building a map
+from rows, and oracle_matmul), and the perfect matching and set
+partition enumerators (perfect_matchings, all_partitions_of_6).  The
+span's rank, kernel and null vectors, the echelon the library keeps,
+are read on FieldElement rows through payload_span, span_kernel and
+span_solution."""
 
 import random
 from collections import Counter
@@ -22,14 +34,14 @@ from discarr import (
     ProjectiveMap,
     QuintFamily,
     Rational,
-    det2,
+    VertexPartition,
     detectors,
     is_generic,
-    perfect_matchings,
 )
-from discarr.arrangement import DegeneratePoints
-from discarr.exactfield import _as_element
+from discarr.arrangement import DegeneratePoints, projectively_equal
+from discarr.exactfield import FieldElement, _as_element
 from discarr.gallery import is_parameter_generic, parametrized
+from discarr.linalg import DimensionMismatch, _Span
 
 
 def rand_fraction(rng, span=12, max_den=6):
@@ -126,19 +138,19 @@ def reference_very_generic(n: int, k: int, seed: int = 0) -> Arrangement:
 # the lattice closure oracle
 
 class _OracleSpan:
-    """Incremental row echelon over FieldElement rows."""
+    """Incremental row echelon over FieldElement rows, each kept as its
+    pivot and its nonzero entries scaled to a leading one."""
 
     def __init__(self):
         self.rows = []
-        self.pivots = []
 
     def _reduce(self, v):
         w = list(v)
-        for row, piv in zip(self.rows, self.pivots):
+        for piv, entries in self.rows:
             c = w[piv]
             if not c.is_zero():
-                for i in range(piv, len(w)):
-                    w[i] = w[i] - c * row[i]
+                for i, y in entries:
+                    w[i] = w[i] - c * y
         return w
 
     def contains(self, v):
@@ -149,8 +161,7 @@ class _OracleSpan:
         for i, x in enumerate(w):
             if not x.is_zero():
                 inv = x.inv()
-                self.rows.append([y * inv for y in w])
-                self.pivots.append(i)
+                self.rows.append((i, [(j, y * inv) for j, y in enumerate(w) if not y.is_zero()]))
                 return
 
 
@@ -162,6 +173,39 @@ def oracle_closure(normals, supports):
         span.insert(normals[L])
     members = tuple(L for L in sorted(normals) if span.contains(normals[L]))
     return members, len(span.rows)
+
+
+def oracle_rank(rows):
+    """Rank of FieldElement rows, by the same echelon."""
+    span = _OracleSpan()
+    for v in rows:
+        span.insert(v)
+    return len(span.rows)
+
+
+# ---------------------------------------------------------------------------
+# the library's span, read on FieldElement rows
+
+def payload_span(rows, field):
+    """linalg's span (_Span.over) of FieldElement rows."""
+    return _Span.over(field, [[e.payload for e in r] for r in rows])
+
+
+def span_kernel(rows, field, ncols):
+    """The span's kernel basis, as FieldElement vectors."""
+    return [tuple(FieldElement(field, x) for x in v)
+            for v in payload_span(rows, field).kernel(ncols)]
+
+
+def span_solution(rows, b):
+    """A solution x of M x = b read off the span of [M | -b]: its null
+    vector (x, 1), which exists iff the last column is not a pivot;
+    None otherwise."""
+    field, ncols = b[0].fd, len(rows[0])
+    span = payload_span([list(r) + [-e] for r, e in zip(rows, b)], field)
+    if ncols in span.pivots():
+        return None
+    return tuple(FieldElement(field, x) for x in span.null_vector(ncols + 1, ncols)[:ncols])
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +247,63 @@ def translation_problems(a, family, t) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# the projective map oracle
+# projective maps and cross ratios on FieldElements
+
+def projective_map(rows, field):
+    """The ProjectiveMap of rows whose entries are coerced into field."""
+    return ProjectiveMap(Matrix.from_rows([[_as_element(field, e) for e in r] for r in rows],
+                                          field))
+
+
+def _dot(u, v):
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def oracle_apply(f, v):
+    """f's matrix times the column vector v."""
+    m = f.matrix
+    return tuple(_dot(m.row(i), v) for i in range(m.rows))
+
+
+def oracle_matmul(a, b):
+    """The product of two matrices."""
+    cols = [b.entries[j::b.cols] for j in range(b.cols)]
+    return Matrix(a.field, a.rows, b.cols,
+                  [_dot(a.row(i), c) for i in range(a.rows) for c in cols])
+
+
+def oracle_compose(f, g):
+    """f after g: the product of their matrices."""
+    return ProjectiveMap(oracle_matmul(f.matrix, g.matrix))
+
+
+def oracle_is_identity(f):
+    fd = f.matrix.field
+    n = f.matrix.rows
+    ident = [fd.one() if i == j else fd.zero() for i in range(n) for j in range(n)]
+    return projectively_equal(f.matrix.entries, ident)
+
+
+def oracle_maps_to(f, v, w):
+    return projectively_equal(oracle_apply(f, v), w)
+
+
+def oracle_cross_ratio(v1, v2, v3, v4):
+    """Cross ratio |v1 v3||v2 v4| / |v2 v3||v1 v4| of four points of P^1,
+    2-vectors of FieldElements; DegeneratePoints when any two of them
+    are proportional."""
+    pts = (v1, v2, v3, v4)
+    dets = {}
+    for i, j in combinations(range(4), 2):
+        d = cofactor_det([pts[i], pts[j]])
+        if d.is_zero():
+            raise DegeneratePoints(f"points {i + 1} and {j + 1} coincide")
+        dets[(i, j)] = d
+    return (dets[(0, 2)] * dets[(1, 3)]) / (dets[(1, 2)] * dets[(0, 3)])
+
 
 def oracle_projective_map_through(sources, targets):
     """The map of P^1 taking three sources to three targets, built on
@@ -216,29 +316,71 @@ def oracle_projective_map_through(sources, targets):
         raise ValueError("exactly three source and three target points")
 
     def frame(p1, p2, p3):
-        d12 = det2(p1, p2)
-        d13 = det2(p1, p3)
-        d23 = det2(p2, p3)
+        if any(len(p) != 2 for p in (p1, p2, p3)):
+            raise DimensionMismatch("frame points must be 2-vectors")
+        d12 = cofactor_det([p1, p2])
+        d13 = cofactor_det([p1, p3])
+        d23 = cofactor_det([p2, p3])
         if d12.is_zero() or d13.is_zero() or d23.is_zero():
             raise DegeneratePoints("frame points are not pairwise distinct")
         l1 = d23 / d12
         l2 = -d13 / d12
         f = p1[0].fd
-        return Matrix.from_rows([[l1 * p1[0], l2 * p2[0]], [l1 * p1[1], l2 * p2[1]]], f)
+        return ProjectiveMap(Matrix.from_rows([[l1 * p1[0], l2 * p2[0]],
+                                               [l1 * p1[1], l2 * p2[1]]], f))
 
-    ms = ProjectiveMap(frame(*sources)).matrix
-    mt = ProjectiveMap(frame(*targets)).matrix
-    a, b, c, d = ms[0, 0], ms[0, 1], ms[1, 0], ms[1, 1]
-    adjugate = ProjectiveMap(Matrix.from_rows([[d, -b], [-c, a]], ms.field)).matrix
-    return ProjectiveMap(mt * adjugate)
+    ms = frame(*sources).matrix
+    a, b, c, d = ms.entries
+    adjugate = ProjectiveMap(Matrix.from_rows([[d, -b], [-c, a]], ms.field))
+    return oracle_compose(frame(*targets), adjugate)
+
+
+# ---------------------------------------------------------------------------
+# the values a detected pattern was once tested by
+
+def oracle_ceva_value(a, fourset):
+    """|p1 p5||p2 p6||p3 p4| / |p1 p6||p2 p4||p3 p5| for the canonical
+    labels; the 4-set is a coincidence pattern exactly when this is 1."""
+    detectors._check_k2(a)
+    if not isinstance(fourset, FourSet):
+        fourset = FourSet(fourset)
+    v = [a.normal(q) for q in fourset.labels()]
+
+    def d(i, j):
+        return cofactor_det([v[i], v[j]])
+    return (d(0, 4) * d(1, 5) * d(2, 3)) / (d(0, 5) * d(1, 3) * d(2, 4))
+
+
+def oracle_crossratio_form(a, fourset):
+    """The triple cross-ratio product; always equals -oracle_ceva_value."""
+    detectors._check_k2(a)
+    if not isinstance(fourset, FourSet):
+        fourset = FourSet(fourset)
+    p = fourset.labels()
+    v = {q: a.normal(q) for q in p}
+    r1 = oracle_cross_ratio(v[p[1]], v[p[2]], v[p[0]], v[p[3]])
+    r2 = oracle_cross_ratio(v[p[2]], v[p[0]], v[p[1]], v[p[4]])
+    r3 = oracle_cross_ratio(v[p[0]], v[p[1]], v[p[2]], v[p[5]])
+    return r1 * r2 * r3
+
+
+def oracle_quint_value(a, q):
+    """The two cross ratios [a0,a1;a2,a3] and [a0,a4;a5,a6]; the family
+    is a coincidence pattern exactly when they are equal."""
+    detectors._check_k2(a)
+    v0 = a.normal(q.center)
+    va = [a.normal(p) for p in q.ta]
+    vb = [a.normal(p) for p in q.tb]
+    return (oracle_cross_ratio(v0, va[0], va[1], va[2]),
+            oracle_cross_ratio(v0, vb[0], vb[1], vb[2]))
 
 
 # ---------------------------------------------------------------------------
 # work counting
 
 def count_payload_calls(monkeypatch, fd):
-    """A Counter of the products and inverses of fd's class, and of the
-    perfect_matchings walks of the detectors, made while the test runs."""
+    """A Counter of the products and inverses of fd's class made while
+    the test runs."""
     calls = Counter()
     cls = type(fd)
     for hook in ("_mul", "_inv"):
@@ -248,13 +390,6 @@ def count_payload_calls(monkeypatch, fd):
             calls[hook] += 1
             return fn(self, *args)
         monkeypatch.setattr(cls, hook, counting)
-    for helper in ("perfect_matchings",):
-        fn = getattr(detectors, helper)
-
-        def counting_helper(*args, fn=fn, helper=helper):
-            calls[helper] += 1
-            return fn(*args)
-        monkeypatch.setattr(detectors, helper, counting_helper)
     return calls
 
 
@@ -458,7 +593,38 @@ def oracle_lucas_root(n, factors):
 
 
 # ---------------------------------------------------------------------------
-# candidate families (detected or not), for the rank-equivalence sweeps
+# enumerators and candidate families (detected or not), for the
+# rank-equivalence sweeps
+
+def perfect_matchings(items):
+    """All ways to split an even index set into unordered pairs.
+
+    Pairs come out as (small, large), sorted by first element: the
+    matchings of positions 0..n-1 (detectors._matching_pattern, the
+    pattern the six-element relations are read through) relabelled by
+    the sorted items."""
+    items = sorted(items)
+    return [tuple((items[i], items[j]) for i, j in m)
+            for m in detectors._matching_pattern(len(items))]
+
+
+def all_partitions_of_6():
+    """All 203 set partitions of {1,...,6}."""
+    out = []
+
+    def grow(rest, blocks):
+        if not rest:
+            out.append(VertexPartition(blocks))
+            return
+        first, tail = rest[0], rest[1:]
+        for size in range(len(tail) + 1):
+            for extra in combinations(tail, size):
+                remaining = [x for x in tail if x not in extra]
+                grow(remaining, blocks + [(first,) + extra])
+
+    grow(list(range(1, 7)), [])
+    return out
+
 
 def matching_foursets(pairs):
     """The complementary pair of 4-sets determined by three index pairs."""

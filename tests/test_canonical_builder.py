@@ -75,6 +75,16 @@ def test_of_matching_refuses_pairs_that_are_not_disjoint(pairs):
         FourSet.of_matching(pairs)
 
 
+@pytest.mark.parametrize("pairs", [((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4), (5, 6, 6)),
+                                   ((1, 2), (3, 4), (5, 6), (1, 2))],
+                         ids=["two-triples", "a-triple", "four-pairs"])
+def test_of_matching_refuses_malformed_shapes(pairs):
+    # six distinct indices in the wrong shape, which unpacking would
+    # reject with a bare ValueError
+    with pytest.raises(BadFourSet, match="three disjoint pairs"):
+        FourSet.of_matching(pairs)
+
+
 @pytest.mark.parametrize("n", range(7, 13))
 def test_polygon_detectors_equal_the_validating_constructions(n):
     image = modular_image(build_gallery(f"polygon-{n}"))

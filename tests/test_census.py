@@ -1,4 +1,5 @@
-"""The six-plane types over small finite fields, counted exhaustively.
+"""The six-plane and six-line types over small finite fields, counted
+exhaustively.
 
 Every labeled generic six-plane arrangement is projectively equivalent
 to exactly one parametrized(w, x, y, z): the first four normals are a
@@ -20,21 +21,38 @@ What is derived and what is only pinned:
   x^2 - x + 1).
 Both square conditions are decided here by Euler's criterion, apart
 from the classifier.  No ClosureViolation occurs on any class.
+
+Six lines are counted the same way: every labeled generic six-line
+arrangement is projectively equivalent to exactly one (1,0), (0,1),
+(1,1), (x,1), (y,1), (z,1) with x, y, z distinct and outside {0, 1},
+since the first three points of P^1 are a frame.  The per-type counts
+in LINE_CENSUS are regression pins only.  Derived from the paper: no
+six lines have type 6^1, m(A) <= 20 on every class (upper_bound_check),
+and every m(A) is twice the m of its type.  m(A) = 20 is reached only
+over F_5, where 1^1 5^1 is the only type.
 """
 
 from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from discarr import ClosureViolation, Galois, Prime, arrangement_type
+from discarr import (
+    Arrangement,
+    ClosureViolation,
+    Galois,
+    Prime,
+    arrangement_type,
+    upper_bound_check,
+)
 from discarr.gallery import is_parameter_generic, parametrized, starred_types
 
 FIELDS = {
     "F5": Prime(5),
     "F7": Prime(7),
     "F11": Prime(11),
+    "F13": Prime(13),
     "GF4": Galois(2, (1, 1, 1)),
     "GF8": Galois(2, (1, 1, 0, 1)),
     "GF9": Galois(3, (1, 0, 1)),
@@ -46,6 +64,8 @@ CENSUS = {
     "F7": {"1^1 2^1 3^1": 60, "1^2 4^1": 60, "3^2": 20},
     "F11": {"1^1 2^1 3^1": 300, "1^1 5^1": 12, "1^2 2^2": 1260, "1^2 4^1": 60,
             "1^3 3^1": 600, "1^4 2^1": 720, "1^6": 144},
+    "F13": {"1^1 2^1 3^1": 420, "1^2 2^2": 2160, "1^2 4^1": 150, "1^3 3^1": 960,
+            "1^4 2^1": 3600, "1^6": 720, "3^2": 20},
     "GF4": {"6^1": 2},
     "GF8": {"1^3 3^1": 120, "2^1 4^1": 90, "2^3": 180},
     "GF9": {"1^1 2^1 3^1": 240, "1^1 5^1": 12, "1^2 2^2": 360, "1^2 4^1": 30,
@@ -118,3 +138,57 @@ def test_euler_criterion_on_small_fields():
     assert not _is_nonzero_square(FIELDS["F7"], 5)
     assert _is_nonzero_square(FIELDS["GF9"], 5)
     assert not _is_nonzero_square(FIELDS["GF9"], -3)
+
+
+# ---------------------------------------------------------------------------
+# six lines
+
+LINE_FIELDS = ("F5", "F7", "F11", "F13", "GF8", "GF9")
+
+# regression pins: labeled classes per type
+LINE_CENSUS = {
+    "F5": {"1^1 5^1": 6},
+    "F7": {"1^1 2^1 3^1": 60},
+    "F11": {"1^1 2^1 3^1": 60, "1^2 2^2": 180, "1^3 3^1": 120, "1^6": 144},
+    "F13": {"1^1 2^1 3^1": 60, "1^2 2^2": 180, "1^2 4^1": 30, "1^4 2^1": 720},
+    "GF8": {"1^3 3^1": 120},
+    "GF9": {"1^2 2^2": 180, "1^2 4^1": 30},
+}
+
+
+@cache
+def line_census(name):
+    """(the TypeReport of every six-line representative, representatives
+    whose classification raised ClosureViolation) over the field."""
+    fd = FIELDS[name]
+    zero, one = fd.zero(), fd.one()
+    rest = [e for e in fd.iter_elements() if e != zero and e != one]
+    reports, violations = [], []
+    for x, y, z in permutations(rest, 3):
+        a = Arrangement(fd, 2, ((one, zero), (zero, one), (one, one),
+                                (x, one), (y, one), (z, one)))
+        try:
+            reports.append(arrangement_type(a))
+        except ClosureViolation:
+            violations.append((x, y, z))
+    return reports, violations
+
+
+@pytest.mark.parametrize("name", LINE_FIELDS)
+def test_line_census_counts(name):
+    reports, violations = line_census(name)
+    assert violations == []
+    q = len(list(FIELDS[name].iter_elements()))
+    assert len(reports) == (q - 2) * (q - 3) * (q - 4)
+    assert Counter(r.type.label() for r in reports) == LINE_CENSUS[name]
+
+
+def test_lines_obey_the_upper_bound():
+    peaks = {}
+    for name in LINE_FIELDS:
+        reports = line_census(name)[0]
+        assert upper_bound_check(reports), name
+        assert all(r.type.label() != "6^1" and r.m_formula_consistent for r in reports), name
+        peaks[name] = max(r.m_a for r in reports)
+    assert max(peaks.values()) == 20
+    assert [name for name, m in peaks.items() if m == 20] == ["F5"]

@@ -36,10 +36,11 @@ from discarr import (
     good6_points,
     is_generic,
     pappus_closure_check,
-    perfect_matchings,
 )
 from discarr.exactfield import _GALOIS_TABLE_LIMIT
 from discarr.gallery import f4_arrangement, is_parameter_generic, parametrized
+
+from _helpers import perfect_matchings
 
 
 # ---------------------------------------------------------------------------

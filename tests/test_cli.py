@@ -21,7 +21,7 @@ from discarr.cli import (
     field_label,
     main,
 )
-from discarr.detectors import Good6Partition, good6_points
+from discarr.detectors import FourSet, Good6Partition, QuintFamily, good6_points
 from discarr.exactfield import Cyclotomic, Galois, Prime, Quadratic
 from discarr.permtype import ClosureViolation, TypeReport, arrangement_type
 
@@ -103,6 +103,25 @@ def test_detect_polygon_reports_quints(capsys):
     assert res["quadral_count"] == 14
     assert res["quint_count"] == 28
     assert rep["consistency"]["quint_closure_violations"] == []
+
+
+def test_json_builds_no_listing(monkeypatch, capsys):
+    # the per-item listing is text output only: --json formats no
+    # detected pattern, while the text listing formats every one
+    calls = []
+    for cls in (FourSet, QuintFamily):
+        original = cls.__repr__
+
+        def counted(self, original=original):
+            calls.append(type(self).__name__)
+            return original(self)
+        monkeypatch.setattr(cls, "__repr__", counted)
+    code, rep, _ = run_json(capsys, ["detect", "gallery:polygon-8"])
+    assert code == EXIT_OK and calls == []
+    assert main(["detect", "gallery:polygon-8"]) == EXIT_OK
+    res = rep["results"]
+    assert sorted(set(calls)) == ["FourSet", "QuintFamily"]
+    assert len(calls) == res["quadral_count"] + res["quint_count"]
 
 
 def test_detect_k_mismatch(capsys):
@@ -200,7 +219,7 @@ def test_detect_non_generic_file(tmp_path, capsys):
 
 
 def test_classify_non_generic_file(tmp_path, capsys):
-    # the involution search reports it from its det2 table
+    # the involution search reports it from its table of 2 x 2 minors
     q = Rational()
     a = Arrangement(q, 2, ((1, 0), (1, 0), (1, 1), (2, 1), (3, 1), (5, 1)))
     p = tmp_path / "parallel.json"

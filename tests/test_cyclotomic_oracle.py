@@ -8,7 +8,7 @@ The library multiplies through a table of powers of the generator and
 inverts by the norm (the product of the other conjugates over the
 rational norm); payloads must agree exactly, for dense elements of every
 listed m (prime m, where 2 phi - 1 > m, included) and d, and for every
-det2 of the polygon galleries.
+2 x 2 minor of the polygon galleries.
 """
 
 import random

@@ -11,27 +11,33 @@ from discarr import (
     FourSet,
     Good6Partition,
     NotGeneric,
-    ProjectiveMap,
     QuintFamily,
     Rational,
-    ceva_value,
-    crossratio_form,
     discriminantal_normal,
     find_involutions,
     good6_condition,
     good6_points,
     pappus_closure_check,
-    perfect_matchings,
     quadral_points,
     quint_closure_checks,
-    quint_value,
     quintuple_points,
-    rank_of_rows,
 )
 from discarr.detectors import BadFourSet, NotDimension3, TooFewHyperplanes
 from discarr.gallery import crapo, dodecahedral, parametrized, regular_polygon
 
-from _helpers import matching_foursets, random_k2
+from _helpers import (
+    matching_foursets,
+    oracle_ceva_value,
+    oracle_compose,
+    oracle_crossratio_form,
+    oracle_is_identity,
+    oracle_maps_to,
+    oracle_quint_value,
+    oracle_rank,
+    perfect_matchings,
+    projective_map,
+    random_k2,
+)
 
 Q = Rational()
 
@@ -42,6 +48,8 @@ CRAPO_SETS = (
 
 
 def test_perfect_matchings_counts():
+    # _helpers.perfect_matchings relabels detectors._matching_pattern,
+    # the positions the six-element relations are read through
     assert len(perfect_matchings(range(1, 5))) == 3
     assert len(perfect_matchings(range(1, 7))) == 15
     assert len(perfect_matchings(range(1, 9))) == 105
@@ -121,10 +129,10 @@ def test_quadral_crapo():
     assert [f.sets for f in found] == list(CRAPO_SETS)
     assert found[0].complement() == found[1]
     f = found[0]
-    assert ceva_value(crapo(), f) == Q.one()
-    assert crossratio_form(crapo(), f) == -Q.one()
+    assert oracle_ceva_value(crapo(), f) == Q.one()
+    assert oracle_crossratio_form(crapo(), f) == -Q.one()
     # raw tuple-of-tuples input is accepted too
-    assert ceva_value(crapo(), CRAPO_SETS[0]) == Q.one()
+    assert oracle_ceva_value(crapo(), CRAPO_SETS[0]) == Q.one()
 
 
 def test_slope_relation_gives_value_one():
@@ -133,8 +141,8 @@ def test_slope_relation_gives_value_one():
     # extra pairings, which is why the minimal builder uses (2,5,8)
     a = Arrangement(Q, 2, ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (4, 1)))
     fs = FourSet(((1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5)))
-    assert ceva_value(a, fs) == Q.one()
-    assert crossratio_form(a, fs) == -Q.one()
+    assert oracle_ceva_value(a, fs) == Q.one()
+    assert oracle_crossratio_form(a, fs) == -Q.one()
     assert len(quadral_points(a)) == 4
 
 
@@ -165,11 +173,11 @@ def test_worked_involution_example():
     matching, f = invs[0]
     assert matching == frozenset(
         {frozenset({1, 4}), frozenset({2, 5}), frozenset({3, 6})})
-    assert f.proj_eq(ProjectiveMap.from_rows([[3, 3], [-1, -3]], Q))
-    assert f.compose(f).is_identity()
+    assert f == projective_map([[3, 3], [-1, -3]], Q)
+    assert oracle_is_identity(oracle_compose(f, f))
     for p, q in ((1, 4), (2, 5), (3, 6)):
-        assert f.maps_to(a.normal(p), a.normal(q))
-        assert f.maps_to(a.normal(q), a.normal(p))
+        assert oracle_maps_to(f, a.normal(p), a.normal(q))
+        assert oracle_maps_to(f, a.normal(q), a.normal(p))
 
 
 def test_involutions_match_quadral_matchings():
@@ -206,16 +214,16 @@ def test_quint_witness():
     slopes = [0, 1, 2, 3, 4, 8, 12]
     a = Arrangement(Q, 2, [(s, 1) for s in slopes])
     target = QuintFamily(1, (2, 3, 4), (5, 6, 7))
-    v1, v2 = quint_value(a, target)
+    v1, v2 = oracle_quint_value(a, target)
     assert v1 == v2 == Q.from_int(4) / Q.from_int(3)
     found = quintuple_points(a)
     assert target in found
     assert quint_closure_checks(found) == []
     # the five normals drop to rank 4 exactly for detected families
     rows = [discriminantal_normal(a, L) for L in target.sets]
-    assert rank_of_rows(rows, Q) == 4
+    assert oracle_rank(rows) == 4
     for q in found:
-        w1, w2 = quint_value(a, q)
+        w1, w2 = oracle_quint_value(a, q)
         assert w1 == w2
 
 
@@ -226,8 +234,8 @@ def test_quint_rank_five_when_not_detected():
     probe = QuintFamily(1, (2, 3, 4), (5, 7, 6))
     assert probe not in found
     rows = [discriminantal_normal(a, L) for L in probe.sets]
-    assert rank_of_rows(rows, Q) == 5
-    w1, w2 = quint_value(a, probe)
+    assert oracle_rank(rows) == 5
+    w1, w2 = oracle_quint_value(a, probe)
     assert w1 != w2
 
 
@@ -253,7 +261,7 @@ def test_good6_condition_matches_rank():
         g = Good6Partition(pairs)
         cond = good6_condition(q, g)
         rows = [discriminantal_normal(q, L) for L in g.sets]
-        r = rank_of_rows(rows, Q)
+        r = oracle_rank(rows)
         assert cond.is_zero() == (g in detected) == (r == 2)
         if not cond.is_zero():
             assert r == 3
@@ -326,4 +334,4 @@ def test_ceva_truth_is_label_independent():
         a = random_k2(rng, n=6)
         for pairs in perfect_matchings(range(1, 7)):
             f, g = matching_foursets(pairs)
-            assert (ceva_value(a, f) == Q.one()) == (ceva_value(a, g) == Q.one())
+            assert (oracle_ceva_value(a, f) == Q.one()) == (oracle_ceva_value(a, g) == Q.one())

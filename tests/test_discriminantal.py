@@ -12,7 +12,6 @@ from discarr import (
     Cyclotomic,
     Flat,
     Galois,
-    Matrix,
     NotGeneric,
     Prime,
     Quadratic,
@@ -25,15 +24,18 @@ from discarr import (
     is_generic,
     is_very_generic,
     nvg_flats,
-    ordered_normal,
     quadral_points,
-    rank_of_rows,
-    solve,
 )
 from discarr.discriminantal import BadSubsetSize, TooLarge
 from discarr.gallery import crapo, dodecahedral, f5_arrangement
 
-from _helpers import count_payload_calls, oracle_closure, random_k2, reference_very_generic
+from _helpers import (
+    count_payload_calls,
+    oracle_closure,
+    oracle_rank,
+    random_k2,
+    reference_very_generic,
+)
 
 Q = Rational()
 
@@ -43,6 +45,8 @@ def test_braid_normal_k1():
     a = Arrangement(Q, 1, [(1,)] * 4)
     v = discriminantal_normal(a, (2, 4))
     assert v == (Q.zero(), Q.one(), Q.zero(), -Q.one())
+    # the subset is sorted first, so its order does not sign the normal
+    assert discriminantal_normal(a, (4, 2)) == v
 
 
 def test_normal_defines_concurrency_hyperplane():
@@ -55,10 +59,9 @@ def test_normal_defines_concurrency_hyperplane():
         for _ in range(10):
             t = [Q.from_int(rng.randint(-9, 9)) for _ in range(6)]
             dot = sum((lam[i] * t[i] for i in range(6)), Q.zero())
-            rows = [list(a.normal(p)) for p in L]
-            rhs = tuple(t[p - 1] for p in L)
-            x, _ = solve(Matrix.from_rows(rows, Q), rhs)
-            assert (x is not None) == dot.is_zero()
+            # the L-lines meet iff appending t_p to each normal keeps rank 2
+            augmented = [list(a.normal(p)) + [t[p - 1]] for p in L]
+            assert (oracle_rank(augmented) == 2) == dot.is_zero()
 
 
 def _random_element(rng, fd):
@@ -97,24 +100,13 @@ def test_normals_vanish_on_the_coordinate_translations(fd, k):
 def test_generic_base_gives_rank_n_minus_k(fd, n, k):
     # build_discriminantal checks no rank: genericity forces n - k
     d = build_discriminantal(_random_generic(random.Random(f"rank-{fd!r}-{n}-{k}"), fd, n, k))
-    assert rank_of_rows([d.normal(L) for L in d.subsets()], fd) == n - k
+    assert oracle_rank([d.normal(L) for L in d.subsets()]) == n - k
 
 
 def test_normal_refuses_an_index_past_n():
     a = random_k2(random.Random("past-n"), n=4)
     with pytest.raises(BadSubsetSize, match="out of range"):
         discriminantal_normal(a, (1, 2, 5))
-
-
-def test_ordered_normal_parity():
-    rng = random.Random("parity")
-    a = random_k2(rng, n=6)
-    base = ordered_normal(a, (1, 2, 3))
-    swapped = ordered_normal(a, (2, 1, 3))
-    assert swapped == tuple(-e for e in base)
-    cycled = ordered_normal(a, (2, 3, 1))   # even permutation
-    assert cycled == base
-    assert discriminantal_normal(a, (3, 1, 2)) == base
 
 
 def test_build_discriminantal_basics():

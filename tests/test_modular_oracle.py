@@ -28,7 +28,6 @@ from discarr import (
     is_generic,
     nvg_flats,
     pappus_closure_check,
-    perfect_matchings,
     quadral_points,
     quintuple_points,
 )
@@ -42,7 +41,7 @@ from discarr.modular import (
     modular_image,
 )
 
-from _helpers import oracle_lucas_root
+from _helpers import oracle_lucas_root, perfect_matchings
 
 
 def _detect(a):

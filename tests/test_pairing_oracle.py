@@ -2,7 +2,7 @@
 their oracles in _helpers.
 
 detectors._pairings reads each sorted 6-subset's minors through one
-fixed 15-row pattern per k; the oracle walks perfect_matchings over the
+fixed 15-row pattern per k; the oracle walks every perfect matching over the
 signed table of every ordering.  good6_closure_checks looks conjugates
 up as canonical matchings; the oracle builds each as a Good6Partition.
 At k = 2 find_involutions keeps a map for exactly the matchings
@@ -41,8 +41,10 @@ from discarr.modular import modular_image
 from _helpers import (
     count_payload_calls,
     imposed_k3,
+    oracle_compose,
     oracle_det_table,
     oracle_good6_closure_checks,
+    oracle_is_identity,
     oracle_pairings,
     random_k3,
 )
@@ -193,7 +195,7 @@ def test_involutions_are_exactly_the_pairings(name):
                                         for pairs in _pairings(a)]
         for _, f in invs:
             assert (f.matrix[0, 0] + f.matrix[1, 1]).is_zero()
-            assert f.compose(f).is_identity()
+            assert oracle_is_identity(oracle_compose(f, f))
         maps += len(invs)
     assert maps >= 75
 
@@ -265,10 +267,14 @@ def test_six_element_detectors_do_two_products_per_side(monkeypatch, detector, n
 
 
 def test_find_involutions_builds_no_signed_table(monkeypatch):
+    # the 60 products of the pairing relation, then one map of 34
+    # products and 2 inverses per related matching, each inverse over
+    # Q(i) one more product; nothing is built per ordering or matching
     a = build_gallery("octahedral")
+    assert is_generic(a)
     calls = count_payload_calls(monkeypatch, a.field)
-    assert find_involutions(a)
-    assert calls["perfect_matchings"] == 0
+    assert len(find_involutions(a)) == 6
+    assert calls == Counter(_mul=60 + 6 * (34 + 2), _inv=6 * 2)
 
 
 # ---------------------------------------------------------------------------

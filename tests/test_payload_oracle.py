@@ -4,12 +4,14 @@ FieldElement paths they replaced.
 The oracles below are the original routines: find_involutions building
 one projective map per matching of the six lines and keeping those that
 swap every pair, each map composed of FieldElement frames
-(oracle_projective_map_through), reduced row echelon form on FieldElement rows (with
-rank, kernel, solve and inverse built on it), and translate_solver on
-FieldElement discriminantal rows, kernel and head inverses, which tests
-an extra incidence of q with a family set L through the common point
-x_L(t) = head^-1 t.  The library tests the det2 pairing condition before
-building any map, reduces raw payloads, and searches translations on
+(oracle_projective_map_through), reduced row echelon form on
+FieldElement rows (with rank, kernel, a solution of M x = b and the
+inverse built on it), and translate_solver on FieldElement
+discriminantal rows, kernel and head inverses, which tests an extra
+incidence of q with a family set L through the common point x_L(t) =
+head^-1 t.  The library tests the 2 x 2 pairing condition before
+building any map, reduces raw payloads (the span's rank, kernel and
+null vectors), and searches translations on
 payloads, testing the same incidence as t on the discriminantal normal
 of L's head and q, so its kernel is its only span; it builds each map in
 closed form on payloads.  Maps, involutions and the echelon must agree
@@ -40,13 +42,8 @@ from discarr import (
     format_element,
     good6_points,
     is_generic,
-    kernel,
-    perfect_matchings,
     projective_map_through,
     quadral_points,
-    rank,
-    rank_of_rows,
-    solve,
     translate_solver,
 )
 from discarr import arrangement, detectors, linalg
@@ -57,13 +54,18 @@ from discarr.arrangement import (
     projectively_equal,
 )
 from discarr.exactfield import FieldElement, FieldMismatch
-from discarr.linalg import DimensionMismatch, SingularMatrix, inverse
+from discarr.linalg import DimensionMismatch
 
 from _helpers import (
     count_payload_calls,
     fourset_candidates,
     imposed_k2,
+    oracle_maps_to,
     oracle_projective_map_through,
+    payload_span,
+    perfect_matchings,
+    span_kernel,
+    span_solution,
     translation_problems,
 )
 from test_classify_oracle import FIELDS, _sampler, seeded_planes
@@ -120,7 +122,7 @@ def oracle_inverse(m):
            for i in range(n)]
     pivots = oracle_rref(aug, field)
     if pivots and pivots[-1] >= n:
-        raise SingularMatrix(f"singular {n}x{n} matrix")
+        raise ZeroDivisionError(f"singular {n}x{n} matrix")
     return Matrix.from_rows([row[n:] for row in aug], field)
 
 
@@ -128,11 +130,11 @@ def oracle_solve(m, b):
     aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
     pivots = oracle_rref(aug, m.field)
     if m.cols in pivots:
-        return None, oracle_kernel(m)
+        return None
     x = [m.field.zero()] * m.cols
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][m.cols]
-    return tuple(x), oracle_kernel(m)
+    return tuple(x)
 
 
 def oracle_find_involutions(a):
@@ -144,7 +146,7 @@ def oracle_find_involutions(a):
         src = tuple(a.normal(x) for x, _ in pairs)
         dst = tuple(a.normal(y) for _, y in pairs)
         f = oracle_projective_map_through(src, dst)
-        if all(f.maps_to(dst[i], src[i]) for i in range(3)):
+        if all(oracle_maps_to(f, dst[i], src[i]) for i in range(3)):
             out.append((frozenset(frozenset(p) for p in pairs), f))
     return out
 
@@ -226,7 +228,7 @@ def oracle_translate_solver(a, family):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (NotGeneric, NoGenericWitness, SingularMatrix, DegeneratePoints,
+    except (NotGeneric, NoGenericWitness, DegeneratePoints,
             FieldMismatch, DimensionMismatch) as exc:
         return type(exc)
 
@@ -299,7 +301,7 @@ def test_involutions_match_oracle_on_gallery():
 
 
 def test_one_map_per_involution(monkeypatch):
-    # the pairing test runs on the det2 table; a map is built only for
+    # the pairing test runs on the 2 x 2 minors; a map is built only for
     # the matchings that pass (the map-per-matching path builds 15)
     calls = Counter()
 
@@ -392,7 +394,7 @@ def test_one_projective_map_is_34_products_and_2_inverses(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# echelon: rank, kernel, solve, inverse
+# echelon: the span's rank and kernel, and M x = b read off it
 
 def _sparse_matrices(fd, draw, rng):
     """A zero row, a zero matrix, rows with a single nonzero entry, and
@@ -414,9 +416,8 @@ def _sparse_matrices(fd, draw, rng):
 
 
 def _payloads(results):
-    """Payloads of the vectors and matrices returned."""
-    return [e.payload for r in results if r is not None and not isinstance(r, type)
-            for e in getattr(r, "entries", r)]
+    """Payloads of the vectors returned."""
+    return [e.payload for r in results if r is not None for e in r]
 
 
 def _canonical_q(fd, payload) -> bool:
@@ -437,24 +438,15 @@ def test_echelon_matches_fieldelement_oracle(name):
 
     def check(m, b):
         nonlocal singular
-        rows = m.rows
-        assert rank(m) == oracle_rank(m)
-        assert rank_of_rows([m.row(i) for i in range(rows)], fd) == oracle_rank(m)
-        null = kernel(m)
+        rows = m.row_list()
+        assert payload_span(rows, fd).rank == oracle_rank(m)
+        null = span_kernel(rows, fd, m.cols)
         assert [_fmt(v) for v in null] == [_fmt(v) for v in oracle_kernel(m)]
-        x, null = solve(m, b)
-        ox, onull = oracle_solve(m, b)
-        assert _fmt(x) == _fmt(ox)
-        assert [_fmt(v) for v in null] == [_fmt(v) for v in onull]
+        x = span_solution(rows, b)
+        assert _fmt(x) == _fmt(oracle_solve(m, b))
         returned.extend([x, *null])
-        if rows == m.cols:
-            got, want = _outcome(inverse, m), _outcome(oracle_inverse, m)
-            if want is SingularMatrix:
-                assert got is SingularMatrix
-                singular += 1
-            else:
-                assert _fmt(got.entries) == _fmt(want.entries)
-            returned.append(got)
+        if m.rows == m.cols and len(null):
+            singular += 1
 
     for rows, cols in ((1, 1), (2, 2), (3, 3), (3, 3), (4, 4), (4, 4), (5, 5),
                        (2, 4), (3, 5), (4, 2), (5, 3), (4, 6)):

@@ -12,24 +12,31 @@ from discarr import (
     TYPE_ORDER,
     TypeReport,
     VertexPartition,
-    all_partitions_of_6,
     arrangement_type,
     build_gallery,
     edge_label,
     induced_edges,
     matching_to_edge,
     partition_from_edges,
-    perfect_matchings,
     phi,
     upper_bound_check,
 )
 from discarr.permtype import NotAMatchingLabel, matching_from_perm
 
-from _helpers import reference_very_generic
+from _helpers import all_partitions_of_6, perfect_matchings, reference_very_generic
 
 
 def _cyc(*cycles):
     return Perm.from_cycles(cycles)
+
+
+def _inverse(p):
+    """The permutation sending p(x) back to x."""
+    return Perm(sorted(range(1, 7), key=p))
+
+
+def _cycle_type(p):
+    return tuple(sorted(len(o) for o in p.orbits()))
 
 
 def test_perm_composition_is_right_first():
@@ -38,11 +45,11 @@ def test_perm_composition_is_right_first():
     assert (p * q)(3) == 1          # q sends 3 to 2, then p sends 2 to 1
     assert (q * p)(3) == 2
     assert p * p == Perm.identity()
-    assert p.inverse() == p
+    assert _inverse(p) == p
     r = _cyc((1, 2, 3, 4, 5, 6))
-    assert r * r.inverse() == Perm.identity()
-    assert r.cycle_type() == (6,)
-    assert _cyc((1, 5), (2, 6), (3, 4)).cycle_type() == (2, 2, 2)
+    assert r * _inverse(r) == Perm.identity() == _inverse(r) * r
+    assert _cycle_type(r) == (6,)
+    assert _cycle_type(_cyc((1, 5), (2, 6), (3, 4))) == (2, 2, 2)
 
 
 def test_perm_orbits():
@@ -87,7 +94,7 @@ def test_phi_is_bijective_and_outer():
     assert len(images) == 720
     # outer: transpositions land on triple transpositions
     for i, j in combinations(range(1, 7), 2):
-        assert phi(_cyc((i, j))).cycle_type() == (2, 2, 2)
+        assert _cycle_type(phi(_cyc((i, j)))) == (2, 2, 2)
 
 
 def test_edge_matching_bijection():
@@ -160,9 +167,9 @@ def test_shared_vertex_law():
         group = _closure({a, b})
         assert c in group
         assert len(group) == 6
-        assert a * b * a.inverse() == c      # (ij)(il)(ij) = (jl)
-        assert b * a * b.inverse() == c      # (il)(ij)(il) = (jl)
-        assert c * a * c.inverse() == b      # (jl)(ij)(jl) = (il)
+        assert a * b * _inverse(a) == c      # (ij)(il)(ij) = (jl)
+        assert b * a * _inverse(b) == c      # (il)(ij)(il) = (jl)
+        assert c * a * _inverse(c) == b      # (jl)(ij)(jl) = (il)
 
 
 def test_disjoint_edge_labels_commute():

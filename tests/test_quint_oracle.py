@@ -1,10 +1,11 @@
 """Quint families against the slow exact path they replaced.
 
 The oracle below is the original search: for every 7-subset, the 21
-det2 values of the subset, and for every center and every split of the
-other six indices into two paired triples, the division-free
+2 x 2 determinants of the subset, and for every center and every split
+of the other six indices into two paired triples, the division-free
 cross-ratio equality.  The library groups the cross ratios around each
-center over one det2 table instead; both must find the same families.
+center over one table of minors instead; both must find the same
+families.
 """
 
 import random
@@ -20,18 +21,21 @@ from discarr import (
     Prime,
     Quadratic,
     QuintFamily,
-    perfect_matchings,
     quintuple_points,
 )
 from discarr.gallery import regular_polygon
-from discarr.linalg import det2
 from discarr.modular import modular_image
 
-from _helpers import count_payload_calls, reference_very_generic
+from _helpers import (
+    cofactor_det,
+    count_payload_calls,
+    perfect_matchings,
+    reference_very_generic,
+)
 
 
 def _pair_dets(a, subset):
-    return {(x, y): det2(a.normal(x), a.normal(y))
+    return {(x, y): cofactor_det([a.normal(x), a.normal(y)])
             for x, y in combinations(subset, 2)}
 
 

@@ -3,6 +3,10 @@
 No module other than the package __init__ imports a name it never uses,
 and every _-prefixed module-level name is referenced somewhere in the
 package, so a deletion cannot leave a dead import or helper behind.
+Every public module-level function is read by the rest of the package
+(outside __init__ and its own body) or by the benchmark, apart from the
+paper's closed forms, embed and the CLI entry point: a definition only
+the tests call belongs in tests/ as an oracle.
 Every import sits at module level, where a cycle or a missing name shows
 on import rather than on the first call.  A functools memo takes only
 int parameters, so none can key on an arrangement or keep one alive.
@@ -12,7 +16,8 @@ __slots__ (an instance dict would cost memory on every value).  Only
 cli.main prints, touches sys.stdout or sys.stderr, reads the clock or
 returns an exit code, so every command shares its one skeleton.  One
 gate, arrangement._require_generic, raises NotGeneric for a dependent
-k-subset of normals, and nothing else constructs it.  No function is a stub whose body only raises NotImplementedError.
+k-subset of normals, and nothing else constructs it.  No function is a
+stub whose body only raises NotImplementedError.
 No json.dump or json.dumps call passes indent, which would switch json
 to its pure-Python encoder (cli._report_text writes the indented report).
 """
@@ -22,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "discarr"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "discarr"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -85,6 +91,46 @@ def test_every_private_module_name_is_referenced():
                for n in _module_level_names(tree)
                if n.startswith("_") and not n.endswith("__") and n not in referenced]
     assert private == []
+
+
+def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names and attributes loaded in tree, outside the subtree skip."""
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+# the paper's closed forms, which the tests check as its statements,
+# embed, and the console-script entry point
+UNREAD_PUBLIC = {"quadral_lower_bound", "quint_lower_bound", "predicted_polygon_sets",
+                 "upper_bound_check", "starred_types", "blocked_core_dets", "embed", "main"}
+
+
+def test_every_public_function_is_read_outside_the_tests():
+    trees = {p: _tree(p) for p in MODULES if p.name != "__init__.py"}
+    bench = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        bench |= _reads(_tree(path))
+    unread = []
+    for path, tree in trees.items():
+        others = set(bench)
+        for other, other_tree in trees.items():
+            if other != path:
+                others |= _reads(other_tree)
+        for fn in tree.body:
+            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and fn.name not in UNREAD_PUBLIC
+                    and fn.name not in others | _reads(tree, skip=fn)):
+                unread.append(f"{path.name}:{fn.name}")
+    assert unread == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

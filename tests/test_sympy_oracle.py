@@ -1,4 +1,4 @@
-"""det and rank against sympy's DomainMatrix, an independent exact oracle.
+"""det and the span's rank against sympy's DomainMatrix, an independent exact oracle.
 
 sympy is optional: without it the module is skipped.  Matrices are
 seeded over Q, Q(sqrt 5) and Q(sqrt -3): dense ones for det at sizes 1-5
@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from discarr import Matrix, Quadratic, Rational, det, rank
+from discarr import Matrix, Quadratic, Rational, det
+
+from _helpers import oracle_matmul, payload_span
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -58,7 +60,8 @@ def test_det_matches_sympy(name):
     for n in range(1, 6):
         cases = [_random_matrix(fd, rng, n, n) for _ in range(4)]
         if n > 1:  # singular: the elimination runs out of pivots
-            cases.append(_random_matrix(fd, rng, n, n - 1) * _random_matrix(fd, rng, n - 1, n))
+            cases.append(oracle_matmul(_random_matrix(fd, rng, n, n - 1),
+                                       _random_matrix(fd, rng, n - 1, n)))
         for m in cases:
             K, oracle = _oracle_matrix(m)
             assert _to_oracle(K, det(m)) == oracle.det()
@@ -70,5 +73,6 @@ def test_rank_matches_sympy(name):
     rng = random.Random(f"sympy-rank-{name}")
     for _ in range(12):
         rows, cols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
-        m = _random_matrix(fd, rng, rows, inner) * _random_matrix(fd, rng, inner, cols)
-        assert rank(m) == _oracle_matrix(m)[1].rank()
+        m = oracle_matmul(_random_matrix(fd, rng, rows, inner),
+                          _random_matrix(fd, rng, inner, cols))
+        assert payload_span(m.row_list(), fd).rank == _oracle_matrix(m)[1].rank()
