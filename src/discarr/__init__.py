@@ -24,12 +24,10 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import Matrix, cross3, det
 from .arrangement import (
     Arrangement,
     IndexFamily,
     NotGeneric,
-    ProjectiveMap,
     arrangement_from_json,
     arrangement_to_json,
     is_generic,

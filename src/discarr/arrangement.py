@@ -1,11 +1,14 @@
-"""Generic hyperplane arrangements and projective-line utilities.
+"""Generic hyperplane arrangements, their translations, and the map of
+P^1 through three points.
 
 An arrangement is a list of n normal vectors in K^k with n > k >= 1.
 Hyperplane p is { x : alpha_p . x = t_p }; the library keeps only the
 normals (offsets live in separate translation vectors t in K^n).
 Indices are 1-based throughout the public interface.  Genericity, the
 detectors, the discriminantal normals and the translate solver all read
-one table of k x k minors, Arrangement.minors.
+one table of k x k minors, Arrangement.minors.  A projective map of P^1
+is two rows of field elements, built on payloads; the library takes its
+trace and prints it, and never compares two maps up to scaling.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .exactfield import (
     format_element,
     parse_element,
 )
-from .linalg import DimensionMismatch, Matrix, Vector, _det_payloads, _Span, det
+from .linalg import DimensionMismatch, Vector, _det_payloads, _Span
 
 
 class NotGeneric(ValueError):
@@ -127,53 +130,6 @@ def _projected_row(a: Arrangement, key: tuple) -> list:
     return row
 
 
-def projectively_equal(u: Vector, v: Vector) -> bool:
-    """True iff u and v are nonzero and proportional."""
-    if len(u) != len(v):
-        return False
-    if all(e.is_zero() for e in u) or all(e.is_zero() for e in v):
-        return False
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
-
-
-def normalize_projective(v: Vector) -> Vector:
-    """Scale so the first nonzero coordinate is 1 (canonical form only)."""
-    for e in v:
-        if not e.is_zero():
-            s = e.inv()
-            return tuple(s * x for x in v)
-    raise ValueError("zero vector has no projective class")
-
-
-class ProjectiveMap:
-    """Invertible k x k matrix considered up to nonzero scaling."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Matrix):
-        if matrix.rows != matrix.cols:
-            raise ValueError("projective map needs a square matrix")
-        if det(matrix).is_zero():
-            raise DegeneratePoints("singular matrix is not a projective map")
-        self.matrix = matrix
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectiveMap):
-            return NotImplemented
-        return projectively_equal(self.matrix.entries, other.matrix.entries)
-
-    def __hash__(self):
-        # hash the projectively normalized entry tuple
-        return hash(normalize_projective(self.matrix.entries))
-
-    def __repr__(self):
-        return f"ProjectiveMap({self.matrix!r})"
-
-
 def _frame(points):
     """The field of three pairwise distinct points of P^1 and the payloads
     (row-major) of their frame: columns l1 p1, l2 p2 with p3 = l1 p1 + l2 p2,
@@ -194,14 +150,16 @@ def _frame(points):
     return fd, (mul(l1, x1), mul(l2, x2), mul(l1, y1), mul(l2, y2))
 
 
-def projective_map_through(sources, targets) -> ProjectiveMap:
-    """The unique map of P^1 taking the three sources to the three targets.
+def projective_map_through(sources, targets) -> tuple[Vector, Vector]:
+    """The unique map of P^1 taking the three sources to the three targets,
+    as two rows of field elements ((a, b), (c, d)), defined up to scaling.
 
     sources and targets are triples of 2-vectors, each triple pairwise
     distinct projectively.  The map is the targets' frame times the
-    adjugate of the sources' frame (_frame), computed on payloads; only
-    the product is wrapped, and checked invertible (the frames are, as
-    their points are distinct).
+    adjugate of the sources' frame (_frame), computed on payloads.  It
+    is invertible with no check: _frame raises DegeneratePoints unless
+    d12, d13 and d23 are all nonzero, so each frame's determinant
+    l1 l2 d12 = -d13 d23 / d12 is nonzero, and so is the product's.
     """
     sources = tuple(sources)
     targets = tuple(targets)
@@ -215,7 +173,8 @@ def projective_map_through(sources, targets) -> ProjectiveMap:
     # [e f; g h] times the adjugate [d -b; -c a]
     entries = (add(mul(e, d), neg(mul(f, c))), add(mul(f, a), neg(mul(e, b))),
                add(mul(g, d), neg(mul(h, c))), add(mul(h, a), neg(mul(g, b))))
-    return ProjectiveMap(Matrix(fd, 2, 2, [FieldElement(fd, x) for x in entries]))
+    w, x, y, z = (FieldElement(fd, v) for v in entries)
+    return (w, x), (y, z)
 
 
 class IndexFamily(_Value):

@@ -242,8 +242,7 @@ def _detect_k2(args, a: Arrangement):
         invs = find_involutions(a)
         results["involutions"] = [
             {"matching": _matching_json(m),
-             "map": [[format_element(e) for e in row]
-                     for row in f.matrix.row_list()]}
+             "map": [[format_element(e) for e in row] for row in f]}
             for m, f in invs]
         results["involution_count"] = len(invs)
         consistency["involutions_match_quadral"] = (

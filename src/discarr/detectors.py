@@ -23,14 +23,13 @@ from itertools import combinations, permutations
 
 from .arrangement import Arrangement, _require_generic, projective_map_through
 from .exactfield import FieldElement, _Value
-from .linalg import Matrix, cross3, det
 
 
 class BadFourSet(ValueError):
     """Four triples that do not pairwise intersect in single points."""
 
 
-class NotDimension3(ValueError):
+class WrongDimension(ValueError):
     """Wrong ambient dimension for the detector."""
 
 
@@ -131,9 +130,10 @@ def _matching_foursets(pairs) -> tuple[tuple, tuple]:
         ((b1, b2, b3), (b1, a2, a3), (a1, b2, a3), (a1, a2, b3))))
 
 
-def _check_k2(a: Arrangement):
-    if a.k != 2:
-        raise NotDimension3(f"line detectors need k=2, got k={a.k}")
+def _check_k(a: Arrangement, k: int) -> None:
+    """The one dimension gate: WrongDimension unless a lives in K^k."""
+    if a.k != k:
+        raise WrongDimension(f"detector needs k={k}, got k={a.k}")
 
 
 @cache
@@ -199,7 +199,7 @@ def quadral_points(a: Arrangement) -> list[FourSet]:
     complementary pair of 4-sets, so the count is even.  The matchings
     are three disjoint pairs, so their 4-sets' canonical tuples are
     deduplicated and sorted before any FourSet is built."""
-    _check_k2(a)
+    _check_k(a, 2)
     keys = {four for pairs in _pairings(a) for four in _matching_foursets(pairs)}
     return [FourSet._from_key(key) for key in sorted(keys)]
 
@@ -214,9 +214,9 @@ def find_involutions(a: Arrangement):
     identity: projective_map_through sends each normal to its partner,
     and by Cayley-Hamilton f^2 = tr(f) f - det(f) is scalar, so that f
     sends the partners back, exactly when tr(f) is zero.  Each map is
-    the closed form of projective_map_through, and the trace is taken
-    on its payloads."""
-    _check_k2(a)
+    the rows ((a, b), (c, d)) projective_map_through returns, invertible
+    with no check, and the trace a + d is taken on their payloads."""
+    _check_k(a, 2)
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
     fd = a.field
@@ -225,8 +225,7 @@ def find_involutions(a: Arrangement):
         src = tuple(a.normal(p) for p, _ in pairs)
         dst = tuple(a.normal(q) for _, q in pairs)
         f = projective_map_through(src, dst)
-        m = f.matrix.entries
-        if fd._is_zero(fd._add(m[0].payload, m[3].payload)):
+        if fd._is_zero(fd._add(f[0][0].payload, f[1][1].payload)):
             matching = frozenset(frozenset(p) for p in pairs)
             out.append((matching, f))
     return out
@@ -283,7 +282,7 @@ def quintuple_points(a: Arrangement) -> list[QuintFamily]:
     each 2 x 2 minor is computed and inverted once.  Payloads are canonical,
     so the ordered triples around each center are grouped by value;
     O(n^4) products in all."""
-    _check_k2(a)
+    _check_k(a, 2)
     if a.n < 7:
         raise TooFewHyperplanes(f"quint families need 7 hyperplanes, have {a.n}")
     _require_generic(a)
@@ -392,14 +391,23 @@ class Good6Partition(_Value):
 
 
 def good6_condition(a: Arrangement, g: Good6Partition) -> FieldElement:
-    """det of the three pair cross-products; zero exactly when the
-    three pair intersections share a point at infinity."""
-    if a.k != 3:
-        raise NotDimension3(f"cross-product condition needs k=3, got k={a.k}")
+    """[x x2 z][y y2 z2] - [x x2 z2][y y2 z] on the matching ((x, x2),
+    (y, y2), (z, z2)) of g, each bracket a signed entry of a.minors().
+    By Grassmann-Pluecker this is det(x x x2, y x y2, z x z2), the
+    determinant of the three pair cross products, so it is zero exactly
+    when the three pair intersection lines share a point at infinity."""
+    _check_k(a, 3)
     if not isinstance(g, Good6Partition):
         g = Good6Partition(g)
-    rows = [cross3(a.normal(p), a.normal(q)) for p, q in g.matching]
-    return det(Matrix.from_rows(rows, a.field))
+    fd, minors = a.field, a.minors()
+
+    def bracket(*key):
+        d = minors[tuple(sorted(key))]
+        return fd._neg(d) if sum(u > v for u, v in combinations(key, 2)) % 2 else d
+
+    (x, x2), (y, y2), (z, z2) = g.matching
+    return FieldElement(fd, fd._add(fd._mul(bracket(x, x2, z), bracket(y, y2, z2)),
+                                    fd._neg(fd._mul(bracket(x, x2, z2), bracket(y, y2, z)))))
 
 
 def good6_points(a: Arrangement) -> list[Good6Partition]:
@@ -407,8 +415,7 @@ def good6_points(a: Arrangement) -> list[Good6Partition]:
     matchings on which good6_condition vanishes (_pairings).  Those are
     canonical already, (small, large) pairs by first element, so they
     are deduplicated and sorted as tuples and then wrapped."""
-    if a.k != 3:
-        raise NotDimension3(f"cross-product condition needs k=3, got k={a.k}")
+    _check_k(a, 3)
     return [Good6Partition._from_key(pairs) for pairs in sorted(set(_pairings(a)))]
 
 

@@ -1,16 +1,15 @@
-"""Exact dense linear algebra over any field descriptor.
+"""Exact linear algebra on raw field payloads, over any field descriptor.
 
-The one determinant, _det_payloads, works on raw payloads through the
-descriptor hooks: a cofactor expansion up to 3x3, with no inversions,
-and the span above that; det and Arrangement.minors (each k x k minor
-of an arrangement, once) wrap it.  The library's one echelon is the
-span (_Span, and _IntegerSpan on fraction-free integer rows over Q,
-read off the numerators of Q's ((n,), d) payloads): an incremental row
-echelon of raw payload rows.  Determinants above 3x3, the intersection
-lattice and the translate solver build on it; the solver's kernel basis
-is null vectors read off the span by back-substitution.  Pivots are the
-first nonzero entry of a row; exact arithmetic needs no magnitude
-heuristics.
+The one determinant, _det_payloads, works through the descriptor hooks:
+a cofactor expansion up to 3x3, with no inversions, and the span above
+that; its one caller is Arrangement.minors, each k x k minor of an
+arrangement, once.  The library's one echelon is the span (_Span, and
+_IntegerSpan on fraction-free integer rows over Q, read off the
+numerators of Q's ((n,), d) payloads): an incremental row echelon of
+raw payload rows.  Determinants above 3x3, the intersection lattice and
+the translate solver build on it; the solver's kernel basis is null
+vectors read off the span by back-substitution.  Pivots are the first
+nonzero entry of a row; exact arithmetic needs no magnitude heuristics.
 """
 
 from __future__ import annotations
@@ -18,11 +17,7 @@ from __future__ import annotations
 import operator
 from math import gcd
 
-from .exactfield import FieldDescriptor, FieldElement, FieldMismatch, Rational, _Value
-
-
-class NotSquare(ValueError):
-    pass
+from .exactfield import FieldDescriptor, FieldElement, Rational
 
 
 class DimensionMismatch(ValueError):
@@ -32,69 +27,8 @@ class DimensionMismatch(ValueError):
 Vector = tuple[FieldElement, ...]
 
 
-class Matrix(_Value):
-    """Immutable row-major matrix of field elements sharing one descriptor."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-    # field first: matrices over different fields differ before any
-    # entries are compared, so comparing them raises no FieldMismatch
-    _fields = __slots__
-
-    def __init__(self, field: FieldDescriptor, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise DimensionMismatch(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        _check_field(entries, field)
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows, field: FieldDescriptor | None = None) -> "Matrix":
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            raise DimensionMismatch("matrix needs at least one row")
-        if field is None:
-            field = rows[0][0].fd
-        ncols = len(rows[0])
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-        return cls(field, len(rows), ncols, [e for r in rows for e in r])
-
-    def __getitem__(self, ij) -> FieldElement:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_list(self) -> list[list[FieldElement]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __repr__(self):
-        body = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))
-        return f"Matrix[{body}]"
-
-
-def _check_field(elements, field: FieldDescriptor) -> None:
-    for e in elements:
-        if e.fd is not field and e.fd != field:
-            raise FieldMismatch(f"entry field {e.fd!r} differs from {field!r}")
-
-
 # ---------------------------------------------------------------------------
 # determinant
-
-def det(m: Matrix) -> FieldElement:
-    """Determinant; see _det_payloads."""
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols}")
-    rows = [[e.payload for e in m.row(i)] for i in range(m.rows)]
-    return FieldElement(m.field, _det_payloads(m.field, rows))
-
 
 def _det_payloads(fd: FieldDescriptor, rows):
     """Payload of the determinant of a square matrix of payloads.  2x2
@@ -308,16 +242,3 @@ class _IntegerSpan(_Span):
                 v[piv] = -acc
         norm = self.field._norm
         return self._dense({i: norm([y], den) for i, y in v.items()}, ncols)
-
-
-# ---------------------------------------------------------------------------
-# 3-space cross product
-
-def cross3(u: Vector, v: Vector) -> Vector:
-    if len(u) != 3 or len(v) != 3:
-        raise DimensionMismatch("cross3 needs 3-vectors")
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )

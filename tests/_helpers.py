@@ -11,14 +11,16 @@ candidate-family enumeration, and small number-theory checks.
 The slow definitions the library dropped are oracles here: the cross
 ratio (oracle_cross_ratio), the Ceva, triple cross-ratio and quint
 values of a detected pattern (oracle_ceva_value, oracle_crossratio_form,
-oracle_quint_value), a projective map's action, composition and identity
-test on its FieldElement entries (oracle_apply, oracle_compose,
-oracle_is_identity, oracle_maps_to, with projective_map building a map
-from rows, and oracle_matmul), and the perfect matching and set
-partition enumerators (perfect_matchings, all_partitions_of_6).  The
-span's rank, kernel and null vectors, the echelon the library keeps,
-are read on FieldElement rows through payload_span, span_kernel and
-span_solution."""
+oracle_quint_value), the cross product (oracle_cross3), a projective
+map's action, composition, equality up to scaling and identity test on
+its FieldElement rows (oracle_apply, oracle_matmul, oracle_same_map,
+oracle_is_identity, oracle_maps_to, with projective_map coercing rows
+into a field and oracle_proportional), and the perfect
+matching and set partition enumerators (perfect_matchings,
+all_partitions_of_6).  Matrices are tuples or lists of rows.  The
+library's one determinant and the span's rank, kernel and null vectors,
+the echelon the library keeps, are read on FieldElement rows through
+payload_det, payload_span, span_kernel and span_solution."""
 
 import random
 from collections import Counter
@@ -29,19 +31,17 @@ from discarr import (
     Arrangement,
     FourSet,
     Good6Partition,
-    Matrix,
     NotGeneric,
-    ProjectiveMap,
     QuintFamily,
     Rational,
     VertexPartition,
     detectors,
     is_generic,
 )
-from discarr.arrangement import DegeneratePoints, projectively_equal
+from discarr.arrangement import DegeneratePoints
 from discarr.exactfield import FieldElement, _as_element
 from discarr.gallery import is_parameter_generic, parametrized
-from discarr.linalg import DimensionMismatch, _Span
+from discarr.linalg import DimensionMismatch, _det_payloads, _Span
 
 
 def rand_fraction(rng, span=12, max_den=6):
@@ -191,6 +191,11 @@ def payload_span(rows, field):
     return _Span.over(field, [[e.payload for e in r] for r in rows])
 
 
+def payload_det(rows, field):
+    """linalg's determinant (_det_payloads) of square FieldElement rows."""
+    return FieldElement(field, _det_payloads(field, [[e.payload for e in r] for r in rows]))
+
+
 def span_kernel(rows, field, ncols):
     """The span's kernel basis, as FieldElement vectors."""
     return [tuple(FieldElement(field, x) for x in v)
@@ -247,12 +252,12 @@ def translation_problems(a, family, t) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# projective maps and cross ratios on FieldElements
+# projective maps and cross ratios on FieldElements; a matrix is a
+# tuple of rows, and a map is its matrix up to scaling
 
 def projective_map(rows, field):
-    """The ProjectiveMap of rows whose entries are coerced into field."""
-    return ProjectiveMap(Matrix.from_rows([[_as_element(field, e) for e in r] for r in rows],
-                                          field))
+    """The rows with their entries coerced into field."""
+    return tuple(tuple(_as_element(field, e) for e in r) for r in rows)
 
 
 def _dot(u, v):
@@ -263,32 +268,45 @@ def _dot(u, v):
 
 
 def oracle_apply(f, v):
-    """f's matrix times the column vector v."""
-    m = f.matrix
-    return tuple(_dot(m.row(i), v) for i in range(m.rows))
+    """The matrix f times the column vector v."""
+    return tuple(_dot(r, v) for r in f)
 
 
 def oracle_matmul(a, b):
-    """The product of two matrices."""
-    cols = [b.entries[j::b.cols] for j in range(b.cols)]
-    return Matrix(a.field, a.rows, b.cols,
-                  [_dot(a.row(i), c) for i in range(a.rows) for c in cols])
+    """The product of two matrices; for two maps, a after b."""
+    cols = list(zip(*b))
+    return tuple(tuple(_dot(r, c) for c in cols) for r in a)
 
 
-def oracle_compose(f, g):
-    """f after g: the product of their matrices."""
-    return ProjectiveMap(oracle_matmul(f.matrix, g.matrix))
+def oracle_proportional(u, v):
+    """True iff the vectors u and v are nonzero and proportional."""
+    if len(u) != len(v):
+        return False
+    if all(e.is_zero() for e in u) or all(e.is_zero() for e in v):
+        return False
+    return all(u[i] * v[j] == u[j] * v[i] for i, j in combinations(range(len(u)), 2))
+
+
+def oracle_same_map(f, g):
+    """True iff the matrices f and g are equal up to a nonzero scalar."""
+    return oracle_proportional(tuple(e for r in f for e in r), tuple(e for r in g for e in r))
 
 
 def oracle_is_identity(f):
-    fd = f.matrix.field
-    n = f.matrix.rows
-    ident = [fd.one() if i == j else fd.zero() for i in range(n) for j in range(n)]
-    return projectively_equal(f.matrix.entries, ident)
+    fd = f[0][0].fd
+    return oracle_same_map(f, [[fd.one() if i == j else fd.zero() for j in range(len(f))]
+                               for i in range(len(f))])
 
 
 def oracle_maps_to(f, v, w):
-    return projectively_equal(oracle_apply(f, v), w)
+    return oracle_proportional(oracle_apply(f, v), w)
+
+
+def oracle_cross3(u, v):
+    """The cross product of two 3-vectors."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
 def oracle_cross_ratio(v1, v2, v3, v4):
@@ -308,8 +326,8 @@ def oracle_cross_ratio(v1, v2, v3, v4):
 def oracle_projective_map_through(sources, targets):
     """The map of P^1 taking three sources to three targets, built on
     FieldElements: the targets' frame after the inverse (the adjugate)
-    of the sources' frame, each frame a ProjectiveMap; a frame's columns
-    are l1 p1 and l2 p2 with p3 = l1 p1 + l2 p2, by Cramer."""
+    of the sources' frame, each frame a matrix; a frame's columns are
+    l1 p1 and l2 p2 with p3 = l1 p1 + l2 p2, by Cramer."""
     sources = tuple(sources)
     targets = tuple(targets)
     if len(sources) != 3 or len(targets) != 3:
@@ -325,14 +343,10 @@ def oracle_projective_map_through(sources, targets):
             raise DegeneratePoints("frame points are not pairwise distinct")
         l1 = d23 / d12
         l2 = -d13 / d12
-        f = p1[0].fd
-        return ProjectiveMap(Matrix.from_rows([[l1 * p1[0], l2 * p2[0]],
-                                               [l1 * p1[1], l2 * p2[1]]], f))
+        return ((l1 * p1[0], l2 * p2[0]), (l1 * p1[1], l2 * p2[1]))
 
-    ms = frame(*sources).matrix
-    a, b, c, d = ms.entries
-    adjugate = ProjectiveMap(Matrix.from_rows([[d, -b], [-c, a]], ms.field))
-    return oracle_compose(frame(*targets), adjugate)
+    (a, b), (c, d) = frame(*sources)
+    return oracle_matmul(frame(*targets), ((d, -b), (-c, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +355,7 @@ def oracle_projective_map_through(sources, targets):
 def oracle_ceva_value(a, fourset):
     """|p1 p5||p2 p6||p3 p4| / |p1 p6||p2 p4||p3 p5| for the canonical
     labels; the 4-set is a coincidence pattern exactly when this is 1."""
-    detectors._check_k2(a)
+    detectors._check_k(a, 2)
     if not isinstance(fourset, FourSet):
         fourset = FourSet(fourset)
     v = [a.normal(q) for q in fourset.labels()]
@@ -353,7 +367,7 @@ def oracle_ceva_value(a, fourset):
 
 def oracle_crossratio_form(a, fourset):
     """The triple cross-ratio product; always equals -oracle_ceva_value."""
-    detectors._check_k2(a)
+    detectors._check_k(a, 2)
     if not isinstance(fourset, FourSet):
         fourset = FourSet(fourset)
     p = fourset.labels()
@@ -367,7 +381,7 @@ def oracle_crossratio_form(a, fourset):
 def oracle_quint_value(a, q):
     """The two cross ratios [a0,a1;a2,a3] and [a0,a4;a5,a6]; the family
     is a coincidence pattern exactly when they are equal."""
-    detectors._check_k2(a)
+    detectors._check_k(a, 2)
     v0 = a.normal(q.center)
     va = [a.normal(p) for p in q.ta]
     vb = [a.normal(p) for p in q.tb]
@@ -552,7 +566,7 @@ def oracle_quintuple_points(a):
     """Every canonical family [c; ta] = [c; tb] found on the signed
     ratio table, each built by QuintFamily(c, ta, tb) and the list
     sorted by QuintFamily._sort_key."""
-    detectors._check_k2(a)
+    detectors._check_k(a, 2)
     fd = a.field
     mul, neg = fd._mul, fd._neg
     dets, inverses = {}, {}

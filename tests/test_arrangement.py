@@ -1,4 +1,5 @@
-"""Arrangements, projective utilities, and the translate solver."""
+"""Arrangements, the projective map through three points, and the
+translate solver."""
 
 import random
 from fractions import Fraction
@@ -7,35 +8,32 @@ import pytest
 
 from discarr import (
     Arrangement,
+    Cyclotomic,
     Galois,
     IndexFamily,
-    Matrix,
     NotGeneric,
     Prime,
-    ProjectiveMap,
     Quadratic,
     Rational,
     arrangement_from_json,
     arrangement_to_json,
-    cross3,
     discriminantal_normal,
     is_generic,
     projective_map_through,
     translate_solver,
 )
-from discarr.arrangement import (
-    DegeneratePoints,
-    normalize_projective,
-    projectively_equal,
-)
+from discarr.arrangement import DegeneratePoints
 from discarr.gallery import crapo, f4_arrangement, octahedral, regular_polygon
 
 from _helpers import (
+    cofactor_det,
     oracle_apply,
-    oracle_compose,
+    oracle_matmul,
+    oracle_cross3,
     oracle_cross_ratio,
     oracle_is_identity,
     oracle_maps_to,
+    oracle_same_map,
     projective_map,
 )
 
@@ -65,19 +63,6 @@ def test_is_generic():
     assert not is_generic(Arrangement(Q, 2, ((1, 0), (2, 0), (0, 1))))
     assert not is_generic(Arrangement(Q, 2, ((0, 0), (1, 0), (0, 1))))
     assert is_generic(f4_arrangement())
-
-
-def test_projective_equality_and_normalization():
-    u = (Q.from_int(2), Q.from_int(4))
-    v = (Q.from_int(3), Q.from_int(6))
-    w = (Q.from_int(3), Q.from_int(5))
-    assert projectively_equal(u, v)
-    assert not projectively_equal(u, w)
-    assert not projectively_equal(u, (Q.zero(), Q.zero()))
-    assert normalize_projective(u) == (Q.one(), Q.from_int(2))
-    assert normalize_projective((Q.zero(), Q.from_int(-3))) == (Q.zero(), Q.one())
-    with pytest.raises(ValueError):
-        normalize_projective((Q.zero(), Q.zero()))
 
 
 def test_cross_ratio_frame():
@@ -110,32 +95,32 @@ def test_cross_ratio_degenerate():
 
 
 def _adjugate(f):
-    """The adjugate of f's matrix, the inverse map: the 2 x 2 one in
+    """The adjugate of the matrix f, the inverse map: the 2 x 2 one in
     closed form, the 3 x 3 one with the cross products of the columns as
     its rows."""
-    m = f.matrix
-    if m.rows == 2:
-        a, b, c, d = m.entries
-        return projective_map([[d, -b], [-c, a]], m.field)
-    c1, c2, c3 = zip(*m.row_list())
-    return projective_map([cross3(c2, c3), cross3(c3, c1), cross3(c1, c2)], m.field)
+    if len(f) == 2:
+        (a, b), (c, d) = f
+        return ((d, -b), (-c, a))
+    c1, c2, c3 = zip(*f)
+    return (oracle_cross3(c2, c3), oracle_cross3(c3, c1), oracle_cross3(c1, c2))
 
 
 def test_projective_map_operations():
+    # the map oracles the projective_map_through tests rely on; maps are
+    # compared up to scaling
     f = projective_map([[1, 2], [3, 4]], Q)
     g = projective_map([[0, 1], [1, 0]], Q)
-    assert oracle_is_identity(oracle_compose(f, _adjugate(f)))
+    assert oracle_is_identity(oracle_matmul(f, _adjugate(f)))
     h = projective_map([[1, 2, 0], [0, 1, 3], [4, 0, 1]], Q)
-    assert oracle_is_identity(oracle_compose(h, _adjugate(h)))
-    assert oracle_is_identity(oracle_compose(_adjugate(h), h))
+    assert oracle_is_identity(oracle_matmul(h, _adjugate(h)))
+    assert oracle_is_identity(oracle_matmul(_adjugate(h), h))
     assert oracle_is_identity(projective_map([[5, 0], [0, 5]], Q))
     assert not oracle_is_identity(g)
-    assert oracle_compose(f, g) == projective_map([[2, 1], [4, 3]], Q)
-    assert f != g and f != projective_map([[1, 2, 0], [3, 4, 0], [0, 0, 1]], Q)
-    scaled = projective_map([[3, 6], [9, 12]], Q)
-    assert f == scaled and hash(f) == hash(scaled)
-    with pytest.raises(DegeneratePoints):
-        projective_map([[1, 2], [2, 4]], Q)
+    assert oracle_same_map(oracle_matmul(f, g), projective_map([[2, 1], [4, 3]], Q))
+    assert not oracle_same_map(f, g)
+    assert not oracle_same_map(f, projective_map([[1, 2, 0], [3, 4, 0], [0, 0, 1]], Q))
+    assert oracle_same_map(f, projective_map([[3, 6], [9, 12]], Q))
+    assert not oracle_same_map(f, projective_map([[0, 0], [0, 0]], Q))
 
 
 @pytest.mark.parametrize("fd", [Prime(7), Prime(2), Galois(2, (1, 1, 0, 1)), Galois(3, (1, 0, 1))],
@@ -156,24 +141,21 @@ def test_2x2_projective_map_inverse_over_finite_fields(fd):
         f = projective_map([[a, b], [c, d]], fd)
         inv = _adjugate(f)
         s = rng.choice(nonzero)
-        assert inv == projective_map([[s * d, -s * b], [-s * c, s * a]], fd)
-        assert oracle_is_identity(oracle_compose(f, inv))
-        assert oracle_is_identity(oracle_compose(inv, f))
+        assert oracle_same_map(inv, projective_map([[s * d, -s * b], [-s * c, s * a]], fd))
+        assert oracle_is_identity(oracle_matmul(f, inv))
+        assert oracle_is_identity(oracle_matmul(inv, f))
         assert all(oracle_maps_to(inv, oracle_apply(f, v), v) for v in points)
 
 
 def test_entries_coerce_into_the_field():
     # one coercion for normals and the parametrized family: an element of
     # another field is a FieldMismatch, a Fraction over F_p is its
-    # numerator over its denominator, anything else a TypeError; a map's
-    # matrix refuses an entry of another field
+    # numerator over its denominator, anything else a TypeError
     from discarr.exactfield import FieldMismatch
 
     g = Quadratic(5).generator()
     with pytest.raises(FieldMismatch):
         Arrangement(Q, 2, ((1, 0), (0, 1), (g, 1)))
-    with pytest.raises(FieldMismatch):
-        ProjectiveMap(Matrix.from_rows([[Q.one(), Q.zero()], [g, Q.one()]], Q))
     with pytest.raises(TypeError):
         Arrangement(Q, 2, ((1, 0), (0, 1), (1.5, 1)))
     f7 = Prime(7)
@@ -195,6 +177,51 @@ def test_projective_map_through():
     assert oracle_cross_ratio(*dst, img) == r
     with pytest.raises(DegeneratePoints):
         projective_map_through((src[0], src[0], src[1]), dst)
+
+
+MAP_FIELDS = {"Q": Q, "F7": Prime(7), "GF8": Galois(2, (1, 1, 0, 1)),
+              "GF9": Galois(3, (1, 0, 1)), "sqrt5": Quadratic(5), "zeta12": Cyclotomic(12)}
+
+
+@pytest.mark.parametrize("name", MAP_FIELDS)
+def test_projective_map_through_distinct_points_is_invertible(name):
+    # the library checks no determinant: _frame's distinctness test is
+    # what makes every map invertible, and coincident points, among the
+    # sources or the targets, still raise DegeneratePoints
+    fd = MAP_FIELDS[name]
+    rng = random.Random(f"map-through-{name}")
+    if fd.characteristic():
+        pool = list(fd.iter_elements())
+    elif fd == Q:
+        pool = [Q.from_fraction(Fraction(a, b)) for a in range(-4, 5) for b in (1, 2, 3)]
+    else:
+        g = fd.generator()
+        pool = [fd.from_int(a) + fd.from_int(b) * g for a in range(-3, 4) for b in range(-1, 2)]
+
+    def point():
+        while True:
+            p = (rng.choice(pool), rng.choice(pool))
+            if not all(e.is_zero() for e in p):
+                return p
+
+    def distinct():
+        while True:
+            pts = (point(), point(), point())
+            if all(not cofactor_det([u, v]).is_zero() for i, u in enumerate(pts)
+                   for v in pts[i + 1:]):
+                return pts
+
+    for _ in range(40):
+        src, dst = distinct(), distinct()
+        f = projective_map_through(src, dst)
+        assert not cofactor_det(f).is_zero()
+        assert all(oracle_maps_to(f, s, d) for s, d in zip(src, dst))
+        c = rng.choice([x for x in pool if not x.is_zero()])
+        twin = tuple(c * e for e in src[0])
+        with pytest.raises(DegeneratePoints):
+            projective_map_through((src[0], twin, src[2]), dst)
+        with pytest.raises(DegeneratePoints):
+            projective_map_through(src, (dst[0], dst[1], dst[1]))
 
 
 def test_translate_solver_single_triple():

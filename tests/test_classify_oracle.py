@@ -3,14 +3,14 @@
 The oracles below are the original routines: GF(p^m) sums and negations
 coefficientwise modulo p, products as polynomial products reduced modulo
 the modulus, inverses by the extended Euclidean algorithm in F_p[x],
-determinants by Gaussian elimination on field elements, and good
-6-partitions by one cross-product determinant per matching.  The library
-adds through Zech logarithms, negates by a shift of the logarithm,
-multiplies and inverts through exp/log tables (small fields) or
-square-and-multiply (large fields), expands determinants up to 3x3 by
-cofactors on payloads, and reads good6_points off the arrangement's
-signed table of 3x3 minors, two products per matching; all must agree
-exactly.
+determinants by Gaussian elimination on field elements (on lists of
+rows), and good 6-partitions by one cross-product determinant per
+matching.  The library adds through Zech logarithms, negates by a shift
+of the logarithm, multiplies and inverts through exp/log tables (small
+fields) or square-and-multiply (large fields), expands determinants up
+to 3x3 by cofactors on payloads, and reads good6_points and
+good6_condition off the arrangement's signed table of 3x3 minors, two
+products per matching; all must agree exactly.
 """
 
 import random
@@ -25,13 +25,10 @@ from discarr import (
     Cyclotomic,
     Galois,
     Good6Partition,
-    Matrix,
     NotGeneric,
     Prime,
     Quadratic,
     Rational,
-    cross3,
-    det,
     good6_condition,
     good6_points,
     is_generic,
@@ -40,7 +37,7 @@ from discarr import (
 from discarr.exactfield import _GALOIS_TABLE_LIMIT
 from discarr.gallery import f4_arrangement, is_parameter_generic, parametrized
 
-from _helpers import perfect_matchings
+from _helpers import cofactor_det, oracle_cross3, payload_det, perfect_matchings
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +114,11 @@ def oracle_inv(fd, a):
     return _pad(fd, [x * c_inv % p for x in s0])
 
 
-def oracle_det(m):
+def oracle_det(rows):
     """Gaussian elimination on field elements, one inversion per pivot."""
-    n = m.rows
-    a = m.row_list()
-    field = m.field
+    n = len(rows)
+    a = [list(r) for r in rows]
+    field = a[0][0].fd
     result = field.one()
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
@@ -141,7 +138,7 @@ def oracle_det(m):
 
 
 def oracle_is_generic(a):
-    return all(not oracle_det(Matrix.from_rows(list(rows), a.field)).is_zero()
+    return all(not oracle_det(rows).is_zero()
                for rows in combinations(a.normals, a.k))
 
 
@@ -152,8 +149,8 @@ def oracle_good6(a):
     found = []
     for subset in combinations(a.indices, 6):
         for pairs in perfect_matchings(subset):
-            rows = [cross3(a.normal(p), a.normal(q)) for p, q in pairs]
-            if oracle_det(Matrix.from_rows(rows, a.field)).is_zero():
+            rows = [oracle_cross3(a.normal(p), a.normal(q)) for p, q in pairs]
+            if oracle_det(rows).is_zero():
                 found.append(Good6Partition(pairs))
     return sorted(found)
 
@@ -281,8 +278,8 @@ def test_det_matches_gaussian_oracle(name):
     zeros = 0
     for n in (1, 2, 3, 3, 3, 4):
         for _ in range(12):
-            m = Matrix.from_rows([[draw(rng) for _ in range(n)] for _ in range(n)], fd)
-            d = det(m)
+            m = [[draw(rng) for _ in range(n)] for _ in range(n)]
+            d = payload_det(m, fd)
             assert d == oracle_det(m)
             zeros += d.is_zero()
     assert zeros  # singular inputs are covered too
@@ -304,11 +301,28 @@ def test_good6_points_match_matching_oracle(name):
             found = good6_points(a)
             assert found == oracle_good6(a)
             outcomes["with partitions" if found else "without"] += 1
+    assert outcomes["not generic"] and outcomes["with partitions"] + outcomes["without"]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS) + ["zeta12"])
+def test_good6_condition_is_the_cross_product_det(name):
+    # the bracket form [x x2 z][y y2 z2] - [x x2 z2][y y2 z] on signed
+    # minors equals det(x x x2, y x y2, z x z2) exactly, on every
+    # matching of every 6-subset, generic and non-generic inputs alike
+    fd = FIELDS.get(name) or Cyclotomic(12)
+    outcomes = Counter()
+    for seed in range(2):
+        for a in seeded_planes(fd, seed):
+            generic = oracle_is_generic(a)
             for subset in combinations(a.indices, 6):
                 for pairs in perfect_matchings(subset):
-                    rows = [cross3(a.normal(p), a.normal(q)) for p, q in pairs]
-                    assert good6_condition(a, pairs) == oracle_det(Matrix.from_rows(rows, fd))
-    assert outcomes["not generic"] and outcomes["with partitions"] + outcomes["without"]
+                    rows = [oracle_cross3(a.normal(p), a.normal(q)) for p, q in pairs]
+                    value = good6_condition(a, Good6Partition(pairs))
+                    assert value == cofactor_det(rows)
+                    outcomes[generic, value.is_zero()] += 1
+    # generic and non-generic inputs, vanishing and nonvanishing values
+    # (over GF(4) every matching of the seeded generic inputs is good)
+    assert {g for g, _ in outcomes} == {z for _, z in outcomes} == {True, False}
 
 
 def test_good6_oracle_cases_find_partitions():

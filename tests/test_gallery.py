@@ -56,6 +56,7 @@ from discarr.permtype import matching_to_edge
 from _helpers import (
     oracle_ceva_value,
     oracle_quint_value,
+    oracle_same_map,
     perfect_matchings,
     projective_map,
     rand_fraction,
@@ -126,7 +127,7 @@ def test_octahedral_involution_matrices(fixed_gallery):
     hits = []
     for rows in matrices:
         pm = projective_map(rows, f)
-        match = [idx for idx, (_, g) in enumerate(detected) if g == pm]
+        match = [idx for idx, (_, g) in enumerate(detected) if oracle_same_map(g, pm)]
         assert len(match) == 1
         hits.append(match[0])
     assert sorted(hits) == list(range(6))
@@ -143,7 +144,7 @@ def test_octahedral_first_matrix_through_three_points(fixed_gallery):
     g = projective_map_through(
         (a.normal(1), a.normal(2), a.normal(3)),
         (a.normal(3), a.normal(4), a.normal(1)))
-    assert g == first
+    assert oracle_same_map(g, first)
 
 
 def test_dodecahedral_profile(fixed_gallery):

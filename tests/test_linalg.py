@@ -1,5 +1,7 @@
-"""Exact linear algebra over the field layer: det, the span's rank and
-kernel (_Span.over), and cross3."""
+"""Exact linear algebra over the field layer: the one determinant
+(_det_payloads, read through payload_det), the span's rank and kernel
+(_Span.over), and the cross product oracle the good 6-partition tests
+compare against."""
 
 import random
 from fractions import Fraction
@@ -8,24 +10,23 @@ from itertools import permutations, product
 import pytest
 
 from discarr import (
+    Arrangement,
     Cyclotomic,
     FieldMismatch,
     Galois,
-    Matrix,
     Prime,
     Quadratic,
     Rational,
-    cross3,
-    det,
 )
-from discarr.linalg import DimensionMismatch, NotSquare, _Span
+from discarr.linalg import _Span
 
 from _helpers import (
     cofactor_det,
     oracle_apply,
-    oracle_compose,
+    oracle_cross3,
     oracle_matmul,
     oracle_rank,
+    payload_det,
     payload_span,
     projective_map,
     span_kernel,
@@ -35,7 +36,11 @@ from _helpers import (
 
 def _mat(rows, field=None):
     f = field or Rational()
-    return Matrix.from_rows([[f.from_int(x) for x in r] for r in rows], f)
+    return [[f.from_int(x) for x in r] for r in rows]
+
+
+def _det(rows):
+    return payload_det(rows, rows[0][0].fd)
 
 
 def _times(rows, v):
@@ -45,9 +50,9 @@ def _times(rows, v):
 
 def test_det_known_values():
     q = Rational()
-    assert det(_mat([[1, 2], [3, 4]])) == q.from_int(-2)
-    assert det(_mat([[int(i == j) for j in range(4)] for i in range(4)])) == q.one()
-    assert det(_mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == q.zero()
+    assert _det(_mat([[1, 2], [3, 4]])) == q.from_int(-2)
+    assert _det(_mat([[int(i == j) for j in range(4)] for i in range(4)])) == q.one()
+    assert _det(_mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == q.zero()
 
 
 def test_det_matches_cofactor_oracle():
@@ -57,7 +62,7 @@ def test_det_matches_cofactor_oracle():
         for _ in range(12):
             rows = [[q.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
                      for _ in range(n)] for _ in range(n)]
-            assert det(Matrix.from_rows(rows, q)) == cofactor_det(rows)
+            assert _det(rows) == cofactor_det(rows)
 
 
 DET_FIELDS = {"F7": Prime(7), "GF9": Galois(3, (1, 0, 1)),
@@ -103,7 +108,7 @@ def test_det_above_3x3_matches_cofactor_oracle(name):
     for rows in cases:
         expected = cofactor_det(rows)
         singular += expected.is_zero()
-        assert det(Matrix.from_rows(rows, fd)) == expected
+        assert _det(rows) == expected
     assert singular >= 20
 
 
@@ -117,7 +122,7 @@ def test_det_of_permutation_matrices_is_their_sign(name):
             rows = [[one if j == perm[i] else zero for j in range(n)] for i in range(n)]
             sign = one if _sign(perm) == 1 else -one
             odd += _sign(perm) == -1
-            assert det(Matrix.from_rows(rows, fd)) == sign == cofactor_det(rows)
+            assert _det(rows) == sign == cofactor_det(rows)
     assert odd == 12 + 60
 
 
@@ -125,10 +130,10 @@ def test_det_over_nonrational_fields():
     f = Quadratic(5)
     g = f.generator()
     rows = [[g, f.one()], [f.one(), g]]
-    assert det(Matrix.from_rows(rows, f)) == g * g - f.one()
+    assert _det(rows) == g * g - f.one()
     p = Prime(7)
     rows = [[p.from_int(2), p.from_int(3)], [p.from_int(4), p.from_int(5)]]
-    assert det(Matrix.from_rows(rows, p)) == p.from_int(-2)
+    assert _det(rows) == p.from_int(-2)
 
 
 def test_det_multiplicativity():
@@ -141,32 +146,27 @@ def test_det_multiplicativity():
         return x + g * f.from_int(rng.randint(-4, 4))
 
     for _ in range(10):
-        a = Matrix.from_rows([[elem() for _ in range(3)] for _ in range(3)], f)
-        b = Matrix.from_rows([[elem() for _ in range(3)] for _ in range(3)], f)
-        assert det(oracle_matmul(a, b)) == det(a) * det(b)
-
-
-def test_det_requires_square():
-    with pytest.raises(NotSquare):
-        det(_mat([[1, 2, 3], [4, 5, 6]]))
+        a = [[elem() for _ in range(3)] for _ in range(3)]
+        b = [[elem() for _ in range(3)] for _ in range(3)]
+        assert _det(oracle_matmul(a, b)) == _det(a) * _det(b)
 
 
 def test_det2():
-    # the 2 x 2 cofactor branch of det, which the minors table runs
+    # the 2 x 2 cofactor branch, which the k = 2 minors table runs
     q = Rational()
     u = (q.from_int(2), q.from_int(5))
     v = (q.from_int(1), q.from_int(4))
-    assert det(Matrix.from_rows([u, v], q)) == q.from_int(3) == cofactor_det([u, v])
-    assert det(Matrix.from_rows([v, u], q)) == q.from_int(-3)
+    assert _det([u, v]) == q.from_int(3) == cofactor_det([u, v])
+    assert _det([v, u]) == q.from_int(-3)
 
 
 def test_rank_and_transpose():
     q = Rational()
-    rows = _mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).row_list()
+    rows = _mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert payload_span(rows, q).rank == 2
     assert payload_span(list(zip(*rows)), q).rank == 2
     identity = _mat([[int(i == j) for j in range(5)] for i in range(5)])
-    assert payload_span(identity.row_list(), q).rank == 5
+    assert payload_span(identity, q).rank == 5
     assert _Span.over(q).rank == 0
 
 
@@ -183,13 +183,15 @@ def test_rank_of_rows_matches_matrix_rank():
 def test_rank_of_rows_rejects_foreign_elements():
     # rational rows read under another field: (1,2),(4,1) would read as
     # rank 1 over F_7, and 1/2 has no payload in F_7 or GF(4); the
-    # matrix refuses them before any payload is read
+    # arrangement, whose minors and discriminantal rows are the only
+    # payload rows the library builds, refuses them before any payload
+    # is read
     q = Rational()
     whole = [(q.from_int(1), q.from_int(2)), (q.from_int(4), q.from_int(1))]
     half = [(q.from_fraction(Fraction(1, 2)), q.one()), (q.one(), q.one())]
     for rows, fd in ((whole, Prime(7)), (half, Prime(7)), (half, Galois(2, (1, 1, 1)))):
         with pytest.raises(FieldMismatch):
-            Matrix.from_rows(rows, fd)
+            Arrangement(fd, 2, rows + [(1, 0)])
 
 
 def test_kernel_annihilates():
@@ -210,11 +212,11 @@ def test_kernel_annihilates():
 
 def test_solve_consistent_and_inconsistent():
     q = Rational()
-    m = _mat([[1, 1], [1, -1]]).row_list()
+    m = _mat([[1, 1], [1, -1]])
     assert span_solution(m, (q.from_int(3), q.from_int(1))) == (q.from_int(2), q.from_int(1))
     assert span_kernel(m, q, 2) == []
     # rank-1 system with incompatible right side
-    m2 = _mat([[1, 2], [2, 4]]).row_list()
+    m2 = _mat([[1, 2], [2, 4]])
     assert span_solution(m2, (q.from_int(1), q.from_int(3))) is None
     assert len(span_kernel(m2, q, 2)) == 1
 
@@ -234,18 +236,18 @@ def test_solve_random_systems():
 
 
 def test_cross3_properties():
+    # the oracle good6_condition is compared against: u x v is orthogonal
+    # to u and v, antisymmetric, and u . (v x w) is det(u, v, w)
     rng = random.Random("cross")
     q = Rational()
     for _ in range(20):
-        u = tuple(q.from_int(rng.randint(-5, 5)) for _ in range(3))
-        v = tuple(q.from_int(rng.randint(-5, 5)) for _ in range(3))
-        w = cross3(u, v)
+        u, v, x = (tuple(q.from_int(rng.randint(-5, 5)) for _ in range(3)) for _ in range(3))
+        w = oracle_cross3(u, v)
         dot_u = sum((a * b for a, b in zip(u, w)), q.zero())
         dot_v = sum((a * b for a, b in zip(v, w)), q.zero())
         assert dot_u.is_zero() and dot_v.is_zero()
-        assert cross3(v, u) == tuple(-e for e in w)
-    with pytest.raises(DimensionMismatch):
-        cross3((q.one(), q.one()), (q.one(), q.one(), q.one()))
+        assert oracle_cross3(v, u) == tuple(-e for e in w)
+        assert sum((a * b for a, b in zip(x, w)), q.zero()) == cofactor_det([u, v, x])
 
 
 def test_matrix_multiplication_and_apply():
@@ -254,5 +256,5 @@ def test_matrix_multiplication_and_apply():
     q = Rational()
     a = projective_map([[1, 2], [3, 4]], q)
     b = projective_map([[0, 1], [1, 0]], q)
-    assert oracle_compose(a, b).matrix.row_list() == _mat([[2, 1], [4, 3]]).row_list()
+    assert oracle_matmul(a, b) == projective_map([[2, 1], [4, 3]], q)
     assert oracle_apply(a, (q.from_int(1), q.from_int(1))) == (q.from_int(3), q.from_int(7))

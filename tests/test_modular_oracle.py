@@ -22,7 +22,6 @@ from discarr import (
     Quadratic,
     build_discriminantal,
     build_gallery,
-    cross3,
     good6_points,
     intersection_lattice,
     is_generic,
@@ -41,7 +40,7 @@ from discarr.modular import (
     modular_image,
 )
 
-from _helpers import oracle_lucas_root, perfect_matchings
+from _helpers import oracle_cross3, oracle_lucas_root, perfect_matchings
 
 
 def _detect(a):
@@ -130,9 +129,9 @@ def _with_pattern(fd, k, rng):
             normals = [[fd.one(), fd.zero()]] + t + moved
         else:
             p1, q1, p2, q2, p3 = ([_element(fd, rng) for _ in range(3)] for _ in range(5))
-            w = cross3(cross3(p1, q1), cross3(p2, q2))
+            w = oracle_cross3(oracle_cross3(p1, q1), oracle_cross3(p2, q2))
             r = _element(fd, rng)
-            q3 = [x + r * y for x, y in zip(cross3(cross3(w, p3), p3), p3)]
+            q3 = [x + r * y for x, y in zip(oracle_cross3(oracle_cross3(w, p3), p3), p3)]
             normals = [p1, q1, p2, q2, p3, q3]
         a = Arrangement(fd, k, normals)
         if is_generic(a):

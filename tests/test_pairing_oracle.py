@@ -21,13 +21,11 @@ from discarr import (
     Arrangement,
     Cyclotomic,
     Galois,
-    Matrix,
     NotGeneric,
     Prime,
     Quadratic,
     Rational,
     build_gallery,
-    det,
     find_involutions,
     good6_closure_checks,
     good6_points,
@@ -39,13 +37,16 @@ from discarr.gallery import TYPE_ORDER, is_parameter_generic, parametrized, witn
 from discarr.modular import modular_image
 
 from _helpers import (
+    cofactor_det,
     count_payload_calls,
     imposed_k3,
-    oracle_compose,
+    oracle_matmul,
     oracle_det_table,
     oracle_good6_closure_checks,
     oracle_is_identity,
+    oracle_maps_to,
     oracle_pairings,
+    payload_det,
     random_k3,
 )
 
@@ -118,7 +119,7 @@ def _imposed(fd, k, rng):
 
 
 def _independent(fd, normals, v) -> bool:
-    return all(not det(Matrix.from_rows([*rest, v], fd)).is_zero()
+    return all(not payload_det([*rest, v], fd).is_zero()
                for rest in combinations(normals, len(v) - 1))
 
 
@@ -176,6 +177,8 @@ INVOLUTION_FIELDS = {
     "F7": Prime(7),
     "F11": Prime(11),
     "Q": Rational(),
+    "sqrt5": Quadratic(5),
+    "zeta12": Cyclotomic(12),
 }
 
 
@@ -183,8 +186,10 @@ INVOLUTION_FIELDS = {
 def test_involutions_are_exactly_the_pairings(name):
     """find_involutions keeps a map for every matching _pairings passes,
     in order: the relation is an iff in every characteristic, and each
-    map has trace 0, so it squares to a scalar (Cayley-Hamilton).  GF(4)
-    has five points, too few for six generic lines."""
+    map is invertible (nonzero determinant, with no check in the
+    library), sends each normal to its partner and back, and has trace
+    0, so it squares to a scalar (Cayley-Hamilton).  GF(4) has five
+    points, too few for six generic lines."""
     fd = INVOLUTION_FIELDS[name]
     rng = random.Random(f"involutions-{name}")
     maps = 0
@@ -193,9 +198,13 @@ def test_involutions_are_exactly_the_pairings(name):
         invs = find_involutions(a)
         assert [m for m, _ in invs] == [frozenset(frozenset(p) for p in pairs)
                                         for pairs in _pairings(a)]
-        for _, f in invs:
-            assert (f.matrix[0, 0] + f.matrix[1, 1]).is_zero()
-            assert oracle_is_identity(oracle_compose(f, f))
+        for m, f in invs:
+            assert not cofactor_det(f).is_zero()
+            assert (f[0][0] + f[1][1]).is_zero()
+            assert oracle_is_identity(oracle_matmul(f, f))
+            for p, q in map(sorted, m):
+                assert oracle_maps_to(f, a.normal(p), a.normal(q))
+                assert oracle_maps_to(f, a.normal(q), a.normal(p))
         maps += len(invs)
     assert maps >= 75
 
@@ -267,14 +276,14 @@ def test_six_element_detectors_do_two_products_per_side(monkeypatch, detector, n
 
 
 def test_find_involutions_builds_no_signed_table(monkeypatch):
-    # the 60 products of the pairing relation, then one map of 34
+    # the 60 products of the pairing relation, then one map of 32
     # products and 2 inverses per related matching, each inverse over
     # Q(i) one more product; nothing is built per ordering or matching
     a = build_gallery("octahedral")
     assert is_generic(a)
     calls = count_payload_calls(monkeypatch, a.field)
     assert len(find_involutions(a)) == 6
-    assert calls == Counter(_mul=60 + 6 * (34 + 2), _inv=6 * 2)
+    assert calls == Counter(_mul=60 + 6 * (32 + 2), _inv=6 * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ import pytest
 from discarr import (
     Arrangement,
     IndexFamily,
-    Matrix,
     NotGeneric,
     Prime,
     build_gallery,
@@ -47,12 +46,7 @@ from discarr import (
     translate_solver,
 )
 from discarr import arrangement, detectors, linalg
-from discarr.arrangement import (
-    DegeneratePoints,
-    NoGenericWitness,
-    _projected_row,
-    projectively_equal,
-)
+from discarr.arrangement import DegeneratePoints, NoGenericWitness, _projected_row
 from discarr.exactfield import FieldElement, FieldMismatch
 from discarr.linalg import DimensionMismatch
 
@@ -62,6 +56,7 @@ from _helpers import (
     imposed_k2,
     oracle_maps_to,
     oracle_projective_map_through,
+    oracle_proportional,
     payload_span,
     perfect_matchings,
     span_kernel,
@@ -99,16 +94,16 @@ def oracle_rref(rows, field):
 
 
 def oracle_rank(m):
-    return len(oracle_rref(m.row_list(), m.field))
+    return len(oracle_rref([list(r) for r in m], m[0][0].fd))
 
 
 def oracle_kernel(m):
-    field = m.field
-    rows = m.row_list()
-    pivots = oracle_rref(rows, field) if rows else []
+    field, ncols = m[0][0].fd, len(m[0])
+    rows = [list(r) for r in m]
+    pivots = oracle_rref(rows, field)
     basis = []
-    for fc in (c for c in range(m.cols) if c not in pivots):
-        v = [field.zero()] * m.cols
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
         v[fc] = field.one()
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
@@ -117,23 +112,24 @@ def oracle_kernel(m):
 
 
 def oracle_inverse(m):
-    n, field = m.rows, m.field
-    aug = [list(m.row(i)) + [field.one() if i == j else field.zero() for j in range(n)]
-           for i in range(n)]
+    n, field = len(m), m[0][0].fd
+    aug = [list(r) + [field.one() if i == j else field.zero() for j in range(n)]
+           for i, r in enumerate(m)]
     pivots = oracle_rref(aug, field)
     if pivots and pivots[-1] >= n:
         raise ZeroDivisionError(f"singular {n}x{n} matrix")
-    return Matrix.from_rows([row[n:] for row in aug], field)
+    return [row[n:] for row in aug]
 
 
 def oracle_solve(m, b):
-    aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-    pivots = oracle_rref(aug, m.field)
-    if m.cols in pivots:
+    field, ncols = m[0][0].fd, len(m[0])
+    aug = [list(r) + [e] for r, e in zip(m, b)]
+    pivots = oracle_rref(aug, field)
+    if ncols in pivots:
         return None
-    x = [m.field.zero()] * m.cols
+    x = [field.zero()] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = aug[r][m.cols]
+        x[pc] = aug[r][ncols]
     return tuple(x)
 
 
@@ -162,13 +158,13 @@ def oracle_translate_solver(a, family):
     k, n = a.k, a.n
     rows = [list(discriminantal_normal(a, sub))
             for L in family for sub in combinations(L, k + 1)]
-    basis = oracle_kernel(Matrix.from_rows(rows, f))
+    basis = oracle_kernel(rows)
     if not basis:
         return None
     functionals = []
     for L in family:
         head = L[:k]
-        minv = oracle_inverse(Matrix.from_rows([list(a.normal(p)) for p in head], f))
+        minv = oracle_inverse([a.normal(p) for p in head])
         for q in a.indices:
             if q in L:
                 continue
@@ -177,7 +173,7 @@ def oracle_translate_solver(a, family):
             for j, p in enumerate(head):
                 coef = f.zero()
                 for i in range(k):
-                    coef = coef + aq[i] * minv[i, j]
+                    coef = coef + aq[i] * minv[i][j]
                 lam[p - 1] = coef
             lam[q - 1] = lam[q - 1] - f.one()
             functionals.append(lam)
@@ -237,6 +233,10 @@ def _fmt(v):
     return None if v is None else tuple(format_element(x) for x in v)
 
 
+def _fmt_map(f):
+    return tuple(_fmt(r) for r in f)
+
+
 # ---------------------------------------------------------------------------
 # seeded inputs
 
@@ -286,7 +286,7 @@ def test_involutions_match_map_per_matching_oracle(name):
         found = find_involutions(a)
         assert [m for m, _ in found] == [m for m, _ in expected]
         for (_, f), (_, g) in zip(found, expected):
-            assert _fmt(f.matrix.entries) == _fmt(g.matrix.entries)
+            assert _fmt_map(f) == _fmt_map(g)
         tally["involutions"] += len(found)
     assert tally["not generic"] and tally["involutions"]
 
@@ -297,7 +297,7 @@ def test_involutions_match_oracle_on_gallery():
         found, expected = find_involutions(a), oracle_find_involutions(a)
         assert [m for m, _ in found] == [m for m, _ in expected]
         for (_, f), (_, h) in zip(found, expected):
-            assert _fmt(f.matrix.entries) == _fmt(h.matrix.entries)
+            assert _fmt_map(f) == _fmt_map(h)
 
 
 def test_one_map_per_involution(monkeypatch):
@@ -339,9 +339,9 @@ def test_projective_maps_match_fieldelement_oracle(name):
                 assert got is want
                 tally[want.__name__] += 1
                 continue
-            assert _fmt(got.matrix.entries) == _fmt(want.matrix.entries)
+            assert _fmt_map(got) == _fmt_map(want)
             if name == "Q":
-                assert all(_canonical_q(a.field, e.payload) for e in got.matrix.entries)
+                assert all(_canonical_q(a.field, e.payload) for r in got for e in r)
             tally["maps"] += 1
     assert tally == Counter(maps=tally["maps"], DegeneratePoints=tally["DegeneratePoints"])
     assert tally["maps"] and tally["DegeneratePoints"]
@@ -380,17 +380,18 @@ def test_projective_map_refusals_match_oracle():
     }
 
 
-def test_one_projective_map_is_34_products_and_2_inverses(monkeypatch):
+def test_one_projective_map_is_32_products_and_2_inverses(monkeypatch):
     # two frames of 12 products and one inverse each (three 2 x 2 minors,
-    # l1 and l2, the four columns), 8 for the product with the adjugate
-    # and 2 for the one determinant check; the FieldElement path took 40
-    # and 4, with four determinant checks and an inverse per division
+    # l1 and l2, the four columns) and 8 for the product with the
+    # adjugate, with no determinant check (the frames' distinct points
+    # make the map invertible); the FieldElement path took 40 and 4,
+    # with four determinant checks and an inverse per division
     a = build_gallery("crapo")
     src = [a.normal(p) for p in (1, 2, 3)]
     dst = [a.normal(p) for p in (4, 5, 6)]
     calls = count_payload_calls(monkeypatch, a.field)
     projective_map_through(src, dst)
-    assert calls == Counter(_mul=34, _inv=2)
+    assert calls == Counter(_mul=32, _inv=2)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +439,13 @@ def test_echelon_matches_fieldelement_oracle(name):
 
     def check(m, b):
         nonlocal singular
-        rows = m.row_list()
-        assert payload_span(rows, fd).rank == oracle_rank(m)
-        null = span_kernel(rows, fd, m.cols)
+        assert payload_span(m, fd).rank == oracle_rank(m)
+        null = span_kernel(m, fd, len(m[0]))
         assert [_fmt(v) for v in null] == [_fmt(v) for v in oracle_kernel(m)]
-        x = span_solution(rows, b)
+        x = span_solution(m, b)
         assert _fmt(x) == _fmt(oracle_solve(m, b))
         returned.extend([x, *null])
-        if m.rows == m.cols and len(null):
+        if len(m) == len(m[0]) and len(null):
             singular += 1
 
     for rows, cols in ((1, 1), (2, 2), (3, 3), (3, 3), (4, 4), (4, 4), (5, 5),
@@ -454,13 +454,11 @@ def test_echelon_matches_fieldelement_oracle(name):
             entries = [[draw(rng) for _ in range(cols)] for _ in range(rows)]
             if trial == 0 and rows > 1:
                 entries[-1] = entries[0]  # a repeated row
-            m = Matrix.from_rows(entries, fd)
-            check(m, tuple(draw(rng) for _ in range(rows)))
+            check(entries, tuple(draw(rng) for _ in range(rows)))
     assert singular  # singular inputs are covered too
-    for entries in _sparse_matrices(fd, draw, rng):
-        m = Matrix.from_rows(entries, fd)
-        check(m, tuple(draw(rng) for _ in range(m.rows)))
-        check(m, tuple(fd.zero() for _ in range(m.rows)))
+    for m in _sparse_matrices(fd, draw, rng):
+        check(m, tuple(draw(rng) for _ in range(len(m))))
+        check(m, tuple(fd.zero() for _ in range(len(m))))
     if name == "Q":
         payloads = _payloads(returned)
         assert payloads and all(_canonical_q(fd, p) for p in payloads)
@@ -474,9 +472,8 @@ def _rigid_part_removed(a, t):
     on coordinates 1..k (x solves the first k rows, by the oracle
     inverse), so the result vanishes there."""
     k = a.k
-    minv = oracle_inverse(Matrix.from_rows([list(a.normal(p)) for p in range(1, k + 1)],
-                                           a.field))
-    x = [sum((minv[i, j] * t[j] for j in range(k)), a.field.zero()) for i in range(k)]
+    minv = oracle_inverse([a.normal(p) for p in range(1, k + 1)])
+    x = [sum((minv[i][j] * t[j] for j in range(k)), a.field.zero()) for i in range(k)]
     return tuple(tp - sum((ai * xi for ai, xi in zip(a.normal(p), x)), a.field.zero())
                  for p, tp in zip(a.indices, t))
 
@@ -501,8 +498,8 @@ def _compare_translations(a, families):
         assert translation_problems(a, IndexFamily(fam), got) == []
         rows = [list(discriminantal_normal(a, sub))
                 for L in IndexFamily(fam) for sub in combinations(L, k + 1)]
-        if a.n - oracle_rank(Matrix.from_rows(rows, a.field)) == k + 1:
-            assert projectively_equal(got, _rigid_part_removed(a, want))
+        if a.n - oracle_rank(rows) == k + 1:
+            assert oracle_proportional(got, _rigid_part_removed(a, want))
         found += 1
     return found
 

@@ -10,7 +10,7 @@ the tests call belongs in tests/ as an oracle.
 Every import sits at module level, where a cycle or a missing name shows
 on import rather than on the first call.  A functools memo takes only
 int parameters, so none can key on an arrangement or keep one alive.
-Only the _Value base and the three classes whose equality is not a key
+Only the _Value base and the two classes whose equality is not a key
 comparison define __eq__ or __hash__, and every _Value subclass has
 __slots__ (an instance dict would cost memory on every value).  Only
 cli.main prints, touches sys.stdout or sys.stderr, reads the clock or
@@ -164,9 +164,8 @@ def test_memos_take_only_int_parameters(path):
 
 
 # FieldDescriptor keeps its own __eq__ (which the benchmark tracer wraps),
-# FieldElement raises FieldMismatch across fields, and ProjectiveMap
-# compares up to scaling
-OWN_EQUALITY = {"_Value", "FieldDescriptor", "FieldElement", "ProjectiveMap"}
+# and FieldElement raises FieldMismatch across fields
+OWN_EQUALITY = {"_Value", "FieldDescriptor", "FieldElement"}
 
 
 def _class_body_names(cls: ast.ClassDef) -> set[str]:

@@ -1,8 +1,10 @@
-"""det and the span's rank against sympy's DomainMatrix, an independent exact oracle.
+"""The one determinant (_det_payloads) and the span's rank against sympy's
+DomainMatrix, an independent exact oracle.
 
 sympy is optional: without it the module is skipped.  Matrices are
-seeded over Q, Q(sqrt 5) and Q(sqrt -3): dense ones for det at sizes 1-5
-(so both the cofactor and the elimination paths run), and products
+seeded over Q, Q(sqrt 5) and Q(sqrt -3), as lists of rows: dense ones
+for the determinant at sizes 1-5 (so both the cofactor and the span
+paths run), and products
 B * C with a short inner dimension, singular ones for det and mostly
 rank deficient ones for rank.
 """
@@ -12,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from discarr import Matrix, Quadratic, Rational, det
+from discarr import Quadratic, Rational
 
-from _helpers import oracle_matmul, payload_span
+from _helpers import oracle_matmul, payload_det, payload_span
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -36,10 +38,10 @@ def _to_oracle(K, x):
     return K.new([c1[0], c0])
 
 
-def _oracle_matrix(m):
-    K = _domain(m.field)
-    rows = [[_to_oracle(K, m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-    return K, DomainMatrix(rows, (m.rows, m.cols), K)
+def _oracle_matrix(fd, m):
+    K = _domain(fd)
+    rows = [[_to_oracle(K, e) for e in r] for r in m]
+    return K, DomainMatrix(rows, (len(m), len(m[0])), K)
 
 
 def _draw(fd, rng):
@@ -50,7 +52,7 @@ def _draw(fd, rng):
 
 
 def _random_matrix(fd, rng, rows, cols):
-    return Matrix(fd, rows, cols, [_draw(fd, rng) for _ in range(rows * cols)])
+    return [[_draw(fd, rng) for _ in range(cols)] for _ in range(rows)]
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -63,8 +65,8 @@ def test_det_matches_sympy(name):
             cases.append(oracle_matmul(_random_matrix(fd, rng, n, n - 1),
                                        _random_matrix(fd, rng, n - 1, n)))
         for m in cases:
-            K, oracle = _oracle_matrix(m)
-            assert _to_oracle(K, det(m)) == oracle.det()
+            K, oracle = _oracle_matrix(fd, m)
+            assert _to_oracle(K, payload_det(m, fd)) == oracle.det()
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -75,4 +77,4 @@ def test_rank_matches_sympy(name):
         rows, cols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
         m = oracle_matmul(_random_matrix(fd, rng, rows, inner),
                           _random_matrix(fd, rng, inner, cols))
-        assert payload_span(m.row_list(), fd).rank == _oracle_matrix(m)[1].rank()
+        assert payload_span(m, fd).rank == _oracle_matrix(fd, m)[1].rank()
