@@ -93,8 +93,7 @@ class Arrangement(_Value):
 
 def is_generic(a: Arrangement) -> bool:
     """True iff every k-subset of normals is linearly independent."""
-    is_zero = a.field._is_zero
-    return not any(is_zero(d) for d in a.minors().values())
+    return not any(map(a.field._is_zero, a.minors().values()))
 
 
 def _require_generic(a: Arrangement) -> None:

@@ -6,7 +6,8 @@ projective involution pairing the six lines), and the cross-ratio
 equality that makes five triple-points align on seven lines.  The k=3
 detector finds three pairwise intersection lines meeting a common
 point at infinity.  Closure scanners verify the composition laws the
-detected patterns must obey.
+detected patterns must obey; the good-partition one reads each
+conjugate off one fixed 15 x 15 table of matchings (_conjugation_table).
 
 All detectors are pure, compare products of the arrangement's minors
 (Arrangement.minors) and return canonical, deduplicated families: the
@@ -137,6 +138,20 @@ def _check_k(a: Arrangement, k: int) -> None:
 
 
 @cache
+def _conjugation_table() -> tuple:
+    """table[i][j] over the rows of _matching_pattern(6): when matchings
+    i and j share no pair (8 partners j for each i, 120 entries in all),
+    the row of j's involution conjugated by i's, s_i s_j s_i, which
+    pairs s_i(x) with s_i(y) for each pair (x, y) of j; else None."""
+    pattern = _matching_pattern(6)
+    row = {pairs: c for c, pairs in enumerate(pattern)}
+    swaps = [{x: y for p in pairs for x, y in (p, p[::-1])} for pairs in pattern]
+    return tuple(tuple(row[tuple(sorted(tuple(sorted((s[x], s[y]))) for x, y in mj))]
+                       if set(mi).isdisjoint(mj) else None for mj in pattern)
+                 for mi, s in zip(pattern, swaps))
+
+
+@cache
 def _pairing_pattern(k: int) -> tuple:
     """The relation _pairings tests on a sorted 6-subset, k = 2 or 3: one
     row (pairs, left, right, odd) per matching of positions 0..5
@@ -181,13 +196,17 @@ def _pairings(a: Arrangement) -> list[tuple]:
                 lv = mul(mul(m[l0], m[l1]), m[l2])
                 rv = mul(mul(m[r0], m[r1]), m[r2])
                 if lv == (neg(rv) if odd else rv):
-                    found.append(tuple((subset[i], subset[j]) for i, j in pairs))
+                    (i0, j0), (i1, j1), (i2, j2) = pairs
+                    found.append(((subset[i0], subset[j0]), (subset[i1], subset[j1]),
+                                  (subset[i2], subset[j2])))
         else:
             for pairs, (l0, l1), (r0, r1), odd in pattern:
                 lv = mul(m[l0], m[l1])
                 rv = mul(m[r0], m[r1])
                 if lv == (neg(rv) if odd else rv):
-                    found.append(tuple((subset[i], subset[j]) for i, j in pairs))
+                    (i0, j0), (i1, j1), (i2, j2) = pairs
+                    found.append(((subset[i0], subset[j0]), (subset[i1], subset[j1]),
+                                  (subset[i2], subset[j2])))
     return found
 
 
@@ -380,7 +399,8 @@ class Good6Partition(_Value):
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(x for p in self.matching for x in p))
+        p, q, r = self.matching
+        return tuple(sorted(p + q + r))
 
     def as_frozenset(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(p) for p in self.matching)
@@ -427,24 +447,28 @@ def pappus_closure_check(a: Arrangement) -> list[str]:
 def good6_closure_checks(found: list[Good6Partition]) -> list[str]:
     """Partitions good6_points detected on one arrangement that share a
     support but no pair must be closed under conjugation of their
-    involutions.  Each conjugate is looked up as a canonical matching,
-    sorted (small, large) pairs; returns violations (expected none)."""
-    detected = {g.matching for g in found}
+    involutions.  Each partition is indexed by its positions in its
+    sorted support, a row of _matching_pattern(6), and each conjugate
+    is read off _conjugation_table; a Good6Partition and a message are
+    built only for a missing one.  Returns violations (expected none)."""
+    pattern, conjugate = _matching_pattern(6), _conjugation_table()
+    row = {pairs: c for c, pairs in enumerate(pattern)}
     by_support: dict = {}
     for g in found:
         by_support.setdefault(g.support, []).append(g)
     violations = []
     for support, gs in sorted(by_support.items()):
-        # each partition's involution and pair set, once per group
-        swaps = [({x: y for p in g.matching for x, y in (p, p[::-1])}, set(g.matching))
-                 for g in gs]
-        for (g1, (s1, pairs1)), (g2, (s2, pairs2)) in combinations(zip(gs, swaps), 2):
-            if pairs1 & pairs2:
-                continue
-            s3 = {x: s1[s2[s1[x]]] for x in support}
-            conjugate = tuple((x, y) for x, y in s3.items() if x < y)
-            if conjugate not in detected:
-                violations.append(
-                    f"conjugation closure fails: {g1!r} and {g2!r} "
-                    f"detected but {Good6Partition(conjugate)!r} is not")
+        at = {x: i for i, x in enumerate(support)}
+        rows = []
+        for g in gs:
+            (x, x2), (y, y2), (z, z2) = g.matching
+            rows.append(row[(at[x], at[x2]), (at[y], at[y2]), (at[z], at[z2])])
+        here = set(rows)
+        for (g1, c1), (g2, c2) in combinations(zip(gs, rows), 2):
+            c3 = conjugate[c1][c2]
+            if c3 is not None and c3 not in here:
+                g3 = Good6Partition._from_key(
+                    tuple((support[i], support[j]) for i, j in pattern[c3]))
+                violations.append(f"conjugation closure fails: {g1!r} and {g2!r} "
+                                  f"detected but {g3!r} is not")
     return violations

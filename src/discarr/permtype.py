@@ -147,7 +147,11 @@ def _edge_table() -> dict[frozenset, tuple[int, int]]:
 
 
 def matching_to_edge(m: frozenset) -> tuple[int, int]:
+    """The edge of K_6 labelled by m; a frozenset of frozensets, the
+    form arrangement_type hands over, is looked up as given."""
     table = _edge_table()
+    if isinstance(m, frozenset) and m in table:
+        return table[m]
     key = frozenset(frozenset(p) for p in m)
     if key not in table:
         raise NotAMatchingLabel(f"{sorted(map(sorted, m))} labels no edge")

@@ -466,23 +466,30 @@ def oracle_pairings(a):
     return found
 
 
+def oracle_conjugate(g1, g2):
+    """The involution of g2 conjugated by that of g1, s1 s2 s1, walked
+    point by point over their common support, as a Good6Partition."""
+    s1 = {x: y for p in g1.matching for x, y in (p, p[::-1])}
+    s2 = {x: y for p in g2.matching for x, y in (p, p[::-1])}
+    s3 = {x: s1[s2[s1[x]]] for x in g1.support}
+    return Good6Partition(frozenset(frozenset((x, y)) for x, y in s3.items()))
+
+
 def oracle_good6_closure_checks(found):
     """Partitions sharing a support but no pair must be closed under
     conjugation of their involutions; each conjugate built as a
-    Good6Partition and looked up among the detected ones."""
+    Good6Partition (oracle_conjugate) and looked up among the detected
+    ones."""
     detected = set(found)
     by_support: dict = {}
     for g in found:
         by_support.setdefault(g.support, []).append(g)
     violations = []
-    for support, gs in sorted(by_support.items()):
+    for _, gs in sorted(by_support.items()):
         for g1, g2 in combinations(gs, 2):
             if set(g1.matching) & set(g2.matching):
                 continue
-            s1 = {x: y for p in g1.matching for x, y in (p, p[::-1])}
-            s2 = {x: y for p in g2.matching for x, y in (p, p[::-1])}
-            s3 = {x: s1[s2[s1[x]]] for x in support}
-            g3 = Good6Partition(frozenset(frozenset((x, y)) for x, y in s3.items()))
+            g3 = oracle_conjugate(g1, g2)
             if g3 not in detected:
                 violations.append(
                     f"conjugation closure fails: {g1!r} and {g2!r} "

@@ -335,9 +335,13 @@ def test_criterion_8c(k2_detections, k3_detections, fixed_gallery,
 
 def test_criterion_8d(k2_detections):
     with checked("8d", "cross-ratio form equals minus the 4-set value"):
-        for _, a, _, _ in k2_detections:
+        # and quadral_points detects exactly the candidates whose value is 1
+        for _, a, quads, _ in k2_detections:
+            detected, one = set(quads), a.field.one()
             for fs in fourset_candidates(a.indices):
-                assert oracle_crossratio_form(a, fs) == -oracle_ceva_value(a, fs)
+                value = oracle_ceva_value(a, fs)
+                assert oracle_crossratio_form(a, fs) == -value
+                assert (fs in detected) == (value == one)
 
 
 def _nvg(a):

@@ -3,8 +3,9 @@ their oracles in _helpers.
 
 detectors._pairings reads each sorted 6-subset's minors through one
 fixed 15-row pattern per k; the oracle walks every perfect matching over the
-signed table of every ordering.  good6_closure_checks looks conjugates
-up as canonical matchings; the oracle builds each as a Good6Partition.
+signed table of every ordering.  good6_closure_checks reads conjugates
+off one 15 x 15 table of matchings (_conjugation_table); the oracle
+walks the involutions point by point and builds each as a Good6Partition.
 At k = 2 find_involutions keeps a map for exactly the matchings
 _pairings passes, in characteristic 2 and 3 as well.
 """
@@ -21,6 +22,7 @@ from discarr import (
     Arrangement,
     Cyclotomic,
     Galois,
+    Good6Partition,
     NotGeneric,
     Prime,
     Quadratic,
@@ -32,7 +34,7 @@ from discarr import (
     is_generic,
     quadral_points,
 )
-from discarr.detectors import _matching_pattern, _pairing_pattern, _pairings
+from discarr.detectors import _conjugation_table, _matching_pattern, _pairing_pattern, _pairings
 from discarr.gallery import TYPE_ORDER, is_parameter_generic, parametrized, witness_spec
 from discarr.modular import modular_image
 
@@ -42,11 +44,13 @@ from _helpers import (
     imposed_k3,
     oracle_matmul,
     oracle_det_table,
+    oracle_conjugate,
     oracle_good6_closure_checks,
     oracle_is_identity,
     oracle_maps_to,
     oracle_pairings,
     payload_det,
+    perfect_matchings,
     random_k3,
 )
 
@@ -303,6 +307,20 @@ def _closure_cases(seed):
             yield a
 
 
+def test_conjugation_table_is_the_involution_walk():
+    # each of the 15 matchings shares no pair with exactly 8 others, and
+    # each such entry is the conjugate the oracle walks point by point
+    pattern, table = _matching_pattern(6), _conjugation_table()
+    shifted = [Good6Partition((i + 1, j + 1) for i, j in m) for m in pattern]
+    assert len(table) == 15 and all(len(row) == 15 for row in table)
+    assert [sum(c is not None for c in row) for row in table] == [8] * 15
+    for (i, gi), (j, gj) in product(enumerate(shifted), repeat=2):
+        if set(gi.matching) & set(gj.matching):
+            assert table[i][j] is None
+        else:
+            assert shifted[table[i][j]] == oracle_conjugate(gi, gj)
+
+
 def test_good6_closure_matches_oracle():
     # message for message, order included: lists with one or two
     # detected partitions dropped, many with several violations
@@ -318,3 +336,19 @@ def test_good6_closure_matches_oracle():
                 violating += bool(expected)
                 several += len(expected) > 1
     assert violating and several
+
+
+def test_good6_closure_matches_oracle_on_random_lists():
+    # seeded lists of partitions on several supports drawn from 6-9
+    # indices, in any order, repeats allowed; most of them violate
+    rng = random.Random("closure-lists")
+    violating = 0
+    for _ in range(1500):
+        indices = range(1, rng.randint(6, 9) + 1)
+        supports = [rng.sample(indices, 6) for _ in range(rng.randint(1, 3))]
+        found = [Good6Partition(rng.choice(perfect_matchings(rng.choice(supports))))
+                 for _ in range(rng.randint(2, 12))]
+        expected = oracle_good6_closure_checks(found)
+        assert good6_closure_checks(found) == expected
+        violating += bool(expected)
+    assert violating > 1000
