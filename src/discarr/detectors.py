@@ -12,8 +12,9 @@ conjugate off one fixed 15 x 15 table of matchings (_conjugation_table).
 All detectors are pure, compare products of the arrangement's minors
 (Arrangement.minors) and return canonical, deduplicated families: the
 six-element relations read them through one fixed 15-row pattern per k
-(_pairing_pattern), the quint search signs and inverts each k = 2 minor
-once; both refuse a non-generic arrangement through the one gate,
+(_pairing_pattern) that compares 10 distinct side products at k = 2 and
+9 at k = 3, the quint search signs and inverts each k = 2 minor once;
+both refuse a non-generic arrangement through the one gate,
 arrangement._require_generic.
 """
 
@@ -153,25 +154,30 @@ def _conjugation_table() -> tuple:
 
 @cache
 def _pairing_pattern(k: int) -> tuple:
-    """The relation _pairings tests on a sorted 6-subset, k = 2 or 3: one
-    row (pairs, left, right, odd) per matching of positions 0..5
-    (_matching_pattern(6)).  left and right are the positions, in
-    combinations(range(6), k) order, of the minors each side multiplies;
-    odd is the parity of all the row's orderings combined, set when the
-    two sides carry opposite signs."""
+    """The relation _pairings tests on a sorted 6-subset, k = 2 or 3, as
+    (sides, rows).  A side is the sorted positions, in combinations(range(6),
+    k) order, of the minors one product multiplies: a perfect matching of
+    positions 0..5 at k = 2, two complementary triples at k = 3.  The 30
+    sides of the 15 matchings are only 10 distinct ones at k = 2 and 9 at
+    k = 3, each listed once, sorted.  rows holds one (pairs, left, right,
+    odd) per matching of positions 0..5 (_matching_pattern(6)): left and
+    right index its two sides in sides, and odd is the parity of all the
+    row's orderings combined, set when the two sides carry opposite signs."""
     position = {key: i for i, key in enumerate(combinations(range(6), k))}
     rows = []
     for pairs in _matching_pattern(6):
         (x, x2), (y, y2), (z, z2) = pairs
         if k == 2:
-            sides = (((x, y2), (y, z2), (z, x2)), ((x, z2), (y, x2), (z, y2)))
+            both = (((x, y2), (y, z2), (z, x2)), ((x, z2), (y, x2), (z, y2)))
         else:
-            sides = (((x, x2, z), (y, y2, z2)), ((x, x2, z2), (y, y2, z)))
-        left, right = (tuple(position[tuple(sorted(o))] for o in side) for side in sides)
-        odd = sum(u > v for side in sides for o in side
+            both = (((x, x2, z), (y, y2, z2)), ((x, x2, z2), (y, y2, z)))
+        left, right = (tuple(sorted(position[tuple(sorted(o))] for o in side)) for side in both)
+        odd = sum(u > v for side in both for o in side
                   for u, v in combinations(o, 2)) % 2
         rows.append((pairs, left, right, odd))
-    return tuple(rows)
+    sides = sorted({side for row in rows for side in row[1:3]})
+    return tuple(sides), tuple((pairs, sides.index(left), sides.index(right), odd)
+                               for pairs, left, right, odd in rows)
 
 
 def _pairings(a: Arrangement) -> list[tuple]:
@@ -183,30 +189,25 @@ def _pairings(a: Arrangement) -> list[tuple]:
     |x y2||y z2||z x2| == |x z2||y x2||z y2|.  k = 3: the three pair
     intersection lines meet, det(x x x2, y x y2, z x z2) = 0, which is
     [x x2 z][y y2 z2] == [x x2 z2][y y2 z] (Grassmann-Pluecker).  The
-    subset is sorted, so its minors come in the pattern's order."""
+    subset is sorted, so its minors come in the pattern's order; each
+    distinct side is multiplied out once per subset (20 products at
+    k = 2, 9 at k = 3) and the 15 rows compare those by index."""
     _require_generic(a)
     mul, neg = a.field._mul, a.field._neg
     minors = a.minors()
-    pattern = _pairing_pattern(a.k)
+    sides, rows = _pairing_pattern(a.k)
     found = []
     for subset in combinations(a.indices, 6):
         m = [minors[key] for key in combinations(subset, a.k)]
         if a.k == 2:
-            for pairs, (l0, l1, l2), (r0, r1, r2), odd in pattern:
-                lv = mul(mul(m[l0], m[l1]), m[l2])
-                rv = mul(mul(m[r0], m[r1]), m[r2])
-                if lv == (neg(rv) if odd else rv):
-                    (i0, j0), (i1, j1), (i2, j2) = pairs
-                    found.append(((subset[i0], subset[j0]), (subset[i1], subset[j1]),
-                                  (subset[i2], subset[j2])))
+            v = [mul(mul(m[i], m[j]), m[l]) for i, j, l in sides]
         else:
-            for pairs, (l0, l1), (r0, r1), odd in pattern:
-                lv = mul(m[l0], m[l1])
-                rv = mul(m[r0], m[r1])
-                if lv == (neg(rv) if odd else rv):
-                    (i0, j0), (i1, j1), (i2, j2) = pairs
-                    found.append(((subset[i0], subset[j0]), (subset[i1], subset[j1]),
-                                  (subset[i2], subset[j2])))
+            v = [mul(m[i], m[j]) for i, j in sides]
+        for pairs, left, right, odd in rows:
+            if v[left] == (neg(v[right]) if odd else v[right]):
+                (i0, j0), (i1, j1), (i2, j2) = pairs
+                found.append(((subset[i0], subset[j0]), (subset[i1], subset[j1]),
+                              (subset[i2], subset[j2])))
     return found
 
 

@@ -104,7 +104,7 @@ def _conditions(field: FieldDescriptor, w, x, y, z):
     w, x, y, z = (_as_element(field, v).payload for v in (w, x, y, z))
     add, neg, mul = field._add, field._neg, field._mul
     yield from (w, x, y, z)
-    minus_one = neg(field.one().payload)
+    minus_one = field._coerce_int(-1)
     for v in (w, x, y, z):
         yield add(v, minus_one)
     w_x, neg_y, neg_z = add(w, neg(x)), neg(y), neg(z)

@@ -233,28 +233,17 @@ TYPE_ORDER: tuple[PartitionType, ...] = tuple(
 
 def induced_edges(v: VertexPartition) -> frozenset[tuple[int, int]]:
     """Edges of K_6 with both endpoints inside one block."""
-    out = set()
-    for b in v.blocks:
-        for i, j in combinations(sorted(b), 2):
-            out.add((i, j))
-    return frozenset(out)
+    return frozenset(e for b in v.blocks for e in combinations(sorted(b), 2))
 
 
 def partition_from_edges(edges) -> VertexPartition:
-    parent = {i: i for i in range(1, 7)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """The connected components of edges on the vertices 1..6: each
+    vertex maps to its component, and an edge merges two of them."""
+    component = {x: frozenset((x,)) for x in range(1, 7)}
     for i, j in edges:
-        parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, 7):
-        groups.setdefault(find(x), []).append(x)
-    return VertexPartition(groups.values())
+        merged = component[i] | component[j]
+        component.update(dict.fromkeys(merged, merged))
+    return VertexPartition(set(component.values()))
 
 
 class TypeReport(_Value):
@@ -276,6 +265,21 @@ class TypeReport(_Value):
         self.m_formula_consistent = m_formula_consistent
 
 
+@cache
+def _edge_type(mask: int) -> tuple:
+    """(edges, partition, type) of the edge set whose edge (i, j) sets
+    bit 6i + j of mask, once per set: of its 2^15 possible values only
+    the 203 component-closed ones return; any other raises
+    ClosureViolation."""
+    edges = frozenset((i, j) for i, j in combinations(range(1, 7), 2) if mask >> 6 * i + j & 1)
+    part = partition_from_edges(edges)
+    closed = induced_edges(part)
+    if closed != edges:
+        missing = sorted(closed - edges)
+        raise ClosureViolation(f"detected edges are not component-closed; missing {missing}")
+    return edges, part, part.type()
+
+
 def arrangement_type(a) -> TypeReport:
     """Classify a 6-hyperplane arrangement by its detected edge set.
 
@@ -283,35 +287,22 @@ def arrangement_type(a) -> TypeReport:
     the six lines; k = 3 collects the matchings whose three cross
     products are linearly dependent.  The detected edges must be exactly
     the edges induced by their connected-component partition; anything
-    else raises ClosureViolation.
+    else raises ClosureViolation.  Partition and type are looked up by
+    edge set (_edge_type), so each distinct set is classified once.
     """
     if a.n != 6:
         raise ValueError("type classification needs exactly 6 hyperplanes")
     if a.k == 2:
-        matchings = tuple(m for m, _ in detectors.find_involutions(a))
-        m_a = 2 * len(matchings)
-        factor = 2
+        matchings, factor = tuple(m for m, _ in detectors.find_involutions(a)), 2
     elif a.k == 3:
-        matchings = tuple(g.as_frozenset() for g in detectors.good6_points(a))
-        m_a = len(matchings)
-        factor = 1
+        matchings, factor = tuple(g.as_frozenset() for g in detectors.good6_points(a)), 1
     else:
         raise ValueError(f"no classifier for k={a.k}")
-    edges = frozenset(matching_to_edge(m) for m in matchings)
-    part = partition_from_edges(edges)
-    closed = induced_edges(part)
-    if closed != edges:
-        missing = sorted(closed - edges)
-        raise ClosureViolation(f"detected edges are not component-closed; missing {missing}")
-    nu = part.type()
-    return TypeReport(
-        type=nu,
-        partition=part,
-        matchings=matchings,
-        edges=edges,
-        m_a=m_a,
-        m_formula_consistent=(m_a == factor * nu.m()),
-    )
+    bits = {1 << 6 * i + j for i, j in map(matching_to_edge, matchings)}
+    edges, part, nu = _edge_type(sum(bits))
+    # m(A) = factor * |matchings| fits the type when factor * nu.m() does
+    return TypeReport(nu, part, matchings, edges, factor * len(matchings),
+                      len(matchings) == nu.m())
 
 
 def upper_bound_check(reports) -> bool:

@@ -1,12 +1,13 @@
 """Shared constructors for the test suite: seeded random arrangements,
 the random very generic reference, the lattice closure oracle and the
 rank read off its echelon, the six-element pairing and conjugation
-closure oracles, the quint closure oracle, the FieldElement projective
-map through three points, the FieldElement genericity conditions of the
-parametrized family, the cofactor determinant and the incidence check of
-a translation built on it, the payload work counter, the validating
-constructions of the detected patterns, the full Fermat-then-Lucas test,
-candidate-family enumeration, and small number-theory checks.
+closure oracles, the S6 type by union-find, the quint closure oracle,
+the FieldElement projective map through three points, the FieldElement
+genericity conditions of the parametrized family, the cofactor
+determinant and the incidence check of a translation built on it, the
+payload work counter, the validating constructions of the detected
+patterns, the full Fermat-then-Lucas test, candidate-family
+enumeration, and small number-theory checks.
 
 The slow definitions the library dropped are oracles here: the cross
 ratio (oracle_cross_ratio), the Ceva, triple cross-ratio and quint
@@ -29,14 +30,17 @@ from itertools import combinations, permutations
 
 from discarr import (
     Arrangement,
+    ClosureViolation,
     FourSet,
     Good6Partition,
     NotGeneric,
     QuintFamily,
     Rational,
+    TypeReport,
     VertexPartition,
     detectors,
     is_generic,
+    matching_to_edge,
 )
 from discarr.arrangement import DegeneratePoints
 from discarr.exactfield import FieldElement, _as_element
@@ -495,6 +499,61 @@ def oracle_good6_closure_checks(found):
                     f"conjugation closure fails: {g1!r} and {g2!r} "
                     f"detected but {g3!r} is not")
     return violations
+
+
+# ---------------------------------------------------------------------------
+# the S6 type oracle: the per-call union-find permtype.arrangement_type
+# replaced with one lookup per edge set
+
+def oracle_edge_partition(edges) -> VertexPartition:
+    """The connected components of edges on the vertices 1..6, by
+    union-find with path halving."""
+    parent = {i: i for i in range(1, 7)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for x in range(1, 7):
+        groups.setdefault(find(x), []).append(x)
+    return VertexPartition(groups.values())
+
+
+def oracle_edge_report(matchings, factor) -> TypeReport:
+    """The TypeReport of the detected matchings, factor 2 for lines and
+    1 for planes: their edges, the union-find partition, the edges it
+    induces block by block, and ClosureViolation when those differ."""
+    edges = frozenset(matching_to_edge(m) for m in matchings)
+    part = oracle_edge_partition(edges)
+    closed = set()
+    for b in part.blocks:
+        for i, j in combinations(sorted(b), 2):
+            closed.add((i, j))
+    if closed != edges:
+        missing = sorted(closed - edges)
+        raise ClosureViolation(f"detected edges are not component-closed; missing {missing}")
+    nu = part.type()
+    m_a = factor * len(matchings)
+    return TypeReport(type=nu, partition=part, matchings=matchings, edges=edges,
+                      m_a=m_a, m_formula_consistent=(m_a == factor * nu.m()))
+
+
+def oracle_arrangement_type(a) -> TypeReport:
+    """arrangement_type with the union-find run on every call: the
+    involution matchings of six lines, or the good partitions of six
+    planes, typed by oracle_edge_report."""
+    if a.n != 6:
+        raise ValueError("type classification needs exactly 6 hyperplanes")
+    if a.k == 2:
+        return oracle_edge_report(tuple(m for m, _ in detectors.find_involutions(a)), 2)
+    if a.k == 3:
+        return oracle_edge_report(tuple(g.as_frozenset() for g in detectors.good6_points(a)), 1)
+    raise ValueError(f"no classifier for k={a.k}")
 
 
 def oracle_quint_closure_checks(families: list[QuintFamily]) -> list[str]:

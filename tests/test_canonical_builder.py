@@ -46,7 +46,10 @@ def _fields(values):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_pairing_pattern_rows_are_canonical(k):
-    for pairs, *_ in _pairing_pattern(k):
+    sides, rows = _pairing_pattern(k)
+    assert all(0 <= left < len(sides) and 0 <= right < len(sides) and left != right
+               for _, left, right, _ in rows)
+    for pairs, *_ in rows:
         assert all(i < j for i, j in pairs)
         assert [i for i, _ in pairs] == sorted(i for i, _ in pairs)
         assert pairs == Good6Partition(pairs).matching

@@ -48,6 +48,8 @@ from discarr import (
 )
 from discarr.gallery import is_parameter_generic, parametrized, starred_types
 
+from _helpers import oracle_arrangement_type
+
 FIELDS = {
     "F5": Prime(5),
     "F7": Prime(7),
@@ -78,19 +80,25 @@ STARRED = {"2^3", "2^1 4^1", "6^1"}
 @cache
 def census(name):
     """(type label -> labeled classes, tuples whose classification
-    raised ClosureViolation) over every generic tuple of the field."""
+    raised ClosureViolation, tuples whose TypeReport differs from the
+    union-find oracle's) over every generic tuple of the field."""
     fd = FIELDS[name]
     elements = tuple(fd.iter_elements())
     counts = Counter()
-    violations = []
+    violations, mismatches = [], []
     for params in product(elements, repeat=4):
         if not is_parameter_generic(fd, *params):
             continue
+        a = parametrized(fd, *params)
         try:
-            counts[arrangement_type(parametrized(fd, *params)).type.label()] += 1
+            rep = arrangement_type(a)
         except ClosureViolation:
             violations.append(params)
-    return dict(counts), violations
+            continue
+        counts[rep.type.label()] += 1
+        if rep != oracle_arrangement_type(a):
+            mismatches.append(params)
+    return dict(counts), violations, mismatches
 
 
 def _is_nonzero_square(fd, n):
@@ -106,9 +114,14 @@ ODD = sorted(name for name, fd in FIELDS.items() if fd.characteristic() != 2)
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_census_counts(name):
-    counts, violations = census(name)
+    counts, violations, _ = census(name)
     assert violations == []
     assert counts == CENSUS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_census_types_equal_the_union_find_oracle(name):
+    assert census(name)[2] == []
 
 
 def test_starred_types_only_in_characteristic_two():
@@ -159,11 +172,12 @@ LINE_CENSUS = {
 @cache
 def line_census(name):
     """(the TypeReport of every six-line representative, representatives
-    whose classification raised ClosureViolation) over the field."""
+    whose classification raised ClosureViolation, representatives whose
+    TypeReport differs from the union-find oracle's) over the field."""
     fd = FIELDS[name]
     zero, one = fd.zero(), fd.one()
     rest = [e for e in fd.iter_elements() if e != zero and e != one]
-    reports, violations = [], []
+    reports, violations, mismatches = [], [], []
     for x, y, z in permutations(rest, 3):
         a = Arrangement(fd, 2, ((one, zero), (zero, one), (one, one),
                                 (x, one), (y, one), (z, one)))
@@ -171,16 +185,24 @@ def line_census(name):
             reports.append(arrangement_type(a))
         except ClosureViolation:
             violations.append((x, y, z))
-    return reports, violations
+            continue
+        if reports[-1] != oracle_arrangement_type(a):
+            mismatches.append((x, y, z))
+    return reports, violations, mismatches
 
 
 @pytest.mark.parametrize("name", LINE_FIELDS)
 def test_line_census_counts(name):
-    reports, violations = line_census(name)
+    reports, violations, _ = line_census(name)
     assert violations == []
     q = len(list(FIELDS[name].iter_elements()))
     assert len(reports) == (q - 2) * (q - 3) * (q - 4)
     assert Counter(r.type.label() for r in reports) == LINE_CENSUS[name]
+
+
+@pytest.mark.parametrize("name", LINE_FIELDS)
+def test_line_census_types_equal_the_union_find_oracle(name):
+    assert line_census(name)[2] == []
 
 
 def test_lines_obey_the_upper_bound():

@@ -334,10 +334,11 @@ def test_good6_oracle_cases_find_partitions():
 
 def test_good6_points_needs_no_inversions(monkeypatch):
     # 20 genericity minors x 9 products (the arrangement's table, on the
-    # first call only) and 2 products of signed minors for each of the
-    # 15 matchings on six planes; the per-matching Gaussian path does
-    # 551 products and 87 inversions on f4.  pappus_closure_check runs
-    # good6_points again and pays the 30 products once more.
+    # first call only) and one product for each of the 9 distinct sides
+    # the 15 matchings on six planes compare; the per-matching Gaussian
+    # path does 551 products and 87 inversions on f4.
+    # pappus_closure_check runs good6_points again and pays the 9
+    # products once more.
     a = f4_arrangement()
     calls = Counter()
 
@@ -353,12 +354,12 @@ def test_good6_points_needs_no_inversions(monkeypatch):
     monkeypatch.setattr(Galois, "_inv", counting("_inv"))
     assert good6_points(a)
     assert calls["_inv"] == 0
-    assert calls["_mul"] == 20 * 9 + 15 * 2
+    assert calls["_mul"] == 20 * 9 + 9
     calls.clear()
     assert good6_points(a)
     assert calls["_inv"] == 0
-    assert calls["_mul"] == 15 * 2
+    assert calls["_mul"] == 9
     calls.clear()
     assert pappus_closure_check(a) == []
     assert calls["_inv"] == 0
-    assert calls["_mul"] == 15 * 2
+    assert calls["_mul"] == 9

@@ -2,8 +2,9 @@
 their oracles in _helpers.
 
 detectors._pairings reads each sorted 6-subset's minors through one
-fixed 15-row pattern per k; the oracle walks every perfect matching over the
-signed table of every ordering.  good6_closure_checks reads conjugates
+fixed 15-row pattern per k, whose rows compare 10 distinct side products
+at k = 2 and 9 at k = 3; the oracle walks every perfect matching over
+the signed table of every ordering.  good6_closure_checks reads conjugates
 off one 15 x 15 table of matchings (_conjugation_table); the oracle
 walks the involutions point by point and builds each as a Good6Partition.
 At k = 2 find_involutions keeps a map for exactly the matchings
@@ -224,11 +225,20 @@ def _generic(fd, k, n, rng):
             return a
 
 
+def _old_sides(k, pairs):
+    """The two sides of a row's relation, as ordered index tuples, the
+    form the oracle writes out."""
+    (x, x2), (y, y2), (z, z2) = pairs
+    if k == 2:
+        return (((x, y2), (y, z2), (z, x2)), ((x, z2), (y, x2), (z, y2)))
+    return (((x, x2, z), (y, y2, z2)), ((x, x2, z2), (y, y2, z)))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_pattern_signs_match_the_signed_table(k):
-    """Each row's products equal the oracle's signed sides up to sign,
-    and the sides' signs differ exactly on odd rows: with L = sL lv and
-    R = sR rv, L rv = (-1)^odd R lv."""
+    """Each row's side products equal the oracle's signed sides up to
+    sign, and the sides' signs differ exactly on odd rows: with L = sL lv
+    and R = sR rv, L rv = (-1)^odd R lv."""
     a = _generic(Rational(), k, 6, random.Random(f"pattern-{k}"))
     fd = a.field
     mul, neg = fd._mul, fd._neg
@@ -240,19 +250,52 @@ def test_pattern_signs_match_the_signed_table(k):
         for key in ((y, x, z), (x, z, y), (z, y, x)):
             assert dets[key] == neg(d)
     m = [a.minors()[key] for key in combinations(a.indices, k)]
-    pattern = _pairing_pattern(k)
-    assert [row[0] for row in pattern] == list(_matching_pattern(6))
-    for pairs, left, right, odd in pattern:
-        (x, x2), (y, y2), (z, z2) = ((p + 1, q + 1) for p, q in pairs)
-        if k == 2:
-            sides = (((x, y2), (y, z2), (z, x2)), ((x, z2), (y, x2), (z, y2)))
-        else:
-            sides = (((x, x2, z), (y, y2, z2)), ((x, x2, z2), (y, y2, z)))
-        big_l, big_r = (_product(mul, [dets[o] for o in side]) for side in sides)
-        lv, rv = (_product(mul, [m[i] for i in side]) for side in (left, right))
+    sides, rows = _pairing_pattern(k)
+    assert [row[0] for row in rows] == list(_matching_pattern(6))
+    for pairs, left, right, odd in rows:
+        shifted = [(p + 1, q + 1) for p, q in pairs]
+        big_l, big_r = (_product(mul, [dets[o] for o in side])
+                        for side in _old_sides(k, shifted))
+        lv, rv = (_product(mul, [m[i] for i in sides[c]]) for c in (left, right))
         assert big_l in (lv, neg(lv)) and big_r in (rv, neg(rv))
         cross = mul(big_r, lv)
         assert mul(big_l, rv) == (neg(cross) if odd else cross)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_row_reads_its_own_sides(k):
+    """A row's two side indices name the minor positions of the relation
+    written out on its matching: per side, the sorted positions of its
+    sorted minors, in combinations(range(6), k) order."""
+    position = {key: i for i, key in enumerate(combinations(range(6), k))}
+    sides, rows = _pairing_pattern(k)
+    for pairs, left, right, _ in rows:
+        old = [sorted(position[tuple(sorted(o))] for o in side)
+               for side in _old_sides(k, pairs)]
+        assert [list(sides[left]), list(sides[right])] == old
+
+
+def test_k2_sides_are_ten_perfect_matchings():
+    # a side's three 2 x 2 minors pair up all six positions
+    keys = list(combinations(range(6), 2))
+    sides = _pairing_pattern(2)[0]
+    assert len(sides) == 10 and list(sides) == sorted(set(sides))
+    matchings = set(_matching_pattern(6))
+    assert all(tuple(keys[i] for i in side) in matchings for side in sides)
+
+
+def test_k3_sides_are_the_splits_but_one():
+    # a side is two complementary triples, each a pair of the row's
+    # matching plus one position of its last pair, the pair whose first
+    # position is largest; across {0,1,2}|{3,4,5} that pair would start
+    # before the pair inside {3,4,5}, so no row has this split
+    keys = list(combinations(range(6), 3))
+    sides = _pairing_pattern(3)[0]
+    assert len(sides) == 9 and list(sides) == sorted(set(sides))
+    splits = {frozenset((t, tuple(sorted(set(range(6)) - set(t))))) for t in keys}
+    got = {frozenset(keys[i] for i in side) for side in sides}
+    assert len(splits) == 10
+    assert got == splits - {frozenset(((0, 1, 2), (3, 4, 5)))}
 
 
 def _product(mul, values):
@@ -266,12 +309,14 @@ def _product(mul, values):
 # the work, pinned
 
 @pytest.mark.parametrize("detector, name, products", [
-    (good6_points, "witness-3^2", 30),
-    (quadral_points, "octahedral", 60),
+    (good6_points, "witness-3^2", 9),
+    (quadral_points, "octahedral", 20),
 ])
-def test_six_element_detectors_do_two_products_per_side(monkeypatch, detector, name, products):
-    """15 rows on one 6-subset: two products per side at k = 2, one at
-    k = 3; no inverse and no signed table or matching walk per call."""
+def test_six_element_detectors_do_one_product_per_distinct_side(monkeypatch, detector, name,
+                                                                 products):
+    """One 6-subset: each of the 9 distinct sides at k = 3 is one
+    product, each of the 10 at k = 2 two, however many of the 15 rows
+    read it; no inverse and no signed table or matching walk per call."""
     a = build_gallery(name)
     assert is_generic(a)  # the minors are kept; only the relation is counted
     calls = count_payload_calls(monkeypatch, a.field)
@@ -280,14 +325,14 @@ def test_six_element_detectors_do_two_products_per_side(monkeypatch, detector, n
 
 
 def test_find_involutions_builds_no_signed_table(monkeypatch):
-    # the 60 products of the pairing relation, then one map of 32
+    # the 20 products of the pairing relation, then one map of 32
     # products and 2 inverses per related matching, each inverse over
     # Q(i) one more product; nothing is built per ordering or matching
     a = build_gallery("octahedral")
     assert is_generic(a)
     calls = count_payload_calls(monkeypatch, a.field)
     assert len(find_involutions(a)) == 6
-    assert calls == Counter(_mul=60 + 6 * (32 + 2), _inv=6 * 2)
+    assert calls == Counter(_mul=20 + 6 * (32 + 2), _inv=6 * 2)
 
 
 # ---------------------------------------------------------------------------

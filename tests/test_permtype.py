@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from discarr import (
+    ClosureViolation,
     PartitionType,
     Perm,
     TYPE_ORDER,
@@ -14,16 +15,25 @@ from discarr import (
     VertexPartition,
     arrangement_type,
     build_gallery,
+    detectors,
     edge_label,
     induced_edges,
     matching_to_edge,
     partition_from_edges,
+    gallery_names,
     phi,
     upper_bound_check,
 )
-from discarr.permtype import NotAMatchingLabel, matching_from_perm
+from discarr.permtype import NotAMatchingLabel, _edge_type, matching_from_perm
 
-from _helpers import all_partitions_of_6, perfect_matchings, reference_very_generic
+from _helpers import (
+    all_partitions_of_6,
+    oracle_arrangement_type,
+    oracle_edge_partition,
+    oracle_edge_report,
+    perfect_matchings,
+    reference_very_generic,
+)
 
 
 def _cyc(*cycles):
@@ -266,6 +276,77 @@ def test_arrangement_type_rejects_wrong_size():
     a = reference_very_generic(7, 2, seed=0)
     with pytest.raises(ValueError):
         arrangement_type(a)
+
+
+# ---------------------------------------------------------------------------
+# the memoized typing against the per-call union-find
+
+EDGES = tuple(combinations(range(1, 7), 2))
+
+
+def _outcome(fn, *args):
+    """fn's result, or the text of the ClosureViolation it raises."""
+    try:
+        return fn(*args)
+    except ClosureViolation as exc:
+        return ("ClosureViolation", str(exc))
+
+
+def test_edge_type_is_the_union_find_on_every_edge_set():
+    # all 2^15 edge sets, each typed as the matchings that label its
+    # edges: the same partition, type and edges, or the same message
+    labels = {e: matching_from_perm(edge_label(*e)) for e in EDGES}
+    closed = 0
+    for size in range(len(EDGES) + 1):
+        for chosen in combinations(EDGES, size):
+            want = _outcome(oracle_edge_report, tuple(labels[e] for e in chosen), 1)
+            got = _outcome(_edge_type, sum(1 << 6 * i + j for i, j in chosen))
+            if isinstance(want, TypeReport):
+                assert got == (want.edges, want.partition, want.type)
+                closed += 1
+            else:
+                assert got == want
+    # one component-closed set per set partition of [6]
+    assert closed == len(all_partitions_of_6()) == 203
+
+
+def test_partition_from_edges_is_the_union_find():
+    rng = random.Random(32)
+    for _ in range(300):
+        edges = rng.sample(EDGES, rng.randint(0, 8))
+        assert partition_from_edges(edges) == oracle_edge_partition(edges)
+
+
+@pytest.mark.parametrize("name", [name for name in gallery_names()
+                                  if name != "polygon-<n>"] + ["polygon-6"])
+def test_arrangement_type_equals_the_union_find_oracle(name):
+    # the fixed gallery and the witnesses are six lines or six planes
+    a = build_gallery(name)
+    assert arrangement_type(a) == oracle_arrangement_type(a)
+
+
+# detected matchings as edge lists: a path, a path and a lone edge, a
+# triangle short of one edge, and a star missing its closure
+FORCED = [((1, 2), (2, 3)), ((1, 2), (2, 3), (3, 4), (5, 6)),
+          ((1, 2), (1, 3), (4, 5), (5, 6), (4, 6)), ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))]
+
+
+@pytest.mark.parametrize("edges", FORCED, ids=lambda e: "-".join(f"{i}{j}" for i, j in e))
+@pytest.mark.parametrize("name", ["witness-1^6", "octahedral"])
+def test_forced_open_edge_set_raises_the_oracle_message(monkeypatch, name, edges):
+    # the detector is replaced by one returning the edges' matchings, so
+    # the library and the oracle type the same non-closed set
+    matchings = [matching_from_perm(edge_label(*e)) for e in edges]
+    a = build_gallery(name)
+    if a.k == 2:
+        monkeypatch.setattr(detectors, "find_involutions", lambda a: [(m, None) for m in matchings])
+    else:
+        found = [detectors.Good6Partition(m) for m in matchings]
+        monkeypatch.setattr(detectors, "good6_points", lambda a: found)
+    got = _outcome(arrangement_type, a)
+    assert got == _outcome(oracle_arrangement_type, a)
+    assert got[0] == "ClosureViolation" and got[1].startswith(
+        "detected edges are not component-closed; missing [(")
 
 
 def test_upper_bound_check():
