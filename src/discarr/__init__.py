@@ -60,16 +60,13 @@ from .detectors import (
 from .permtype import (
     ClosureViolation,
     PartitionType,
-    Perm,
     TYPE_ORDER,
     TypeReport,
     VertexPartition,
     arrangement_type,
-    edge_label,
     induced_edges,
     matching_to_edge,
     partition_from_edges,
-    phi,
     upper_bound_check,
 )
 from .gallery import (

@@ -1,14 +1,14 @@
-"""Permutations of [6], the exceptional automorphism, and type labels.
+"""The edge labels of K_6 and the S6 type of a six-element arrangement.
 
-The labeled complete graph places one fixed-point-free involution on each
-edge of K_6: edge (i, j) carries the image of the transposition (i j)
-under the exceptional automorphism phi of S_6.  Detected coincidences of
-a 6-line (or 6-plane) arrangement select a set of edges; the connected
-components of that edge set give the arrangement its type nu, and
-m(nu) = sum a_j C(d_j, 2) counts the induced edges.
-
-Composition order: (p * q)(x) = p(q(x)), i.e. the right factor acts
-first.  All tests and tables assume this convention.
+Each edge of the labeled complete graph K_6 carries one perfect matching
+of 1..6, read off Sylvester's synthematic totals: the six totals are
+labelled 1..6, and a matching labels the edge joining the two totals
+that contain it.  This is the exceptional automorphism phi of S_6, which
+sends the transposition (i j) to the involution whose orbits are the
+matching on edge (i, j).  Detected coincidences of a 6-line (or 6-plane)
+arrangement select a set of edges; the connected components of that edge
+set give the arrangement its type nu, and m(nu) = sum a_j C(d_j, 2)
+counts the induced edges.
 """
 
 from __future__ import annotations
@@ -26,124 +26,25 @@ class ClosureViolation(RuntimeError):
 
 
 class NotAMatchingLabel(ValueError):
-    """The given matching is not the orbit set of any edge label."""
+    """The given matching labels no edge of K_6."""
 
 
-class Perm(_Value):
-    """A permutation of {1,...,6}; images[i-1] is the image of i."""
-
-    __slots__ = ("images",)
-    _fields = __slots__
-
-    def __init__(self, images):
-        im = tuple(images)
-        if sorted(im) != [1, 2, 3, 4, 5, 6]:
-            raise ValueError(f"not a permutation of 1..6: {im}")
-        self.images = im
-
-    @classmethod
-    def identity(cls) -> "Perm":
-        return cls((1, 2, 3, 4, 5, 6))
-
-    @classmethod
-    def from_cycles(cls, cycles) -> "Perm":
-        im = list(range(1, 7))
-        for cyc in cycles:
-            cyc = tuple(cyc)
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                im[a - 1] = b
-        return cls(im)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return Perm(tuple(self.images[other.images[i] - 1] for i in range(6)))
-
-    def orbits(self) -> frozenset[frozenset[int]]:
-        seen = set()
-        parts = []
-        for start in range(1, 7):
-            if start in seen:
-                continue
-            orb = [start]
-            seen.add(start)
-            x = self(start)
-            while x != start:
-                orb.append(x)
-                seen.add(x)
-                x = self(x)
-            parts.append(frozenset(orb))
-        return frozenset(parts)
-
-    def __repr__(self):
-        parts = []
-        for orb in sorted(self.orbits(), key=min):
-            if len(orb) == 1:
-                continue
-            cyc = [min(orb)]
-            while True:
-                nxt = self(cyc[-1])
-                if nxt == cyc[0]:
-                    break
-                cyc.append(nxt)
-            parts.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(parts) if parts else "()"
-
-
-def matching_from_perm(p: Perm) -> frozenset:
-    orbs = p.orbits()
-    if any(len(o) != 2 for o in orbs):
-        raise NotAMatchingLabel(f"{p!r} is not a fixed-point-free involution")
-    return frozenset(orbs)
-
-
-_GENERATORS: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {
-    (1, 2): ((1, 5), (2, 6), (3, 4)),
-    (2, 3): ((1, 2), (3, 5), (4, 6)),
-    (3, 4): ((1, 5), (2, 4), (3, 6)),
-    (4, 5): ((1, 4), (2, 6), (3, 5)),
-    (5, 6): ((1, 5), (2, 3), (4, 6)),
-}
-
-
-@cache
-def _phi_table() -> dict[Perm, Perm]:
-    gens = [(Perm.from_cycles([pair]), Perm.from_cycles(list(img)))
-            for pair, img in _GENERATORS.items()]
-    table = {Perm.identity(): Perm.identity()}
-    frontier = [Perm.identity()]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            fg = table[g]
-            for s, fs in gens:
-                h = g * s
-                if h not in table:
-                    table[h] = fg * fs
-                    nxt.append(h)
-        frontier = nxt
-    return table
-
-
-def phi(p: Perm) -> Perm:
-    return _phi_table()[p]
-
-
-def edge_label(i: int, j: int) -> Perm:
-    if i == j or not (1 <= i <= 6 and 1 <= j <= 6):
-        raise ValueError(f"not an edge of K_6: ({i}, {j})")
-    return phi(Perm.from_cycles([(i, j)]))
+# The 15 perfect matchings of 1..6 fall into six synthematic totals,
+# five matchings sharing no pair, and each matching lies in two of them.
+# Labelling the totals sends a matching to the edge joining the labels of
+# its two totals, an outer automorphism of S_6 (Sylvester).  The totals
+# are labelled in the order combinations lists them, the canonical sorted
+# one, and this labelling is the paper's phi.
+_TOTAL_LABELS = (4, 6, 2, 3, 5, 1)
 
 
 @cache
 def _edge_table() -> dict[frozenset, tuple[int, int]]:
-    table = {}
-    for i, j in combinations(range(1, 7), 2):
-        table[matching_from_perm(edge_label(i, j))] = (i, j)
-    if len(table) != 15:
-        raise RuntimeError("edge labels are not 15 distinct matchings")
-    return table
+    matchings = [frozenset(frozenset((i + 1, j + 1)) for i, j in m)
+                 for m in detectors._matching_pattern(6)]
+    totals = [t for t in combinations(matchings, 5) if len(frozenset().union(*t)) == 15]
+    return {m: tuple(sorted(label for label, t in zip(_TOTAL_LABELS, totals) if m in t))
+            for m in matchings}
 
 
 def matching_to_edge(m: frozenset) -> tuple[int, int]:
@@ -165,11 +66,10 @@ class VertexPartition(_Value):
     _fields = __slots__
 
     def __init__(self, blocks):
-        bl = frozenset(frozenset(b) for b in blocks)
-        flat = sorted(x for b in bl for x in b)
-        if flat != [1, 2, 3, 4, 5, 6]:
-            raise ValueError(f"blocks must partition 1..6, got {sorted(map(sorted, bl))}")
-        self.blocks = bl
+        given = [frozenset(b) for b in blocks]
+        if not all(given) or sorted(x for b in given for x in b) != [1, 2, 3, 4, 5, 6]:
+            raise ValueError(f"blocks must partition 1..6, got {sorted(map(sorted, given))}")
+        self.blocks = frozenset(given)
 
     def type(self) -> "PartitionType":
         return PartitionType(sorted(len(b) for b in self.blocks))
@@ -284,10 +184,12 @@ def arrangement_type(a) -> TypeReport:
     """Classify a 6-hyperplane arrangement by its detected edge set.
 
     k = 2 collects the matchings realized by projective involutions of
-    the six lines; k = 3 collects the matchings whose three cross
-    products are linearly dependent.  The detected edges must be exactly
-    the edges induced by their connected-component partition; anything
-    else raises ClosureViolation.  Partition and type are looked up by
+    the six lines; k = 3 collects the matchings ((x, x2), (y, y2),
+    (z, z2)) whose 3 x 3 minors satisfy [x x2 z][y y2 z2] =
+    [x x2 z2][y y2 z], the Grassmann-Pluecker form of the three pair
+    intersection lines sharing a point at infinity.  The detected edges
+    must be exactly the edges induced by their connected-component
+    partition; anything else raises ClosureViolation.  Partition and type are looked up by
     edge set (_edge_type), so each distinct set is classified once.
     """
     if a.n != 6:

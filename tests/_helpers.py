@@ -16,7 +16,9 @@ oracle_quint_value), the cross product (oracle_cross3), a projective
 map's action, composition, equality up to scaling and identity test on
 its FieldElement rows (oracle_apply, oracle_matmul, oracle_same_map,
 oracle_is_identity, oracle_maps_to, with projective_map coercing rows
-into a field and oracle_proportional), and the perfect
+into a field and oracle_proportional), the paper's phi on the 720
+permutations of [6] and the edge labels read off it (Perm, phi,
+edge_label, matching_from_perm, oracle_edge_table), and the perfect
 matching and set partition enumerators (perfect_matchings,
 all_partitions_of_6).  Matrices are tuples or lists of rows.  The
 library's one determinant and the span's rank, kernel and null vectors,
@@ -26,6 +28,7 @@ payload_det, payload_span, span_kernel and span_solution."""
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from discarr import (
@@ -40,12 +43,12 @@ from discarr import (
     VertexPartition,
     detectors,
     is_generic,
-    matching_to_edge,
 )
 from discarr.arrangement import DegeneratePoints
-from discarr.exactfield import FieldElement, _as_element
+from discarr.exactfield import FieldElement, _Value, _as_element
 from discarr.gallery import is_parameter_generic, parametrized
 from discarr.linalg import DimensionMismatch, _det_payloads, _Span
+from discarr.permtype import NotAMatchingLabel
 
 
 def rand_fraction(rng, span=12, max_den=6):
@@ -502,6 +505,124 @@ def oracle_good6_closure_checks(found):
 
 
 # ---------------------------------------------------------------------------
+# the phi oracle: the exceptional automorphism of S6 on all 720
+# elements, the matching -> edge map permtype reads off the totals
+
+class Perm(_Value):
+    """A permutation of {1,...,6}; images[i-1] is the image of i.
+    Composition order: (p * q)(x) = p(q(x)), the right factor acts first."""
+
+    __slots__ = ("images",)
+    _fields = __slots__
+
+    def __init__(self, images):
+        im = tuple(images)
+        if sorted(im) != [1, 2, 3, 4, 5, 6]:
+            raise ValueError(f"not a permutation of 1..6: {im}")
+        self.images = im
+
+    @classmethod
+    def identity(cls) -> "Perm":
+        return cls((1, 2, 3, 4, 5, 6))
+
+    @classmethod
+    def from_cycles(cls, cycles) -> "Perm":
+        im = list(range(1, 7))
+        for cyc in cycles:
+            cyc = tuple(cyc)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                im[a - 1] = b
+        return cls(im)
+
+    def __call__(self, x: int) -> int:
+        return self.images[x - 1]
+
+    def __mul__(self, other: "Perm") -> "Perm":
+        return Perm(tuple(self.images[other.images[i] - 1] for i in range(6)))
+
+    def orbits(self) -> frozenset[frozenset[int]]:
+        seen = set()
+        parts = []
+        for start in range(1, 7):
+            if start in seen:
+                continue
+            orb = [start]
+            seen.add(start)
+            x = self(start)
+            while x != start:
+                orb.append(x)
+                seen.add(x)
+                x = self(x)
+            parts.append(frozenset(orb))
+        return frozenset(parts)
+
+    def __repr__(self):
+        parts = []
+        for orb in sorted(self.orbits(), key=min):
+            if len(orb) == 1:
+                continue
+            cyc = [min(orb)]
+            while True:
+                nxt = self(cyc[-1])
+                if nxt == cyc[0]:
+                    break
+                cyc.append(nxt)
+            parts.append("(" + " ".join(map(str, cyc)) + ")")
+        return "".join(parts) if parts else "()"
+
+
+def matching_from_perm(p: Perm) -> frozenset:
+    orbs = p.orbits()
+    if any(len(o) != 2 for o in orbs):
+        raise NotAMatchingLabel(f"{p!r} is not a fixed-point-free involution")
+    return frozenset(orbs)
+
+
+_GENERATORS: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {
+    (1, 2): ((1, 5), (2, 6), (3, 4)),
+    (2, 3): ((1, 2), (3, 5), (4, 6)),
+    (3, 4): ((1, 5), (2, 4), (3, 6)),
+    (4, 5): ((1, 4), (2, 6), (3, 5)),
+    (5, 6): ((1, 5), (2, 3), (4, 6)),
+}
+
+
+@cache
+def _phi_table() -> dict[Perm, Perm]:
+    gens = [(Perm.from_cycles([pair]), Perm.from_cycles(list(img)))
+            for pair, img in _GENERATORS.items()]
+    table = {Perm.identity(): Perm.identity()}
+    frontier = [Perm.identity()]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            fg = table[g]
+            for s, fs in gens:
+                h = g * s
+                if h not in table:
+                    table[h] = fg * fs
+                    nxt.append(h)
+        frontier = nxt
+    return table
+
+
+def phi(p: Perm) -> Perm:
+    return _phi_table()[p]
+
+
+def edge_label(i: int, j: int) -> Perm:
+    if i == j or not (1 <= i <= 6 and 1 <= j <= 6):
+        raise ValueError(f"not an edge of K_6: ({i}, {j})")
+    return phi(Perm.from_cycles([(i, j)]))
+
+
+@cache
+def oracle_edge_table() -> dict[frozenset, tuple[int, int]]:
+    """The paper's phi read edge by edge: edge (i, j) of K_6 labelled by
+    the orbits of phi((i j)), a fixed-point-free involution."""
+    return {matching_from_perm(edge_label(i, j)): (i, j) for i, j in combinations(range(1, 7), 2)}
+
+
 # the S6 type oracle: the per-call union-find permtype.arrangement_type
 # replaced with one lookup per edge set
 
@@ -526,9 +647,10 @@ def oracle_edge_partition(edges) -> VertexPartition:
 
 def oracle_edge_report(matchings, factor) -> TypeReport:
     """The TypeReport of the detected matchings, factor 2 for lines and
-    1 for planes: their edges, the union-find partition, the edges it
+    1 for planes: their edges by the phi oracle (oracle_edge_table),
+    the union-find partition, the edges it
     induces block by block, and ClosureViolation when those differ."""
-    edges = frozenset(matching_to_edge(m) for m in matchings)
+    edges = frozenset(oracle_edge_table()[m] for m in matchings)
     part = oracle_edge_partition(edges)
     closed = set()
     for b in part.blocks:

@@ -1,4 +1,6 @@
-"""The exceptional automorphism, edge labels, and type bookkeeping."""
+"""The edge labels read off the synthematic totals, the exceptional
+automorphism they equal (the phi oracle in _helpers), and type
+bookkeeping."""
 
 import random
 import tracemalloc
@@ -9,29 +11,31 @@ import pytest
 from discarr import (
     ClosureViolation,
     PartitionType,
-    Perm,
     TYPE_ORDER,
     TypeReport,
     VertexPartition,
     arrangement_type,
     build_gallery,
     detectors,
-    edge_label,
     induced_edges,
     matching_to_edge,
     partition_from_edges,
     gallery_names,
-    phi,
     upper_bound_check,
 )
-from discarr.permtype import NotAMatchingLabel, _edge_type, matching_from_perm
+from discarr.permtype import NotAMatchingLabel, _TOTAL_LABELS, _edge_table, _edge_type
 
 from _helpers import (
+    Perm,
     all_partitions_of_6,
+    edge_label,
+    matching_from_perm,
     oracle_arrangement_type,
     oracle_edge_partition,
     oracle_edge_report,
+    oracle_edge_table,
     perfect_matchings,
+    phi,
     reference_very_generic,
 )
 
@@ -120,6 +124,30 @@ def test_edge_matching_bijection():
     assert matching_to_edge(m56) == (5, 6)
     assert edge_label(1, 2).orbits() == frozenset(
         {frozenset({1, 5}), frozenset({2, 6}), frozenset({3, 4})})
+
+
+def test_edge_table_is_the_phi_oracle():
+    assert _edge_table() == oracle_edge_table()
+
+
+def test_sylvester_totals():
+    # six totals, each five matchings covering all 15 pairs of [6], and
+    # each matching in exactly two of them
+    matchings = [frozenset(frozenset(p) for p in m) for m in perfect_matchings(range(1, 7))]
+    totals = [t for t in combinations(matchings, 5) if len(frozenset().union(*t)) == 15]
+    assert len(totals) == 6
+    pairs = {frozenset(e) for e in combinations(range(1, 7), 2)}
+    for t in totals:
+        assert len(t) == 5 and frozenset().union(*t) == pairs
+    table = _edge_table()
+    assert set(table) == set(matchings)
+    for m in matchings:
+        assert sum(m in t for t in totals) == 2
+    # two totals share exactly one matching, the one on the edge joining
+    # their labels
+    for (a, ta), (b, tb) in combinations(zip(_TOTAL_LABELS, totals), 2):
+        shared, = set(ta) & set(tb)
+        assert table[shared] == tuple(sorted((a, b)))
 
 
 def test_matching_to_edge_rejects_non_label():
@@ -240,6 +268,15 @@ def test_induced_edges_example():
     assert len(edges) == 6
     assert {(1, 2), (2, 3), (3, 4)} <= set(edges)
     assert v.type().label() == "1^2 4^1"
+
+
+def test_vertex_partition_refuses_empty_and_repeated_blocks():
+    # the blocks are checked as given, before a frozenset drops a repeat
+    for blocks, shown in (([(), range(1, 7)], "[[], [1, 2, 3, 4, 5, 6]]"),
+                          ([(1, 2), (1, 2), (3, 4, 5, 6)], "[[1, 2], [1, 2], [3, 4, 5, 6]]")):
+        with pytest.raises(ValueError) as exc:
+            VertexPartition(blocks)
+        assert str(exc.value) == f"blocks must partition 1..6, got {shown}"
 
 
 def test_partition_from_edges():

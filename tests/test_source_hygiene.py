@@ -3,10 +3,10 @@
 No module other than the package __init__ imports a name it never uses,
 and every _-prefixed module-level name is referenced somewhere in the
 package, so a deletion cannot leave a dead import or helper behind.
-Every public module-level function is read by the rest of the package
-(outside __init__ and its own body) or by the benchmark, apart from the
-paper's closed forms, embed and the CLI entry point: a definition only
-the tests call belongs in tests/ as an oracle.
+Every public module-level function and class is read by the rest of
+the package (outside __init__ and its own body) or by the benchmark,
+apart from the paper's closed forms, embed and the CLI entry point: a
+definition only the tests call belongs in tests/ as an oracle.
 Every import sits at module level, where a cycle or a missing name shows
 on import rather than on the first call.  A functools memo takes only
 int parameters, so none can key on an arrangement or keep one alive.
@@ -114,7 +114,9 @@ UNREAD_PUBLIC = {"quadral_lower_bound", "quint_lower_bound", "predicted_polygon_
                  "upper_bound_check", "starred_types", "blocked_core_dets", "embed", "main"}
 
 
-def test_every_public_function_is_read_outside_the_tests():
+def _unread_public(kind: type) -> list[str]:
+    """Public module-level definitions of kind read neither elsewhere in
+    the package (outside __init__ and their own body) nor by perfbench."""
     trees = {p: _tree(p) for p in MODULES if p.name != "__init__.py"}
     bench = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
@@ -125,12 +127,20 @@ def test_every_public_function_is_read_outside_the_tests():
         for other, other_tree in trees.items():
             if other != path:
                 others |= _reads(other_tree)
-        for fn in tree.body:
-            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                    and fn.name not in UNREAD_PUBLIC
-                    and fn.name not in others | _reads(tree, skip=fn)):
-                unread.append(f"{path.name}:{fn.name}")
-    assert unread == []
+        for node in tree.body:
+            if (isinstance(node, kind) and not node.name.startswith("_")
+                    and node.name not in UNREAD_PUBLIC
+                    and node.name not in others | _reads(tree, skip=node)):
+                unread.append(f"{path.name}:{node.name}")
+    return unread
+
+
+def test_every_public_function_is_read_outside_the_tests():
+    assert _unread_public(ast.FunctionDef) == []
+
+
+def test_every_public_class_is_read_outside_the_tests():
+    assert _unread_public(ast.ClassDef) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -15,7 +15,6 @@ from discarr import (
     Good6Partition,
     IndexFamily,
     PartitionType,
-    Perm,
     QuintFamily,
     TypeReport,
     VertexPartition,
@@ -34,7 +33,6 @@ BUILDERS = {
     Good6Partition: lambda: Good6Partition([(3, 6), (1, 4), (5, 2)]),
     Flat: lambda: Flat(((1, 2, 3), (1, 2, 4)), 2),
     WitnessSpec: lambda: witness_spec(PartitionType.from_string("3^2")),
-    Perm: lambda: Perm.from_cycles([(1, 2, 3), (4, 5)]),
     VertexPartition: lambda: VertexPartition([(1,), (2, 6), (3,), (4,), (5,)]),
     PartitionType: lambda: PartitionType.from_string("1^4 2^1"),
     TypeReport: lambda: arrangement_type(crapo()),
