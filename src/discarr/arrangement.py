@@ -13,6 +13,7 @@ trace and prints it, and never compares two maps up to scaling.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from .exactfield import (
@@ -103,19 +104,19 @@ def _require_generic(a: Arrangement) -> None:
                          .get(a.k, "dependent k-subset of normals"))
 
 
+def _signed_minors(key: tuple):
+    """The sign rule of the normal of D_key, key = (p_1 < ... < p_{k+1}):
+    (p_j, minor key, odd) for j = 1..k+1, where coordinate p_j carries
+    (-1)^(j+1) times the minor with p_j deleted, negated when odd."""
+    for j, p in enumerate(key):
+        yield p, key[:j] + key[j + 1:], j % 2 == 1
+
+
 def _discriminantal_row(a: Arrangement, key: tuple) -> list:
-    """The normal of D_key, key = (p_1 < ... < p_{k+1}), as its k + 1
-    (coordinate, payload) pairs: coordinate p_j, j counted from 1,
-    carries (-1)^(j+1) times the minor with p_j deleted."""
+    """The normal of D_key as its k + 1 (coordinate, payload) pairs."""
     minors, neg = a.minors(), a.field._neg
-    k = len(key) - 1
-    pairs = []
-    # combinations(key, k) deletes p_{k+1}, p_k, ..., p_1 in turn
-    for j, sub in zip(range(k, -1, -1), combinations(key, k)):
-        d = minors[sub]
-        pairs.append((key[j], d if j % 2 == 0 else neg(d)))
-    pairs.reverse()
-    return pairs
+    return [(p, neg(minors[sub]) if odd else minors[sub])
+            for p, sub, odd in _signed_minors(key)]
 
 
 def _projected_row(a: Arrangement, key: tuple) -> list:
@@ -186,8 +187,7 @@ class IndexFamily(_Value):
         fam = tuple(sorted({tuple(sorted(set(s))) for s in sets}))
         if not fam:
             raise ValueError("family must contain at least one index set")
-        for a, b in combinations(fam, 2):
-            sa, sb = set(a), set(b)
+        for (a, sa), (b, sb) in combinations(zip(fam, map(frozenset, fam)), 2):
             if sa < sb or sb < sa:
                 raise ValueError(f"{a} and {b} are nested")
         self.sets = fam
@@ -229,6 +229,64 @@ def _candidates(fd: FieldDescriptor, incidences: int, dim: int):
     raise NoGenericWitness("every kernel vector hits an extra incidence")
 
 
+def _family_key(sets: list, n: int) -> int | None:
+    """The family as one int: each set's index mask (bit p for index p,
+    bit 0 a sentinel, so an empty set still shows) packed n + 1 bits
+    apart, in the order given.  None when some index is outside 1..n or
+    not an int: translate_solver then plans the sets uncached, which
+    refuses an index outside 1..n with its message."""
+    key = 0
+    try:
+        for L in sets:
+            mask = 1
+            for p in L:
+                if not 0 < p <= n:
+                    return None
+                mask |= 1 << p
+            key = key << (n + 1) | mask
+    except TypeError:
+        return None
+    return key
+
+
+@lru_cache(maxsize=1024)
+def _translate_plan(family: int, k: int, n: int) -> tuple:
+    """_index_plan of the family _family_key(family, n) encodes."""
+    sets = []
+    slot = (1 << (n + 1)) - 1
+    while family:
+        mask = family & slot
+        sets.append([p for p in range(1, n + 1) if mask >> p & 1])
+        family >>= n + 1
+    return _index_plan(sets, k, n)
+
+
+def _index_plan(sets, k: int, n: int) -> tuple:
+    """What translate_solver reads off a family, whatever the
+    arrangement: the family's rows and its distinct extra-incidence
+    functionals, each a tuple of (column, minor key, odd) on coordinates
+    k+1..n (_signed_minors), and the count of extra incidences.  Raises
+    ValueError for a family that is empty, nested, has a set smaller
+    than k + 1 or an index outside 1..n."""
+    family = IndexFamily(sets)
+    for L in family:
+        if len(L) < k + 1:
+            raise ValueError(f"family set {L} smaller than k+1 = {k + 1}")
+        if any(not 1 <= p <= n for p in L):
+            raise ValueError(f"family set {L} has out-of-range indices")
+
+    def projected(key):
+        return tuple((p - 1 - k, sub, odd) for p, sub, odd in _signed_minors(key) if p > k)
+
+    rows = tuple(projected(sub) for L in family for sub in combinations(L, k + 1))
+    # extra incidences: hyperplane q outside L passes through L's common
+    # point iff L's head and q are concurrent, i.e. t lies on D_{head + q},
+    # read on coordinates k+1..n (every key holds one); the walk's bound
+    # counts every (L, q), duplicate keys included
+    keys = [tuple(sorted(L[:k] + (q,))) for L in family for q in range(1, n + 1) if q not in L]
+    return rows, tuple(map(projected, dict.fromkeys(keys))), len(keys)
+
+
 def translate_solver(a: Arrangement, family) -> Vector | None:
     """Find a translation t making each family set concurrent, no extras.
 
@@ -243,37 +301,42 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
     independent).  So the search fixes those k coordinates at zero and
     runs on coordinates k+1..n, where the kernel of the family's rows
     has k dimensions fewer; an empty kernel there leaves only the zero
-    translation, which every extra incidence holds on.  The search runs
-    on raw payloads; only the returned t is wrapped.  Each extra
-    incidence is one discriminantal normal, built once per distinct key
-    and tested on each candidate t of _candidates (at most k + 1
-    products); only once a candidate has failed (or the kernel is too
-    large to enumerate) is an incidence holding on the whole kernel,
-    which rules out every t, looked for.
+    translation, which every extra incidence holds on.  Each extra
+    incidence is one discriminantal normal, tested on each candidate t
+    of _candidates (at most k + 1 products); only once a candidate has
+    failed (or the kernel is too large to enumerate) is an incidence
+    holding on the whole kernel, which rules out every t, looked for.
+
+    Which minors each row and each incidence reads, and with which sign,
+    depends only on the family, k and n: that index plan is validated
+    and built once per family spelling (_translate_plan, keyed by
+    _family_key), and holds no arrangement.  Each call reads the signed
+    minors into payload rows, builds the one kernel span and walks the
+    candidates on raw payloads; only the returned t is wrapped.  A
+    malformed family is reported before a non-generic arrangement.
     """
-    if not isinstance(family, IndexFamily):
-        family = IndexFamily(family)
+    k, n = a.k, a.n
+    sets = [tuple(L) for L in family]
+    key = _family_key(sets, n)
+    row_plan, incidence_plan, incidences = (
+        _index_plan(sets, k, n) if key is None else _translate_plan(key, k, n))
     _require_generic(a)
     f = a.field
-    k, n = a.k, a.n
-    for L in family:
-        if len(L) < k + 1:
-            raise ValueError(f"family set {L} smaller than k+1 = {k + 1}")
-        if any(not 1 <= p <= n for p in L):
-            raise ValueError(f"family set {L} has out-of-range indices")
-    add, mul, is_zero = f._add, f._mul, f._is_zero
+    add, mul, neg, is_zero = f._add, f._mul, f._neg, f._is_zero
     zero, one = f._coerce_int(0), f._coerce_int(1)
+    minors = a.minors()
 
-    rows = [_projected_row(a, sub) for L in family for sub in combinations(L, k + 1)]
+    def read(entries) -> list:
+        return [(c, neg(minors[sub]) if odd else minors[sub]) for c, sub, odd in entries]
+
+    rows = []
+    for entries in row_plan:
+        row = [zero] * (n - k)
+        for c, x in read(entries):
+            row[c] = x
+        rows.append(row)
     basis = _Span.over(f, rows).kernel(n - k)
-
-    # extra incidences: hyperplane q outside L passes through L's common
-    # point iff L's head and q are concurrent, i.e. t lies on D_{head + q},
-    # read on coordinates k+1..n (every key holds one); the walk's bound
-    # counts every (L, q), duplicate keys included
-    keys = [tuple(sorted(L[:k] + (q,))) for L in family for q in a.indices if q not in L]
-    functionals = [[(p - 1 - k, x) for p, x in _discriminantal_row(a, key) if p > k]
-                   for key in dict.fromkeys(keys)]
+    functionals = [read(entries) for entries in incidence_plan]
     if not basis:
         return None if functionals else (FieldElement(f, zero),) * n
 
@@ -287,7 +350,7 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
         return any(all(vanishes(fn, b) for b in basis) for fn in functionals)
 
     try:
-        for tried, coeffs in enumerate(_candidates(f, len(keys), len(basis))):
+        for tried, coeffs in enumerate(_candidates(f, incidences, len(basis))):
             # sum c b over the nonzero c, with no product by one and no
             # sum with zero; _candidates yields no zero combination
             t = None

@@ -399,12 +399,12 @@ def oracle_quint_value(a, q):
 # ---------------------------------------------------------------------------
 # work counting
 
-def count_payload_calls(monkeypatch, fd):
-    """A Counter of the products and inverses of fd's class made while
-    the test runs."""
+def count_payload_calls(monkeypatch, fd, hooks=("_mul", "_inv")):
+    """A Counter of the calls to the given payload hooks of fd's class
+    (by default its products and inverses) made while the test runs."""
     calls = Counter()
     cls = type(fd)
-    for hook in ("_mul", "_inv"):
+    for hook in hooks:
         fn = getattr(cls, hook)
 
         def counting(self, *args, fn=fn, hook=hook):

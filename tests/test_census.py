@@ -77,19 +77,24 @@ CENSUS = {
 STARRED = {"2^3", "2^1 4^1", "6^1"}
 
 
+def plane_classes(name):
+    """(params, parametrized(fd, *params)) for every generic tuple of the
+    named field: one arrangement per labeled class of six planes."""
+    fd = FIELDS[name]
+    elements = tuple(fd.iter_elements())
+    for params in product(elements, repeat=4):
+        if is_parameter_generic(fd, *params):
+            yield params, parametrized(fd, *params)
+
+
 @cache
 def census(name):
     """(type label -> labeled classes, tuples whose classification
     raised ClosureViolation, tuples whose TypeReport differs from the
     union-find oracle's) over every generic tuple of the field."""
-    fd = FIELDS[name]
-    elements = tuple(fd.iter_elements())
     counts = Counter()
     violations, mismatches = [], []
-    for params in product(elements, repeat=4):
-        if not is_parameter_generic(fd, *params):
-            continue
-        a = parametrized(fd, *params)
+    for params, a in plane_classes(name):
         try:
             rep = arrangement_type(a)
         except ClosureViolation:
@@ -169,25 +174,31 @@ LINE_CENSUS = {
 }
 
 
+def line_classes(name):
+    """((x, y, z), arrangement) for every six-line representative of the
+    named field: (1,0), (0,1), (1,1), (x,1), (y,1), (z,1)."""
+    fd = FIELDS[name]
+    zero, one = fd.zero(), fd.one()
+    rest = [e for e in fd.iter_elements() if e != zero and e != one]
+    for xyz in permutations(rest, 3):
+        yield xyz, Arrangement(fd, 2, ((one, zero), (zero, one), (one, one))
+                               + tuple((x, one) for x in xyz))
+
+
 @cache
 def line_census(name):
     """(the TypeReport of every six-line representative, representatives
     whose classification raised ClosureViolation, representatives whose
     TypeReport differs from the union-find oracle's) over the field."""
-    fd = FIELDS[name]
-    zero, one = fd.zero(), fd.one()
-    rest = [e for e in fd.iter_elements() if e != zero and e != one]
     reports, violations, mismatches = [], [], []
-    for x, y, z in permutations(rest, 3):
-        a = Arrangement(fd, 2, ((one, zero), (zero, one), (one, one),
-                                (x, one), (y, one), (z, one)))
+    for xyz, a in line_classes(name):
         try:
             reports.append(arrangement_type(a))
         except ClosureViolation:
-            violations.append((x, y, z))
+            violations.append(xyz)
             continue
         if reports[-1] != oracle_arrangement_type(a):
-            mismatches.append((x, y, z))
+            mismatches.append(xyz)
     return reports, violations, mismatches
 
 

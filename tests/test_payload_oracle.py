@@ -21,12 +21,16 @@ oracle's outcome, and a translation it finds must vanish on coordinates
 1..k, pass a cofactor incidence check, and, on a kernel of k rigid
 translations plus one direction, be proportional to the oracle's with
 its rigid part removed.  The payload work of one map and one
-translation is pinned.
+translation is pinned.  The solver's index plan is memoised per family:
+it must match the oracle on a cold and a warm memo and under any
+spelling of the family, never cache a refusal, and hold one plan per
+family the census detects.
 """
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from functools import cache
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -63,6 +67,7 @@ from _helpers import (
     span_solution,
     translation_problems,
 )
+from test_census import FIELDS as CENSUS_FIELDS, LINE_FIELDS, line_classes, plane_classes
 from test_classify_oracle import FIELDS, _sampler, seeded_planes
 
 
@@ -600,6 +605,105 @@ def test_translate_solver_payload_work_is_pinned(monkeypatch):
     calls = count_payload_calls(monkeypatch, a.field)
     assert translate_solver(a, family) is not None
     assert calls == Counter(_mul=11, _inv=1)
+
+
+def test_translate_solver_reads_no_minor_at_the_first_k_coordinates(monkeypatch):
+    # the same input: 9 negated minors, one per odd entry past k (4 in
+    # the rows, 5 in the five distinct incidences), and 3 negations in
+    # the reduction; reading every coordinate took 19, one more per odd
+    # entry at coordinates 1..3
+    a = build_gallery("witness-1^1,5^1")
+    family = good6_points(a)[0].sets
+    calls = count_payload_calls(monkeypatch, a.field, hooks=("_neg",))
+    assert translate_solver(a, family) is not None
+    assert calls == Counter(_neg=12)
+
+
+def _detected(a):
+    return good6_points(a) if a.k == 3 else quadral_points(a)
+
+
+def _payloads_of(outcome):
+    return tuple(x.payload for x in outcome) if isinstance(outcome, tuple) else outcome
+
+
+@cache
+def census_plan_pass():
+    """Clear the plan memo, then translate the first detected pattern of
+    every six-plane and six-line census class.  Returns the memo's
+    cache_info after the pass, the number of translations, and the first
+    class of each distinct family as {(k, family): arrangement}."""
+    arrangement._translate_plan.cache_clear()
+    first, translated = {}, 0
+    classes = chain((a for name in sorted(CENSUS_FIELDS) for _, a in plane_classes(name)),
+                    (a for name in LINE_FIELDS for _, a in line_classes(name)))
+    for a in classes:
+        patterns = _detected(a)
+        if patterns:
+            translate_solver(a, patterns[0].sets)
+            first.setdefault((a.k, patterns[0].sets), a)
+            translated += 1
+    return arrangement._translate_plan.cache_info(), translated, first
+
+
+@cache
+def census_and_gallery_families():
+    """(arrangement, family) for every detected pattern of the first
+    census class of each family and of every gallery arrangement."""
+    gallery = [build_gallery(g) for g in ("crapo", "octahedral", "dodecahedral", "f4", "f5",
+                                          "polygon-6")] + gallery_witnesses()
+    pairs = []
+    for a in list(census_plan_pass()[2].values()) + gallery:
+        pairs += [(a, p.sets) for p in _detected(a)]
+    return pairs
+
+
+def test_plan_memo_is_bounded():
+    assert arrangement._translate_plan.cache_info().maxsize is not None
+
+
+def test_census_needs_one_plan_per_family():
+    # 15 good-6 families on six planes and 15 quadrilateral families on
+    # six lines; every other class reuses a plan
+    info, translated, first = census_plan_pass()
+    assert info.currsize == info.misses == len(first) <= 45
+    assert info.hits + info.misses == translated > 13000
+
+
+def test_translate_solver_matches_oracle_cold_and_warm():
+    pairs = census_and_gallery_families()
+    arrangement._translate_plan.cache_clear()
+    cold = [_payloads_of(_outcome(translate_solver, a, fam)) for a, fam in pairs]
+    warm = [_payloads_of(_outcome(translate_solver, a, fam)) for a, fam in pairs]
+    assert cold == warm
+    found = sum(_compare_translations(a, [fam]) for a, fam in pairs)
+    assert found == len(pairs) > 200
+
+
+def test_translate_solver_ignores_how_the_family_is_spelled():
+    for a, fam in census_and_gallery_families():
+        want = _payloads_of(translate_solver(a, fam))
+        spellings = [list(fam), tuple(tuple(reversed(L)) for L in reversed(fam)),
+                     fam + fam[:1], IndexFamily(fam)]
+        assert [_payloads_of(translate_solver(a, s)) for s in spellings] == [want] * 4
+
+
+@pytest.mark.parametrize("family, message", [
+    ([], "family must contain at least one index set"),
+    ([(1, 2, 3, 4), (1, 2, 3, 4, 5)], "(1, 2, 3, 4) and (1, 2, 3, 4, 5) are nested"),
+    ([(1, 2, 3)], "family set (1, 2, 3) smaller than k+1 = 4"),
+    ([(0, 1, 2, 3)], "family set (0, 1, 2, 3) has out-of-range indices"),
+    ([(1, 2, 3, 7)], "family set (1, 2, 3, 7) has out-of-range indices"),
+    ([()], "family set () smaller than k+1 = 4"),
+], ids=["empty", "nested", "short", "index-0", "index-n+1", "empty-member"])
+def test_refused_families_are_never_cached(family, message):
+    a = build_gallery("witness-1^1,5^1")
+    before = arrangement._translate_plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            translate_solver(a, family)
+        assert type(err.value) is ValueError and str(err.value) == message
+    assert arrangement._translate_plan.cache_info().currsize == before
 
 
 def _points_over_f7(n):

@@ -9,7 +9,9 @@ apart from the paper's closed forms, embed and the CLI entry point: a
 definition only the tests call belongs in tests/ as an oracle.
 Every import sits at module level, where a cycle or a missing name shows
 on import rather than on the first call.  A functools memo takes only
-int parameters, so none can key on an arrangement or keep one alive.
+int parameters, so none can key on an arrangement or keep one alive,
+and every lru_cache gives an explicit maxsize other than None (an
+unbounded memo is spelled functools.cache).
 Only the _Value base and the two classes whose equality is not a key
 comparison define __eq__ or __hash__, and every _Value subclass has
 __slots__ (an instance dict would cost memory on every value).  Only
@@ -171,6 +173,26 @@ def test_memos_take_only_int_parameters(path):
             loose += [f"{fn.name}({p.arg})" for p in params
                       if not (isinstance(p.annotation, ast.Name) and p.annotation.id == "int")]
     assert loose == []
+
+
+def _names_lru_cache(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_lru_cache_names_its_maxsize(path):
+    tree = _tree(path)
+    sized = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and _names_lru_cache(call.func):
+            size = call.args[0] if call.args else next(
+                (kw.value for kw in call.keywords if kw.arg == "maxsize"), None)
+            if size is not None and not (isinstance(size, ast.Constant) and size.value is None):
+                sized.add(id(call.func))
+    unsized = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.expr) and _names_lru_cache(node) and id(node) not in sized]
+    assert unsized == []
 
 
 # FieldDescriptor keeps its own __eq__ (which the benchmark tracer wraps),
