@@ -1,6 +1,6 @@
 """Exact-arithmetic discriminantal arrangements.
 
-Build B(n,k,A) from a generic arrangement A over an exact field, detect
+Read B(n,k,A) off a generic arrangement A over an exact field, detect
 the coincidence patterns that make A non-very-generic (4-set, five
 triple, and good-partition conditions), walk the intersection lattice,
 and classify 6-element arrangements by the type their detected pattern
@@ -35,10 +35,8 @@ from .arrangement import (
     translate_solver,
 )
 from .discriminantal import (
-    DiscriminantalArrangement,
     Flat,
     Lattice,
-    build_discriminantal,
     discriminantal_normal,
     intersection_lattice,
     is_very_generic,

@@ -112,22 +112,33 @@ def _signed_minors(key: tuple):
         yield p, key[:j] + key[j + 1:], j % 2 == 1
 
 
-def _discriminantal_row(a: Arrangement, key: tuple) -> list:
-    """The normal of D_key as its k + 1 (coordinate, payload) pairs."""
+def _projected(key: tuple, k: int) -> tuple:
+    """The plan of D_key's normal on coordinates k+1..n: (column, minor
+    key, odd) for each p_j > k of _signed_minors, at column p_j - 1 - k
+    (the discriminantal docstring proves nothing is lost)."""
+    return tuple((p - 1 - k, sub, odd) for p, sub, odd in _signed_minors(key) if p > k)
+
+
+def _read_minors(a: Arrangement, plans) -> list:
+    """Each plan's (column, minor key, odd) entries read off a's minors
+    as (column, payload) pairs, the minor negated when odd."""
     minors, neg = a.minors(), a.field._neg
-    return [(p, neg(minors[sub]) if odd else minors[sub])
-            for p, sub, odd in _signed_minors(key)]
+    return [[(c, neg(minors[sub]) if odd else minors[sub]) for c, sub, odd in plan]
+            for plan in plans]
 
 
-def _projected_row(a: Arrangement, key: tuple) -> list:
-    """The normal of D_key on coordinates k+1..n: a dense payload row of
-    length n - k (the discriminantal docstring proves nothing is lost)."""
-    k = a.k
-    row = [a.field._coerce_int(0)] * (a.n - k)
-    for p, x in _discriminantal_row(a, key):
-        if p > k:
-            row[p - 1 - k] = x
-    return row
+def _payload_rows(a: Arrangement, plans) -> list:
+    """Each plan of _projected read off a's minors as a dense payload
+    row of length n - k."""
+    minors, neg = a.minors(), a.field._neg
+    zero, width = a.field._coerce_int(0), a.n - a.k
+    rows = []
+    for plan in plans:
+        row = [zero] * width
+        for c, sub, odd in plan:
+            row[c] = neg(minors[sub]) if odd else minors[sub]
+        rows.append(row)
+    return rows
 
 
 def _frame(points):
@@ -265,7 +276,7 @@ def _index_plan(sets, k: int, n: int) -> tuple:
     """What translate_solver reads off a family, whatever the
     arrangement: the family's rows and its distinct extra-incidence
     functionals, each a tuple of (column, minor key, odd) on coordinates
-    k+1..n (_signed_minors), and the count of extra incidences.  Raises
+    k+1..n (_projected), and the count of extra incidences.  Raises
     ValueError for a family that is empty, nested, has a set smaller
     than k + 1 or an index outside 1..n."""
     family = IndexFamily(sets)
@@ -275,16 +286,13 @@ def _index_plan(sets, k: int, n: int) -> tuple:
         if any(not 1 <= p <= n for p in L):
             raise ValueError(f"family set {L} has out-of-range indices")
 
-    def projected(key):
-        return tuple((p - 1 - k, sub, odd) for p, sub, odd in _signed_minors(key) if p > k)
-
-    rows = tuple(projected(sub) for L in family for sub in combinations(L, k + 1))
+    rows = tuple(_projected(sub, k) for L in family for sub in combinations(L, k + 1))
     # extra incidences: hyperplane q outside L passes through L's common
     # point iff L's head and q are concurrent, i.e. t lies on D_{head + q},
     # read on coordinates k+1..n (every key holds one); the walk's bound
     # counts every (L, q), duplicate keys included
     keys = [tuple(sorted(L[:k] + (q,))) for L in family for q in range(1, n + 1) if q not in L]
-    return rows, tuple(map(projected, dict.fromkeys(keys))), len(keys)
+    return rows, tuple(_projected(key, k) for key in dict.fromkeys(keys)), len(keys)
 
 
 def translate_solver(a: Arrangement, family) -> Vector | None:
@@ -324,19 +332,8 @@ def translate_solver(a: Arrangement, family) -> Vector | None:
     f = a.field
     add, mul, neg, is_zero = f._add, f._mul, f._neg, f._is_zero
     zero, one = f._coerce_int(0), f._coerce_int(1)
-    minors = a.minors()
-
-    def read(entries) -> list:
-        return [(c, neg(minors[sub]) if odd else minors[sub]) for c, sub, odd in entries]
-
-    rows = []
-    for entries in row_plan:
-        row = [zero] * (n - k)
-        for c, x in read(entries):
-            row[c] = x
-        rows.append(row)
-    basis = _Span.over(f, rows).kernel(n - k)
-    functionals = [read(entries) for entries in incidence_plan]
+    basis = _Span.over(f, _payload_rows(a, row_plan)).kernel(n - k)
+    functionals = _read_minors(a, incidence_plan)
     if not basis:
         return None if functionals else (FieldElement(f, zero),) * n
 

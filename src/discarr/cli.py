@@ -38,6 +38,7 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from math import comb
 
 from .arrangement import (
     Arrangement,
@@ -58,7 +59,6 @@ from .detectors import (
 from .discriminantal import (
     TooLarge,
     _require_lattice_size,
-    build_discriminantal,
     intersection_lattice,
     nvg_flats,
 )
@@ -316,14 +316,13 @@ def cmd_lattice(args):
     # read off the minors table, then the cap (exit 2), which needs (n, k)
     _require_generic(a)
     _require_lattice_size(a.n, a.k)
-    d = build_discriminantal(modular_image(a, lattice=True))
-    lat = intersection_lattice(d, max_rank=args.max_rank)
+    lat = intersection_lattice(modular_image(a, lattice=True), max_rank=args.max_rank)
     nvg = nvg_flats(lat)
     results = lat.report(nvg=nvg)
     results["field"] = descriptor_to_json(a.field)
     results["nvg_count"] = len(nvg)
     lines = [f"lattice {args.input}: n={a.n} k={a.k} "
-             f"{len(d)} hyperplanes, top rank {lat.max_rank()}"]
+             f"{comb(a.n, a.k + 1)} hyperplanes, top rank {lat.max_rank()}"]
     for level in results["ranks"]:
         lines.append(f"rank {level['rank']}: {level['count']} flats")
         if not args.quiet:
@@ -376,12 +375,12 @@ def _table_classification():
 
 
 def _table_dependencies():
-    d = build_discriminantal(dodecahedral())
+    a = dodecahedral()
     rows = []
     lines = ["pairing    dependency"]
     for pairs, terms in DODECAHEDRAL_DEPENDENCIES:
-        residual = dependency_residual(d, terms)
-        det = good6_condition(d.base, pairs)
+        residual = dependency_residual(a, terms)
+        det = good6_condition(a, pairs)
         ok = all(e.is_zero() for e in residual) and det.is_zero()
         text = " ".join(("+" if s > 0 else "-") + "".join(map(str, L))
                         for s, L in terms)

@@ -229,25 +229,23 @@ def find_involutions(a: Arrangement):
     swapping the normals along it, when one exists.
 
     A map is built only for the matchings _pairings passes, the test
-    quadral_points makes.  Returns (matching, map) pairs; the map sends
-    each normal to its partner in both directions and squares to the
-    identity: projective_map_through sends each normal to its partner,
-    and by Cayley-Hamilton f^2 = tr(f) f - det(f) is scalar, so that f
-    sends the partners back, exactly when tr(f) is zero.  Each map is
-    the rows ((a, b), (c, d)) projective_map_through returns, invertible
-    with no check, and the trace a + d is taken on their payloads."""
+    quadral_points makes, and no trace is taken.  At k = 2, _pairings
+    holds exactly when some involution of P^1 swaps the three pairs.
+    A map of P^1 is fixed by three points and their images, so the map
+    projective_map_through returns, which sends each normal to its
+    partner, is that involution: it sends the partners back, and its
+    trace is 0 (by Cayley-Hamilton f^2 = tr(f) f - det(f), and f is not
+    scalar).  Returns (matching, map) pairs, each map the rows
+    ((a, b), (c, d)) projective_map_through returns, invertible with no
+    check."""
     _check_k(a, 2)
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
-    fd = a.field
     out = []
     for pairs in _pairings(a):
         src = tuple(a.normal(p) for p, _ in pairs)
         dst = tuple(a.normal(q) for _, q in pairs)
-        f = projective_map_through(src, dst)
-        if fd._is_zero(fd._add(f[0][0].payload, f[1][1].payload)):
-            matching = frozenset(frozenset(p) for p in pairs)
-            out.append((matching, f))
+        out.append((frozenset(frozenset(p) for p in pairs), projective_map_through(src, dst)))
     return out
 
 

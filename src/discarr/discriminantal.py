@@ -4,9 +4,14 @@ Each (k+1)-subset L of hyperplane indices gives one hyperplane D_L in
 the n-dimensional space of translation vectors: D_L is the locus of
 translations making the L-indexed hyperplanes concurrent, and its
 normal is supported on L with signed k x k minors of the base normals
-as coordinates, read off the arrangement's table of minors, which is
-the only table B(n,k,A) keeps.  For a generic base the whole family is
-central of rank n - k (Manin-Schechtman), so it is built unchecked.
+as coordinates.  B(n,k,A) is fixed by A alone, so no object stands for
+it: every function here takes A, and every row is read off A's table
+of minors by the sign rule of arrangement._signed_minors, in full by
+arrangement._read_minors and as the dense rows on coordinates k+1..n
+that the lattice reduces by arrangement._payload_rows, the reader
+translate_solver uses too.  For a generic base
+the whole family is central of rank n - k (Manin-Schechtman), so no
+rank is checked.
 
 The geometry lives on coordinates k+1..n.  Let pi drop coordinates
 1..k.  Every normal is orthogonal to the k coordinate columns of A
@@ -36,8 +41,15 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .arrangement import Arrangement, _discriminantal_row, _projected_row, _require_generic
-from .exactfield import FieldDescriptor, FieldElement, _Value
+from .arrangement import (
+    Arrangement,
+    _payload_rows,
+    _projected,
+    _read_minors,
+    _require_generic,
+    _signed_minors,
+)
+from .exactfield import FieldElement, _Value
 from .linalg import Vector, _Span
 
 
@@ -67,46 +79,10 @@ def discriminantal_normal(a: Arrangement, L) -> Vector:
     """Normal of D_L, L = (p_1 < ... < p_{k+1}): coordinate p_j, j
     counted from 1, carries (-1)^(j+1) times the minor of the base
     normals with p_j deleted; all other coordinates are zero."""
-    key = _as_subset(a, L)
     normal = [a.field.zero()] * a.n
-    for p, x in _discriminantal_row(a, key):
+    for p, x in _read_minors(a, [_signed_minors(_as_subset(a, L))])[0]:
         normal[p - 1] = FieldElement(a.field, x)
     return tuple(normal)
-
-
-class DiscriminantalArrangement:
-    """The C(n, k+1) hyperplanes D_L of B(n,k,A) over a generic base A,
-    one per sorted (k+1)-subset L; each normal is read off the base's
-    minors when asked for."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: Arrangement):
-        self.base = base
-
-    @property
-    def field(self) -> FieldDescriptor:
-        return self.base.field
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    def subsets(self) -> list[tuple[int, ...]]:
-        return list(combinations(self.base.indices, self.k + 1))
-
-    def normal(self, L) -> Vector:
-        return discriminantal_normal(self.base, L)
-
-    def __len__(self) -> int:
-        return comb(self.n, self.k + 1)
-
-    def __repr__(self):
-        return f"DiscriminantalArrangement(n={self.n}, k={self.k}, {len(self)} hyperplanes)"
 
 
 def _require_lattice_size(n: int, k: int) -> None:
@@ -115,13 +91,6 @@ def _require_lattice_size(n: int, k: int) -> None:
     count = comb(n, k + 1)
     if count > MAX_HYPERPLANES:
         raise TooLarge(f"{count} hyperplanes exceeds the {MAX_HYPERPLANES} cap")
-
-
-def build_discriminantal(a: Arrangement) -> DiscriminantalArrangement:
-    """B(n,k,A); NotGeneric unless A is generic.  Genericity forces
-    rank n - k (module docstring), so no rank is checked."""
-    _require_generic(a)
-    return DiscriminantalArrangement(a)
 
 
 class Flat(_Value):
@@ -134,9 +103,6 @@ class Flat(_Value):
         self.support = support
         self.rank = rank
 
-    def key(self) -> tuple[frozenset, int]:
-        return (frozenset(self.support), self.rank)
-
     def __len__(self) -> int:
         return len(self.support)
 
@@ -146,9 +112,9 @@ class Lattice:
 
     __slots__ = ("n", "k", "flats_by_rank")
 
-    def __init__(self, d: DiscriminantalArrangement, flats_by_rank: dict):
-        self.n = d.n
-        self.k = d.k
+    def __init__(self, n: int, k: int, flats_by_rank: dict):
+        self.n = n
+        self.k = k
         self.flats_by_rank = flats_by_rank
 
     def flats(self, rank: int | None = None):
@@ -175,9 +141,9 @@ class Lattice:
         return {"n": self.n, "k": self.k, "ranks": ranks}
 
 
-def intersection_lattice(d: DiscriminantalArrangement,
-                         max_rank: int | None = None) -> Lattice:
-    """All flats of rank <= max_rank (default n-k), level by level.
+def intersection_lattice(a: Arrangement, max_rank: int | None = None) -> Lattice:
+    """All flats of B(n,k,a) of rank <= max_rank (default n-k), level by
+    level; NotGeneric unless a is generic, then TooLarge past the cap.
 
     The covers of a rank-r flat F come from one reduction of every
     hyperplane outside F modulo F's echelon: two of them span the same
@@ -188,14 +154,16 @@ def intersection_lattice(d: DiscriminantalArrangement,
     Every row is the normal on coordinates k+1..n, of length n - k
     (the module docstring proves the flats are the same).
     """
-    _require_lattice_size(d.n, d.k)
-    top = d.n - d.k
+    _require_generic(a)
+    _require_lattice_size(a.n, a.k)
+    top = a.n - a.k
     if max_rank is None:
         max_rank = top
     max_rank = max(0, min(max_rank, top))
-    keys = d.subsets()
-    empty = _Span.over(d.field)
-    rows = {L: empty.row(_projected_row(d.base, L)) for L in keys}
+    keys = list(combinations(a.indices, a.k + 1))
+    empty = _Span.over(a.field)
+    plans = [_projected(L, a.k) for L in keys]
+    rows = {L: empty.row(row) for L, row in zip(keys, _payload_rows(a, plans))}
 
     levels: dict[int, tuple[Flat, ...]] = {0: (Flat(support=(), rank=0),)}
     spans: dict[tuple, _Span] = {(): empty}
@@ -217,7 +185,7 @@ def intersection_lattice(d: DiscriminantalArrangement,
                     found[support] = span.extended(key)
         levels[r] = tuple(Flat(support=s, rank=r) for s in sorted(found))
         spans = found
-    return Lattice(d, levels)
+    return Lattice(a.n, a.k, levels)
 
 
 def is_very_generic(flat: Flat, k: int) -> bool:

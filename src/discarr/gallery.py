@@ -19,6 +19,7 @@ from math import comb
 
 from .arrangement import Arrangement
 from .detectors import FourSet, QuintFamily
+from .discriminantal import discriminantal_normal
 from .exactfield import (
     Cyclotomic,
     FieldDescriptor,
@@ -345,13 +346,13 @@ DODECAHEDRAL_DEPENDENCIES = (
 )
 
 
-def dependency_residual(d, terms) -> Vector:
-    """Signed sum of discriminantal normals; the zero vector certifies
-    the dependency.  d is a DiscriminantalArrangement, terms a sequence
-    of (sign, subset)."""
+def dependency_residual(a: Arrangement, terms) -> Vector:
+    """Signed sum of the discriminantal normals of B(n,k,a), read by
+    discriminantal_normal; the zero vector certifies the dependency.
+    terms is a sequence of (sign, subset)."""
     total = None
     for sign, subset in terms:
-        vec = d.normal(subset)
+        vec = discriminantal_normal(a, subset)
         if sign < 0:
             vec = tuple(-e for e in vec)
         total = vec if total is None else tuple(a + b for a, b in zip(total, vec))

@@ -1,6 +1,7 @@
 """Shared constructors for the test suite: seeded random arrangements,
 the random very generic reference, the lattice closure oracle and the
-rank read off its echelon, the six-element pairing and conjugation
+rank read off its echelon, every discriminantal normal and a flat's
+key as a set, the six-element pairing and conjugation
 closure oracles, the S6 type by union-find, the quint closure oracle,
 the FieldElement projective map through three points, the FieldElement
 genericity conditions of the parametrized family, the cofactor
@@ -42,6 +43,7 @@ from discarr import (
     TypeReport,
     VertexPartition,
     detectors,
+    discriminantal_normal,
     is_generic,
 )
 from discarr.arrangement import DegeneratePoints
@@ -188,6 +190,17 @@ def oracle_rank(rows):
     for v in rows:
         span.insert(v)
     return len(span.rows)
+
+
+def discriminantal_normals(a):
+    """The normal of every D_L of B(n,k,a), keyed by the sorted
+    (k+1)-subset L, in order."""
+    return {L: discriminantal_normal(a, L) for L in combinations(a.indices, a.k + 1)}
+
+
+def flat_key(f):
+    """A flat as (support set, rank), to compare flats as sets."""
+    return (frozenset(f.support), f.rank)
 
 
 # ---------------------------------------------------------------------------

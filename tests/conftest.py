@@ -7,7 +7,6 @@ import pytest
 
 from discarr import (
     arrangement_type,
-    build_discriminantal,
     good6_points,
     intersection_lattice,
     quadral_points,
@@ -133,5 +132,5 @@ def reference_lattices():
     out = {}
     for k in (2, 3):
         ref = reference_very_generic(6, k, seed=0)
-        out[k] = intersection_lattice(build_discriminantal(ref))
+        out[k] = intersection_lattice(ref)
     return out

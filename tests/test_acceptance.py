@@ -15,7 +15,6 @@ from discarr import (
     Rational,
     TYPE_ORDER,
     arrangement_type,
-    build_discriminantal,
     discriminantal_normal,
     find_involutions,
     good6_condition,
@@ -42,6 +41,7 @@ from discarr.gallery import (
 
 from _helpers import (
     all_partitions_of_6,
+    flat_key,
     fourset_candidates,
     monic_quadratic_irreducible_over_q,
     oracle_ceva_value,
@@ -98,10 +98,9 @@ def test_criterion_2(fixed_gallery):
         assert len(goods) == 10
         assert ({g.matching for g in goods}
                 == {m for m, _ in DODECAHEDRAL_DEPENDENCIES})
-        d = build_discriminantal(a)
         zero = a.field.zero()
         for _, terms in DODECAHEDRAL_DEPENDENCIES:
-            assert all(e == zero for e in dependency_residual(d, terms))
+            assert all(e == zero for e in dependency_residual(a, terms))
         detected = {g.matching for g in goods}
         rest = [m for m in perfect_matchings(range(1, 7)) if m not in detected]
         assert len(rest) == 5
@@ -345,7 +344,7 @@ def test_criterion_8d(k2_detections):
 
 
 def _nvg(a):
-    return nvg_flats(intersection_lattice(build_discriminantal(a)))
+    return nvg_flats(intersection_lattice(a))
 
 
 def test_criterion_9(fixed_gallery, witnesses):
@@ -356,7 +355,7 @@ def test_criterion_9(fixed_gallery, witnesses):
 
         a = fixed_gallery["octahedral"]
         nvg = _nvg(a)
-        assert ({f.key() for f in nvg}
+        assert ({flat_key(f) for f in nvg}
                 == {(frozenset(fs.sets), 3) for fs in quadral_points(a)})
         assert len(nvg) == 12
 
@@ -364,11 +363,11 @@ def test_criterion_9(fixed_gallery, witnesses):
             a = fixed_gallery[name]
             nvg = _nvg(a)
             expected = {_matching_key(g.matching) for g in good6_points(a)}
-            assert {f.key() for f in nvg} == expected
+            assert {flat_key(f) for f in nvg} == expected
             assert len(nvg) == count
 
         for label, (spec, a) in witnesses.items():
             nvg = _nvg(a)
             expected = {_matching_key(g.matching) for g in good6_points(a)}
-            assert {f.key() for f in nvg} == expected
+            assert {flat_key(f) for f in nvg} == expected
             assert len(nvg) == arrangement_type(a).type.m()

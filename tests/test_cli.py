@@ -407,13 +407,15 @@ def test_lattice_too_large(capsys):
 
 
 def _no_build(monkeypatch):
-    def refuse(a):
-        raise AssertionError("build_discriminantal called")
-    monkeypatch.setattr(discarr.cli, "build_discriminantal", refuse)
+    # the modular image is the costly step the gates must precede
+    def refuse(a, lattice=False):
+        raise AssertionError("modular_image called")
+    monkeypatch.setattr(discarr.cli, "modular_image", refuse)
 
 
 def test_lattice_over_cap_refused_before_build(monkeypatch, capsys):
-    # C(40, 3) = 9880 hyperplanes over Q(zeta160): nothing of B is built
+    # C(40, 3) = 9880 hyperplanes over Q(zeta160): refused before its
+    # modular image is made
     _no_build(monkeypatch)
     assert main(["lattice", "gallery:polygon-40"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: 9880 hyperplanes exceeds the 64 cap\n"

@@ -17,7 +17,6 @@ from discarr import (
     Quadratic,
     Rational,
     arrangement_type,
-    build_discriminantal,
     build_gallery,
     discriminantal_normal,
     intersection_lattice,
@@ -27,10 +26,12 @@ from discarr import (
     quadral_points,
 )
 from discarr.discriminantal import BadSubsetSize, TooLarge
-from discarr.gallery import crapo, dodecahedral, f5_arrangement
+from discarr.gallery import crapo, dodecahedral
 
 from _helpers import (
     count_payload_calls,
+    discriminantal_normals,
+    flat_key,
     oracle_closure,
     oracle_rank,
     random_k2,
@@ -98,9 +99,9 @@ def test_normals_vanish_on_the_coordinate_translations(fd, k):
                          ids=["Q", "sqrt5", "zeta5", "F101", "GF49"])
 @pytest.mark.parametrize("n, k", [(4, 1), (6, 2), (6, 3), (7, 3), (6, 4)])
 def test_generic_base_gives_rank_n_minus_k(fd, n, k):
-    # build_discriminantal checks no rank: genericity forces n - k
-    d = build_discriminantal(_random_generic(random.Random(f"rank-{fd!r}-{n}-{k}"), fd, n, k))
-    assert oracle_rank([d.normal(L) for L in d.subsets()]) == n - k
+    # intersection_lattice checks no rank: genericity forces n - k
+    a = _random_generic(random.Random(f"rank-{fd!r}-{n}-{k}"), fd, n, k)
+    assert oracle_rank(list(discriminantal_normals(a).values())) == n - k
 
 
 def test_normal_refuses_an_index_past_n():
@@ -109,36 +110,50 @@ def test_normal_refuses_an_index_past_n():
         discriminantal_normal(a, (1, 2, 5))
 
 
-def test_build_discriminantal_basics():
-    d = build_discriminantal(crapo())
-    assert len(d) == 20
-    assert d.subsets() == sorted(combinations(range(1, 7), 3))
-    assert d.normal((1, 2, 3)) == discriminantal_normal(d.base, (1, 2, 3))
-    with pytest.raises(BadSubsetSize):
-        d.normal((1, 2))
+def test_lattice_hyperplanes_are_the_sorted_subsets():
+    # B(6,2) has C(6,3) = 20 hyperplanes, one per sorted 3-subset: each
+    # is a rank-1 flat alone (no two normals share a support), and the
+    # central flat holds them all in order
+    keys = list(combinations(range(1, 7), 3))
+    lat = intersection_lattice(crapo())
+    assert [f.support for f in lat.flats(1)] == [(L,) for L in keys]
+    assert lat.flats(lat.max_rank())[0].support == tuple(keys)
+    with pytest.raises(BadSubsetSize, match="need 3 distinct"):
+        discriminantal_normal(crapo(), (1, 2))
 
 
-def test_build_discriminantal_makes_no_arithmetic(monkeypatch):
-    # the gate reads the kept minors and each normal is read off them on
-    # request; the rank check it dropped took 95 products and 1 inverse
-    a = f5_arrangement()
-    assert is_generic(a)
-    calls = count_payload_calls(monkeypatch, a.field)
-    d = build_discriminantal(a)
-    assert len(d) == 20 and d.subsets() == list(combinations(a.indices, 3))
+def test_lattice_gates_make_no_arithmetic_past_the_minors(monkeypatch):
+    # the genericity gate reads the kept minors and the cap reads (n, k):
+    # a refused arrangement costs no product or inverse past its minors
+    generic = random_k2(random.Random("too-large"), n=10)
+    parallel = Arrangement(Q, 2, ((1, 0), (2, 0), (0, 1)))
+    assert is_generic(generic) and not is_generic(parallel)
+    calls = count_payload_calls(monkeypatch, Q)
+    with pytest.raises(TooLarge):
+        intersection_lattice(generic)
+    with pytest.raises(NotGeneric):
+        intersection_lattice(parallel)
     assert calls == Counter()
 
 
-def test_build_discriminantal_rejects_degenerate():
-    with pytest.raises(NotGeneric):
-        build_discriminantal(Arrangement(Q, 2, ((1, 0), (2, 0), (0, 1))))
+def test_intersection_lattice_rejects_non_generic():
+    with pytest.raises(NotGeneric, match="parallel or repeated lines"):
+        intersection_lattice(Arrangement(Q, 2, ((1, 0), (2, 0), (0, 1))))
+    # nine lines, C(9, 3) = 84 > 64, two of them parallel: genericity
+    # is gated before the cap
+    over_cap = Arrangement(Q, 2, ((1, 0), (1, 0), (1, 1), (2, 1), (3, 1),
+                                  (5, 1), (7, 1), (11, 1), (13, 1)))
+    with pytest.raises(NotGeneric, match="parallel or repeated lines"):
+        intersection_lattice(over_cap)
+    with pytest.raises(NotGeneric, match="dependent normal triple"):
+        intersection_lattice(Arrangement(Q, 3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))))
 
 
 def test_braid_b41_is_partition_lattice():
     # B(4,1) of four concurrent-free parallel-free points on a line is
     # the rank-3 braid arrangement: flats match partitions of {1,2,3,4}
     a = Arrangement(Q, 1, [(1,)] * 4)
-    lat = intersection_lattice(build_discriminantal(a))
+    lat = intersection_lattice(a)
     assert lat.counts() == {0: 1, 1: 6, 2: 7, 3: 1}
     profile = sorted(len(f) for f in lat.flats(2))
     assert profile == [2, 2, 2, 3, 3, 3, 3]
@@ -153,22 +168,21 @@ def test_braid_b41_is_partition_lattice():
 def test_lattice_closure_idempotent():
     # every flat is closed: the span of its support holds no other
     # hyperplane, and its rank is the rank of that span
-    d = build_discriminantal(crapo())
-    lat = intersection_lattice(d)
-    normals = {L: d.normal(L) for L in d.subsets()}
+    a = crapo()
+    lat = intersection_lattice(a)
+    normals = discriminantal_normals(a)
     for f in lat.flats():
         assert oracle_closure(normals, f.support) == (f.support, f.rank)
 
 
 def test_lattice_max_rank_truncation():
-    d = build_discriminantal(crapo())
-    lat = intersection_lattice(d, max_rank=1)
+    lat = intersection_lattice(crapo(), max_rank=1)
     assert set(lat.counts()) == {0, 1}
     assert lat.counts()[1] == 20
 
 
 def test_lattice_report_shape():
-    lat = intersection_lattice(build_discriminantal(dodecahedral()))
+    lat = intersection_lattice(dodecahedral())
     rep = lat.report()
     assert sorted(rep) == ["k", "n", "ranks"]   # the command adds the input's field
     assert rep["n"] == 6 and rep["k"] == 3
@@ -179,10 +193,9 @@ def test_lattice_report_shape():
 
 def test_lattice_too_large():
     rng = random.Random("too-large")
-    a = random_k2(rng, n=10)
-    d = build_discriminantal(a)   # 120 hyperplanes is fine to build
-    with pytest.raises(TooLarge):
-        intersection_lattice(d)
+    a = random_k2(rng, n=10)   # 120 hyperplanes
+    with pytest.raises(TooLarge, match="120 hyperplanes exceeds the 64 cap"):
+        intersection_lattice(a)
 
 
 @pytest.mark.parametrize("name, rank2", [
@@ -193,7 +206,7 @@ def test_lattice_too_large():
 def test_rank2_count_of_6_3_is_51_minus_2m(name, rank2):
     # each detected good partition merges three rank-2 flats of B(6,3) into one
     a = build_gallery(name)
-    lat = intersection_lattice(build_discriminantal(a))
+    lat = intersection_lattice(a)
     assert lat.counts()[2] == rank2 == 51 - 2 * arrangement_type(a).m_a
 
 
@@ -201,12 +214,12 @@ def test_rank2_count_of_6_3_is_51_minus_2m(name, rank2):
     ("crapo", 180), ("octahedral", 150), ("f5", 126), ("polygon-6", 162),
 ])
 def test_rank3_count_of_6_2_is_186_minus_3_nvg(name, rank3):
-    lat = intersection_lattice(build_discriminantal(build_gallery(name)))
+    lat = intersection_lattice(build_gallery(name))
     assert lat.counts()[3] == rank3 == 186 - 3 * len(nvg_flats(lat))
 
 
 def test_dodecahedral_lattice_profile():
-    lat = intersection_lattice(build_discriminantal(dodecahedral()))
+    lat = intersection_lattice(dodecahedral())
     assert lat.counts() == {0: 1, 1: 15, 2: 31, 3: 1}
     assert dict(Counter(len(f) for f in lat.flats(2))) == {2: 15, 3: 10, 5: 6}
 
@@ -230,10 +243,10 @@ def test_reference_validation():
 
 
 def test_nvg_flats_crapo():
-    lat = intersection_lattice(build_discriminantal(crapo()))
+    lat = intersection_lattice(crapo())
     nvg = nvg_flats(lat)
     expected = {(frozenset(f.sets), 3) for f in quadral_points(crapo())}
-    assert {f.key() for f in nvg} == expected
+    assert {flat_key(f) for f in nvg} == expected
     assert len(nvg) == 2
 
 
@@ -260,7 +273,6 @@ def test_is_very_generic_hand_built(support, rank, very_generic):
 
 
 def test_braid_flats_are_very_generic():
-    lat = intersection_lattice(build_discriminantal(
-        Arrangement(Q, 1, [(1,)] * 4)))
+    lat = intersection_lattice(Arrangement(Q, 1, [(1,)] * 4))
     assert all(is_very_generic(f, 1) for f in lat.flats())
     assert nvg_flats(lat) == []

@@ -18,7 +18,6 @@ from discarr import (
     Rational,
     TYPE_ORDER,
     arrangement_type,
-    build_discriminantal,
     find_involutions,
     good6_condition,
     good6_points,
@@ -165,10 +164,9 @@ def test_dodecahedral_dependencies_vanish(fixed_gallery):
     from discarr.gallery import dependency_residual
 
     a = fixed_gallery["dodecahedral"]
-    d = build_discriminantal(a)
     zero = a.field.zero()
     for matching, terms in DODECAHEDRAL_DEPENDENCIES:
-        residual = dependency_residual(d, terms)
+        residual = dependency_residual(a, terms)
         assert all(e == zero for e in residual), matching
         # the three subsets are exactly the unions of matching pairs
         supports = {frozenset(s) for _, s in terms}

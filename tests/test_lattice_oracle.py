@@ -16,7 +16,6 @@ import pytest
 from discarr import (
     Arrangement,
     Rational,
-    build_discriminantal,
     build_gallery,
     intersection_lattice,
 )
@@ -30,14 +29,14 @@ from discarr.gallery import (
     regular_polygon,
 )
 
-from _helpers import oracle_closure, reference_very_generic
+from _helpers import discriminantal_normals, oracle_closure, reference_very_generic
 
 
-def oracle_flats(d, max_rank=None):
+def oracle_flats(a, max_rank=None):
     """rank -> [(support, rank)] by per-(flat, hyperplane) closure."""
-    normals = {L: d.normal(L) for L in d.subsets()}
+    normals = discriminantal_normals(a)
     keys = sorted(normals)
-    top = d.n - d.k
+    top = a.n - a.k
     max_rank = top if max_rank is None else min(max_rank, top)
     levels = {0: [((), 0)]}
     if max_rank >= 1:
@@ -75,16 +74,15 @@ def oracle_flats(d, max_rank=None):
 ], ids=["crapo", "dodecahedral", "f5", "f4", "polygon-6", "braid-4", "octahedral",
         "witness-3^2", "witness-1^1,5^1"])
 def test_lattice_matches_closure_oracle(make, max_rank):
-    d = build_discriminantal(make())
-    lat = intersection_lattice(d, max_rank=max_rank)
+    a = make()
+    lat = intersection_lattice(a, max_rank=max_rank)
     got = {r: [(f.support, f.rank) for f in flats]
            for r, flats in lat.flats_by_rank.items()}
-    assert got == oracle_flats(d, max_rank)
+    assert got == oracle_flats(a, max_rank)
 
 
 def test_reference_7_2_lattice_counts():
-    d = build_discriminantal(reference_very_generic(7, 2, 0))
-    lat = intersection_lattice(d, max_rank=3)
+    lat = intersection_lattice(reference_very_generic(7, 2, 0), max_rank=3)
     assert lat.counts() == {0: 1, 1: 35, 2: 420, 3: 2051}
 
 
@@ -93,7 +91,6 @@ def test_lattice_level_reduces_each_hyperplane_once(monkeypatch):
     # included (the covers of the rank-0 flat); a return to closing every
     # pair from scratch costs about one reduction per hyperplane for each
     # pair instead.
-    d = build_discriminantal(crapo())
     calls = Counter()
 
     def counting(fn):
@@ -104,8 +101,8 @@ def test_lattice_level_reduces_each_hyperplane_once(monkeypatch):
 
     for cls in (linalg._Span, linalg._IntegerSpan):
         monkeypatch.setattr(cls, "_reduce", counting(vars(cls)["_reduce"]))
-    lat = intersection_lattice(d)
-    n_hyp = len(d)
-    assert len(lat.flats(1)) == 20
+    lat = intersection_lattice(crapo())
+    n_hyp = 20
+    assert len(lat.flats(1)) == n_hyp
     parents = [f for r in range(0, lat.max_rank() - 1) for f in lat.flats(r)]
     assert calls["reduce"] <= sum(n_hyp - len(f) for f in parents)

@@ -20,7 +20,6 @@ from discarr import (
     Cyclotomic,
     NotGeneric,
     Quadratic,
-    build_discriminantal,
     build_gallery,
     good6_points,
     intersection_lattice,
@@ -50,7 +49,7 @@ def _detect(a):
 
 
 def _lattice(a, max_rank=None):
-    lat = intersection_lattice(build_discriminantal(a), max_rank=max_rank)
+    lat = intersection_lattice(a, max_rank=max_rank)
     return lat.flats_by_rank, nvg_flats(lat)
 
 

@@ -50,7 +50,7 @@ from discarr import (
     translate_solver,
 )
 from discarr import arrangement, detectors, linalg
-from discarr.arrangement import DegeneratePoints, NoGenericWitness, _projected_row
+from discarr.arrangement import DegeneratePoints, NoGenericWitness, _payload_rows, _projected
 from discarr.exactfield import FieldElement, FieldMismatch
 from discarr.linalg import DimensionMismatch
 
@@ -555,7 +555,8 @@ def test_translate_solver_matches_oracle_at_the_walk_bound(monkeypatch, p, norma
     # would repeat and the kernel is enumerated, and over F_11 the first
     # family is walked; the solver sizes its candidates on that dimension
     a = Arrangement(Prime(p), 1, normals)
-    rows = [_projected_row(a, sub) for L in IndexFamily(family) for sub in combinations(L, 2)]
+    rows = _payload_rows(a, [_projected(sub, 1) for L in IndexFamily(family)
+                             for sub in combinations(L, 2)])
     dim = len(linalg._Span.over(a.field, rows).kernel(a.n - 1))
     incidences = sum(a.n - len(L) for L in family)
     assert incidences * (dim - 1) == bound
@@ -735,7 +736,7 @@ def test_projected_kernel_dimension_of_the_refusal_inputs(n, dim):
     # refusal needs eleven; the dimension is pinned without the search
     a = _points_over_f7(n)
     for family in ([(1, 2), (2, 3)], [(1, 2), (3, 4)]):
-        rows = [_projected_row(a, L) for L in family]
+        rows = _payload_rows(a, [_projected(L, 1) for L in family])
         assert len(linalg._Span.over(a.field, rows).kernel(n - 1)) == dim
     assert (7 ** dim > 10 ** 6) == (n == 11)
 

@@ -5,9 +5,11 @@ of the discriminantal normals (the proof is in discriminantal's
 docstring), so every flat's rows have the same rank under pi as in full,
 and the lattice the library builds from the projected rows has the flats
 of the full rows (test_lattice_oracle compares them with the oracle on
-full rows).  Both rest on the one sparse row: the k + 1 (coordinate,
-payload) pairs of the normal of D_L, which must expand to the dense row
-they replaced, key by key.
+full rows).  Both rest on one reader of the sign rule: the k + 1
+(coordinate, payload) pairs of the normal of D_L must expand to the
+dense row they replaced, key by key, and the dense row on coordinates
+k+1..n that the lattice and the translate solver read must be its
+tail.
 """
 
 import random
@@ -21,14 +23,13 @@ from discarr import (
     Prime,
     Quadratic,
     Rational,
-    build_discriminantal,
     build_gallery,
     discriminantal_normal,
     intersection_lattice,
 )
-from discarr.arrangement import _discriminantal_row, _projected_row
+from discarr.arrangement import _payload_rows, _projected, _read_minors, _signed_minors
 
-from _helpers import oracle_rank
+from _helpers import discriminantal_normals, oracle_rank
 
 from test_discriminantal import _random_generic
 
@@ -63,7 +64,7 @@ def test_sparse_row_expands_to_the_dense_row_on_every_key():
     keys = 0
     for a in _arrangements():
         for key in combinations(a.indices, a.k + 1):
-            pairs = _discriminantal_row(a, key)
+            [pairs] = _read_minors(a, [_signed_minors(key)])
             assert [p for p, _ in pairs] == list(key)
             dense = oracle_discriminantal_row(a, key)
             expanded = [a.field._coerce_int(0)] * a.n
@@ -71,7 +72,7 @@ def test_sparse_row_expands_to_the_dense_row_on_every_key():
                 expanded[p - 1] = x
             assert expanded == dense
             assert [e.payload for e in discriminantal_normal(a, key)] == dense
-            assert _projected_row(a, key) == dense[a.k:]
+            assert _payload_rows(a, [_projected(key, a.k)]) == [dense[a.k:]]
             keys += 1
     assert keys > 400
 
@@ -79,16 +80,16 @@ def test_sparse_row_expands_to_the_dense_row_on_every_key():
 @pytest.mark.parametrize("fd", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("n, k", [(5, 1), (5, 2), (6, 2), (6, 3), (6, 4)])
 def test_every_flat_has_the_same_rank_under_the_projection(fd, n, k):
-    d = build_discriminantal(_random_generic(random.Random(f"projection-{fd!r}-{n}-{k}"),
-                                             fd, n, k))
-    flats = intersection_lattice(d).flats()
+    a = _random_generic(random.Random(f"projection-{fd!r}-{n}-{k}"), fd, n, k)
+    normals = discriminantal_normals(a)
+    flats = intersection_lattice(a).flats()
     for f in flats:
-        full = [d.normal(L) for L in f.support]
+        full = [normals[L] for L in f.support]
         assert oracle_rank(full) == oracle_rank([v[k:] for v in full]) == f.rank
     # and a set of normals that is no flat: one hyperplane past each flat
     # of rank 1
-    for f in intersection_lattice(d, max_rank=1).flats(1):
-        L = next(L for L in d.subsets() if L not in f.support)
-        rows = [d.normal(M) for M in f.support + (L,)]
+    for f in intersection_lattice(a, max_rank=1).flats(1):
+        L = next(L for L in normals if L not in f.support)
+        rows = [normals[M] for M in f.support + (L,)]
         assert oracle_rank(rows) == oracle_rank([v[k:] for v in rows])
     assert len(flats) > n - k + 1

@@ -24,9 +24,9 @@ from discarr import (
     Arrangement,
     Prime,
     Rational,
-    build_discriminantal,
     build_gallery,
     good6_points,
+    intersection_lattice,
     is_generic,
     quadral_points,
     translate_solver,
@@ -191,11 +191,11 @@ def test_each_minor_is_computed_once_per_arrangement(monkeypatch):
     a = fresh(witness)
     assert translate_solver(a, family) is not None
     assert calls == {3: 20}
-    build_discriminantal(a)
+    intersection_lattice(a)
     assert calls == {3: 20}  # the same arrangement reads the same table
     calls.clear()
-    build_discriminantal(fresh(witness))
+    intersection_lattice(fresh(witness))
     assert calls == {3: 20}
     calls.clear()
-    build_discriminantal(fresh(crapo))
+    intersection_lattice(fresh(crapo))
     assert calls == {2: 15}
