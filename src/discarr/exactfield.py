@@ -7,9 +7,12 @@ exact (no epsilon anywhere).  There are three arithmetics, one per
 kind of field: characteristic 0, F_p and F_{p^m}.  Q, Q(sqrt(d)) and
 Q(zeta_m) are the one characteristic-0 arithmetic, _PowerBasis, on
 Q[x]/(f) for f monic over the integers (f = x for Q); they differ only
-in f and in their conjugates.  _poly_divmod is the one polynomial long
-division, for the cyclotomic polynomials and F_{p^m}.  _Value is the
-base of the library's other value classes: each names its key once.
+in f and in their conjugates.  An F_p payload is its residue and an
+F_{p^m} payload the int whose base-p digits are its coefficients, so
+both compare and hash as ints and a small F_{p^m} multiplies by table
+lookups.  _poly_divmod is the one polynomial long division, for the
+cyclotomic polynomials and F_{p^m}.  _Value is the base of the
+library's other value classes: each names its key once.
 """
 
 from __future__ import annotations
@@ -454,26 +457,34 @@ class Prime(FieldDescriptor):
             yield FieldElement(self, a)
 
 
-# Fields with at most this many elements add, multiply and invert
-# through exp/log/Zech tables over a primitive element; larger ones add
-# and multiply as polynomials and invert as a^(q-2).
+# Fields with at most this many elements multiply and invert through
+# exp/log tables over a primitive element, and at odd p add through Zech
+# logarithms; larger ones multiply as polynomials and invert as a^(q-2).
 _GALOIS_TABLE_LIMIT = 1 << 12
 # The most operations Galois may spend testing its modulus (0.15 s).
 _TRIAL_DIVISION_BUDGET = 10 ** 6
 
 
 class Galois(FieldDescriptor):
-    """F_{p^m} as F_p[x]/(modulus); payload is a coefficient tuple.
+    """F_{p^m} as F_p[x]/(modulus); payload is an int in range(q).
 
-    Payloads stay canonical coefficient tuples (constant term first).
-    For fields of at most _GALOIS_TABLE_LIMIT elements the constructor
-    finds a primitive element g (the order test on the prime factors of
-    q - 1) and tabulates g^i, its inverse map and the Zech logarithms
-    zech[d] = log(1 + g^d) (None where 1 + g^d = 0), so a product is one
-    addition of logarithms, an inverse or a negation one subtraction or
-    shift of a logarithm, and a sum g^i + g^j = g^(i + zech[j - i]) one
-    lookup.  Larger fields add coefficientwise, multiply polynomials
-    modulo the modulus and invert as a^(q-2) by square-and-multiply.
+    The payload of c_0 + c_1 x + ... + c_{m-1} x^(m-1) is the int whose
+    base-p digits are c_0, ..., c_{m-1}, constant term lowest, so 0 and 1
+    are the field's zero and one and p is the generator x.  For fields of
+    at most _GALOIS_TABLE_LIMIT elements the constructor finds a
+    primitive element g (the order test on the prime factors of q - 1)
+    and tabulates _exp[i] = g^i, doubled so a sum of two logarithms needs
+    no reduction, its inverse map _log, a list indexed by payload, and at
+    odd p the Zech logarithms zech[d] = log(1 + g^d) (None where
+    1 + g^d = 0).  So a product is one addition of logarithms, an inverse
+    or a negation one subtraction or shift of a logarithm, and at odd p a
+    sum g^i + g^j = g^(i + zech[j - i]) one lookup (Lidl and
+    Niederreiter, Finite Fields, ch. 10).  _log[0] points past the
+    doubled table into a run of zeros, so a product or negation of zero
+    needs no test.  At p = 2 a sum is a ^ b, the digitwise sum.  Larger
+    fields multiply and raise to powers on digit lists through
+    _poly_divmod, add digitwise and invert as a^(q-2) by
+    square-and-multiply.
     """
 
     kind = "galois"
@@ -496,7 +507,7 @@ class Galois(FieldDescriptor):
         if not self._irreducible():
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
         self.q = p ** self.deg
-        self._zero = (0,) * self.deg
+        self._places = tuple(p ** i for i in range(self.deg))
         self._exp = self._log = self._zech = None
         if self.q <= _GALOIS_TABLE_LIMIT:
             self._build_tables()
@@ -519,103 +530,124 @@ class Galois(FieldDescriptor):
                     return False
         return True
 
-    def _pad(self, coeffs: list[int]) -> tuple[int, ...]:
-        coeffs = coeffs + [0] * (self.deg - len(coeffs))
-        return tuple(c % self.p for c in coeffs[: self.deg])
+    def _digits(self, a: int) -> list[int]:
+        """The deg coefficients of payload a, constant term first."""
+        p, out = self.p, []
+        for _ in range(self.deg):
+            out.append(a % p)
+            a //= p
+        return out
 
-    def _poly_mul(self, a, b) -> tuple[int, ...]:
+    def _payload(self, digits) -> int:
+        """The payload of coefficients in range(p), constant term first."""
+        p, a = self.p, 0
+        for c in reversed(digits):
+            a = a * p + c
+        return a
+
+    def _poly_mul(self, a: list[int], b: list[int]) -> list[int]:
+        """The digits of the product of two digit lists."""
         prod = [0] * (2 * self.deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        return self._pad(_poly_divmod(prod, self.modulus)[1])
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        p = self.p
+        return [c % p for c in _poly_divmod(prod, self.modulus)[1]]
 
-    def _poly_pow(self, a, e: int) -> tuple[int, ...]:
-        result = self._pad([1])
+    def _poly_pow(self, a: int, e: int) -> int:
+        # on digit lists throughout, so a is decoded once
+        base, result = self._digits(a), self._digits(1)
         while e:
             if e & 1:
-                result = self._poly_mul(result, a)
-            a = self._poly_mul(a, a)
+                result = self._poly_mul(result, base)
+            base = self._poly_mul(base, base)
             e >>= 1
-        return result
+        return self._payload(result)
+
+    def _digit_add(self, a: int, b: int) -> int:
+        # a // w % p is the digit of a at place w
+        p = self.p
+        return sum((a // w + b // w) % p * w for w in self._places)
 
     def _build_tables(self) -> None:
-        # g is primitive iff g^((q-1)/r) != 1 for every prime r | q-1
+        # g is primitive iff g^((q-1)/r) != 1 for every prime r | q-1; the
+        # payloads below p are F_p, so the search starts at x
         n = self.q - 1
-        one = self._pad([1])
         cofactors = [n // r for r in _prime_factors(n)]
-        for g in product(range(self.p), repeat=self.deg):
-            if g != self._zero and all(self._poly_pow(g, c) != one for c in cofactors):
-                break
-        exp = [one]
+        g = next(g for g in range(self.p, self.q)
+                 if all(self._poly_pow(g, c) != 1 for c in cofactors))
+        exp, power, step = [1], self._digits(1), self._digits(g)
         for _ in range(n - 1):
-            exp.append(self._poly_mul(exp[-1], g))
-        self._log = {x: i for i, x in enumerate(exp)}
-        # doubled so a sum of two logarithms needs no reduction
-        self._exp = tuple(exp + exp)
-        sums = (self._poly_add(one, x) for x in exp)
-        self._zech = tuple(None if s == self._zero else self._log[s] for s in sums)
+            power = self._poly_mul(power, step)
+            exp.append(self._payload(power))
+        log = [2 * n] * self.q
+        for i, x in enumerate(exp):
+            log[x] = i
+        self._log = log
+        # a logarithm sum that reads log[0] lands in the zeros
+        self._exp = tuple(exp + exp + [0] * (2 * n + 1))
+        if self.p != 2:
+            sums = (self._digit_add(1, x) for x in exp)
+            self._zech = tuple(None if s == 0 else log[s] for s in sums)
 
     def characteristic(self):
         return self.p
 
-    def _poly_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
     def _add(self, a, b):
+        if self.p == 2:
+            return a ^ b
         zech = self._zech
         if zech is None:
-            return self._poly_add(a, b)
-        zero = self._zero
-        if a == zero:
+            return self._digit_add(a, b)
+        if a == 0:
             return b
-        if b == zero:
+        if b == 0:
             return a
         la, lb = self._log[a], self._log[b]
         z = zech[lb - la]  # a negative index wraps modulo q - 1
-        return zero if z is None else self._exp[la + z]
+        return 0 if z is None else self._exp[la + z]
 
     def _neg(self, a):
         if self.p == 2:
             return a
-        if self._log is None or a == self._zero:
-            return tuple((-x) % self.p for x in a)
+        if self._log is None:
+            p = self.p
+            return sum(-(a // w) % p * w for w in self._places)
         # -1 = g^((q-1)/2)
         return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def _mul(self, a, b):
         log = self._log
         if log is None:
-            return self._poly_mul(a, b)
-        zero = self._zero
-        if a == zero or b == zero:
-            return zero
+            return self._payload(self._poly_mul(self._digits(a), self._digits(b)))
         return self._exp[log[a] + log[b]]
 
     def _inv(self, a):
-        if self._is_zero(a):
+        if a == 0:
             raise DivisionByZero(f"1/0 in F_{self.p}^{self.deg}")
         if self._log is None:
             return self._poly_pow(a, self.q - 2)
         return self._exp[self.q - 1 - self._log[a]]
 
     def _is_zero(self, a):
-        # payloads are canonical padded tuples
-        return a == self._zero
+        # payloads are ints in range(q), and zero is 0
+        return a == 0
 
     def _fmt(self, a):
-        return _fmt_terms([(Fraction(c), i) for i, c in enumerate(a)])
+        return _fmt_terms([(Fraction(c), i) for i, c in enumerate(self._digits(a))])
 
     def _coerce_int(self, n):
-        return self._pad([n % self.p])
+        return n % self.p
 
     def generator(self):
-        return FieldElement(self, self._pad([0, 1]))
+        return FieldElement(self, self.p)
 
     def iter_elements(self):
+        """Every element, in the product order of the coefficient lists
+        (constant term first), which is not the order of the payloads."""
         for coeffs in product(range(self.p), repeat=self.deg):
-            yield FieldElement(self, tuple(coeffs))
+            yield FieldElement(self, self._payload(coeffs))
 
 
 # the power table has m rows of phi(m) entries and the conjugates phi(m)

@@ -2,15 +2,18 @@
 
 The oracles below are the original routines: GF(p^m) sums and negations
 coefficientwise modulo p, products as polynomial products reduced modulo
-the modulus, inverses by the extended Euclidean algorithm in F_p[x],
-determinants by Gaussian elimination on field elements (on lists of
-rows), and good 6-partitions by one cross-product determinant per
-matching.  The library adds through Zech logarithms, negates by a shift
-of the logarithm, multiplies and inverts through exp/log tables (small
-fields) or square-and-multiply (large fields), expands determinants up
-to 3x3 by cofactors on payloads, and reads good6_points and
-good6_condition off the arrangement's signed table of 3x3 minors, two
-products per matching; all must agree exactly.
+the modulus, inverses by the extended Euclidean algorithm in F_p[x], all
+on coefficient tuples (constant term first), determinants by Gaussian
+elimination on field elements (on lists of rows), and good 6-partitions
+by one cross-product determinant per matching.  The library keeps a
+GF(p^m) element as an int whose base-p digits are its coefficients,
+which the tests read through their own digit encoder and decoder; it
+adds by XOR at p = 2 and through Zech logarithms at odd p, negates by a
+shift of the logarithm, multiplies and inverts through exp/log tables
+(small fields) or square-and-multiply (large fields), expands
+determinants up to 3x3 by cofactors on payloads, and reads good6_points
+and good6_condition off the arrangement's signed table of 3x3 minors,
+two products per matching; all must agree exactly.
 """
 
 import random
@@ -29,15 +32,26 @@ from discarr import (
     Prime,
     Quadratic,
     Rational,
+    arrangement_type,
+    format_element,
     good6_condition,
     good6_points,
     is_generic,
     pappus_closure_check,
+    parse_element,
+    quadral_points,
+    translate_solver,
 )
 from discarr.exactfield import _GALOIS_TABLE_LIMIT
 from discarr.gallery import f4_arrangement, is_parameter_generic, parametrized
 
-from _helpers import cofactor_det, oracle_cross3, payload_det, perfect_matchings
+from _helpers import (
+    cofactor_det,
+    count_payload_calls,
+    oracle_cross3,
+    payload_det,
+    perfect_matchings,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +72,18 @@ def _poly_mod(p, num, den):
 def _pad(fd, coeffs):
     coeffs = coeffs + [0] * (fd.deg - len(coeffs))
     return tuple(c % fd.p for c in coeffs[: fd.deg])
+
+
+def coeffs_of(fd, a):
+    """The coefficient tuple of a GF(p^m) payload, which must be an int in
+    range(q): its base-p digits, constant term first."""
+    assert type(a) is int and 0 <= a < fd.q
+    return tuple(a // fd.p ** i % fd.p for i in range(fd.deg))
+
+
+def payload_of(fd, coeffs):
+    """The GF(p^m) payload of a coefficient tuple, constant term first."""
+    return sum(c % fd.p * fd.p ** i for i, c in enumerate(coeffs))
 
 
 def _trim(poly):
@@ -174,11 +200,12 @@ SMALL_GALOIS = {
 def test_galois_tables_match_polynomial_oracle(name):
     fd = Galois(*SMALL_GALOIS[name])
     elements = [x.payload for x in fd.iter_elements()]
+    coeffs = {a: coeffs_of(fd, a) for a in elements}
     for a, b in product(elements, repeat=2):
-        assert fd._mul(a, b) == oracle_mul(fd, a, b)
+        assert coeffs_of(fd, fd._mul(a, b)) == oracle_mul(fd, coeffs[a], coeffs[b])
     for a in elements:
-        if any(a):
-            assert fd._inv(a) == oracle_inv(fd, a)
+        if any(coeffs[a]):
+            assert coeffs_of(fd, fd._inv(a)) == oracle_inv(fd, coeffs[a])
 
 
 def test_galois_above_table_limit_matches_oracle():
@@ -189,21 +216,23 @@ def test_galois_above_table_limit_matches_oracle():
     for _ in range(60):
         a = tuple(rng.randrange(2) for _ in range(13))
         b = tuple(rng.randrange(2) for _ in range(13))
-        assert fd._mul(a, b) == oracle_mul(fd, a, b)
+        pa, pb = payload_of(fd, a), payload_of(fd, b)
+        assert coeffs_of(fd, fd._mul(pa, pb)) == oracle_mul(fd, a, b)
         if any(a):
-            assert fd._inv(a) == oracle_inv(fd, a)
+            assert coeffs_of(fd, fd._inv(pa)) == oracle_inv(fd, a)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GALOIS))
 def test_galois_zech_addition_and_negation_match_oracle(name):
     fd = Galois(*SMALL_GALOIS[name])
     elements = [x.payload for x in fd.iter_elements()]
+    coeffs = {a: coeffs_of(fd, a) for a in elements}
     for a, b in product(elements, repeat=2):
-        assert fd._add(a, b) == oracle_add(fd, a, b)
-        assert fd._add(a, fd._neg(a)) == fd._zero
+        assert coeffs_of(fd, fd._add(a, b)) == oracle_add(fd, coeffs[a], coeffs[b])
     for a in elements:
-        assert fd._neg(a) == tuple((-x) % fd.p for x in a)
-        assert fd._is_zero(a) == (not any(a))
+        assert coeffs_of(fd, fd._neg(a)) == tuple((-x) % fd.p for x in coeffs[a])
+        assert fd._add(a, fd._neg(a)) == 0
+        assert fd._is_zero(a) == (not any(coeffs[a]))
 
 
 def test_galois_addition_above_table_limit_matches_oracle():
@@ -213,9 +242,87 @@ def test_galois_addition_above_table_limit_matches_oracle():
     for _ in range(200):
         a = tuple(rng.randrange(2) for _ in range(13))
         b = tuple(rng.randrange(2) for _ in range(13))
-        assert fd._add(a, b) == oracle_add(fd, a, b)
-        assert fd._is_zero(fd._add(a, b)) == (a == b)
-        assert fd._add(a, fd._neg(a)) == fd._zero
+        pa, pb = payload_of(fd, a), payload_of(fd, b)
+        assert coeffs_of(fd, fd._add(pa, pb)) == oracle_add(fd, a, b)
+        assert fd._is_zero(fd._add(pa, pb)) == (a == b)
+        assert fd._add(pa, fd._neg(pa)) == 0
+
+
+# above the table at odd p: GF(3^8) over x^8 + x^6 + x^5 + 1, and
+# GF(49999^2) over x^2 - 3
+LARGE_ODD_GALOIS = {
+    "GF3^8": (3, (1, 0, 0, 0, 0, 1, 1, 0, 1)),
+    "GF49999^2": (49999, (-3, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_ODD_GALOIS))
+def test_galois_odd_characteristic_above_table_limit_matches_oracle(name):
+    fd = Galois(*LARGE_ODD_GALOIS[name])
+    assert fd.q > _GALOIS_TABLE_LIMIT
+    rng = random.Random(f"classify-oracle-{name}")
+    for _ in range(60):
+        a = tuple(rng.randrange(fd.p) for _ in range(fd.deg))
+        b = tuple(rng.randrange(fd.p) for _ in range(fd.deg))
+        pa, pb = payload_of(fd, a), payload_of(fd, b)
+        assert coeffs_of(fd, fd._add(pa, pb)) == oracle_add(fd, a, b)
+        assert coeffs_of(fd, fd._neg(pa)) == tuple((-x) % fd.p for x in a)
+        assert coeffs_of(fd, fd._mul(pa, pb)) == oracle_mul(fd, a, b)
+        if any(a):
+            assert coeffs_of(fd, fd._inv(pa)) == oracle_inv(fd, a)
+
+
+PAYLOAD_FIELDS = {**SMALL_GALOIS, "GF8192": (2, (1, 1, 0, 1, 1) + (0,) * 8 + (1,))}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_FIELDS))
+def test_galois_payloads_are_ints_in_coefficient_product_order(name):
+    # iter_elements keeps the product order of the coefficient tuples,
+    # which translate_solver's candidate walk and seeded samplers read.
+    # Parsing GF(8192) costs about 1.4 ms an element, so it round-trips
+    # a seeded sample there and every element of the smaller fields.
+    fd = Galois(*PAYLOAD_FIELDS[name])
+    elements = list(fd.iter_elements())
+    payloads = [e.payload for e in elements]
+    assert sorted(payloads) == list(range(fd.q))
+    assert [coeffs_of(fd, a) for a in payloads] == list(product(range(fd.p), repeat=fd.deg))
+    assert [fd.zero().payload, fd.one().payload, fd.generator().payload] == [0, 1, fd.p]
+    if fd.q > _GALOIS_TABLE_LIMIT:
+        elements = random.Random(f"payload-order-{name}").sample(elements, 300)
+    for e in elements:
+        assert parse_element(format_element(e), fd) == e
+
+
+def _gf9_lines():
+    """The k2-GF9-5 job of the classify sweep at seed 4242, of type 1^2 2^2."""
+    fd = Galois(3, (1, 0, 1))
+    rows = [["1", "0"], ["0", "1"], ["1", "1"], ["1+g", "1"], ["g", "1"], ["2", "1"]]
+    return Arrangement(fd, 2, [[parse_element(s, fd) for s in r] for r in rows])
+
+
+@pytest.mark.parametrize("build, detectors, expected", [
+    (_gf9_lines, (quadral_points,),
+     [Counter(_mul=114, _add=35, _inv=4), Counter(_mul=20), Counter(_mul=22, _add=18, _inv=1)]),
+    (f4_arrangement, (good6_points, pappus_closure_check),
+     [Counter(_mul=189, _add=100), Counter(_mul=9), Counter(_mul=9), Counter(_mul=9, _add=9)]),
+], ids=["GF9-k2", "GF4-k3"])
+def test_classify_job_payload_calls_are_pinned(monkeypatch, build, detectors, expected):
+    # one classify-sweep job on a fresh arrangement: arrangement_type
+    # (which builds the minor table), the detectors, then translate_solver
+    # on the first pattern; each call's products, inverses and sums are
+    # pinned, so a change of payload representation cannot hide a change
+    # of algorithm
+    a = build()
+    calls = count_payload_calls(monkeypatch, a.field, hooks=("_mul", "_inv", "_add"))
+    got, results = [], []
+    for fn in (arrangement_type, *detectors):
+        calls.clear()
+        results.append(fn(a))
+        got.append(+calls)
+    calls.clear()
+    assert translate_solver(a, results[1][0].sets) is not None
+    got.append(+calls)
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
