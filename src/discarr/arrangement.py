@@ -224,17 +224,16 @@ def _candidates(fd: FieldDescriptor, incidences: int, dim: int):
     c = 0..F(dim - 1) holds a witness when those c are distinct in fd;
     walking past them is a bug (AssertionError).  Otherwise every nonzero
     combination, in product order, then NoGenericWitness; NoGenericWitness
-    at once when there are more than 10^6 of them."""
+    at once, before any is listed, when there are q^dim > 10^6 of them."""
     bound = incidences * (dim - 1)
     char = fd.characteristic()
     if char == 0 or char > bound:
         for c in range(bound + 1):
             yield [fd._coerce_int(c ** i) for i in range(dim)]
         raise AssertionError("the moment-curve bound admits no witness")
-    elems = [e.payload for e in fd.iter_elements()]
-    if len(elems) ** dim > 10 ** 6:
+    if getattr(fd, "q", char) ** dim > 10 ** 6:  # q of GF(q), else F_p
         raise NoGenericWitness("kernel too large to enumerate")
-    for coeffs in product(elems, repeat=dim):
+    for coeffs in product(fd._payloads(), repeat=dim):
         if not all(fd._is_zero(c) for c in coeffs):
             yield list(coeffs)
     raise NoGenericWitness("every kernel vector hits an extra incidence")

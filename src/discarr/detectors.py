@@ -1,26 +1,24 @@
 """Coincidence detectors for line and plane arrangements.
 
-k=2 detectors find translation patterns among six or seven lines: the
-determinant product condition on a 4-set of triples (equivalently a
-projective involution pairing the six lines), and the cross-ratio
-equality that makes five triple-points align on seven lines.  The k=3
-detector finds three pairwise intersection lines meeting a common
-point at infinity.  Closure scanners verify the composition laws the
-detected patterns must obey; the good-partition one reads each
-conjugate off one fixed 15 x 15 table of matchings (_conjugation_table).
+At k = 2: six lines that one projective involution pairs (equivalently
+a 4-set of concurrent triples), and seven lines whose five triple-points
+align (equal cross ratios about one center).  At k = 3: six planes whose
+three pair intersection lines share a point at infinity.  The
+six-element relation is stated once, one 15-row pattern per k over the
+matchings of six positions (_pairing_pattern): _pairings tests every row
+on every 6-subset, and _pairing_value evaluates one row, with no
+genericity gate (good6_condition).  Closure scanners verify the laws the
+detected patterns obey; the good-partition one reads each conjugate off
+one 15 x 15 table of matchings (_conjugation_table).
 
-All detectors are pure, compare products of the arrangement's minors
-(Arrangement.minors) and return canonical, deduplicated families: the
-six-element relations read them through one fixed 15-row pattern per k
-(_pairing_pattern) that compares 10 distinct side products at k = 2 and
-9 at k = 3, the quint search signs and inverts each k = 2 minor once;
-both refuse a non-generic arrangement through the one gate,
-arrangement._require_generic.
+Every detector is pure, compares products of the arrangement's minors
+(Arrangement.minors), returns canonical, deduplicated families and
+refuses a non-generic arrangement through arrangement._require_generic.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, permutations
 
 from .arrangement import Arrangement, _require_generic, projective_map_through
@@ -154,17 +152,17 @@ def _conjugation_table() -> tuple:
 
 @cache
 def _pairing_pattern(k: int) -> tuple:
-    """The relation _pairings tests on a sorted 6-subset, k = 2 or 3, as
-    (sides, rows).  A side is the sorted positions, in combinations(range(6),
-    k) order, of the minors one product multiplies: a perfect matching of
-    positions 0..5 at k = 2, two complementary triples at k = 3.  The 30
-    sides of the 15 matchings are only 10 distinct ones at k = 2 and 9 at
-    k = 3, each listed once, sorted.  rows holds one (pairs, left, right,
-    odd) per matching of positions 0..5 (_matching_pattern(6)): left and
-    right index its two sides in sides, and odd is the parity of all the
-    row's orderings combined, set when the two sides carry opposite signs."""
+    """The six-element relation on a sorted 6-subset at k = 2 or 3, as
+    (sides, rows, lefts), one row per matching ((x, x2), (y, y2), (z, z2))
+    of positions 0..5 (_matching_pattern(6)): on signed minors,
+    |x y2||y z2||z x2| = |x z2||y x2||z y2| at k = 2 and [x x2 z][y y2 z2]
+    = [x x2 z2][y y2 z] at k = 3.  A side is the sorted positions, in
+    combinations(range(6), k) order, of the minors one product multiplies:
+    10 distinct ones at k = 2, 9 at k = 3, sorted.  A row is (pairs, left,
+    right, odd), left and right indexing sides; odd is set when the two
+    sides' orderings differ in parity, lefts[c] when row c's left one is odd."""
     position = {key: i for i, key in enumerate(combinations(range(6), k))}
-    rows = []
+    rows, lefts = [], []
     for pairs in _matching_pattern(6):
         (x, x2), (y, y2), (z, z2) = pairs
         if k == 2:
@@ -172,30 +170,41 @@ def _pairing_pattern(k: int) -> tuple:
         else:
             both = (((x, x2, z), (y, y2, z2)), ((x, x2, z2), (y, y2, z)))
         left, right = (tuple(sorted(position[tuple(sorted(o))] for o in side)) for side in both)
-        odd = sum(u > v for side in both for o in side
-                  for u, v in combinations(o, 2)) % 2
-        rows.append((pairs, left, right, odd))
+        lo, ro = (sum(u > v for o in side for u, v in combinations(o, 2)) % 2 for side in both)
+        rows.append((pairs, left, right, lo ^ ro))
+        lefts.append(lo)
     sides = sorted({side for row in rows for side in row[1:3]})
     return tuple(sides), tuple((pairs, sides.index(left), sides.index(right), odd)
-                               for pairs, left, right, odd in rows)
+                               for pairs, left, right, odd in rows), tuple(lefts)
+
+
+def _pairing_value(a: Arrangement, pairs):
+    """Left minus right on the _pairing_pattern(a.k) row of the canonical
+    matching pairs (indices in 1..n) as a payload, one product per side
+    and no genericity gate: zero exactly when _pairings finds pairs."""
+    support = sorted(p for pair in pairs for p in pair)
+    for p in support:
+        a.normal(p)  # the IndexError for an index outside 1..n
+    at = {p: i for i, p in enumerate(support)}
+    c = _matching_pattern(6).index(tuple((at[p], at[q]) for p, q in pairs))
+    sides, rows, lefts = _pairing_pattern(a.k)
+    _, left, right, odd = rows[c]
+    fd, minors, keys = a.field, a.minors(), list(combinations(support, a.k))
+    lv, rv = (reduce(fd._mul, [minors[keys[i]] for i in sides[s]]) for s in (left, right))
+    value = fd._add(lv, rv if odd else fd._neg(rv))
+    return fd._neg(value) if lefts[c] else value
 
 
 def _pairings(a: Arrangement) -> list[tuple]:
     """The matchings ((x, x2), (y, y2), (z, z2)) of every 6-subset of
-    indices whose pairs are related, each a test between two products of
-    minors (_pairing_pattern), with no inversions.
-
-    k = 2: one projective involution of P^1 swaps the three pairs, iff
-    |x y2||y z2||z x2| == |x z2||y x2||z y2|.  k = 3: the three pair
-    intersection lines meet, det(x x x2, y x y2, z x z2) = 0, which is
-    [x x2 z][y y2 z2] == [x x2 z2][y y2 z] (Grassmann-Pluecker).  The
-    subset is sorted, so its minors come in the pattern's order; each
+    indices whose relation (_pairing_pattern) holds, with no inversions.
+    The subset is sorted, so its minors come in the pattern's order; each
     distinct side is multiplied out once per subset (20 products at
     k = 2, 9 at k = 3) and the 15 rows compare those by index."""
     _require_generic(a)
     mul, neg = a.field._mul, a.field._neg
     minors = a.minors()
-    sides, rows = _pairing_pattern(a.k)
+    sides, rows, _ = _pairing_pattern(a.k)
     found = []
     for subset in combinations(a.indices, 6):
         m = [minors[key] for key in combinations(subset, a.k)]
@@ -410,23 +419,15 @@ class Good6Partition(_Value):
 
 
 def good6_condition(a: Arrangement, g: Good6Partition) -> FieldElement:
-    """[x x2 z][y y2 z2] - [x x2 z2][y y2 z] on the matching ((x, x2),
-    (y, y2), (z, z2)) of g, each bracket a signed entry of a.minors().
-    By Grassmann-Pluecker this is det(x x x2, y x y2, z x z2), the
-    determinant of the three pair cross products, so it is zero exactly
-    when the three pair intersection lines share a point at infinity."""
+    """[x x2 z][y y2 z2] - [x x2 z2][y y2 z] on signed minors for the
+    matching ((x, x2), (y, y2), (z, z2)) of g, the k = 3 _pairing_value:
+    by Grassmann-Pluecker det(x x x2, y x y2, z x z2), the determinant of
+    the three pair cross products, zero exactly when the three pair
+    intersection lines share a point at infinity."""
     _check_k(a, 3)
     if not isinstance(g, Good6Partition):
         g = Good6Partition(g)
-    fd, minors = a.field, a.minors()
-
-    def bracket(*key):
-        d = minors[tuple(sorted(key))]
-        return fd._neg(d) if sum(u > v for u, v in combinations(key, 2)) % 2 else d
-
-    (x, x2), (y, y2), (z, z2) = g.matching
-    return FieldElement(fd, fd._add(fd._mul(bracket(x, x2, z), bracket(y, y2, z2)),
-                                    fd._neg(fd._mul(bracket(x, x2, z2), bracket(y, y2, z)))))
+    return FieldElement(a.field, _pairing_value(a, g.matching))
 
 
 def good6_points(a: Arrangement) -> list[Good6Partition]:

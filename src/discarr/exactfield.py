@@ -209,6 +209,10 @@ class FieldDescriptor:
 
     def iter_elements(self):
         """Iterate every element; only finite fields support this."""
+        return (FieldElement(self, x) for x in self._payloads())
+
+    def _payloads(self):
+        """Every payload, in iter_elements order, unwrapped."""
         raise FieldMismatch(f"{self.kind} is not a finite field")
 
     # element factories ----------------------------------------------------
@@ -452,9 +456,8 @@ class Prime(FieldDescriptor):
     def _coerce_int(self, n):
         return n % self.p
 
-    def iter_elements(self):
-        for a in range(self.p):
-            yield FieldElement(self, a)
+    def _payloads(self):
+        return range(self.p)
 
 
 # Fields with at most this many elements multiply and invert through
@@ -643,11 +646,9 @@ class Galois(FieldDescriptor):
     def generator(self):
         return FieldElement(self, self.p)
 
-    def iter_elements(self):
-        """Every element, in the product order of the coefficient lists
-        (constant term first), which is not the order of the payloads."""
-        for coeffs in product(range(self.p), repeat=self.deg):
-            yield FieldElement(self, self._payload(coeffs))
+    def _payloads(self):
+        """In coefficient-list product order (constant term first), not payload order."""
+        return (self._payload(coeffs) for coeffs in product(range(self.p), repeat=self.deg))
 
 
 # the power table has m rows of phi(m) entries and the conjugates phi(m)

@@ -53,7 +53,7 @@ def modular_image(a: Arrangement, lattice: bool = False) -> Arrangement:
     The bound covers, for k = 2, the quint equality
     |c t1||t0 t2||c s2||s0 s1| - |c s1||s0 s2||c t2||t0 t1| (degree 4 in
     the 2 x 2 minors, so also the quadral products and the minors); for
-    k = 3, the good6_points value [a b e][c d f] - [a b f][c d e], which is
+    k = 3, the six-element relation's value (good6_condition), which is
     det(a x b, c x d, e x f) (so also each minor); for the lattice,
     Hadamard's bound on every minor of size at most n - k of the
     discriminantal normals, whose entries are the k x k minors of the

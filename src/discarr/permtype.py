@@ -183,14 +183,13 @@ def _edge_type(mask: int) -> tuple:
 def arrangement_type(a) -> TypeReport:
     """Classify a 6-hyperplane arrangement by its detected edge set.
 
-    k = 2 collects the matchings realized by projective involutions of
-    the six lines; k = 3 collects the matchings ((x, x2), (y, y2),
-    (z, z2)) whose 3 x 3 minors satisfy [x x2 z][y y2 z2] =
-    [x x2 z2][y y2 z], the Grassmann-Pluecker form of the three pair
-    intersection lines sharing a point at infinity.  The detected edges
-    must be exactly the edges induced by their connected-component
-    partition; anything else raises ClosureViolation.  Partition and type are looked up by
-    edge set (_edge_type), so each distinct set is classified once.
+    The edges are the matchings whose six-element relation
+    (detectors._pairing_pattern) holds: at k = 2 those a projective
+    involution of the six lines realizes, at k = 3 the good 6-partitions.
+    They must be exactly the edges induced by their connected-component
+    partition; anything else raises ClosureViolation.  Partition and
+    type are looked up by edge set (_edge_type), so each distinct set is
+    classified once.
     """
     if a.n != 6:
         raise ValueError("type classification needs exactly 6 hyperplanes")

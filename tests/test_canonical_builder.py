@@ -46,7 +46,8 @@ def _fields(values):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_pairing_pattern_rows_are_canonical(k):
-    sides, rows = _pairing_pattern(k)
+    sides, rows, lefts = _pairing_pattern(k)
+    assert len(lefts) == len(rows) == 15 and set(lefts) <= {0, 1}
     assert all(0 <= left < len(sides) and 0 <= right < len(sides) and left != right
                for _, left, right, _ in rows)
     for pairs, *_ in rows:

@@ -275,6 +275,20 @@ def test_good6_requires_k3():
         good6_condition(crapo(), ((1, 2), (3, 4), (5, 6)))
 
 
+@pytest.mark.parametrize("pairs", [((1, 2), (3, 4), (5, 7)), ((0, 2), (3, 4), (5, 6))],
+                         ids=["past-n", "zero"])
+def test_good6_condition_refuses_an_index_outside_the_arrangement(pairs):
+    # the minors dict once raised a bare KeyError here; the message is
+    # Arrangement.normal's, and the refusal needs no genericity gate
+    a = dodecahedral()
+    bad = next(p for pair in pairs for p in pair if not 1 <= p <= 6)
+    with pytest.raises(IndexError) as got:
+        good6_condition(a, pairs)
+    with pytest.raises(IndexError) as want:
+        a.normal(bad)
+    assert str(got.value) == str(want.value) == f"hyperplane index {bad} out of range 1..6"
+
+
 def test_pappus_triangle_closure():
     # the 1^3 3^1 witness detects three pairwise-disjoint matchings whose
     # involutions conjugate into one another

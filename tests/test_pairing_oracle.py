@@ -8,7 +8,11 @@ the signed table of every ordering.  good6_closure_checks reads conjugates
 off one 15 x 15 table of matchings (_conjugation_table); the oracle
 walks the involutions point by point and builds each as a Good6Partition.
 At k = 2 find_involutions keeps a map for exactly the matchings
-_pairings passes, in characteristic 2 and 3 as well.
+_pairings passes, in characteristic 2 and 3 as well.  _pairing_value,
+one row's left minus right, vanishes exactly on the matchings _pairings
+finds, on the gallery and the census, equals the relation written out
+on the signed table, and at k = 2 vanishes exactly when the matching's
+Ceva value is 1.
 """
 
 import random
@@ -22,6 +26,7 @@ import pytest
 from discarr import (
     Arrangement,
     Cyclotomic,
+    FourSet,
     Galois,
     Good6Partition,
     NotGeneric,
@@ -35,7 +40,13 @@ from discarr import (
     is_generic,
     quadral_points,
 )
-from discarr.detectors import _conjugation_table, _matching_pattern, _pairing_pattern, _pairings
+from discarr.detectors import (
+    _conjugation_table,
+    _matching_pattern,
+    _pairing_pattern,
+    _pairing_value,
+    _pairings,
+)
 from discarr.gallery import TYPE_ORDER, is_parameter_generic, parametrized, witness_spec
 from discarr.modular import modular_image
 
@@ -43,6 +54,7 @@ from _helpers import (
     cofactor_det,
     count_payload_calls,
     imposed_k3,
+    oracle_ceva_value,
     oracle_matmul,
     oracle_det_table,
     oracle_conjugate,
@@ -54,6 +66,7 @@ from _helpers import (
     perfect_matchings,
     random_k3,
 )
+from test_census import FIELDS as CENSUS_FIELDS, LINE_FIELDS, line_classes, plane_classes
 
 WITNESSES = ["witness-" + nu.cli_token() for nu in TYPE_ORDER if witness_spec(nu)]
 GALLERY = ["crapo", "octahedral", "dodecahedral", "f4", "f5", "polygon-6"] + WITNESSES
@@ -238,7 +251,8 @@ def _old_sides(k, pairs):
 def test_pattern_signs_match_the_signed_table(k):
     """Each row's side products equal the oracle's signed sides up to
     sign, and the sides' signs differ exactly on odd rows: with L = sL lv
-    and R = sR rv, L rv = (-1)^odd R lv."""
+    and R = sR rv, L rv = (-1)^odd R lv.  The left sign is the row's
+    left parity, sL = (-1)^lefts[c], so sR = (-1)^(lefts[c] + odd)."""
     a = _generic(Rational(), k, 6, random.Random(f"pattern-{k}"))
     fd = a.field
     mul, neg = fd._mul, fd._neg
@@ -250,9 +264,10 @@ def test_pattern_signs_match_the_signed_table(k):
         for key in ((y, x, z), (x, z, y), (z, y, x)):
             assert dets[key] == neg(d)
     m = [a.minors()[key] for key in combinations(a.indices, k)]
-    sides, rows = _pairing_pattern(k)
+    sides, rows, lefts = _pairing_pattern(k)
     assert [row[0] for row in rows] == list(_matching_pattern(6))
-    for pairs, left, right, odd in rows:
+    assert len(lefts) == 15 and set(lefts) == {0, 1}
+    for (pairs, left, right, odd), left_odd in zip(rows, lefts):
         shifted = [(p + 1, q + 1) for p, q in pairs]
         big_l, big_r = (_product(mul, [dets[o] for o in side])
                         for side in _old_sides(k, shifted))
@@ -260,6 +275,8 @@ def test_pattern_signs_match_the_signed_table(k):
         assert big_l in (lv, neg(lv)) and big_r in (rv, neg(rv))
         cross = mul(big_r, lv)
         assert mul(big_l, rv) == (neg(cross) if odd else cross)
+        assert big_l == (neg(lv) if left_odd else lv)
+        assert big_r == (neg(rv) if left_odd ^ odd else rv)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -268,7 +285,7 @@ def test_each_row_reads_its_own_sides(k):
     written out on its matching: per side, the sorted positions of its
     sorted minors, in combinations(range(6), k) order."""
     position = {key: i for i, key in enumerate(combinations(range(6), k))}
-    sides, rows = _pairing_pattern(k)
+    sides, rows, _ = _pairing_pattern(k)
     for pairs, left, right, _ in rows:
         old = [sorted(position[tuple(sorted(o))] for o in side)
                for side in _old_sides(k, pairs)]
@@ -303,6 +320,82 @@ def _product(mul, values):
     for v in values[1:]:
         out = mul(out, v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# one row's value
+
+def _matchings(subset):
+    """The 15 canonical matchings of a sorted 6-subset, in pattern order."""
+    return [tuple((subset[i], subset[j]) for i, j in m) for m in _matching_pattern(6)]
+
+
+def _vanishing_matchings(a):
+    """_pairing_value is zero on a matching of a 6-subset exactly when
+    _pairings returns that matching; returns how many vanish."""
+    found, zeros = set(_pairings(a)), 0
+    for subset in combinations(a.indices, 6):
+        for pairs in _matchings(subset):
+            zero = a.field._is_zero(_pairing_value(a, pairs))
+            assert zero == (pairs in found), pairs
+            zeros += zero
+    assert zeros == len(found)
+    return zeros
+
+
+@pytest.mark.parametrize("name", GALLERY + ["polygon-7", "polygon-8"])
+def test_value_vanishes_exactly_on_the_gallery_pairings(name):
+    _vanishing_matchings(build_gallery(name))
+
+
+@pytest.mark.parametrize("k, name", [(3, n) for n in sorted(CENSUS_FIELDS)]
+                         + [(2, n) for n in LINE_FIELDS])
+def test_value_vanishes_exactly_on_the_census_pairings(k, name):
+    # every labeled class of six planes or six lines over the field
+    classes = plane_classes(name) if k == 3 else line_classes(name)
+    assert sum(_vanishing_matchings(a) for _, a in classes)
+
+
+@pytest.mark.parametrize("name", ["crapo", "octahedral", "f5", "polygon-6", "polygon-7"])
+def test_k2_value_vanishes_exactly_when_a_ceva_value_is_one(name):
+    # both 4-sets of a matching share its involution, so their Ceva
+    # values are 1 together
+    a = build_gallery(name)
+    assert a.k == 2
+    one = a.field.one()
+    for subset in combinations(a.indices, 6):
+        for pairs in _matchings(subset):
+            ceva = [oracle_ceva_value(a, four) == one for four in FourSet.of_matching(pairs)]
+            assert ceva[0] == ceva[1]
+            assert a.field._is_zero(_pairing_value(a, pairs)) == ceva[0], pairs
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_value_is_the_signed_relation_on_every_row(k):
+    # left minus right of the relation written out on its matching, on
+    # the signed table of every ordering; the indices are spread out so
+    # that positions and indices differ
+    a = _generic(Rational(), k, 8, random.Random(f"value-{k}"))
+    fd = a.field
+    dets = oracle_det_table(a)
+    for subset in [(1, 2, 3, 4, 5, 6), (1, 3, 4, 6, 7, 8), (2, 3, 5, 6, 7, 8)]:
+        for pairs in _matchings(subset):
+            big_l, big_r = (_product(fd._mul, [dets[o] for o in side])
+                            for side in _old_sides(k, pairs))
+            assert _pairing_value(a, pairs) == fd._add(big_l, fd._neg(big_r))
+
+
+@pytest.mark.parametrize("name, products", [("witness-3^2", 2), ("octahedral", 4)])
+def test_value_makes_one_product_per_side(monkeypatch, name, products):
+    # two minors per side at k = 3, three at k = 2; no inverse, and the
+    # kept minors are read, not recomputed
+    a = build_gallery(name)
+    a.minors()
+    calls = count_payload_calls(monkeypatch, a.field)
+    for pairs in _matchings(tuple(a.indices)[:6]):
+        calls.clear()
+        _pairing_value(a, pairs)
+        assert calls == Counter(_mul=products)
 
 
 # ---------------------------------------------------------------------------

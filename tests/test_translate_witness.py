@@ -22,6 +22,7 @@ import pytest
 
 from discarr import (
     Arrangement,
+    Galois,
     Prime,
     Rational,
     build_gallery,
@@ -150,6 +151,25 @@ def test_enumeration_refused_past_a_million_candidates():
         next(_candidates(Prime(7), 2, 8))
     # at 7^7 < 10^6 the enumeration starts
     assert next(_candidates(Prime(7), 2, 7)) == [0] * 6 + [1]
+
+
+GF2_20 = Galois(2, [1, 0, 0, 1] + [0] * 16 + [1])  # x^20 + x^3 + 1
+GF81 = Galois(3, [2, 1, 0, 0, 1])  # x^4 + x + 2
+
+
+@pytest.mark.parametrize("fd, dim", [(Prime(7), 8), (GF2_20, 2), (GF81, 4)],
+                         ids=["F7^8", "GF(2^20)^2", "GF(81)^4"])
+def test_enumeration_is_sized_before_any_element_is_listed(monkeypatch, fd, dim):
+    # q^dim > 10^6 is read off the field's order: no element is built or
+    # listed, so GF(2^20) is refused at once, not after a million-element
+    # list of field elements
+    def unlisted(self):
+        raise AssertionError("an element was listed")
+    for cls in (Prime, Galois):
+        monkeypatch.setattr(cls, "iter_elements", unlisted)
+        monkeypatch.setattr(cls, "_payloads", unlisted)
+    with pytest.raises(NoGenericWitness, match="kernel too large to enumerate"):
+        next(_candidates(fd, fd.characteristic(), dim))
 
 
 # ---------------------------------------------------------------------------
