@@ -5,9 +5,13 @@ a 4-set of concurrent triples), and seven lines whose five triple-points
 align (equal cross ratios about one center).  At k = 3: six planes whose
 three pair intersection lines share a point at infinity.  The
 six-element relation is stated once, one 15-row pattern per k over the
-matchings of six positions (_pairing_pattern): _pairings tests every row
-on every 6-subset, and _pairing_value evaluates one row, with no
-genericity gate (good6_condition).  Closure scanners verify the laws the
+matchings of six positions (_pairing_pattern): _pairing_keys tests every
+row on every 6-subset and hands back one int per subset with a holding
+row, naming the subset and its rows, and _pairing_value evaluates one
+row, with no genericity gate (good6_condition).  The matchings, 4-sets
+and good partitions a key names are built once per distinct key, in
+int-keyed memos (_key_matchings, _key_foursets, _key_good6); nothing is
+kept on an Arrangement.  Closure scanners verify the laws the
 detected patterns obey; the good-partition one reads each conjugate off
 one 15 x 15 table of matchings (_conjugation_table).
 
@@ -18,8 +22,8 @@ refuses a non-generic arrangement through arrangement._require_generic.
 
 from __future__ import annotations
 
-from functools import cache, reduce
-from itertools import combinations, permutations
+from functools import cache, lru_cache, reduce
+from itertools import chain, combinations, permutations
 
 from .arrangement import Arrangement, _require_generic, projective_map_through
 from .exactfield import FieldElement, _Value
@@ -181,7 +185,7 @@ def _pairing_pattern(k: int) -> tuple:
 def _pairing_value(a: Arrangement, pairs):
     """Left minus right on the _pairing_pattern(a.k) row of the canonical
     matching pairs (indices in 1..n) as a payload, one product per side
-    and no genericity gate: zero exactly when _pairings finds pairs."""
+    and no genericity gate: zero exactly when _pairing_keys finds pairs."""
     support = sorted(p for pair in pairs for p in pair)
     for p in support:
         a.normal(p)  # the IndexError for an index outside 1..n
@@ -195,50 +199,79 @@ def _pairing_value(a: Arrangement, pairs):
     return fd._neg(value) if lefts[c] else value
 
 
-def _pairings(a: Arrangement) -> list[tuple]:
-    """The matchings ((x, x2), (y, y2), (z, z2)) of every 6-subset of
-    indices whose relation (_pairing_pattern) holds, with no inversions.
-    The subset is sorted, so its minors come in the pattern's order; each
-    distinct side is multiplied out once per subset (20 products at
-    k = 2, 9 at k = 3) and the 15 rows compare those by index."""
+def _pairing_keys(a: Arrangement) -> list[int]:
+    """One int per 6-subset of indices, in combinations order, on which
+    some row of _pairing_pattern(a.k) holds: bit 14 + p for each index p
+    of the subset and bit c for each holding row c.  The subset is
+    sorted, so its minors come in the pattern's order; each distinct side
+    is multiplied out once per subset (20 products at k = 2, 9 at k = 3)
+    and the 15 rows compare those by index.  What a key names is read off
+    memos keyed by it (_key_matchings and those reading it), so each
+    distinct key builds its matchings and patterns once."""
     _require_generic(a)
     mul, neg = a.field._mul, a.field._neg
     minors = a.minors()
     sides, rows, _ = _pairing_pattern(a.k)
-    found = []
+    keys = []
     for subset in combinations(a.indices, 6):
         m = [minors[key] for key in combinations(subset, a.k)]
         if a.k == 2:
             v = [mul(mul(m[i], m[j]), m[l]) for i, j, l in sides]
         else:
             v = [mul(m[i], m[j]) for i, j in sides]
-        for pairs, left, right, odd in rows:
+        mask = 0
+        for c, (_, left, right, odd) in enumerate(rows):
             if v[left] == (neg(v[right]) if odd else v[right]):
-                (i0, j0), (i1, j1), (i2, j2) = pairs
-                found.append(((subset[i0], subset[j0]), (subset[i1], subset[j1]),
-                              (subset[i2], subset[j2])))
-    return found
+                mask |= 1 << c
+        if mask:
+            keys.append(mask | sum(1 << 14 + p for p in subset))
+    return keys
+
+
+@lru_cache(maxsize=1024)
+def _key_matchings(key: int) -> tuple:
+    """(matchings, frozensets) of a _pairing_keys key: the canonical
+    matching ((x, x2), (y, y2), (z, z2)) of each holding row on the
+    key's subset, in row order (which is sorted order), and each as a
+    frozenset of pairs."""
+    subset = [p - 14 for p in range(15, key.bit_length()) if key >> p & 1]
+    matchings = tuple(tuple((subset[i], subset[j]) for i, j in pairs)
+                      for c, pairs in enumerate(_matching_pattern(6)) if key >> c & 1)
+    return matchings, tuple(frozenset(map(frozenset, pairs)) for pairs in matchings)
+
+
+@lru_cache(maxsize=1024)
+def _key_foursets(key: int) -> tuple:
+    """The complementary 4-sets of a key's matchings, sorted: distinct
+    matchings have distinct 4-sets, so none repeats."""
+    fours = sorted(four for pairs in _key_matchings(key)[0] for four in _matching_foursets(pairs))
+    return tuple(FourSet._from_key(four) for four in fours)
+
+
+@lru_cache(maxsize=1024)
+def _key_good6(key: int) -> tuple:
+    """A key's matchings as Good6Partitions, sorted (they are canonical)."""
+    return tuple(Good6Partition._from_key(pairs) for pairs in _key_matchings(key)[0])
 
 
 def quadral_points(a: Arrangement) -> list[FourSet]:
     """All 4-sets whose Ceva product |p1 p5||p2 p6||p3 p4| /
     |p1 p6||p2 p4||p3 p5| (FourSet.labels) is 1, over every 6-subset.
 
-    Each matching one involution realizes (_pairings) contributes its
-    complementary pair of 4-sets, so the count is even.  The matchings
-    are three disjoint pairs, so their 4-sets' canonical tuples are
-    deduplicated and sorted before any FourSet is built."""
+    Each matching one involution realizes (_pairing_keys) contributes
+    its complementary pair of 4-sets, so the count is even.  Each
+    6-subset's 4-sets are built once per key (_key_foursets), and the
+    subsets' runs are merged in order of their sets."""
     _check_k(a, 2)
-    keys = {four for pairs in _pairings(a) for four in _matching_foursets(pairs)}
-    return [FourSet._from_key(key) for key in sorted(keys)]
+    return sorted(chain.from_iterable(map(_key_foursets, _pairing_keys(a))), key=FourSet._key)
 
 
 def find_involutions(a: Arrangement):
     """For each pairing of six lines, the projective involution
     swapping the normals along it, when one exists.
 
-    A map is built only for the matchings _pairings passes, the test
-    quadral_points makes, and no trace is taken.  At k = 2, _pairings
+    A map is built only for the matchings _pairing_keys passes, the test
+    quadral_points makes, and no trace is taken.  At k = 2, the relation
     holds exactly when some involution of P^1 swaps the three pairs.
     A map of P^1 is fixed by three points and their images, so the map
     projective_map_through returns, which sends each normal to its
@@ -251,10 +284,11 @@ def find_involutions(a: Arrangement):
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
     out = []
-    for pairs in _pairings(a):
-        src = tuple(a.normal(p) for p, _ in pairs)
-        dst = tuple(a.normal(q) for _, q in pairs)
-        out.append((frozenset(frozenset(p) for p in pairs), projective_map_through(src, dst)))
+    for key in _pairing_keys(a):
+        for pairs, m in zip(*_key_matchings(key)):
+            src = tuple(a.normal(p) for p, _ in pairs)
+            dst = tuple(a.normal(q) for _, q in pairs)
+            out.append((m, projective_map_through(src, dst)))
     return out
 
 
@@ -410,9 +444,6 @@ class Good6Partition(_Value):
         p, q, r = self.matching
         return tuple(sorted(p + q + r))
 
-    def as_frozenset(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(p) for p in self.matching)
-
     def __repr__(self):
         body = ")(".join("".join(map(str, p)) for p in self.matching)
         return f"Good6Partition(({body}))"
@@ -432,11 +463,11 @@ def good6_condition(a: Arrangement, g: Good6Partition) -> FieldElement:
 
 def good6_points(a: Arrangement) -> list[Good6Partition]:
     """All good partitions over every 6-subset of indices, k=3: the
-    matchings on which good6_condition vanishes (_pairings).  Those are
-    canonical already, (small, large) pairs by first element, so they
-    are deduplicated and sorted as tuples and then wrapped."""
+    matchings on which good6_condition vanishes (_pairing_keys).  Each
+    6-subset's partitions are built once per key (_key_good6), and the
+    subsets' runs are merged in order of their matchings."""
     _check_k(a, 3)
-    return [Good6Partition._from_key(pairs) for pairs in sorted(set(_pairings(a)))]
+    return sorted(chain.from_iterable(map(_key_good6, _pairing_keys(a))), key=Good6Partition._key)
 
 
 def pappus_closure_check(a: Arrangement) -> list[str]:

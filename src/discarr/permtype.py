@@ -13,7 +13,7 @@ counts the induced edges.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -180,6 +180,15 @@ def _edge_type(mask: int) -> tuple:
     return edges, part, part.type()
 
 
+@lru_cache(maxsize=1024)
+def _key_edges(key: int) -> tuple:
+    """(matchings, mask) of a detectors._pairing_keys key on the indices
+    1..6: its matchings as frozensets and the bits 1 << 6i + j of their
+    edges (i, j)."""
+    matchings = detectors._key_matchings(key)[1]
+    return matchings, sum(1 << 6 * i + j for i, j in map(matching_to_edge, matchings))
+
+
 def arrangement_type(a) -> TypeReport:
     """Classify a 6-hyperplane arrangement by its detected edge set.
 
@@ -187,20 +196,27 @@ def arrangement_type(a) -> TypeReport:
     (detectors._pairing_pattern) holds: at k = 2 those a projective
     involution of the six lines realizes, at k = 3 the good 6-partitions.
     They must be exactly the edges induced by their connected-component
-    partition; anything else raises ClosureViolation.  Partition and
-    type are looked up by edge set (_edge_type), so each distinct set is
-    classified once.
+    partition; anything else raises ClosureViolation.  At k = 3 the
+    matchings and edges are read off the one key of the six planes
+    (detectors._pairing_keys, _key_edges).  At k = 2 the keys would
+    serve as well (the relation is an iff), but they come from
+    find_involutions, which also builds each involution's map: the
+    classify-sweep benchmark requires its spans (perfbench/workloads.py,
+    EXPECTED_SPANS), so the maps stay until that workload changes.
+    Partition and type are looked up by edge set (_edge_type), so each
+    distinct set is classified once.
     """
     if a.n != 6:
         raise ValueError("type classification needs exactly 6 hyperplanes")
     if a.k == 2:
         matchings, factor = tuple(m for m, _ in detectors.find_involutions(a)), 2
+        mask = sum({1 << 6 * i + j for i, j in map(matching_to_edge, matchings)})
     elif a.k == 3:
-        matchings, factor = tuple(g.as_frozenset() for g in detectors.good6_points(a)), 1
+        keys, factor = detectors._pairing_keys(a), 1
+        matchings, mask = _key_edges(keys[0]) if keys else ((), 0)
     else:
         raise ValueError(f"no classifier for k={a.k}")
-    bits = {1 << 6 * i + j for i, j in map(matching_to_edge, matchings)}
-    edges, part, nu = _edge_type(sum(bits))
+    edges, part, nu = _edge_type(mask)
     # m(A) = factor * |matchings| fits the type when factor * nu.m() does
     return TypeReport(nu, part, matchings, edges, factor * len(matchings),
                       len(matchings) == nu.m())

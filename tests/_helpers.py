@@ -1,9 +1,11 @@
 """Shared constructors for the test suite: seeded random arrangements,
 the random very generic reference, the lattice closure oracle and the
 rank read off its echelon, every discriminantal normal and a flat's
-key as a set, the six-element pairing and conjugation
-closure oracles, the S6 type by union-find, the quint closure oracle,
-the FieldElement projective map through three points, the FieldElement
+key as a set, the six-element pairing and conjugation closure
+oracles, the six-element keys built and expanded (pairing_key,
+matchings_key, pairings_of) with the per-call assembly their memos
+replaced, the S6 type by union-find, the quint closure oracle, the
+FieldElement projective map through three points, the FieldElement
 genericity conditions of the parametrized family, the cofactor
 determinant and the incidence check of a translation built on it, the
 payload work counter, the validating constructions of the detected
@@ -50,7 +52,7 @@ from discarr.arrangement import DegeneratePoints
 from discarr.exactfield import FieldElement, _Value, _as_element
 from discarr.gallery import is_parameter_generic, parametrized
 from discarr.linalg import DimensionMismatch, _det_payloads, _Span
-from discarr.permtype import NotAMatchingLabel
+from discarr.permtype import NotAMatchingLabel, matching_to_edge
 
 
 def rand_fraction(rng, span=12, max_den=6):
@@ -443,8 +445,10 @@ def oracle_parameter_conditions(field, w, x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# the six-element oracles: the signed-minor walk detectors._pairings
-# replaced, and the conjugation closure over Good6Partition objects
+# the six-element oracles: the signed-minor walk the pattern rows
+# replaced, the per-call assembly of matchings, 4-sets, partitions and
+# edges the key memos replaced, and the conjugation closure over
+# Good6Partition objects
 
 def oracle_det_table(a):
     """Payload of every ordered k-tuple of distinct indices: the minor of
@@ -484,6 +488,65 @@ def oracle_pairings(a):
             if related:
                 found.append(pairs)
     return found
+
+
+def pairing_key(support, mask):
+    """The detectors._pairing_keys int of a sorted 6-subset of indices
+    whose holding rows are the bits of mask."""
+    return mask | sum(1 << 14 + p for p in support)
+
+
+def matchings_key(matchings):
+    """The detectors._pairing_keys int of matchings of one 6-subset,
+    pairs in any order: the subset and the pattern row of each."""
+    support = sorted({p for pairs in matchings for pair in pairs for p in pair})
+    rows = perfect_matchings(support)
+    canon = {tuple(sorted(tuple(sorted(pair)) for pair in pairs)) for pairs in matchings}
+    return pairing_key(support, sum(1 << rows.index(pairs) for pairs in canon))
+
+
+def pairings_of(a):
+    """The matchings of every 6-subset whose relation holds, in subset
+    and row order: detectors._pairing_keys expanded through the
+    matchings memo."""
+    return [pairs for key in detectors._pairing_keys(a)
+            for pairs in detectors._key_matchings(key)[0]]
+
+
+# the per-call assembly the key memos replaced, run on every call from
+# the matchings of the rows set in a mask
+
+def oracle_key_matchings(support, mask):
+    """(matchings, frozensets) of the rows set in mask on a sorted
+    6-subset: each matching relabelled pair by pair, then each as a
+    frozenset of pairs."""
+    found = []
+    for c, pairs in enumerate(perfect_matchings(range(6))):
+        if mask >> c & 1:
+            (i0, j0), (i1, j1), (i2, j2) = pairs
+            found.append(((support[i0], support[j0]), (support[i1], support[j1]),
+                          (support[i2], support[j2])))
+    return found, [frozenset(frozenset(p) for p in pairs) for pairs in found]
+
+
+def oracle_key_foursets(matchings):
+    """Both 4-sets of every matching, deduplicated and sorted as tuples,
+    then wrapped."""
+    keys = {four for pairs in matchings for four in detectors._matching_foursets(pairs)}
+    return [FourSet._from_key(key) for key in sorted(keys)]
+
+
+def oracle_key_good6(matchings):
+    """The matchings deduplicated and sorted as tuples, then wrapped."""
+    return [Good6Partition._from_key(pairs) for pairs in sorted(set(matchings))]
+
+
+def oracle_key_edges(matchings):
+    """(frozensets, mask) of six planes' good partitions: each partition
+    as a frozenset, and the edge bits 1 << 6i + j of its K_6 label."""
+    frozensets = tuple(frozenset(frozenset(p) for p in g.matching)
+                       for g in oracle_key_good6(matchings))
+    return frozensets, sum({1 << 6 * i + j for i, j in map(matching_to_edge, frozensets)})
 
 
 def oracle_conjugate(g1, g2):
@@ -687,7 +750,8 @@ def oracle_arrangement_type(a) -> TypeReport:
     if a.k == 2:
         return oracle_edge_report(tuple(m for m, _ in detectors.find_involutions(a)), 2)
     if a.k == 3:
-        return oracle_edge_report(tuple(g.as_frozenset() for g in detectors.good6_points(a)), 1)
+        return oracle_edge_report(tuple(frozenset(frozenset(p) for p in g.matching)
+                                        for g in detectors.good6_points(a)), 1)
     raise ValueError(f"no classifier for k={a.k}")
 
 
@@ -755,12 +819,12 @@ def oracle_complement(four):
 
 
 def oracle_quadral_points(a):
-    return sorted({four for pairs in detectors._pairings(a)
+    return sorted({four for pairs in pairings_of(a)
                    for four in oracle_of_matching(pairs)})
 
 
 def oracle_good6_points(a):
-    return sorted(Good6Partition(pairs) for pairs in detectors._pairings(a))
+    return sorted(Good6Partition(pairs) for pairs in pairings_of(a))
 
 
 def oracle_quintuple_points(a):

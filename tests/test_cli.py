@@ -25,6 +25,8 @@ from discarr.detectors import FourSet, Good6Partition, QuintFamily, good6_points
 from discarr.exactfield import Cyclotomic, Galois, Prime, Quadratic
 from discarr.permtype import ClosureViolation, TypeReport, arrangement_type
 
+from _helpers import matchings_key
+
 
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
@@ -304,8 +306,10 @@ def test_classify_closure_violation_exit(monkeypatch, capsys):
 
 def test_classify_missing_closure_edge_exits_closure(monkeypatch, capsys):
     # the matchings of the edges (1,2) and (2,3), without (1,3)
+    # of six planes, as their one six-element key
     found = [Good6Partition(((1, 5), (2, 6), (3, 4))), Good6Partition(((1, 2), (3, 5), (4, 6)))]
-    monkeypatch.setattr("discarr.detectors.good6_points", lambda a: found)
+    key = matchings_key([g.matching for g in found])
+    monkeypatch.setattr("discarr.detectors._pairing_keys", lambda a: [key])
     with pytest.raises(ClosureViolation, match=r"missing \[\(1, 3\)\]"):
         arrangement_type(discarr.build_gallery("witness-1^6"))
     assert main(["classify", "gallery:witness-1^6"]) == EXIT_CLOSURE

@@ -295,7 +295,7 @@ def test_pappus_triangle_closure():
     a = parametrized(Q, 10, 2, 5, 10)
     found = good6_points(a)
     assert len(found) == 3
-    m1, m2, m3 = (g.as_frozenset() for g in found)
+    m1, m2, m3 = (frozenset(map(frozenset, g.matching)) for g in found)
     assert not (m1 & m2) and not (m1 & m3) and not (m2 & m3)
 
     def conj(s, t):

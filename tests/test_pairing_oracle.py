@@ -1,18 +1,22 @@
 """The six-element pairing relation and the conjugation closure against
 their oracles in _helpers.
 
-detectors._pairings reads each sorted 6-subset's minors through one
+detectors._pairing_keys reads each sorted 6-subset's minors through one
 fixed 15-row pattern per k, whose rows compare 10 distinct side products
-at k = 2 and 9 at k = 3; the oracle walks every perfect matching over
-the signed table of every ordering.  good6_closure_checks reads conjugates
+at k = 2 and 9 at k = 3, and hands back one int per subset with a
+holding row; expanded through the matchings memo (pairings_of), its
+matchings equal the oracle's, which walks every perfect matching over
+the signed table of every ordering.  A key decodes back to its subset
+and rows, and for every one of the 2^15 row masks each key memo equals
+the per-call assembly it replaced.  good6_closure_checks reads conjugates
 off one 15 x 15 table of matchings (_conjugation_table); the oracle
 walks the involutions point by point and builds each as a Good6Partition.
 At k = 2 find_involutions keeps a map for exactly the matchings
-_pairings passes, in characteristic 2 and 3 as well.  _pairing_value,
-one row's left minus right, vanishes exactly on the matchings _pairings
-finds, on the gallery and the census, equals the relation written out
-on the signed table, and at k = 2 vanishes exactly when the matching's
-Ceva value is 1.
+_pairing_keys passes, in characteristic 2 and 3 as well.
+_pairing_value, one row's left minus right, vanishes exactly on the
+matchings _pairing_keys finds, on the gallery and the census, equals
+the relation written out on the signed table, and at k = 2 vanishes
+exactly when the matching's Ceva value is 1.
 """
 
 import random
@@ -42,26 +46,37 @@ from discarr import (
 )
 from discarr.detectors import (
     _conjugation_table,
+    _key_foursets,
+    _key_good6,
+    _key_matchings,
     _matching_pattern,
+    _pairing_keys,
     _pairing_pattern,
     _pairing_value,
-    _pairings,
 )
 from discarr.gallery import TYPE_ORDER, is_parameter_generic, parametrized, witness_spec
 from discarr.modular import modular_image
+from discarr.permtype import NotAMatchingLabel, _key_edges, arrangement_type
 
 from _helpers import (
     cofactor_det,
     count_payload_calls,
     imposed_k3,
+    matchings_key,
     oracle_ceva_value,
     oracle_matmul,
     oracle_det_table,
     oracle_conjugate,
     oracle_good6_closure_checks,
     oracle_is_identity,
+    oracle_key_edges,
+    oracle_key_foursets,
+    oracle_key_good6,
+    oracle_key_matchings,
     oracle_maps_to,
     oracle_pairings,
+    pairing_key,
+    pairings_of,
     payload_det,
     perfect_matchings,
     random_k3,
@@ -82,13 +97,13 @@ def _outcome(fn, a):
 @pytest.mark.parametrize("name", GALLERY)
 def test_gallery_pairings_match_oracle(name):
     a = build_gallery(name)
-    assert _pairings(a) == oracle_pairings(a)
+    assert pairings_of(a) == oracle_pairings(a)
 
 
 @pytest.mark.parametrize("n", range(7, 13))
 def test_polygon_image_pairings_match_oracle(n):
     a = modular_image(build_gallery(f"polygon-{n}"))
-    found = _pairings(a)
+    found = pairings_of(a)
     assert found == oracle_pairings(a)
     assert found
 
@@ -174,15 +189,97 @@ def test_seeded_pairings_match_oracle(name, k):
         for imposed in (False, True):
             a = _seeded(fd, k, n, rng, imposed)
             expected = oracle_pairings(a)
-            assert _pairings(a) == expected
+            assert pairings_of(a) == expected
             related += len(expected)
             tested += 15 * comb(n, 6)
         # a repeated normal: both refuse with the same message
         bad = Arrangement(fd, k, list(a.normals) + [a.normal(1)])
-        assert _outcome(_pairings, bad) == _outcome(oracle_pairings, bad)
-        assert _outcome(_pairings, bad)[0] == "NotGeneric"
+        assert _outcome(pairings_of, bad) == _outcome(oracle_pairings, bad)
+        assert _outcome(pairings_of, bad)[0] == "NotGeneric"
     # some matchings pass and some fail
     assert 0 < related < tested
+
+
+# ---------------------------------------------------------------------------
+# the keys and what their memos build
+
+def _oracle_keys(a):
+    """The key of every 6-subset holding an oracle matching, in subset
+    order: its indices and the rows of its matchings."""
+    by_subset = {}
+    for pairs in oracle_pairings(a):
+        by_subset.setdefault(tuple(sorted(p for pair in pairs for p in pair)), []).append(pairs)
+    return [matchings_key(found) for _, found in sorted(by_subset.items())]
+
+
+@pytest.mark.parametrize("name", ["crapo", "dodecahedral", "f4", "polygon-9", "witness-3^2"])
+def test_keys_are_the_subsets_holding_a_row(name):
+    # a subset with no holding row yields no key: polygon-9 has keys
+    # for 30 of its 84 subsets
+    a = build_gallery(name)
+    keys = _pairing_keys(a)
+    assert keys == _oracle_keys(a)
+    assert all(key & 0x7FFF for key in keys)
+    assert len(keys) == (30 if name == "polygon-9" else 1)
+
+
+def test_unrelated_subsets_yield_no_key():
+    # six random planes over F_11 with no good partition
+    rng = random.Random("no-key")
+    fd = Prime(11)
+    while True:
+        a = _seeded(fd, 3, 6, rng, imposed=False)
+        if not oracle_pairings(a):
+            break
+    assert _pairing_keys(a) == []
+    assert arrangement_type(a).matchings == ()
+
+
+@pytest.mark.parametrize("support", [(1, 2, 3, 4, 5, 6), (2, 3, 5, 7, 11, 13),
+                                     (1, 17, 64, 65, 127, 128), tuple(range(123, 129))])
+def test_keys_decode_to_their_subset_and_rows(support):
+    # indices up to 128, polygon-128 being the largest input Cyclotomic
+    # admits: bit 14 + p for index p, bit c for row c
+    rng = random.Random(f"decode-{support}")
+    masks = [1 << c for c in range(15)] + [(1 << 15) - 1]
+    masks += [rng.randrange(1, 1 << 15) for _ in range(200)]
+    for mask in masks:
+        key = pairing_key(support, mask)
+        assert key & 0x7FFF == mask
+        assert tuple(p for p in range(1, 129) if key >> 14 + p & 1) == support
+        matchings = _key_matchings(key)[0]
+        assert list(matchings) == oracle_key_matchings(support, mask)[0]
+        assert matchings_key(matchings) == key
+
+
+def _raised(fn, *args):
+    """fn's result, or the NotAMatchingLabel text it raises."""
+    try:
+        return fn(*args)
+    except NotAMatchingLabel as exc:
+        return ("NotAMatchingLabel", str(exc))
+
+
+@pytest.mark.parametrize("support", [(1, 2, 3, 4, 5, 6), (2, 3, 5, 7, 11, 13)])
+def test_key_memos_equal_the_per_call_assembly(support):
+    """For each of the 2^15 row masks, every key memo equals the per-call
+    assembly it replaced: the matchings and their frozensets, the sorted
+    4-sets, the sorted partitions, and the classifier's frozensets and
+    edge bits.  Off the indices 1..6 no matching labels an edge, and
+    both refuse the first matching alike."""
+    for mask in range(1 << 15):
+        key = pairing_key(support, mask)
+        matchings, frozensets = oracle_key_matchings(support, mask)
+        assert _key_matchings(key) == (tuple(matchings), tuple(frozensets))
+        assert list(_key_foursets(key)) == oracle_key_foursets(matchings)
+        assert list(_key_good6(key)) == oracle_key_good6(matchings)
+        assert _raised(_key_edges, key) == _raised(oracle_key_edges, matchings)
+    # the last mask holds every row: all 15 edges of K_6, or a refusal
+    edges = _raised(_key_edges, key)
+    if support == (1, 2, 3, 4, 5, 6):
+        assert edges[1] == sum(1 << 6 * i + j for i, j in combinations(range(1, 7), 2))
+    else:
+        assert edges[0] == "NotAMatchingLabel"
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +299,12 @@ INVOLUTION_FIELDS = {
 
 @pytest.mark.parametrize("name", INVOLUTION_FIELDS)
 def test_involutions_are_exactly_the_pairings(name):
-    """find_involutions keeps a map for every matching _pairings passes,
-    in order: the relation is an iff in every characteristic, and each
-    map is invertible (nonzero determinant, with no check in the
-    library), sends each normal to its partner and back, and has trace
-    0, so it squares to a scalar (Cayley-Hamilton).  GF(4) has five
-    points, too few for six generic lines."""
+    """find_involutions keeps a map for every matching _pairing_keys
+    passes, in order: the relation is an iff in every characteristic,
+    and each map is invertible (nonzero determinant, with no check in
+    the library), sends each normal to its partner and back, and has
+    trace 0, so it squares to a scalar (Cayley-Hamilton).  GF(4) has
+    five points, too few for six generic lines."""
     fd = INVOLUTION_FIELDS[name]
     rng = random.Random(f"involutions-{name}")
     maps = 0
@@ -215,7 +312,7 @@ def test_involutions_are_exactly_the_pairings(name):
         a = _seeded(fd, 2, 6, rng, imposed=i % 2 == 0)
         invs = find_involutions(a)
         assert [m for m, _ in invs] == [frozenset(frozenset(p) for p in pairs)
-                                        for pairs in _pairings(a)]
+                                        for pairs in pairings_of(a)]
         for m, f in invs:
             assert not cofactor_det(f).is_zero()
             assert (f[0][0] + f[1][1]).is_zero()
@@ -332,8 +429,8 @@ def _matchings(subset):
 
 def _vanishing_matchings(a):
     """_pairing_value is zero on a matching of a 6-subset exactly when
-    _pairings returns that matching; returns how many vanish."""
-    found, zeros = set(_pairings(a)), 0
+    _pairing_keys finds that matching; returns how many vanish."""
+    found, zeros = set(pairings_of(a)), 0
     for subset in combinations(a.indices, 6):
         for pairs in _matchings(subset):
             zero = a.field._is_zero(_pairing_value(a, pairs))

@@ -30,6 +30,7 @@ from _helpers import (
     all_partitions_of_6,
     edge_label,
     matching_from_perm,
+    matchings_key,
     oracle_arrangement_type,
     oracle_edge_partition,
     oracle_edge_report,
@@ -371,15 +372,16 @@ FORCED = [((1, 2), (2, 3)), ((1, 2), (2, 3), (3, 4), (5, 6)),
 @pytest.mark.parametrize("edges", FORCED, ids=lambda e: "-".join(f"{i}{j}" for i, j in e))
 @pytest.mark.parametrize("name", ["witness-1^6", "octahedral"])
 def test_forced_open_edge_set_raises_the_oracle_message(monkeypatch, name, edges):
-    # the detector is replaced by one returning the edges' matchings, so
-    # the library and the oracle type the same non-closed set
+    # the detector is replaced by one returning the edges' matchings (at
+    # k = 3 as the planes' one six-element key), so the library and the
+    # oracle type the same non-closed set
     matchings = [matching_from_perm(edge_label(*e)) for e in edges]
     a = build_gallery(name)
     if a.k == 2:
         monkeypatch.setattr(detectors, "find_involutions", lambda a: [(m, None) for m in matchings])
     else:
-        found = [detectors.Good6Partition(m) for m in matchings]
-        monkeypatch.setattr(detectors, "good6_points", lambda a: found)
+        key = matchings_key(matchings)
+        monkeypatch.setattr(detectors, "_pairing_keys", lambda a: [key])
     got = _outcome(arrangement_type, a)
     assert got == _outcome(oracle_arrangement_type, a)
     assert got[0] == "ClosureViolation" and got[1].startswith(
