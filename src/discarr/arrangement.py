@@ -6,9 +6,12 @@ Hyperplane p is { x : alpha_p . x = t_p }; the library keeps only the
 normals (offsets live in separate translation vectors t in K^n).
 Indices are 1-based throughout the public interface.  Genericity, the
 detectors, the discriminantal normals and the translate solver all read
-one table of k x k minors, Arrangement.minors.  A projective map of P^1
-is two rows of field elements, built on payloads; the library takes its
-trace and prints it, and never compares two maps up to scaling.
+one table of k x k minors, Arrangement.minors, whose keys come in
+combinations order.  Every field kind has one zero payload, so
+genericity is one scan of that table for _coerce_int(0).  A projective
+map of P^1 is two rows of field elements, built on payloads; the library
+takes its trace and prints it, and never compares two maps up to
+scaling.
 """
 
 from __future__ import annotations
@@ -80,7 +83,9 @@ class Arrangement(_Value):
     def minors(self) -> dict:
         """Payload of every k x k minor of the normals, keyed by its
         sorted 1-based index tuple; computed on the first call and kept
-        (the arrangement is immutable), so every caller gets one dict."""
+        (the arrangement is immutable), so every caller gets one dict.
+        The keys come in combinations(indices, k) order, a contract:
+        detectors._subset_plan reads the values by position in it."""
         if self._minors is None:
             fd = self.field
             rows = [[e.payload for e in v] for v in self._normals]
@@ -93,8 +98,10 @@ class Arrangement(_Value):
 
 
 def is_generic(a: Arrangement) -> bool:
-    """True iff every k-subset of normals is linearly independent."""
-    return not any(map(a.field._is_zero, a.minors().values()))
+    """True iff every k-subset of normals is linearly independent: no
+    minor is zero.  Every field kind's zero has one payload, the one
+    _coerce_int(0) makes, so this is one scan of the minors for it."""
+    return a.field._coerce_int(0) not in a.minors().values()
 
 
 def _require_generic(a: Arrangement) -> None:
@@ -145,12 +152,15 @@ def _frame(points):
     """The field of three pairwise distinct points of P^1 and the payloads
     (row-major) of their frame: columns l1 p1, l2 p2 with p3 = l1 p1 + l2 p2,
     so the matrix sends (1, 1) to p3 (l1 = d23/d12, l2 = -d13/d12 by
-    Cramer, d_ij = det(p_i, p_j))."""
+    Cramer, d_ij = det(p_i, p_j)).  A coordinate that is an element of
+    this very field is read as it is; any other goes through _as_element."""
     if any(len(p) != 2 for p in points):
         raise DimensionMismatch("frame points must be 2-vectors")
     fd = points[0][0].fd
     add, mul, neg = fd._add, fd._mul, fd._neg
-    (x1, y1), (x2, y2), (x3, y3) = [[_as_element(fd, e).payload for e in p] for p in points]
+    (x1, y1), (x2, y2), (x3, y3) = [
+        [e.payload if type(e) is FieldElement and e.fd is fd else _as_element(fd, e).payload
+         for e in p] for p in points]
     d12 = add(mul(x1, y2), neg(mul(y1, x2)))
     d13 = add(mul(x1, y3), neg(mul(y1, x3)))
     d23 = add(mul(x2, y3), neg(mul(y2, x3)))

@@ -311,9 +311,13 @@ def cmd_classify(args):
 # lattice
 
 def cmd_lattice(args):
+    # refused before anything is read or built: a negative rank (exit 2),
+    # which intersection_lattice would clamp to 0, then a dependent
+    # k-subset (exit 3), read off the minors table, then the cap (exit
+    # 2), which needs (n, k)
+    if args.max_rank is not None and args.max_rank < 0:
+        raise CliError(EXIT_USAGE, f"--max-rank must be at least 0, got {args.max_rank}")
     a = load_arrangement(args.input)
-    # refused before anything is built: a dependent k-subset (exit 3),
-    # read off the minors table, then the cap (exit 2), which needs (n, k)
     _require_generic(a)
     _require_lattice_size(a.n, a.k)
     lat = intersection_lattice(modular_image(a, lattice=True), max_rank=args.max_rank)

@@ -8,12 +8,16 @@ six-element relation is stated once, one 15-row pattern per k over the
 matchings of six positions (_pairing_pattern): _pairing_keys tests every
 row on every 6-subset and hands back one int per subset with a holding
 row, naming the subset and its rows, and _pairing_value evaluates one
-row, with no genericity gate (good6_condition).  The matchings, 4-sets
-and good partitions a key names are built once per distinct key, in
-int-keyed memos (_key_matchings, _key_foursets, _key_good6); nothing is
-kept on an Arrangement.  Closure scanners verify the laws the
-detected patterns obey; the good-partition one reads each conjugate off
-one 15 x 15 table of matchings (_conjugation_table).
+row, with no genericity gate (good6_condition).  Which minors each
+6-subset reads depends on the shape (n, k) alone: _pairing_keys reads
+them by position off Arrangement.minors, through one bounded plan per
+shape (_subset_plan), and tests the rows split once by sign
+(_row_tests).  The matchings, 4-sets and good partitions a key names
+are built once per distinct key, in int-keyed memos (_key_matchings,
+_key_foursets, _key_good6); nothing is kept on an Arrangement.
+Closure scanners verify the laws the detected patterns obey; the
+good-partition one reads each conjugate off one 15 x 15 table of
+matchings (_conjugation_table).
 
 Every detector is pure, compares products of the arrangement's minors
 (Arrangement.minors), returns canonical, deduplicated families and
@@ -199,32 +203,65 @@ def _pairing_value(a: Arrangement, pairs):
     return fd._neg(value) if lefts[c] else value
 
 
+@cache
+def _row_tests(k: int) -> tuple:
+    """The rows of _pairing_pattern(k) split once by sign: (even, odd),
+    each a tuple of (1 << c, left, right) for row c, in row order.  An
+    even row holds when its two side products are equal, an odd one
+    when the left is the right's negative."""
+    rows = _pairing_pattern(k)[1]
+    return tuple(tuple((1 << c, left, right) for c, (_, left, right, odd) in enumerate(rows)
+                       if odd == sign) for sign in (0, 1))
+
+
+@lru_cache(maxsize=8)
+def _subset_plan(n: int, k: int) -> tuple:
+    """For each 6-subset of 1..n, in combinations order, (bits,
+    positions): bit 14 + p for each index p of the subset, and the
+    places of the subset's C(6, k) minors, in combinations order, among
+    all C(n, k) in combinations order, the order Arrangement.minors
+    keeps.  It depends on the shape (n, k) alone, so a fresh arrangement
+    of a shape seen before reads it as built.  It has C(n, 6) entries,
+    38,760 at n = 20 (about 10 MB), hence the small maxsize."""
+    indices = range(1, n + 1)
+    position = {key: i for i, key in enumerate(combinations(indices, k))}
+    return tuple((sum(1 << 14 + p for p in subset),
+                  tuple(position[key] for key in combinations(subset, k)))
+                 for subset in combinations(indices, 6))
+
+
 def _pairing_keys(a: Arrangement) -> list[int]:
     """One int per 6-subset of indices, in combinations order, on which
     some row of _pairing_pattern(a.k) holds: bit 14 + p for each index p
-    of the subset and bit c for each holding row c.  The subset is
-    sorted, so its minors come in the pattern's order; each distinct side
-    is multiplied out once per subset (20 products at k = 2, 9 at k = 3)
-    and the 15 rows compare those by index.  What a key names is read off
-    memos keyed by it (_key_matchings and those reading it), so each
-    distinct key builds its matchings and patterns once."""
+    of the subset and bit c for each holding row c.  The subset's minors
+    are read by position off the minors' values (_subset_plan), so they
+    come in the pattern's order; each distinct side is multiplied out
+    once per subset (20 products at k = 2, 9 at k = 3), and the even
+    rows, then the odd ones, compare those by index (_row_tests).  What
+    a key names is read off memos keyed by it (_key_matchings and those
+    reading it), so each distinct key builds its matchings and patterns
+    once."""
     _require_generic(a)
     mul, neg = a.field._mul, a.field._neg
-    minors = a.minors()
-    sides, rows, _ = _pairing_pattern(a.k)
+    values = list(a.minors().values())
+    sides = _pairing_pattern(a.k)[0]
+    even, odd = _row_tests(a.k)
     keys = []
-    for subset in combinations(a.indices, 6):
-        m = [minors[key] for key in combinations(subset, a.k)]
+    for bits, positions in _subset_plan(a.n, a.k):
+        m = list(map(values.__getitem__, positions))
         if a.k == 2:
             v = [mul(mul(m[i], m[j]), m[l]) for i, j, l in sides]
         else:
             v = [mul(m[i], m[j]) for i, j in sides]
         mask = 0
-        for c, (_, left, right, odd) in enumerate(rows):
-            if v[left] == (neg(v[right]) if odd else v[right]):
-                mask |= 1 << c
+        for bit, left, right in even:
+            if v[left] == v[right]:
+                mask |= bit
+        for bit, left, right in odd:
+            if v[left] == neg(v[right]):
+                mask |= bit
         if mask:
-            keys.append(mask | sum(1 << 14 + p for p in subset))
+            keys.append(mask | bits)
     return keys
 
 
@@ -283,11 +320,13 @@ def find_involutions(a: Arrangement):
     _check_k(a, 2)
     if a.n != 6:
         raise TooFewHyperplanes("involution search is defined for exactly 6 lines")
-    out = []
+    # a key's indices are a's own, in 1..n, so the normals are indexed
+    # directly
+    normals, out = a.normals, []
     for key in _pairing_keys(a):
         for pairs, m in zip(*_key_matchings(key)):
-            src = tuple(a.normal(p) for p, _ in pairs)
-            dst = tuple(a.normal(q) for _, q in pairs)
+            src = tuple(normals[p - 1] for p, _ in pairs)
+            dst = tuple(normals[q - 1] for _, q in pairs)
             out.append((m, projective_map_through(src, dst)))
     return out
 

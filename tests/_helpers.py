@@ -2,15 +2,15 @@
 the random very generic reference, the lattice closure oracle and the
 rank read off its echelon, every discriminantal normal and a flat's
 key as a set, the six-element pairing and conjugation closure
-oracles, the six-element keys built and expanded (pairing_key,
-matchings_key, pairings_of) with the per-call assembly their memos
-replaced, the S6 type by union-find, the quint closure oracle, the
-FieldElement projective map through three points, the FieldElement
-genericity conditions of the parametrized family, the cofactor
-determinant and the incidence check of a translation built on it, the
-payload work counter, the validating constructions of the detected
-patterns, the full Fermat-then-Lucas test, candidate-family
-enumeration, and small number-theory checks.
+oracles, the six-element keys built per call (oracle_pairing_keys),
+built from parts and expanded (pairing_key, matchings_key, pairings_of)
+with the per-call assembly their memos replaced, the S6 type by
+union-find, the quint closure oracle, the FieldElement projective map
+through three points, the FieldElement genericity conditions of the
+parametrized family, the cofactor determinant and the incidence check
+of a translation built on it, the payload work counter, the validating
+constructions of the detected patterns, the full Fermat-then-Lucas
+test, candidate-family enumeration, and small number-theory checks.
 
 The slow definitions the library dropped are oracles here: the cross
 ratio (oracle_cross_ratio), the Ceva, triple cross-ratio and quint
@@ -48,7 +48,7 @@ from discarr import (
     discriminantal_normal,
     is_generic,
 )
-from discarr.arrangement import DegeneratePoints
+from discarr.arrangement import DegeneratePoints, _require_generic
 from discarr.exactfield import FieldElement, _Value, _as_element
 from discarr.gallery import is_parameter_generic, parametrized
 from discarr.linalg import DimensionMismatch, _det_payloads, _Span
@@ -488,6 +488,31 @@ def oracle_pairings(a):
             if related:
                 found.append(pairs)
     return found
+
+
+def oracle_pairing_keys(a):
+    """detectors._pairing_keys as a per-call loop: each 6-subset's
+    minors looked up by their sorted index tuples, its sides multiplied
+    out in _pairing_pattern order, the 15 rows tested in row order and
+    the subset's bits summed on the spot."""
+    _require_generic(a)
+    mul, neg = a.field._mul, a.field._neg
+    minors = a.minors()
+    sides, rows, _ = detectors._pairing_pattern(a.k)
+    keys = []
+    for subset in combinations(a.indices, 6):
+        m = [minors[key] for key in combinations(subset, a.k)]
+        if a.k == 2:
+            v = [mul(mul(m[i], m[j]), m[l]) for i, j, l in sides]
+        else:
+            v = [mul(m[i], m[j]) for i, j in sides]
+        mask = 0
+        for c, (_, left, right, odd) in enumerate(rows):
+            if v[left] == (neg(v[right]) if odd else v[right]):
+                mask |= 1 << c
+        if mask:
+            keys.append(mask | sum(1 << 14 + p for p in subset))
+    return keys
 
 
 def pairing_key(support, mask):

@@ -392,6 +392,19 @@ def test_lattice_max_rank(capsys):
     assert [level["rank"] for level in rep["results"]["ranks"]] == [0, 1]
 
 
+def test_lattice_refuses_a_negative_max_rank(monkeypatch, capsys):
+    # exit 2 before the input is read or a lattice is built, where
+    # intersection_lattice would clamp it to a rank-0 lattice
+    for name in ("load_arrangement", "intersection_lattice"):
+        monkeypatch.setattr(discarr.cli, name, None)
+    for argv in (["lattice", "gallery:polygon-6", "--max-rank", "-1"],
+                 ["lattice", "no/such/file.json", "--max-rank", "-3", "--json"]):
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --max-rank must be at least 0, got {argv[3]}\n"
+
+
 def test_lattice_without_reference(tmp_path, capsys):
     # k = 1 braid input: every flat of the braid arrangement is very generic
     q = Rational()

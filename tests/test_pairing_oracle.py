@@ -6,7 +6,10 @@ fixed 15-row pattern per k, whose rows compare 10 distinct side products
 at k = 2 and 9 at k = 3, and hands back one int per subset with a
 holding row; expanded through the matchings memo (pairings_of), its
 matchings equal the oracle's, which walks every perfect matching over
-the signed table of every ordering.  A key decodes back to its subset
+the signed table of every ordering.  It reads each subset's minors by
+position through a plan per shape (_subset_plan) and tests the rows split
+by sign (_row_tests); its keys equal those of the per-call loop it
+replaced (oracle_pairing_keys), and the plan decodes to combinations.  A key decodes back to its subset
 and rows, and for every one of the 2^15 row masks each key memo equals
 the per-call assembly it replaced.  good6_closure_checks reads conjugates
 off one 15 x 15 table of matchings (_conjugation_table); the oracle
@@ -53,6 +56,8 @@ from discarr.detectors import (
     _pairing_keys,
     _pairing_pattern,
     _pairing_value,
+    _row_tests,
+    _subset_plan,
 )
 from discarr.gallery import TYPE_ORDER, is_parameter_generic, parametrized, witness_spec
 from discarr.modular import modular_image
@@ -74,6 +79,7 @@ from _helpers import (
     oracle_key_good6,
     oracle_key_matchings,
     oracle_maps_to,
+    oracle_pairing_keys,
     oracle_pairings,
     pairing_key,
     pairings_of,
@@ -250,6 +256,84 @@ def test_keys_decode_to_their_subset_and_rows(support):
         matchings = _key_matchings(key)[0]
         assert list(matchings) == oracle_key_matchings(support, mask)[0]
         assert matchings_key(matchings) == key
+
+
+# ---------------------------------------------------------------------------
+# the subset plan against the per-call loop it replaced
+
+@pytest.mark.parametrize("n", range(6, 13))
+@pytest.mark.parametrize("k", [2, 3])
+def test_subset_plan_decodes_to_combinations(n, k):
+    # entry i is the i-th 6-subset: its bits, and the positions of its
+    # minors among combinations(1..n, k), the order minors() keeps
+    keys = list(combinations(range(1, n + 1), k))
+    subsets = list(combinations(range(1, n + 1), 6))
+    plan = _subset_plan(n, k)
+    assert len(plan) == len(subsets) == comb(n, 6)
+    for (bits, positions), subset in zip(plan, subsets):
+        assert bits == pairing_key(subset, 0)
+        assert [keys[i] for i in positions] == list(combinations(subset, k))
+    assert _subset_plan(n, k) is plan
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_row_tests_split_the_rows_by_sign(k):
+    # every row once, in row order within each half, on its own sides
+    rows = _pairing_pattern(k)[1]
+    even, odd = _row_tests(k)
+    for half, sign in ((even, 0), (odd, 1)):
+        assert list(half) == [(1 << c, left, right) for c, (_, left, right, o) in enumerate(rows)
+                              if o == sign]
+    assert sum(bit for bit, _, _ in even + odd) == (1 << 15) - 1
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_gallery_keys_equal_the_per_call_loop(name):
+    a = build_gallery(name)
+    assert _pairing_keys(a) == oracle_pairing_keys(a)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_polygon_keys_equal_the_per_call_loop(n):
+    # over Q(zeta_4n) and over its certified prime image
+    a = build_gallery(f"polygon-{n}")
+    for b in (a, modular_image(a)):
+        keys = _pairing_keys(b)
+        assert keys == oracle_pairing_keys(b)
+        assert keys
+
+
+@pytest.mark.parametrize("k, name", [(3, n) for n in sorted(CENSUS_FIELDS)]
+                         + [(2, n) for n in LINE_FIELDS])
+def test_census_keys_equal_the_per_call_loop(k, name):
+    # every labeled class of six planes or six lines over the field
+    classes = plane_classes(name) if k == 3 else line_classes(name)
+    related = 0
+    for _, a in classes:
+        keys = _pairing_keys(a)
+        assert keys == oracle_pairing_keys(a)
+        related += bool(keys)
+    assert related
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("k", [2, 3])
+def test_seeded_keys_equal_the_per_call_loop(name, k):
+    # n = 7..9 over one field of each kind, with and without six related
+    # normals; a repeated normal is refused alike
+    fd = FIELDS[name]
+    rng = random.Random(f"plan-{name}-{k}")
+    related = 0
+    for n in range(7, 10):
+        for imposed in (False, True):
+            a = _seeded(fd, k, n, rng, imposed)
+            keys = _pairing_keys(a)
+            assert keys == oracle_pairing_keys(a)
+            related += len(keys)
+        bad = Arrangement(fd, k, list(a.normals) + [a.normal(2)])
+        assert _outcome(_pairing_keys, bad) == _outcome(oracle_pairing_keys, bad)
+        assert _outcome(_pairing_keys, bad)[0] == "NotGeneric"
+    assert related
 
 
 def _raised(fn, *args):
